@@ -22,10 +22,9 @@ from .emitter import (BeaconEmission, EmissionTimeline, FlipTxBit, PowerStep,
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss, received_power)
 from .sensor import (TIMED_OUT, AuthResult, BeaconObservation, NonceHistory,
-                     ObservedSample, QuantizationFailure, RawTriplet,
-                     SensorConfig, SensorNode, SensorSession,
-                     UndecodableWindow, app_gate, apply_app_stage,
-                     authenticate, decode_slots, extract_raw_triplets,
+                     ObservedSample, QuantizationFailure, SensorConfig,
+                     SensorNode, SensorSession, UndecodableWindow, app_gate,
+                     apply_app_stage, authenticate, decode_slots,
                      extract_triplets, mitm_check, quantize_interval)
 from .scenario import (ConfigError, build_fig3, build_flyover, build_proto,
                        config_sha256, dump_scenario, load_scenario,

@@ -88,6 +88,11 @@ class Triplet:
     channel: ChannelId
     interval_tu: Optional[int] = None
 
+    def __str__(self) -> str:
+        """The BITS@CHANNEL:INTERVAL token, '-' for a missing interval."""
+        iv = "-" if self.interval_tu is None else self.interval_tu
+        return f"{self.tx_pattern.bits}@{self.channel}:{iv}"
+
 
 @dataclass(frozen=True)
 class SecretPattern:
@@ -348,11 +353,7 @@ def parse_pattern(text: str, pattern_id: str = "p0") -> SecretPattern:
 
 def render_pattern(p: SecretPattern) -> str:
     """Canonical text form; parse_pattern(render_pattern(p), p.pattern_id) == p."""
-    parts = []
-    for t in p.triplets:
-        interval = "-" if t.interval_tu is None else str(t.interval_tu)
-        parts.append(f"{t.tx_pattern.bits}@{t.channel}:{interval}")
-    return " ".join(parts)
+    return " ".join(map(str, p.triplets))
 
 
 def parse_pattern_file(text: str) -> list[SecretPattern]:

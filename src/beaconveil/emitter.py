@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -69,17 +68,14 @@ class EmissionTimeline:
     duration_s: float
     replayed: bool = False  # ground-truth flag, never visible to the sensor
 
-    def level_at(self, t: float) -> float:
-        """Power level at time t; steps are right-open, the last is closed."""
-        starts = [s.t_start for s in self.power_steps]
-        i = bisect_right(starts, t) - 1
-        return self.power_steps[max(i, 0)].level_dbm
-
-    def levels_at(self, times: np.ndarray) -> np.ndarray:
+    def levels_at(self, t: Union[float, np.ndarray]
+                  ) -> Union[float, np.ndarray]:
+        """Power level at a time or an array of times; steps are right-open,
+        the last is closed. Returns a float for a scalar t, else an array."""
         starts = np.array([s.t_start for s in self.power_steps])
         levels = np.array([s.level_dbm for s in self.power_steps])
-        idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
-        return levels[idx]
+        idx = np.maximum(starts.searchsorted(t, side="right") - 1, 0)
+        return levels[idx] if idx.ndim else float(levels[idx])
 
     def nonces(self) -> frozenset[str]:
         return frozenset(b.nonce for b in self.beacons)

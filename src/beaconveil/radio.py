@@ -10,9 +10,8 @@ discrimination starts to die.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -65,11 +64,15 @@ class Trajectory:
             raise ValueError("waypoint distances must be > 0")
 
 
-def path_loss(d: float, p: ChannelParams) -> float:
-    """Log-distance loss in dB; strictly increasing in d."""
-    if d <= 0:
+def path_loss(d: Union[float, np.ndarray],
+              p: ChannelParams) -> Union[float, np.ndarray]:
+    """Log-distance loss in dB at a distance or an array of them; strictly
+    increasing in d. Returns a float for a scalar d, else an array."""
+    d = np.asarray(d, dtype=float)
+    if d.min() <= 0:
         raise ValueError("distance must be > 0")
-    return p.pl0_db + 10.0 * p.gamma * math.log10(d / p.d0)
+    loss = p.pl0_db + 10.0 * p.gamma * np.log10(d / p.d0)
+    return loss if loss.ndim else float(loss)
 
 
 def received_power(tx_dbm: float, d: float, p: ChannelParams,
@@ -83,18 +86,9 @@ def received_power(tx_dbm: float, d: float, p: ChannelParams,
     return rssi if rssi >= p.noise_floor_dbm else None
 
 
-def distance_at(traj: Trajectory, t: float) -> float:
-    times = [w[0] for w in traj.waypoints]
-    dists = [w[1] for w in traj.waypoints]
-    return float(np.interp(t, times, dists))
-
-
-def distances_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """Vector form of distance_at for the simulation hot path."""
-    ts = [w[0] for w in traj.waypoints]
-    ds = [w[1] for w in traj.waypoints]
-    return np.interp(times, ts, ds)
-
-
-def path_loss_array(d: np.ndarray, p: ChannelParams) -> np.ndarray:
-    return p.pl0_db + 10.0 * p.gamma * np.log10(d / p.d0)
+def distance_at(traj: Trajectory,
+                t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Range at a time or an array of times, clamped outside the waypoints.
+    Returns a float for a scalar t, else an array."""
+    d = np.interp(t, [w[0] for w in traj.waypoints], [w[1] for w in traj.waypoints])
+    return d if d.ndim else float(d)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import (DEFAULT_BAND, BandPlan, PatternError, SecretPattern,
-                   Triplet, parse_pattern, render_pattern)
+                   parse_pattern, render_pattern)
 from .emitter import FlipTxBit, SlotConfig, WrongChannel, WrongInterval
 from .radio import ChannelParams, Trajectory, TxPowerLevels
 from .sensor import SensorConfig
@@ -37,10 +37,15 @@ class ConfigError(ValueError):
 
 
 def _conv(section: str, key: str, text: str, kind: Callable):
+    # Every scenario number passes through here. A nan or inf would validate
+    # and then crash the run or leave its metrics meaningless.
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {text!r} is not a finite number")
+    return value
 
 
 def _section_kwargs(cp: configparser.ConfigParser, section: str,
@@ -231,11 +236,6 @@ def config_sha256(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(dump_scenario(cfg).encode("utf-8")).hexdigest()
 
 
-def _triplet_token(t: Triplet) -> str:
-    iv = "-" if t.interval_tu is None else t.interval_tu
-    return f"{t.tx_pattern.bits}@{t.channel}:{iv}"
-
-
 def report_dict(report: RunReport, cfg: ScenarioConfig) -> dict:
     trials = []
     for tr in report.trials:
@@ -250,7 +250,7 @@ def report_dict(report: RunReport, cfg: ScenarioConfig) -> dict:
             "phy_ok": r.phy_ok,
             "app_ok": r.app_ok,
             "duration_s": r.duration_s,
-            "transcript": [_triplet_token(t) for t in r.transcript],
+            "transcript": [str(t) for t in r.transcript],
         })
     return {"config_sha256": config_sha256(cfg), "seed": cfg.seed,
             "metrics": report.metrics.to_dict(), "trials": trials}

@@ -11,6 +11,10 @@ later intervals must quantize onto integer multiples of it.
 Anything the device cannot read cleanly rejects the session rather than
 being guessed at: a silent slot, a window without high/low structure, a
 transition smaller than delta_db, an interval off the measured grid.
+
+One reader turns a window into a triplet, and one event feed orders an
+observation: the online SensorSession and the offline extract_triplets and
+authenticate all go through them, so they read an observation the same way.
 """
 
 from __future__ import annotations
@@ -41,15 +45,6 @@ class BeaconObservation:
     channel: int
     seq_no: int
     nonce: str
-
-
-@dataclass(frozen=True)
-class RawTriplet:
-    """Pre-quantization extraction: decoded bits, channel, raw interval."""
-
-    tx_pattern: TxPattern
-    channel: int
-    raw_interval_s: Optional[float]  # None only for the first observation
 
 
 @dataclass(frozen=True)
@@ -154,10 +149,46 @@ def quantize_interval(raw_s: float, tu_s: float, eps: float = 0.10) -> Optional[
     return int(k)
 
 
-def extract_raw_triplets(beacons: Sequence[BeaconObservation],
-                         samples: Iterable[ObservedSample], cfg: SensorConfig,
-                         slot_s: float = 0.6) -> list[RawTriplet]:
-    """Offline extraction of per-beacon RawTriplets from a full observation."""
+def _read_triplet(beacons: Sequence[BeaconObservation], j: int,
+                  window: Iterable[ObservedSample], cfg: SensorConfig,
+                  slot_s: float) -> Triplet:
+    """Read triplet j from the slot window its beacon opened.
+
+    The bits come from the level shape; the time unit is the gap between
+    beacons 0 and 1, so the second interval is 1 by definition and later
+    intervals quantize onto it. Raises UndecodableWindow or
+    QuantizationFailure carrying j.
+    """
+    b = beacons[j]
+    try:
+        bits = decode_slots(window, cfg.n, cfg, slot_s, t0=b.t_s)
+    except UndecodableWindow as e:
+        raise UndecodableWindow(e.detail, index=j) from None
+    if j == 0:
+        return Triplet(bits, b.channel, None)
+    tu_s = beacons[1].t_s - beacons[0].t_s
+    if j == 1:
+        if tu_s <= 0:
+            raise QuantizationFailure("first interval is empty, no time unit", index=1)
+        return Triplet(bits, b.channel, 1)
+    raw = b.t_s - beacons[j - 1].t_s
+    k = quantize_interval(raw, tu_s, cfg.eps_tu)
+    if k is None:
+        raise QuantizationFailure(
+            f"interval {raw:.3f} s off the {tu_s:.3f} s time-unit grid", index=j)
+    return Triplet(bits, b.channel, k)
+
+
+def extract_triplets(beacons: Sequence[BeaconObservation],
+                     samples: Iterable[ObservedSample], cfg: SensorConfig,
+                     slot_s: float = 0.6) -> tuple[Triplet, ...]:
+    """Offline pipeline: read every beacon's full slot window in turn.
+
+    Stops at the first triplet it cannot read, as a session does. Scale
+    invariance falls out of measuring the time unit: multiplying every
+    timestamp by k > 0 rescales the time unit and all raw intervals
+    together, leaving every quantized interval unchanged.
+    """
     if not beacons:
         raise ValueError("need at least one beacon")
     pts = sorted(samples, key=lambda s: s.t_s)
@@ -165,40 +196,9 @@ def extract_raw_triplets(beacons: Sequence[BeaconObservation],
     for j, b in enumerate(beacons):
         end = b.t_s + cfg.n * slot_s
         window = [s for s in pts if b.t_s <= s.t_s < end]
-        try:
-            bits = decode_slots(window, cfg.n, cfg, slot_s, t0=b.t_s)
-        except UndecodableWindow as e:
-            raise UndecodableWindow(e.detail, index=j) from None
-        raw = None if j == 0 else b.t_s - beacons[j - 1].t_s
-        out.append(RawTriplet(bits, b.channel, raw))
-    return out
-
-
-def extract_triplets(beacons: Sequence[BeaconObservation],
-                     samples: Iterable[ObservedSample], cfg: SensorConfig,
-                     slot_s: float = 0.6) -> tuple[Triplet, ...]:
-    """Full offline pipeline: decode windows, measure the TU, quantize.
-
-    The time unit is the raw interval between the first two beacons; the
-    second triplet's interval is 1 by that definition. Scale invariance
-    falls out: multiplying every timestamp by k > 0 rescales tu_s and all
-    raw intervals together, leaving every quantized interval unchanged.
-    """
-    raws = extract_raw_triplets(beacons, samples, cfg, slot_s)
-    if len(raws) < 2:
+        out.append(_read_triplet(beacons, j, window, cfg, slot_s))
+    if len(out) < 2:
         raise QuantizationFailure("need two beacons to measure the time unit", index=1)
-    tu_s = raws[1].raw_interval_s
-    if tu_s is None or tu_s <= 0:
-        raise QuantizationFailure("first interval is empty, no time unit", index=1)
-    out = [Triplet(raws[0].tx_pattern, raws[0].channel, None),
-           Triplet(raws[1].tx_pattern, raws[1].channel, 1)]
-    for j in range(2, len(raws)):
-        raw = raws[j].raw_interval_s
-        k = quantize_interval(raw, tu_s, cfg.eps_tu)
-        if k is None:
-            raise QuantizationFailure(
-                f"interval {raw:.3f} s off the {tu_s:.3f} s time-unit grid", index=j)
-        out.append(Triplet(raws[j].tx_pattern, raws[j].channel, k))
     return tuple(out)
 
 
@@ -251,7 +251,6 @@ class AuthResult:
     phy_ok: bool
     app_ok: Optional[bool]  # None unless phy passed and the app gate is on
     transcript: tuple[Triplet, ...]
-    raw_transcript: tuple[RawTriplet, ...]
     duration_s: float
 
     @property
@@ -299,9 +298,7 @@ class SensorSession:
         self._deadline = t_start + self.watchdog_s
         self._matcher = new_matcher(self.store)
         self._beacons: list[BeaconObservation] = []
-        self._raws: list[RawTriplet] = []
         self._triplets: list[Triplet] = []
-        self._tu_s: Optional[float] = None
         self._window: Optional[_Window] = None
         if self.node.locked_at(t_start):
             self._reject(RejectReason("lockout"), t_start)
@@ -339,6 +336,22 @@ class SensorSession:
         if w is not None and w.beacon.t_s <= s.t_s < w.end:
             w.samples.append(s)
 
+    def feed(self, beacons: Iterable[BeaconObservation],
+             samples: Iterable[ObservedSample]) -> None:
+        """Drive a whole observation through the session in event order:
+        time, then beacon before sample, then beacon seq_no, then sample
+        order. Stops early once the session is terminal."""
+        events = [(b.t_s, 0, b.seq_no, b) for b in beacons]
+        events += [(s.t_s, 1, i, s) for i, s in enumerate(samples)]
+        events.sort(key=lambda e: (e[0], e[1], e[2]))
+        for _, tag, _, ev in events:
+            if self.terminal:
+                break
+            if tag == 0:
+                self.observe_beacon(ev)
+            else:
+                self.observe_sample(ev)
+
     def finish(self, t_end: Optional[float] = None) -> AuthResult:
         """Declare the observation over; an unresolved session times out."""
         if not self.terminal:
@@ -364,29 +377,12 @@ class SensorSession:
     def _close_window(self) -> None:
         w = self._window
         self._window = None
-        j = w.index
         try:
-            bits = decode_slots(w.samples, self.cfg.n, self.cfg,
-                                self.slot_cfg.slot_s, t0=w.beacon.t_s)
-        except UndecodableWindow:
-            self._reject(RejectReason("undecodable", j), w.end)
+            trip = _read_triplet(self._beacons, w.index, w.samples, self.cfg,
+                                 self.slot_cfg.slot_s)
+        except ExtractionError as e:
+            self._reject(e.reason(), w.end)
             return
-        raw = None if j == 0 else w.beacon.t_s - self._beacons[j - 1].t_s
-        self._raws.append(RawTriplet(bits, w.beacon.channel, raw))
-        if j == 0:
-            interval = None
-        elif j == 1:
-            if raw is None or raw <= 0:
-                self._reject(RejectReason("quantization", 1), w.end)
-                return
-            self._tu_s = raw  # the measured time unit
-            interval = 1
-        else:
-            interval = quantize_interval(raw, self._tu_s, self.cfg.eps_tu)
-            if interval is None:
-                self._reject(RejectReason("quantization", j), w.end)
-                return
-        trip = Triplet(bits, w.beacon.channel, interval)
         self._triplets.append(trip)
         self._matcher = match_step(self._matcher, trip, self.store)
         if self._matcher.status == ACCEPTED:
@@ -400,8 +396,7 @@ class SensorSession:
         self.terminal_t = t
         self.result = AuthResult(
             verdict, pattern_id, reason, phy_ok=(verdict == ACCEPTED), app_ok=None,
-            transcript=tuple(self._triplets), raw_transcript=tuple(self._raws),
-            duration_s=t - self.t_start)
+            transcript=tuple(self._triplets), duration_s=t - self.t_start)
 
     def _accept(self, pattern_id: str, t: float) -> None:
         self._result(ACCEPTED, t, pattern_id=pattern_id)
@@ -452,19 +447,11 @@ def authenticate(beacons: Iterable[BeaconObservation],
                  rtt_s: Optional[float] = None) -> AuthResult:
     """Replay a complete observation through a session and the app stage.
 
-    Convenience wrapper over SensorSession for offline use; the simulator
-    drives sessions event by event instead.
+    Offline wrapper over SensorSession.feed, the same feed the simulator
+    uses; the app stage gets the round trip rtt_s as given.
     """
     session = SensorSession(store, cfg, slot_cfg, node=node, t_start=t_start)
-    events = sorted([(b.t_s, 0, b) for b in beacons] + [(s.t_s, 1, s) for s in samples],
-                    key=lambda e: (e[0], e[1]))
-    for _, tag, ev in events:
-        if session.terminal:
-            break
-        if tag == 0:
-            session.observe_beacon(ev)
-        else:
-            session.observe_sample(ev)
+    session.feed(beacons, samples)
     result = session.finish(t_end)
     result = apply_app_stage(result, app_message, rtt_s, cfg)
     if node is not None:

@@ -1,9 +1,9 @@
 """Deterministic discrete-event engine and Monte Carlo harness.
 
 Binds the pieces together: an actor compiles an emission timeline, the radio
-model places it on the sensor's sampling grid along a trajectory, and a
-sensor session consumes the resulting event stream in strict time order
-(ties: beacon before sample, then sequence number). There is no wall clock
+model places it on the sensor's sampling grid along a trajectory, and
+SensorSession.feed plays the resulting events into a session in strict time
+order (ties: beacon before sample, then sequence number). There is no wall clock
 anywhere; trial i draws all its randomness from
 numpy.random.default_rng([seed, i]), so results are independent of run
 order and worker count.
@@ -32,7 +32,7 @@ from .emitter import (EmissionTimeline, Mutation, SlotConfig, SlotFitError,
                       compile_schedule, mutate, random_candidate,
                       random_pattern, replay_timeline)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
-                    distances_at, path_loss, path_loss_array)
+                    path_loss)
 from .sensor import (AuthResult, BeaconObservation, ObservedSample,
                      SensorConfig, SensorNode, SensorSession, apply_app_stage)
 
@@ -153,9 +153,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append("sensor undersamples: need f_s*slot_s >= 2")
     a = cfg.actor
     ref_ids = []
-    if isinstance(a, (Legit, Replay, Mitm)):
-        ref_ids = [a.pattern_id]
-    elif isinstance(a, Mutant):
+    if isinstance(a, (Legit, Mutant, Replay, Mitm)):
         ref_ids = [a.pattern_id]
     elif isinstance(a, Proto):
         ref_ids = [a.pattern_a, a.pattern_b]
@@ -201,19 +199,17 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     phase = t_start + rng.uniform(0.0, 1.0 / f)  # emission start on the sensor clock
     sigma = chan.sigma_db
     emitted = timeline.beacons
-    shadows = rng.normal(0.0, sigma, size=len(emitted)) if sigma > 0 else None
+    t_true = phase + np.array([b.t_s for b in emitted])
+    rssi = tx.high_dbm - path_loss(distance_at(traj, t_true - t_start), chan)
+    if sigma > 0:
+        rssi += rng.normal(0.0, sigma, size=len(emitted))
     beacons = []
     ticks_parts = []
     win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
-    for i, b in enumerate(emitted):
-        t_true = phase + b.t_s
-        d = distance_at(traj, t_true - t_start)
-        rssi = tx.high_dbm - path_loss(d, chan)
-        if shadows is not None:
-            rssi += shadows[i]
-        if rssi < chan.noise_floor_dbm:
+    for b, t, r in zip(emitted, t_true.tolist(), rssi.tolist()):
+        if r < chan.noise_floor_dbm:
             continue  # frame lost; its window never opens
-        m = int(round(t_true * f))
+        m = int(round(t * f))
         beacons.append(BeaconObservation(m / f, b.channel, b.seq_no, b.nonce))
         ticks_parts.append(np.arange(m, m + win_ticks, dtype=np.int64))
     if not ticks_parts:
@@ -221,7 +217,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     ticks = np.unique(np.concatenate(ticks_parts))
     t_ticks = ticks / f
     local = t_ticks - phase
-    pl = path_loss_array(distances_at(traj, t_ticks - t_start), chan)
+    pl = path_loss(distance_at(traj, t_ticks - t_start), chan)
     rssi = timeline.levels_at(local) - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=rssi.shape)
@@ -229,19 +225,6 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     samples = [ObservedSample(t, None if a else r)
                for t, r, a in zip(t_ticks.tolist(), rssi.tolist(), absent.tolist())]
     return beacons, samples
-
-
-def _feed(session: SensorSession, beacons, samples) -> None:
-    events = [(b.t_s, 0, b.seq_no, b) for b in beacons]
-    events += [(s.t_s, 1, i, s) for i, s in enumerate(samples)]
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    for _, tag, _, ev in events:
-        if session.terminal:
-            break
-        if tag == 0:
-            session.observe_beacon(ev)
-        else:
-            session.observe_sample(ev)
 
 
 def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
@@ -252,7 +235,7 @@ def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
         timeline, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot_cfg, rng,
         t_start=t_start)
     session = SensorSession(cfg.store, eff, slot_cfg, node=node, t_start=t_start)
-    _feed(session, beacons, samples)
+    session.feed(beacons, samples)
     result = session.finish()
     if result.verdict == ACCEPTED and eff.app_secret is not None:
         d = distance_at(cfg.trajectory, session.terminal_t - t_start)
@@ -469,11 +452,11 @@ def eavesdrop(timeline: EmissionTimeline, slot_cfg: SlotConfig,
     """
     bs = timeline.beacons
     mid = (tx.high_dbm + tx.low_dbm) / 2.0
+    centres = [b.t_s + (k + 0.5) * slot_cfg.slot_s for b in bs for k in range(n)]
+    high = (timeline.levels_at(np.array(centres)) > mid).tolist()
     out = []
     for j, b in enumerate(bs):
-        bits = "".join(
-            "1" if timeline.level_at(b.t_s + (k + 0.5) * slot_cfg.slot_s) > mid else "0"
-            for k in range(n))
+        bits = "".join("1" if h else "0" for h in high[j * n:(j + 1) * n])
         if j == 0:
             interval = None
         elif j == 1:

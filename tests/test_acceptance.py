@@ -215,7 +215,7 @@ def _exact_observation(timeline, n, slot_s, pl_db):
     beacons = [BeaconObservation(b.t_s, b.channel, b.seq_no, b.nonce)
                for b in timeline.beacons]
     samples = [
-        ObservedSample(t, timeline.level_at(t) - pl_db)
+        ObservedSample(t, timeline.levels_at(t) - pl_db)
         for b in timeline.beacons
         for k in range(n)
         for t in ((b.t_s + (k + f) * slot_s) for f in (0.25, 0.5, 0.75))

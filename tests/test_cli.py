@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, seed precedence."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,20 @@ class TestExitCodes:
     def test_no_command_is_user_error(self):
         proc = run_cli([])
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("f_s", "nan"), ("f_s", "inf"), ("tu_s", "nan"), ("delta_db", "inf"),
+        ("waypoints", "0.0:nan"), ("sigma_db", "nan"), ("high_dbm", "inf")])
+    def test_non_finite_number_is_user_error(self, fig3a, tmp_path, capsys, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", fig3a.read_text(),
+                      flags=re.M)
+        assert f"{key} = {value}" in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 1
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_out_is_runtime_error(self, fig3a, tmp_path):
         blocker = tmp_path / "blocker"

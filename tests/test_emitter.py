@@ -38,23 +38,23 @@ class TestCompileSchedule:
         cfg = SlotConfig(slot_s=0.2, tu_s=1.0, guard_s=0.1)
         t = compile_schedule(p, cfg, TX)
         # burst 0: low/high/low over [0, 0.6)
-        assert t.level_at(0.0) == 7.0
-        assert t.level_at(0.2) == 13.0
-        assert t.level_at(0.39) == 13.0
-        assert t.level_at(0.4) == 7.0
+        assert t.levels_at(0.0) == 7.0
+        assert t.levels_at(0.2) == 13.0
+        assert t.levels_at(0.39) == 13.0
+        assert t.levels_at(0.4) == 7.0
         # idle gap between bursts stays low
-        assert t.level_at(0.8) == 7.0
+        assert t.levels_at(0.8) == 7.0
         # burst 1: high/low/high from t=1.0
-        assert t.level_at(1.0) == 13.0
-        assert t.level_at(1.3) == 7.0
-        assert t.level_at(1.5) == 13.0
+        assert t.levels_at(1.0) == 13.0
+        assert t.levels_at(1.3) == 7.0
+        assert t.levels_at(1.5) == 13.0
         assert t.duration_s == pytest.approx(1.0 + 0.6 + 0.1)
 
     def test_levels_at_matches_level_at(self):
         t = compile_schedule(FIG3, SlotConfig(), TX)
         times = np.linspace(0.0, t.duration_s - 1e-9, 400)
         vec = t.levels_at(times)
-        assert vec.tolist() == [t.level_at(x) for x in times]
+        assert vec.tolist() == [t.levels_at(x) for x in times.tolist()]
 
     def test_burst_must_fit_inside_min_interval(self):
         with pytest.raises(SlotFitError):

@@ -130,7 +130,7 @@ def clean_observation(pattern, slot_cfg, cfg, pl_db=73.0, nonce_prefix="n"):
         for k in range(cfg.n):
             for frac in (0.25, 0.5, 0.75):
                 t = b.t_s + slot_cfg.slot_s * (k + frac)
-                samples.append(ObservedSample(t, tl.level_at(t) - pl_db))
+                samples.append(ObservedSample(t, tl.levels_at(t) - pl_db))
     return beacons, samples
 
 
@@ -179,6 +179,24 @@ class TestExtractTriplets:
         with pytest.raises(UndecodableWindow) as ei:
             extract_triplets(beacons, flat, CFG)
         assert ei.value.reason() == RejectReason("undecodable", 2)
+
+    def test_first_unreadable_triplet_wins_as_in_a_session(self):
+        # beacon 2 comes 1.7 s late (an off-grid interval) and window 3 is
+        # flat; offline and online readers both stop at the interval
+        beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
+        beacons[2] = dataclasses.replace(beacons[2], t_s=beacons[2].t_s + 1.7)
+        late = []
+        for s in samples:
+            if 12.0 <= s.t_s < 13.8:
+                s = dataclasses.replace(s, t_s=s.t_s + 1.7)
+            elif s.t_s >= 20.0:
+                s = dataclasses.replace(s, rssi_dbm=-50.0)
+            late.append(s)
+        with pytest.raises(QuantizationFailure) as ei:
+            extract_triplets(beacons, late, CFG)
+        assert ei.value.reason() == RejectReason("quantization", 2)
+        res = authenticate(beacons, late, [FIG3], CFG, SlotConfig())
+        assert res.reason == RejectReason("quantization", 2)
 
 
 class TestNonceHistory:

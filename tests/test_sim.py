@@ -3,15 +3,20 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beaconveil import (ACCEPTED, REJECTED, BruteForce, FlipTxBit, Legit,
-                        Mitm, Mutant, Proto, Replay, SlotConfig, Trajectory,
-                        TxPowerLevels, WrongChannel, WrongInterval,
-                        build_fig3, build_flyover, build_proto,
-                        compile_schedule, compute_metrics, eavesdrop,
-                        monte_carlo, parse_pattern, run_scenario, run_trial,
-                        sweep, validate_scenario, wilson)
+from beaconveil import (ACCEPTED, REJECTED, BruteForce, ChannelParams,
+                        FlipTxBit, Legit, Mitm, Mutant, Proto, Replay,
+                        SecretPattern, SensorConfig, SlotConfig, Trajectory,
+                        Triplet, TxPattern, TxPowerLevels, WrongChannel,
+                        WrongInterval, authenticate, build_fig3,
+                        build_flyover, build_proto, compile_schedule,
+                        compute_metrics, eavesdrop, extract_triplets,
+                        monte_carlo, observe_emission, parse_pattern,
+                        run_scenario, run_trial, sweep, validate_scenario,
+                        wilson)
 
 from scenario_builders import build_desk
 
@@ -225,3 +230,40 @@ class TestEavesdrop:
         fig3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
         tl = compile_schedule(fig3, SlotConfig(), TxPowerLevels())
         assert eavesdrop(tl, SlotConfig(), TxPowerLevels(), 3) == fig3.triplets
+
+
+MAX_TU = 16
+
+
+@st.composite
+def valid_patterns(draw):
+    n = draw(st.integers(2, 4))
+    bits = st.text("01", min_size=n, max_size=n).filter(lambda b: "0" in b and "1" in b)
+    triplets = []
+    for i in range(draw(st.integers(2, 5))):
+        iv = None if i == 0 else 1 if i == 1 else draw(st.integers(1, MAX_TU))
+        triplets.append(Triplet(TxPattern(draw(bits)), draw(st.integers(1, 14)), iv))
+    return SecretPattern("p", tuple(triplets))
+
+
+class TestCrossLayerOracle:
+    @given(p=valid_patterns(), d=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_noiseless_readers_agree_with_the_air(self, p, d, seed):
+        # Session, offline extraction and the perfect receiver all read the
+        # credential that went on air, fig3 slot timing, in noiseless range.
+        slot_cfg = SlotConfig()
+        tx = TxPowerLevels()
+        n = p.bit_count
+        # widened like the simulator's watchdog, so long gaps do not time out
+        cfg = SensorConfig(f_s=5.0, n=n, watchdog_s=(MAX_TU + 2) * slot_cfg.tu_s)
+        tl = compile_schedule(p, slot_cfg, tx)
+        beacons, samples = observe_emission(
+            tl, Trajectory(((0.0, d),)), ChannelParams(sigma_db=0.0), tx, cfg,
+            slot_cfg, np.random.default_rng(seed))
+        res = authenticate(beacons, samples, [p], cfg, slot_cfg)
+        assert res.verdict == ACCEPTED
+        assert (res.transcript
+                == extract_triplets(beacons, samples, cfg, slot_cfg.slot_s)
+                == eavesdrop(tl, slot_cfg, tx, n)
+                == p.triplets)
