@@ -15,6 +15,7 @@ ones stay constructible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -31,6 +32,13 @@ class PatternError(ValueError):
 
 class MatcherError(RuntimeError):
     """The matcher was driven past a terminal state."""
+
+
+def _check_finite(**values: Optional[float]) -> None:
+    """Raise ValueError naming the first nan or inf among values (None skips)."""
+    for name, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,10 @@ class BandPlan:
     spacing: float  # MHz between adjacent channels
 
     def __post_init__(self) -> None:
-        if self.channel_count < 1:
+        _check_finite(base_freq=self.base_freq, spacing=self.spacing)
+        if not self.channel_count >= 1:
             raise ValueError("channel_count must be >= 1")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise ValueError("spacing must be > 0")
 
     def channel_freq(self, channel: ChannelId) -> float:
@@ -231,12 +240,13 @@ class RejectReason:
 class MatcherState:
     """Progress of the incremental match against a pattern store.
 
-    viable holds (pattern_id, next_index) pairs still consistent with every
-    observed triplet so far. Terminal states are accepted (some pattern fully
-    consumed) and rejected (viable emptied).
+    viable holds, in pattern_id order, the stored patterns whose first
+    `consumed` triplets equal the triplets observed so far; the next observed
+    triplet is compared with each one's triplets[consumed]. Terminal states
+    are accepted (some pattern fully consumed) and rejected (viable emptied).
     """
 
-    viable: frozenset[tuple[str, int]]
+    viable: tuple[SecretPattern, ...]
     consumed: int
     status: str
     accepted_id: Optional[str] = None
@@ -247,20 +257,14 @@ class MatcherState:
         return self.status != IN_PROGRESS
 
 
-def _index_store(store: Iterable[SecretPattern]) -> dict[str, SecretPattern]:
-    out = {}
-    for p in store:
-        if p.pattern_id in out:
-            raise ValueError(f"duplicate pattern_id {p.pattern_id!r} in store")
-        out[p.pattern_id] = p
-    return out
-
-
 def new_matcher(store: Iterable[SecretPattern]) -> MatcherState:
-    ids = _index_store(store)
-    if not ids:
+    patterns = sorted(store, key=lambda p: p.pattern_id)
+    if not patterns:
         raise ValueError("store must be nonempty")
-    return MatcherState(frozenset((pid, 0) for pid in ids), 0, IN_PROGRESS)
+    for a, b in zip(patterns, patterns[1:]):
+        if a.pattern_id == b.pattern_id:
+            raise ValueError(f"duplicate pattern_id {a.pattern_id!r} in store")
+    return MatcherState(tuple(patterns), 0, IN_PROGRESS)
 
 
 def _mismatch_kind(observed: Triplet, expected: Triplet, index: int) -> Optional[str]:
@@ -274,40 +278,38 @@ def _mismatch_kind(observed: Triplet, expected: Triplet, index: int) -> Optional
     return None
 
 
-def match_step(state: MatcherState, observed: Triplet,
-               store: Iterable[SecretPattern]) -> MatcherState:
+def match_step(state: MatcherState, observed: Triplet) -> MatcherState:
     """Advance the matcher by one observed triplet.
 
-    Keeps each viable (pattern, i) iff observed equals pattern.triplets[i],
+    Keeps each viable pattern p iff observed equals p.triplets[consumed],
     with intervals compared only from index 1 on. Accepts on the first fully
     consumed pattern (lowest pattern_id on ties); rejects when nothing stays
-    viable, with the reason taken from the lowest-id candidate just dropped.
+    viable, with the reason taken from the lowest-id pattern just dropped.
     """
     if state.terminal:
         raise MatcherError("match_step called after terminal status")
-    ids = _index_store(store)
-    kept: list[tuple[str, int]] = []
-    completed: list[str] = []
-    dropped: list[tuple[str, str]] = []
-    for pid, i in sorted(state.viable):
-        pattern = ids[pid]
-        # i < pattern.length always: completion is terminal, so no viable
-        # entry survives past its last triplet.
-        kind = _mismatch_kind(observed, pattern.triplets[i], i)
+    i = state.consumed
+    kept = []
+    accepted_id: Optional[str] = None
+    dropped_kind: Optional[str] = None
+    for p in state.viable:
+        # i < p.length always: completion is terminal, so no viable pattern
+        # survives past its last triplet.
+        kind = _mismatch_kind(observed, p.triplets[i], i)
         if kind is not None:
-            dropped.append((pid, kind))
-        elif i + 1 == pattern.length:
-            completed.append(pid)
-        else:
-            kept.append((pid, i + 1))
-    consumed = state.consumed + 1
-    if completed:
-        return MatcherState(frozenset(kept), consumed, ACCEPTED, accepted_id=min(completed))
-    if kept:
-        return MatcherState(frozenset(kept), consumed, IN_PROGRESS)
-    kind = dropped[0][1] if dropped else "no-viable-pattern"
-    return MatcherState(frozenset(), consumed, REJECTED,
-                        reason=RejectReason(kind, state.consumed))
+            if dropped_kind is None:
+                dropped_kind = kind
+        elif i + 1 < p.length:
+            kept.append(p)
+        elif accepted_id is None:
+            accepted_id = p.pattern_id
+    viable = tuple(kept)
+    if accepted_id is not None:
+        return MatcherState(viable, i + 1, ACCEPTED, accepted_id=accepted_id)
+    if viable:
+        return MatcherState(viable, i + 1, IN_PROGRESS)
+    return MatcherState(viable, i + 1, REJECTED,
+                        reason=RejectReason(dropped_kind or "no-viable-pattern", i))
 
 
 def _parse_triplet(token: str, position: int, first: bool) -> Triplet:

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .core import (BandPlan, PatternError, SecretPattern, Triplet, TxPattern,
-                   _structural_violations)
+                   _check_finite, _structural_violations)
 from .radio import TxPowerLevels
 
 
@@ -33,7 +33,8 @@ class SlotConfig:
     guard_s: float = 0.2  # idle tail after the last burst
 
     def __post_init__(self) -> None:
-        if self.slot_s <= 0 or self.tu_s <= 0 or self.guard_s < 0:
+        _check_finite(slot_s=self.slot_s, tu_s=self.tu_s, guard_s=self.guard_s)
+        if not (self.slot_s > 0 and self.tu_s > 0 and self.guard_s >= 0):
             raise ValueError("slot_s and tu_s must be > 0, guard_s >= 0")
 
     def check_fit(self, p: SecretPattern) -> None:

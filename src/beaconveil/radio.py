@@ -15,6 +15,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .core import _check_finite
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -25,11 +27,13 @@ class ChannelParams:
     noise_floor_dbm: float = -90.0  # below this the sample is absent
 
     def __post_init__(self) -> None:
-        if self.d0 <= 0:
+        _check_finite(pl0_db=self.pl0_db, d0=self.d0, gamma=self.gamma,
+                      sigma_db=self.sigma_db, noise_floor_dbm=self.noise_floor_dbm)
+        if not self.d0 > 0:
             raise ValueError("d0 must be > 0")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
-        if self.sigma_db < 0:
+        if not self.sigma_db >= 0:
             raise ValueError("sigma_db must be >= 0")
 
 
@@ -39,7 +43,8 @@ class TxPowerLevels:
     low_dbm: float = 7.0
 
     def __post_init__(self) -> None:
-        if self.high_dbm <= self.low_dbm:
+        _check_finite(high_dbm=self.high_dbm, low_dbm=self.low_dbm)
+        if not self.high_dbm > self.low_dbm:
             raise ValueError("high_dbm must exceed low_dbm")
 
     def level(self, bit) -> float:
@@ -57,10 +62,12 @@ class Trajectory:
                            tuple((float(t), float(d)) for t, d in self.waypoints))
         if not self.waypoints:
             raise ValueError("trajectory needs at least one waypoint")
+        for t, d in self.waypoints:
+            _check_finite(waypoint_time=t, waypoint_distance=d)
         times = [t for t, _ in self.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(b > a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
-        if any(d <= 0 for _, d in self.waypoints):
+        if not all(d > 0 for _, d in self.waypoints):
             raise ValueError("waypoint distances must be > 0")
 
 

@@ -27,7 +27,8 @@ from statistics import median
 from typing import Iterable, Optional, Sequence
 
 from .core import (ACCEPTED, IN_PROGRESS, REJECTED, RejectReason,
-                   SecretPattern, Triplet, TxPattern, match_step, new_matcher)
+                   SecretPattern, Triplet, TxPattern, _check_finite,
+                   match_step, new_matcher)
 from .emitter import SlotConfig
 
 TIMED_OUT = "timed_out"
@@ -59,15 +60,18 @@ class SensorConfig:
     watchdog_s: Optional[float] = None  # None: 8 nominal time units
 
     def __post_init__(self) -> None:
-        if self.f_s <= 0:
+        _check_finite(f_s=self.f_s, eps_tu=self.eps_tu, delta_db=self.delta_db,
+                      rtt_limit_s=self.rtt_limit_s, lockout_s=self.lockout_s,
+                      watchdog_s=self.watchdog_s)
+        if not self.f_s > 0:
             raise ValueError("f_s must be > 0")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError("n must be >= 1")
         if not 0 <= self.eps_tu < 0.5:
             raise ValueError("eps_tu must be in [0, 0.5) or rounding is ambiguous")
-        if self.delta_db <= 0:
+        if not self.delta_db > 0:
             raise ValueError("delta_db must be > 0")
-        if self.lockout_s < 0 or (self.watchdog_s is not None and self.watchdog_s <= 0):
+        if not self.lockout_s >= 0 or (self.watchdog_s is not None and not self.watchdog_s > 0):
             raise ValueError("lockout_s must be >= 0 and watchdog_s > 0")
 
 
@@ -287,7 +291,6 @@ class SensorSession:
         self.slot_cfg = slot_cfg if slot_cfg is not None else SlotConfig()
         if cfg.f_s * self.slot_cfg.slot_s < 2:
             raise ValueError("need f_s*slot_s >= 2 samples per slot")
-        self.store = tuple(store)
         self.node = node if node is not None else SensorNode(cfg.lockout_s)
         self.t_start = t_start
         self.watchdog_s = (cfg.watchdog_s if cfg.watchdog_s is not None
@@ -296,7 +299,7 @@ class SensorSession:
         self.result: Optional[AuthResult] = None
         self.terminal_t: Optional[float] = None
         self._deadline = t_start + self.watchdog_s
-        self._matcher = new_matcher(self.store)
+        self._matcher = new_matcher(store)
         self._beacons: list[BeaconObservation] = []
         self._triplets: list[Triplet] = []
         self._window: Optional[_Window] = None
@@ -384,7 +387,7 @@ class SensorSession:
             self._reject(e.reason(), w.end)
             return
         self._triplets.append(trip)
-        self._matcher = match_step(self._matcher, trip, self.store)
+        self._matcher = match_step(self._matcher, trip)
         if self._matcher.status == ACCEPTED:
             self._accept(self._matcher.accepted_id, w.end)
         elif self._matcher.status == REJECTED:

@@ -19,6 +19,7 @@ tu_s an exact multiple of the tick, measured intervals are exact.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -230,7 +231,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
 def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
                  timeline: EmissionTimeline, rng: np.random.Generator,
                  node: SensorNode, t_start: float, app_message: Optional[str],
-                 rtt_extra_s: float = 0.0):
+                 rtt_extra_s: float = 0.0) -> AuthResult:
     beacons, samples = observe_emission(
         timeline, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot_cfg, rng,
         t_start=t_start)
@@ -242,7 +243,7 @@ def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
         rtt = 2.0 * d / LIGHT_SPEED_M_S + rtt_extra_s
         result = apply_app_stage(result, app_message, rtt, eff)
     node.note_result(result, session.terminal_t)
-    return result, session
+    return result
 
 
 @dataclass(frozen=True)
@@ -259,54 +260,36 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     eff = _effective_sensor(cfg)
     node = SensorNode(eff.lockout_s)
     a = cfg.actor
-    kind = actor_kind(a)
-    label = actor_label(a)
-    secret = eff.app_secret
-    prefix = f"t{trial_index}.s0"
-
-    if isinstance(a, (Legit, Mitm)):
-        tl = compile_schedule(cfg.pattern(a.pattern_id), cfg.slot_cfg,
-                              cfg.tx_levels, nonce_prefix=prefix)
-        extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
-        result, _ = _run_session(cfg, eff, cfg.slot_cfg, tl, rng, node, 0.0,
-                                 app_message=secret, rtt_extra_s=extra)
+    slot = cfg.slot_cfg
+    # Mutant and BruteForce emit a credential of their own making, which need
+    # not be well-formed, and they do not know the app secret.
+    guessing = isinstance(a, (Mutant, BruteForce))
+    if isinstance(a, (Legit, Replay, Mitm)):
+        p = cfg.pattern(a.pattern_id)
     elif isinstance(a, Mutant):
-        # The mutant emits whatever the mutation produced, even when that is
-        # no longer a well-formed credential (a wrong second interval merely
-        # redefines the observed time unit).
+        # A wrong second interval merely redefines the observed time unit.
         p = mutate(cfg.pattern(a.pattern_id), a.mutation)
-        tl = compile_schedule(p, cfg.slot_cfg, cfg.tx_levels, nonce_prefix=prefix,
-                              require_valid=False)
-        result, _ = _run_session(cfg, eff, cfg.slot_cfg, tl, rng, node, 0.0,
-                                 app_message="")
     elif isinstance(a, BruteForce):
-        cand = random_candidate(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu,
-                                pattern_id=f"cand.{trial_index}")
-        tl = compile_schedule(cand, cfg.slot_cfg, cfg.tx_levels,
-                              nonce_prefix=prefix, require_valid=False)
-        result, _ = _run_session(cfg, eff, cfg.slot_cfg, tl, rng, node, 0.0,
-                                 app_message="")
-    elif isinstance(a, Replay):
-        tl = compile_schedule(cfg.pattern(a.pattern_id), cfg.slot_cfg,
-                              cfg.tx_levels, nonce_prefix=prefix)
-        _run_session(cfg, eff, cfg.slot_cfg, tl, rng, node, 0.0, app_message=secret)
-        # Recorded copy goes on air after the original, on a grid tick.
-        f = eff.f_s
-        t1 = math.ceil((tl.duration_s + cfg.slot_cfg.tu_s) * f) / f
-        result, _ = _run_session(cfg, eff, cfg.slot_cfg, replay_timeline(tl),
-                                 rng, node, t1, app_message=secret)
+        p = random_candidate(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu,
+                             pattern_id=f"cand.{trial_index}")
     elif isinstance(a, Proto):
         if trial_index % 2 == 0:
-            pid, slot = a.pattern_a, cfg.slot_cfg
+            p = cfg.pattern(a.pattern_a)
         else:
-            pid, slot = a.pattern_b, replace(cfg.slot_cfg, tu_s=a.tu_b_s)
-        tl = compile_schedule(cfg.pattern(pid), slot, cfg.tx_levels,
-                              nonce_prefix=prefix)
-        result, _ = _run_session(cfg, eff, slot, tl, rng, node, 0.0,
-                                 app_message=secret)
+            p, slot = cfg.pattern(a.pattern_b), replace(slot, tu_s=a.tu_b_s)
     else:
         raise TypeError(f"unknown actor {a!r}")
-    return TrialResult(trial_index, kind, label, result)
+    tl = compile_schedule(p, slot, cfg.tx_levels, nonce_prefix=f"t{trial_index}.s0",
+                          require_valid=not guessing)
+    message = "" if guessing else eff.app_secret
+    extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
+    result = _run_session(cfg, eff, slot, tl, rng, node, 0.0, message, extra)
+    if isinstance(a, Replay):
+        # The recorded copy goes on air after the original, on a grid tick,
+        # to the same sensor node; that second session is the one scored.
+        t1 = math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s
+        result = _run_session(cfg, eff, slot, replay_timeline(tl), rng, node, t1, message)
+    return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
 
 
 Z95 = 1.959963984540054
@@ -380,13 +363,15 @@ def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> list[TrialResult]:
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> RunReport:
     """All trials plus aggregate metrics.
 
-    workers > 1 fans trials out over processes; aggregation is pure counting
-    over per-trial results keyed by index, so the outcome is identical for
-    any worker count.
+    workers > 1 fans trials out over processes, at most one per CPU;
+    aggregation is pure counting over per-trial results keyed by index, so
+    the outcome is identical for any worker count.
     """
     problems = validate_scenario(cfg)
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
+    # The pool starts all its processes on the first submit.
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.trials < 2 * workers:
         results = _run_block(cfg, 0, cfg.trials)
     else:

@@ -134,7 +134,7 @@ def test_criterion_03():
 def _guess_accepted(cand, store):
     state = new_matcher(store)
     for t in cand.triplets:
-        state = match_step(state, t, store)
+        state = match_step(state, t)
         if state.terminal:
             break
     return state.status == ACCEPTED

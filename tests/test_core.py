@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from beaconveil import (DEFAULT_BAND, ACCEPTED, IN_PROGRESS, REJECTED,
                         BandPlan, MatcherError, PatternError, RejectReason,
@@ -149,30 +149,30 @@ class TestMatcher:
     def test_accepts_exact_sequence(self):
         state = new_matcher([GOOD])
         for t in GOOD.triplets:
-            state = match_step(state, t, [GOOD])
+            state = match_step(state, t)
         assert state.status == ACCEPTED
         assert state.accepted_id == "good"
 
     def test_interval_ignored_on_first_triplet(self):
         state = new_matcher([GOOD])
-        state = match_step(state, obs("010", 1, None), [GOOD])
+        state = match_step(state, obs("010", 1, None))
         assert state.status == IN_PROGRESS
 
     def test_reject_reports_field_and_index(self):
         state = new_matcher([GOOD])
-        state = match_step(state, GOOD.triplets[0], [GOOD])
-        state = match_step(state, obs("001", 6, 1), [GOOD])
+        state = match_step(state, GOOD.triplets[0])
+        state = match_step(state, obs("001", 6, 1))
         assert state.status == REJECTED
         assert state.reason == RejectReason("txpower", 1)
 
     def test_mismatch_precedence_txpower_over_channel_over_interval(self):
         state = new_matcher([GOOD])
-        state = match_step(state, GOOD.triplets[0], [GOOD])
-        st2 = match_step(state, obs("001", 9, 2), [GOOD])
+        state = match_step(state, GOOD.triplets[0])
+        st2 = match_step(state, obs("001", 9, 2))
         assert st2.reason.kind == "txpower"
-        st2 = match_step(state, obs("101", 9, 2), [GOOD])
+        st2 = match_step(state, obs("101", 9, 2))
         assert st2.reason.kind == "channel"
-        st2 = match_step(state, obs("101", 6, 2), [GOOD])
+        st2 = match_step(state, obs("101", 6, 2))
         assert st2.reason.kind == "interval"
 
     def test_two_patterns_shared_prefix(self):
@@ -180,9 +180,9 @@ class TestMatcher:
         b = make("b", ("01", 1, None), ("10", 2, 1), ("01", 3, 2))
         store = [a, b]
         state = new_matcher(store)
-        state = match_step(state, a.triplets[0], store)
+        state = match_step(state, a.triplets[0])
         assert state.status == IN_PROGRESS
-        state = match_step(state, a.triplets[1], store)
+        state = match_step(state, a.triplets[1])
         # shortest completed pattern wins the tie
         assert state.status == ACCEPTED
         assert state.accepted_id == "a"
@@ -192,20 +192,26 @@ class TestMatcher:
         b = make("b", ("10", 1, None), ("01", 2, 1))
         store = [a, b]
         state = new_matcher(store)
-        state = match_step(state, obs("10", 1, None), store)
+        state = match_step(state, obs("10", 1, None))
         assert state.status == IN_PROGRESS
-        assert state.viable == frozenset({("b", 1)})
-        state = match_step(state, obs("01", 2, 1), store)
+        assert [p.pattern_id for p in state.viable] == ["b"]
+        state = match_step(state, obs("01", 2, 1))
         assert state.accepted_id == "b"
 
     def test_empty_store_is_refused(self):
         with pytest.raises(ValueError):
             new_matcher([])
 
+    def test_duplicate_ids_are_refused(self):
+        a = make("a", ("01", 1, None), ("10", 2, 1))
+        b = make("a", ("10", 1, None), ("01", 2, 1))
+        with pytest.raises(ValueError, match="duplicate pattern_id 'a'"):
+            new_matcher([a, b])
+
     def test_all_patterns_dropped_reports_no_viable(self):
         a = make("a", ("01", 1, None), ("10", 2, 1))
         state = new_matcher([a])
-        state = match_step(state, obs("10", 1, None), [a])
+        state = match_step(state, obs("10", 1, None))
         assert state.status == REJECTED
         assert state.reason.kind == "txpower"
 
@@ -214,10 +220,92 @@ class TestMatcher:
         store = [a]
         state = new_matcher(store)
         for t in a.triplets:
-            state = match_step(state, t, store)
+            state = match_step(state, t)
         assert state.terminal
         with pytest.raises(MatcherError):
-            match_step(state, obs("01", 1, None), store)
+            match_step(state, obs("01", 1, None))
+
+
+# A two-bit, two-channel, two-interval alphabet makes shared prefixes,
+# identical patterns under different ids and index-0 intervals that differ
+# (which the matcher must ignore) common in small stores.
+_SMALL_TRIPLETS = st.builds(obs, st.sampled_from(["01", "10"]),
+                            st.sampled_from([1, 2]), st.sampled_from([None, 1, 2]))
+
+
+@st.composite
+def matcher_stores(draw):
+    bases = draw(st.lists(st.lists(_SMALL_TRIPLETS, min_size=1, max_size=5),
+                          min_size=1, max_size=3))
+    ids = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=2),
+                        min_size=1, max_size=12, unique=True))
+    store = []
+    for pid in ids:
+        # Each pattern is a prefix of a shared base, sometimes with its tail
+        # redrawn, so completions on the same step and late divergence occur.
+        base = draw(st.sampled_from(bases))
+        trips = base[:draw(st.integers(1, len(base)))]
+        if draw(st.booleans()):
+            cut = draw(st.integers(0, len(trips) - 1))
+            trips = trips[:cut] + draw(st.lists(_SMALL_TRIPLETS, min_size=1,
+                                                max_size=5 - cut))
+        store.append(SecretPattern(pid, tuple(trips)))
+    return store
+
+
+def _agrees(p, seen):
+    """p's first len(seen) triplets equal seen, intervals from index 1."""
+    return len(p.triplets) >= len(seen) and all(
+        o.tx_pattern == t.tx_pattern and o.channel == t.channel
+        and (i == 0 or o.interval_tu == t.interval_tu)
+        for i, (o, t) in enumerate(zip(seen, p.triplets)))
+
+
+def _reference_step(store, seen):
+    """The matcher after len(seen) triplets, from the definition alone:
+    (status, accepted_id, reason code, number still viable)."""
+    k = len(seen)
+    agree = sorted((p for p in store if _agrees(p, seen)), key=lambda p: p.pattern_id)
+    viable = [p for p in agree if p.length > k]
+    done = [p.pattern_id for p in agree if p.length == k]
+    if done:
+        return ACCEPTED, done[0], None, len(viable)
+    if viable:
+        return IN_PROGRESS, None, None, len(viable)
+    before = sorted((p for p in store if _agrees(p, seen[:-1])),
+                    key=lambda p: p.pattern_id)
+    if not before:
+        return REJECTED, None, f"no-viable-pattern@{k - 1}", 0
+    o, t = seen[-1], before[0].triplets[k - 1]
+    kind = ("txpower" if o.tx_pattern != t.tx_pattern else
+            "channel" if o.channel != t.channel else "interval")
+    return REJECTED, None, f"{kind}@{k - 1}", 0
+
+
+class TestMatcherDifferential:
+    @given(data=st.data(), store=matcher_stores())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition(self, data, store):
+        state = new_matcher(store)
+        seen = []
+        while not state.terminal:
+            # Follow a stored pattern most of the time, so streams reach
+            # acceptance and late rejections, not just step-0 misses.
+            follow = data.draw(st.sampled_from(store))
+            if len(seen) < follow.length and data.draw(st.integers(0, 3)):
+                t = follow.triplets[len(seen)]
+                if len(seen) == 0 and data.draw(st.booleans()):
+                    t = obs(t.tx_pattern.bits, t.channel, data.draw(st.sampled_from([None, 1, 2])))
+            else:
+                t = data.draw(_SMALL_TRIPLETS)
+            seen.append(t)
+            state = match_step(state, t)
+            code = state.reason.code if state.reason is not None else None
+            assert (state.status, state.accepted_id, code, len(state.viable)) \
+                == _reference_step(store, seen)
+            assert state.consumed == len(seen)
+            assert [p.pattern_id for p in state.viable] \
+                == sorted(p.pattern_id for p in state.viable)
 
 
 class TestGrammar:

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beaconveil import (ACCEPTED, REJECTED, BruteForce, ChannelParams,
+import beaconveil.sim
+from beaconveil import (ACCEPTED, REJECTED, BandPlan, BruteForce, ChannelParams,
                         FlipTxBit, Legit, Mitm, Mutant, Proto, Replay,
                         SecretPattern, SensorConfig, SlotConfig, Trajectory,
                         Triplet, TxPattern, TxPowerLevels, WrongChannel,
@@ -45,6 +47,38 @@ class TestDeterminism:
         parallel = run_scenario(cfg, workers=3)
         assert verdicts(serial) == verdicts(parallel)
         assert serial.metrics == parallel.metrics
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # A pool forks all its processes on the first submit, so --threads
+        # beyond the core count must not reach it. The fake pool runs each
+        # block inline and records the size it was asked for.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(beaconveil.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: 2)
+        cfg = build_desk(BruteForce(2, 2), 40)
+        serial = run_scenario(cfg)
+        capped = run_scenario(cfg, workers=4096)
+        assert sizes == [2]
+        assert capped == serial
+        monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: None)
+        assert run_scenario(cfg, workers=4096) == serial
+        assert sizes == [2]
 
     def test_seed_changes_outcome_stream(self):
         cfg = build_desk(BruteForce(2, 2), 64, seed=1)
@@ -193,6 +227,43 @@ class TestValidation:
     def test_impossible_mutation_flagged(self):
         cfg = build_desk(Mutant("desk", FlipTxBit(0, 0)), 1)  # 01 -> 11
         assert any("mutation" in p for p in validate_scenario(cfg))
+
+    def test_duplicate_pattern_id_reported(self):
+        cfg = build_desk(Legit("desk"), 1)
+        cfg = dataclasses.replace(cfg, store=cfg.store * 2)
+        assert any("duplicate pattern_id 'desk'" in p for p in validate_scenario(cfg))
+        with pytest.raises(ValueError):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("ctor, kwargs", [
+        (BandPlan, dict(name="b", channel_count=2, base_freq=math.nan, spacing=5.0)),
+        (BandPlan, dict(name="b", channel_count=2, base_freq=2412.0, spacing=math.inf)),
+        (ChannelParams, dict(sigma_db=math.nan)),
+        (ChannelParams, dict(pl0_db=math.inf)),
+        (ChannelParams, dict(d0=math.inf)),
+        (ChannelParams, dict(gamma=math.nan)),
+        (ChannelParams, dict(noise_floor_dbm=-math.inf)),
+        (TxPowerLevels, dict(high_dbm=math.inf)),
+        (TxPowerLevels, dict(low_dbm=math.nan)),
+        (SlotConfig, dict(slot_s=math.nan)),
+        (SlotConfig, dict(tu_s=math.inf)),
+        (SlotConfig, dict(guard_s=math.nan)),
+        (SensorConfig, dict(f_s=math.nan)),
+        (SensorConfig, dict(f_s=math.inf)),
+        (SensorConfig, dict(delta_db=math.nan)),
+        (SensorConfig, dict(rtt_limit_s=math.nan)),
+        (SensorConfig, dict(lockout_s=math.inf)),
+        (SensorConfig, dict(watchdog_s=math.nan)),
+        (Trajectory, dict(waypoints=((0.0, math.nan),))),
+        (Trajectory, dict(waypoints=((math.nan, 5.0),))),
+        (Trajectory, dict(waypoints=((0.0, 5.0), (math.inf, 6.0)))),
+    ], ids=lambda v: v.__name__ if isinstance(v, type)
+        else ",".join(f"{k}={x}" for k, x in v.items() if k != "name"))
+    def test_non_finite_config_value_refused(self, ctor, kwargs):
+        # Configs built in Python, not read from a file: a nan compares
+        # False against every range check, so each one used to slip through.
+        with pytest.raises(ValueError, match="must be finite"):
+            ctor(**kwargs)
 
     def test_bad_trials_and_seed(self):
         cfg = dataclasses.replace(build_desk(Legit("desk"), 1), trials=0, seed=-1)
