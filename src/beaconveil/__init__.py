@@ -22,7 +22,7 @@ from .emitter import (BeaconEmission, EmissionTimeline, FlipTxBit, PowerStep,
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss, received_power)
 from .sensor import (TIMED_OUT, AuthResult, BeaconObservation, NonceHistory,
-                     ObservedSample, QuantizationFailure, SensorConfig,
+                     QuantizationFailure, Samples, SensorConfig,
                      SensorNode, SensorSession, UndecodableWindow, app_gate,
                      apply_app_stage, authenticate, decode_slots,
                      extract_triplets, mitm_check, quantize_interval)

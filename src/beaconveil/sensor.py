@@ -2,18 +2,21 @@
 
 The authenticator is a dumb device: it samples received power on a fixed
 grid, timestamps beacon frames, and turns each beacon's slot window into one
-observed triplet. Power bits are recovered by shape, not absolute level: the
-median of every slot is thresholded at the midrange of the window's medians,
-so a common offset (the emitter being nearer or farther) cancels out. The
-time unit is measured from the first two beacons, never configured, and all
-later intervals must quantize onto integer multiples of it.
+observed triplet. The samples travel as one Samples value, a pair of arrays
+(times sorted, power with NaN below the noise floor), and a window is the
+slice of it that searchsorted cuts. Power bits are recovered by shape, not
+absolute level: the median of every slot is thresholded at the midrange of
+the window's medians, so a common offset (the emitter being nearer or
+farther) cancels out. The time unit is measured from the first two beacons,
+never configured, and all later intervals must quantize onto integer
+multiples of it.
 
 Anything the device cannot read cleanly rejects the session rather than
 being guessed at: a silent slot, a window without high/low structure, a
 transition smaller than delta_db, an interval off the measured grid.
 
-One reader turns a window into a triplet, and one event feed orders an
-observation: the online SensorSession and the offline extract_triplets and
+One reader turns a window into a triplet, and one feed plays an observation
+into a session: the online SensorSession and the offline extract_triplets and
 authenticate all go through them, so they read an observation the same way.
 """
 
@@ -26,6 +29,8 @@ from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import (ACCEPTED, IN_PROGRESS, REJECTED, RejectReason,
                    SecretPattern, Triplet, TxPattern, _check_finite,
                    match_step, new_matcher)
@@ -34,10 +39,31 @@ from .emitter import SlotConfig
 TIMED_OUT = "timed_out"
 
 
-@dataclass(frozen=True)
-class ObservedSample:
-    t_s: float
-    rssi_dbm: Optional[float]  # None when the signal sat below the noise floor
+class Samples:
+    """RSSI samples on the sensor clock: t_s sorted (stably) by time, and
+    rssi_dbm, NaN where the signal sat below the noise floor."""
+
+    __slots__ = ("t_s", "rssi_dbm")
+
+    def __init__(self, t_s=(), rssi_dbm=()):
+        t = np.asarray(t_s, dtype=np.float64)
+        r = np.asarray(rssi_dbm, dtype=np.float64)
+        if t.ndim != 1 or t.shape != r.shape:
+            raise ValueError("t_s and rssi_dbm must be 1-d and of one length")
+        if not (t[1:] >= t[:-1]).all():
+            order = np.argsort(t, kind="stable")
+            t, r = t[order], r[order]
+        self.t_s, self.rssi_dbm = t, r
+
+    def __len__(self) -> int:
+        return len(self.t_s)
+
+    def between(self, lo: float, hi: float) -> "Samples":
+        """The samples with lo <= t_s < hi, as views."""
+        i, j = self.t_s.searchsorted((lo, hi))
+        part = object.__new__(Samples)  # a slice of sorted times is sorted
+        part.t_s, part.rssi_dbm = self.t_s[i:j], self.rssi_dbm[i:j]
+        return part
 
 
 @dataclass(frozen=True)
@@ -97,7 +123,7 @@ class QuantizationFailure(ExtractionError):
     kind = "quantization"
 
 
-def decode_slots(samples: Iterable[ObservedSample], n: int, cfg: SensorConfig,
+def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
                  slot_s: float = 0.6, t0: Optional[float] = None) -> TxPattern:
     """Decode one beacon's slot window into an n-bit power pattern.
 
@@ -109,22 +135,20 @@ def decode_slots(samples: Iterable[ObservedSample], n: int, cfg: SensorConfig,
     """
     if n < 1 or slot_s <= 0:
         raise ValueError("need n >= 1 and slot_s > 0")
-    pts = list(samples)
-    if not pts:
+    if not len(samples):
         raise UndecodableWindow("no samples in window")
-    if t0 is None:
-        t0 = min(s.t_s for s in pts)
-    slots: list[list[float]] = [[] for _ in range(n)]
-    for s in pts:
-        if s.rssi_dbm is None:
-            continue
-        k = math.floor((s.t_s - t0) / slot_s)
-        if 0 <= k < n:
-            slots[k].append(s.rssi_dbm)
-    for k, vals in enumerate(slots):
+    t0 = samples.t_s[0] if t0 is None else t0
+    heard = ~np.isnan(samples.rssi_dbm)
+    r = samples.rssi_dbm[heard]
+    # Times are sorted, so slot indices are too: slot j is one run of r.
+    k = np.floor((samples.t_s[heard] - t0) / slot_s)
+    edges = k.searchsorted(range(n + 1)).tolist()
+    med = []
+    for j in range(n):
+        vals = r[edges[j]:edges[j + 1]].tolist()
         if not vals:
-            raise UndecodableWindow(f"slot {k} has no detectable samples")
-    med = [median(vals) for vals in slots]
+            raise UndecodableWindow(f"slot {j} has no detectable samples")
+        med.append(median(vals))
     lo, hi = min(med), max(med)
     if hi - lo < cfg.delta_db:
         raise UndecodableWindow(
@@ -154,8 +178,7 @@ def quantize_interval(raw_s: float, tu_s: float, eps: float = 0.10) -> Optional[
 
 
 def _read_triplet(beacons: Sequence[BeaconObservation], j: int,
-                  window: Iterable[ObservedSample], cfg: SensorConfig,
-                  slot_s: float) -> Triplet:
+                  window: Samples, cfg: SensorConfig, slot_s: float) -> Triplet:
     """Read triplet j from the slot window its beacon opened.
 
     The bits come from the level shape; the time unit is the gap between
@@ -183,9 +206,8 @@ def _read_triplet(beacons: Sequence[BeaconObservation], j: int,
     return Triplet(bits, b.channel, k)
 
 
-def extract_triplets(beacons: Sequence[BeaconObservation],
-                     samples: Iterable[ObservedSample], cfg: SensorConfig,
-                     slot_s: float = 0.6) -> tuple[Triplet, ...]:
+def extract_triplets(beacons: Sequence[BeaconObservation], samples: Samples,
+                     cfg: SensorConfig, slot_s: float = 0.6) -> tuple[Triplet, ...]:
     """Offline pipeline: read every beacon's full slot window in turn.
 
     Stops at the first triplet it cannot read, as a session does. Scale
@@ -195,11 +217,9 @@ def extract_triplets(beacons: Sequence[BeaconObservation],
     """
     if not beacons:
         raise ValueError("need at least one beacon")
-    pts = sorted(samples, key=lambda s: s.t_s)
     out = []
     for j, b in enumerate(beacons):
-        end = b.t_s + cfg.n * slot_s
-        window = [s for s in pts if b.t_s <= s.t_s < end]
+        window = samples.between(b.t_s, b.t_s + cfg.n * slot_s)
         out.append(_read_triplet(beacons, j, window, cfg, slot_s))
     if len(out) < 2:
         raise QuantizationFailure("need two beacons to measure the time unit", index=1)
@@ -263,26 +283,18 @@ class AuthResult:
         return ACCEPTED if self.verdict == ACCEPTED else self.reason.code
 
 
-class _Window:
-    __slots__ = ("index", "beacon", "end", "samples")
-
-    def __init__(self, index: int, beacon: BeaconObservation, end: float):
-        self.index = index
-        self.beacon = beacon
-        self.end = end
-        self.samples: list[ObservedSample] = []
-
-
 class SensorSession:
     """One authentication attempt as an online state machine.
 
-    Consumes a time-ordered stream of beacon observations and power samples.
-    Each beacon opens an n-slot window; a window is decoded once the event
-    clock passes its end, producing one triplet that is streamed into the
-    matcher. Replay and lockout are enforced against the shared SensorNode.
-    A watchdog abandons the session when no beacon arrives for watchdog_s
-    (default 8 nominal time units) after the last one.
+    Consumes beacon observations in time order over one Samples value. Each
+    beacon opens an n-slot window; a window is decoded once the clock passes
+    its end, or the next beacon cuts it short, producing one triplet that is
+    streamed into the matcher. Replay and lockout are enforced against the
+    shared SensorNode. A watchdog abandons the session when no beacon arrives
+    for watchdog_s (default 8 nominal time units) after the last one.
     """
+
+    _samples = Samples()  # until feed() hands over an observation
 
     def __init__(self, store: Iterable[SecretPattern], cfg: SensorConfig,
                  slot_cfg: Optional[SlotConfig] = None, *,
@@ -302,9 +314,9 @@ class SensorSession:
         self._matcher = new_matcher(store)
         self._beacons: list[BeaconObservation] = []
         self._triplets: list[Triplet] = []
-        self._window: Optional[_Window] = None
+        self._window_end: Optional[float] = None  # of the last beacon's window
         if self.node.locked_at(t_start):
-            self._reject(RejectReason("lockout"), t_start)
+            self._result(REJECTED, t_start, RejectReason("lockout"))
 
     @property
     def terminal(self) -> bool:
@@ -316,44 +328,33 @@ class SensorSession:
         self._advance(b.t_s)
         if self.terminal:
             return
-        if self._window is not None:
+        if self._window_end is not None:
             # Next frame announced before the previous window ran out; close
-            # the old window on what it has.
-            self._close_window()
+            # the old window on the samples before this frame.
+            self._close_window(b.t_s)
             if self.terminal:
                 return
         if b.nonce in self.node.history:
-            self._reject(RejectReason("replay"), b.t_s)
+            self._result(REJECTED, b.t_s, RejectReason("replay"))
             return
         self.node.history.record(b.nonce)
         self._beacons.append(b)
-        end = b.t_s + self.cfg.n * self.slot_cfg.slot_s
-        self._window = _Window(len(self._beacons) - 1, b, end)
+        self._window_end = b.t_s + self.cfg.n * self.slot_cfg.slot_s
         self._deadline = b.t_s + self.watchdog_s
 
-    def observe_sample(self, s: ObservedSample) -> None:
-        if self.terminal:
-            return
-        self._advance(s.t_s)
-        w = self._window
-        if w is not None and w.beacon.t_s <= s.t_s < w.end:
-            w.samples.append(s)
-
-    def feed(self, beacons: Iterable[BeaconObservation],
-             samples: Iterable[ObservedSample]) -> None:
-        """Drive a whole observation through the session in event order:
-        time, then beacon before sample, then beacon seq_no, then sample
-        order. Stops early once the session is terminal."""
-        events = [(b.t_s, 0, b.seq_no, b) for b in beacons]
-        events += [(s.t_s, 1, i, s) for i, s in enumerate(samples)]
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        for _, tag, _, ev in events:
+    def feed(self, beacons: Iterable[BeaconObservation], samples: Samples) -> None:
+        """Drive a whole observation through the session: beacons in (time,
+        seq_no) order, each window reading the samples from its beacon up to
+        its end or the next beacon, whichever is first (a sample at a
+        beacon's own time is the new window's), then the clock on to the
+        last sample. Stops early once the session is terminal."""
+        self._samples = samples
+        for b in sorted(beacons, key=lambda b: (b.t_s, b.seq_no)):
             if self.terminal:
-                break
-            if tag == 0:
-                self.observe_beacon(ev)
-            else:
-                self.observe_sample(ev)
+                return
+            self.observe_beacon(b)
+        if len(samples):
+            self._advance(float(samples.t_s[-1]))
 
     def finish(self, t_end: Optional[float] = None) -> AuthResult:
         """Declare the observation over; an unresolved session times out."""
@@ -362,53 +363,43 @@ class SensorSession:
                 t_end = self._deadline
             self._advance(t_end)
             if not self.terminal:
-                self._timeout(t_end)
+                self._result(TIMED_OUT, t_end, RejectReason("timeout"))
         return self.result
 
     def _advance(self, t: float) -> None:
         # Deferred events (window end, watchdog) up to time t, in time order.
         while not self.terminal:
-            w_end = self._window.end if self._window is not None else math.inf
-            next_t = min(w_end, self._deadline)
-            if next_t > t:
+            w_end = self._window_end if self._window_end is not None else math.inf
+            if min(w_end, self._deadline) > t:
                 return
             if w_end <= self._deadline:
-                self._close_window()
+                self._close_window(w_end)
             else:
-                self._timeout(self._deadline)
+                self._result(TIMED_OUT, self._deadline, RejectReason("timeout"))
 
-    def _close_window(self) -> None:
-        w = self._window
-        self._window = None
+    def _close_window(self, upto: float) -> None:
+        # The window of the last beacon reads the samples in [beacon, upto).
+        j, end = len(self._beacons) - 1, self._window_end
+        self._window_end = None
+        window = self._samples.between(self._beacons[j].t_s, upto)
         try:
-            trip = _read_triplet(self._beacons, w.index, w.samples, self.cfg,
+            trip = _read_triplet(self._beacons, j, window, self.cfg,
                                  self.slot_cfg.slot_s)
         except ExtractionError as e:
-            self._reject(e.reason(), w.end)
+            self._result(REJECTED, end, e.reason())
             return
         self._triplets.append(trip)
-        self._matcher = match_step(self._matcher, trip)
-        if self._matcher.status == ACCEPTED:
-            self._accept(self._matcher.accepted_id, w.end)
-        elif self._matcher.status == REJECTED:
-            self._reject(self._matcher.reason, w.end)
+        m = self._matcher = match_step(self._matcher, trip)
+        if m.terminal:
+            self._result(m.status, end, m.reason, m.accepted_id)
 
-    def _result(self, verdict: str, t: float, pattern_id: Optional[str] = None,
-                reason: Optional[RejectReason] = None) -> None:
+    def _result(self, verdict: str, t: float, reason: Optional[RejectReason] = None,
+                pattern_id: Optional[str] = None) -> None:
         self.status = verdict
         self.terminal_t = t
         self.result = AuthResult(
             verdict, pattern_id, reason, phy_ok=(verdict == ACCEPTED), app_ok=None,
             transcript=tuple(self._triplets), duration_s=t - self.t_start)
-
-    def _accept(self, pattern_id: str, t: float) -> None:
-        self._result(ACCEPTED, t, pattern_id=pattern_id)
-
-    def _reject(self, reason: RejectReason, t: float) -> None:
-        self._result(REJECTED, t, reason=reason)
-
-    def _timeout(self, t: float) -> None:
-        self._result(TIMED_OUT, t, reason=RejectReason("timeout"))
 
 
 def app_gate(received: str, cfg: SensorConfig) -> bool:
@@ -441,8 +432,7 @@ def apply_app_stage(result: AuthResult, message: Optional[str],
     return replace(result, app_ok=True)
 
 
-def authenticate(beacons: Iterable[BeaconObservation],
-                 samples: Iterable[ObservedSample],
+def authenticate(beacons: Iterable[BeaconObservation], samples: Samples,
                  store: Iterable[SecretPattern], cfg: SensorConfig,
                  slot_cfg: Optional[SlotConfig] = None, *,
                  node: Optional[SensorNode] = None, t_start: float = 0.0,

@@ -1,12 +1,12 @@
 """Deterministic discrete-event engine and Monte Carlo harness.
 
 Binds the pieces together: an actor compiles an emission timeline, the radio
-model places it on the sensor's sampling grid along a trajectory, and
-SensorSession.feed plays the resulting events into a session in strict time
-order (ties: beacon before sample, then sequence number). There is no wall clock
-anywhere; trial i draws all its randomness from
-numpy.random.default_rng([seed, i]), so results are independent of run
-order and worker count.
+model places it on the sensor's sampling grid along a trajectory as beacons
+plus one Samples array pair, and SensorSession.feed plays them into a session
+in time order (a window reads the samples from its beacon up to its end or the
+next beacon). There is no wall clock anywhere; trial i draws all its
+randomness from numpy.random.default_rng([seed, i]), so results are
+independent of run order and worker count.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -23,19 +23,20 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, SecretPattern, Triplet,
-                   TxPattern, validate_pattern)
+                   TxPattern, _check_finite, validate_pattern)
 from .emitter import (EmissionTimeline, Mutation, SlotConfig, SlotFitError,
                       compile_schedule, mutate, random_candidate,
                       random_pattern, replay_timeline)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
-from .sensor import (AuthResult, BeaconObservation, ObservedSample,
-                     SensorConfig, SensorNode, SensorSession, apply_app_stage)
+from .sensor import (AuthResult, BeaconObservation, Samples, SensorConfig,
+                     SensorNode, SensorSession, apply_app_stage)
 
 LIGHT_SPEED_M_S = 3.0e8
 
@@ -79,6 +80,9 @@ class Mitm:
     pattern_id: str
     extra_delay_s: float
 
+    def __post_init__(self) -> None:
+        _check_finite(extra_delay_s=self.extra_delay_s)
+
 
 @dataclass(frozen=True)
 class Proto:
@@ -89,6 +93,9 @@ class Proto:
     pattern_a: str
     pattern_b: str
     tu_b_s: float
+
+    def __post_init__(self) -> None:
+        _check_finite(tu_b_s=self.tu_b_s)
 
 
 Actor = Union[Legit, Mutant, BruteForce, Replay, Mitm, Proto]
@@ -119,11 +126,13 @@ class ScenarioConfig:
     trials: int = 1
     max_tu: int = 16
 
+    @cached_property
+    def _by_id(self) -> dict[str, SecretPattern]:
+        # Built once per config; on a duplicate id the first pattern wins.
+        return {p.pattern_id: p for p in reversed(self.store)}
+
     def pattern(self, pattern_id: str) -> SecretPattern:
-        for p in self.store:
-            if p.pattern_id == pattern_id:
-                return p
-        raise KeyError(f"pattern_id {pattern_id!r} not in store")
+        return self._by_id[pattern_id]
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -158,7 +167,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         ref_ids = [a.pattern_id]
     elif isinstance(a, Proto):
         ref_ids = [a.pattern_a, a.pattern_b]
-        if a.tu_b_s <= 0:
+        if not a.tu_b_s > 0:
             problems.append("proto tu_b_s must be > 0")
     elif isinstance(a, BruteForce):
         if a.n < 1 or a.L < 2:
@@ -171,7 +180,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             cfg.slot_cfg.check_fit(mutate(cfg.pattern(a.pattern_id), a.mutation))
         except (ValueError, TypeError) as e:
             problems.append(f"mutation does not apply: {e}")
-    if isinstance(a, Mitm) and a.extra_delay_s < 0:
+    if isinstance(a, Mitm) and not a.extra_delay_s >= 0:
         problems.append("mitm extra_delay_s must be >= 0")
     return problems
 
@@ -192,9 +201,10 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     """Place one emission on the sensor's sampling grid.
 
     Returns (beacons, samples): beacon frames that cleared the noise floor,
-    timestamped on the grid, plus the RSSI samples of every decode window a
-    detected beacon opens. Ticks outside those windows carry no information
-    and are not materialized. The trajectory is anchored at t_start.
+    timestamped on the grid, plus the Samples of every decode window a
+    detected beacon opens, NaN where a tick heard nothing. Ticks outside
+    those windows carry no information and are not materialized. The
+    trajectory is anchored at t_start.
     """
     f = scfg.f_s
     phase = t_start + rng.uniform(0.0, 1.0 / f)  # emission start on the sensor clock
@@ -214,7 +224,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
         beacons.append(BeaconObservation(m / f, b.channel, b.seq_no, b.nonce))
         ticks_parts.append(np.arange(m, m + win_ticks, dtype=np.int64))
     if not ticks_parts:
-        return beacons, []
+        return beacons, Samples()
     ticks = np.unique(np.concatenate(ticks_parts))
     t_ticks = ticks / f
     local = t_ticks - phase
@@ -223,9 +233,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=rssi.shape)
     absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
-    samples = [ObservedSample(t, None if a else r)
-               for t, r, a in zip(t_ticks.tolist(), rssi.tolist(), absent.tolist())]
-    return beacons, samples
+    return beacons, Samples(t_ticks, np.where(absent, np.nan, rssi))
 
 
 def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,

@@ -25,8 +25,8 @@ from beaconveil import (
     ACCEPTED,
     BruteForce,
     ChannelParams,
-    ObservedSample,
     Replay,
+    Samples,
     SensorConfig,
     SlotConfig,
     TxPowerLevels,
@@ -182,16 +182,15 @@ def test_criterion_05():
         slot_s = float(rng.choice([0.2, 0.6, 1.0]))
         high = float(rng.uniform(-60.0, -30.0))
         low = high - float(rng.uniform(4.0, 20.0))
-        samples = [
-            ObservedSample((k + frac) * slot_s,
-                           (high if bit == "1" else low)
-                           + float(rng.uniform(-0.4, 0.4)))
+        samples = Samples(*zip(*[
+            ((k + frac) * slot_s,
+             (high if bit == "1" else low) + float(rng.uniform(-0.4, 0.4)))
             for k, bit in enumerate(bits)
             for frac in (0.25, 0.5, 0.75)
-        ]
+        ]))
         base = decode_slots(samples, n, cfg, slot_s, t0=0.0)
         offset = float(rng.uniform(-40.0, 0.0))
-        shifted = [ObservedSample(s.t_s, s.rssi_dbm + offset) for s in samples]
+        shifted = Samples(samples.t_s, samples.rssi_dbm + offset)
         moved = decode_slots(shifted, n, cfg, slot_s, t0=0.0)
         assert moved.bits == base.bits == bits
 
@@ -214,13 +213,11 @@ def _exact_observation(timeline, n, slot_s, pl_db):
     three in-slot samples per bit."""
     beacons = [BeaconObservation(b.t_s, b.channel, b.seq_no, b.nonce)
                for b in timeline.beacons]
-    samples = [
-        ObservedSample(t, timeline.levels_at(t) - pl_db)
-        for b in timeline.beacons
-        for k in range(n)
-        for t in ((b.t_s + (k + f) * slot_s) for f in (0.25, 0.5, 0.75))
-    ]
-    return beacons, samples
+    ts = [b.t_s + (k + f) * slot_s
+          for b in timeline.beacons
+          for k in range(n)
+          for f in (0.25, 0.5, 0.75)]
+    return beacons, Samples(ts, [timeline.levels_at(t) - pl_db for t in ts])
 
 
 @criterion(7, "extracted interval counts unchanged when the time unit scales x0.5/2/10")

@@ -2,17 +2,22 @@
 
 import dataclasses
 import math
+import random
+import statistics
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, BeaconObservation,
-                        NonceHistory, ObservedSample, QuantizationFailure,
-                        RejectReason, SensorConfig, SensorNode, SensorSession,
-                        SlotConfig, TxPowerLevels, UndecodableWindow, app_gate,
+                        NonceHistory, QuantizationFailure, RejectReason,
+                        Samples, SecretPattern, SensorConfig, SensorNode,
+                        SensorSession, SlotConfig, Triplet, TxPattern,
+                        TxPowerLevels, UndecodableWindow, app_gate,
                         apply_app_stage, authenticate, compile_schedule,
-                        decode_slots, extract_triplets, mitm_check,
-                        parse_pattern, quantize_interval)
+                        decode_slots, extract_triplets, match_step,
+                        mitm_check, new_matcher, parse_pattern,
+                        quantize_interval)
 
 CFG = SensorConfig(f_s=5.0, n=3, delta_db=3.0)
 FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
@@ -20,12 +25,39 @@ FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
 
 def window(levels, slot_s=0.6, per_slot=3):
     """Samples for one window: levels[k] repeated per_slot times in slot k."""
-    out = []
-    for k, level in enumerate(levels):
-        for j in range(per_slot):
-            t = slot_s * (k + (j + 0.5) / per_slot)
-            out.append(ObservedSample(t, level))
-    return out
+    pts = [(slot_s * (k + (j + 0.5) / per_slot), level)
+           for k, level in enumerate(levels) for j in range(per_slot)]
+    return Samples(*zip(*pts))
+
+
+def kept(s, mask):
+    return Samples(s.t_s[mask], s.rssi_dbm[mask])
+
+
+def with_rssi(s, mask, value):
+    """s with rssi_dbm set to value (NaN: below the floor) where mask holds."""
+    return Samples(s.t_s, np.where(mask, value, s.rssi_dbm))
+
+
+def shifted(s, mask, dt):
+    return Samples(np.where(mask, s.t_s + dt, s.t_s), s.rssi_dbm)
+
+
+class TestSamples:
+    def test_sorted_stably_by_time(self):
+        s = Samples([2.0, 1.0, 2.0, 0.5], [-1.0, -2.0, np.nan, -4.0])
+        assert s.t_s.tolist() == [0.5, 1.0, 2.0, 2.0]
+        assert s.rssi_dbm.tolist()[:3] == [-4.0, -2.0, -1.0]
+        assert math.isnan(s.rssi_dbm[3]) and len(s) == 4
+
+    def test_between_is_half_open(self):
+        s = Samples([0.0, 0.5, 1.0, 1.5], [-1.0, -2.0, -3.0, -4.0])
+        assert s.between(0.5, 1.5).t_s.tolist() == [0.5, 1.0]
+        assert len(s.between(1.5, 0.5)) == 0 and len(Samples()) == 0
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            Samples([0.0, 1.0], [-1.0])
 
 
 class TestDecodeSlots:
@@ -45,13 +77,13 @@ class TestDecodeSlots:
 
     def test_empty_slot_is_undecodable(self):
         samples = window([-46.0, -40.0, -46.0])
-        gap = [s for s in samples if not 0.6 <= s.t_s < 1.2]
+        gap = kept(samples, (samples.t_s < 0.6) | (samples.t_s >= 1.2))
         with pytest.raises(UndecodableWindow):
             decode_slots(gap, 3, CFG)
 
     def test_absent_rssi_counts_as_missing(self):
-        samples = [dataclasses.replace(s, rssi_dbm=None) if 0.6 <= s.t_s < 1.2 else s
-                   for s in window([-46.0, -40.0, -46.0])]
+        s = window([-46.0, -40.0, -46.0])
+        samples = with_rssi(s, (0.6 <= s.t_s) & (s.t_s < 1.2), np.nan)
         with pytest.raises(UndecodableWindow):
             decode_slots(samples, 3, CFG)
 
@@ -61,18 +93,18 @@ class TestDecodeSlots:
             decode_slots(window([-48.0, -45.9, -44.1, -42.0]), 4, CFG)
 
     def test_median_robust_to_one_outlier(self):
-        samples = window([-46.0, -40.0, -46.0])
-        samples[0] = dataclasses.replace(samples[0], rssi_dbm=-10.0)
+        s = window([-46.0, -40.0, -46.0])
+        samples = with_rssi(s, np.arange(len(s)) == 0, -10.0)
         assert decode_slots(samples, 3, CFG).bits == "010"
 
     def test_explicit_t0(self):
-        samples = [dataclasses.replace(s, t_s=s.t_s + 50.0)
-                   for s in window([-46.0, -40.0, -46.0])]
+        s = window([-46.0, -40.0, -46.0])
+        samples = Samples(s.t_s + 50.0, s.rssi_dbm)
         assert decode_slots(samples, 3, CFG, t0=50.0).bits == "010"
 
     def test_no_samples(self):
         with pytest.raises(UndecodableWindow):
-            decode_slots([], 3, CFG)
+            decode_slots(Samples(), 3, CFG)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -125,13 +157,9 @@ def clean_observation(pattern, slot_cfg, cfg, pl_db=73.0, nonce_prefix="n"):
                           nonce_prefix=nonce_prefix, require_valid=False)
     beacons = [BeaconObservation(b.t_s, b.channel, b.seq_no, b.nonce)
                for b in tl.beacons]
-    samples = []
-    for b in tl.beacons:
-        for k in range(cfg.n):
-            for frac in (0.25, 0.5, 0.75):
-                t = b.t_s + slot_cfg.slot_s * (k + frac)
-                samples.append(ObservedSample(t, tl.levels_at(t) - pl_db))
-    return beacons, samples
+    ts = [b.t_s + slot_cfg.slot_s * (k + frac)
+          for b in tl.beacons for k in range(cfg.n) for frac in (0.25, 0.5, 0.75)]
+    return beacons, Samples(ts, [tl.levels_at(t) - pl_db for t in ts])
 
 
 class TestExtractTriplets:
@@ -158,7 +186,7 @@ class TestExtractTriplets:
 
     def test_single_beacon_has_no_time_unit(self):
         beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
-        first = [s for s in samples if s.t_s < 1.8]
+        first = kept(samples, samples.t_s < 1.8)
         with pytest.raises(QuantizationFailure) as ei:
             extract_triplets(beacons[:1], first, CFG)
         assert ei.value.reason() == RejectReason("quantization", 1)
@@ -166,16 +194,14 @@ class TestExtractTriplets:
     def test_off_grid_interval_fails_with_index(self):
         beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
         beacons[3] = dataclasses.replace(beacons[3], t_s=beacons[3].t_s + 1.7)
-        shifted = [dataclasses.replace(s, t_s=s.t_s + 1.7) if s.t_s >= 20.0 else s
-                   for s in samples]
+        late = shifted(samples, samples.t_s >= 20.0, 1.7)
         with pytest.raises(QuantizationFailure) as ei:
-            extract_triplets(beacons, shifted, CFG)
+            extract_triplets(beacons, late, CFG)
         assert ei.value.reason() == RejectReason("quantization", 3)
 
     def test_undecodable_window_carries_index(self):
         beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
-        flat = [dataclasses.replace(s, rssi_dbm=-50.0)
-                if 12.0 <= s.t_s < 13.8 else s for s in samples]
+        flat = with_rssi(samples, (12.0 <= samples.t_s) & (samples.t_s < 13.8), -50.0)
         with pytest.raises(UndecodableWindow) as ei:
             extract_triplets(beacons, flat, CFG)
         assert ei.value.reason() == RejectReason("undecodable", 2)
@@ -185,13 +211,9 @@ class TestExtractTriplets:
         # flat; offline and online readers both stop at the interval
         beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
         beacons[2] = dataclasses.replace(beacons[2], t_s=beacons[2].t_s + 1.7)
-        late = []
-        for s in samples:
-            if 12.0 <= s.t_s < 13.8:
-                s = dataclasses.replace(s, t_s=s.t_s + 1.7)
-            elif s.t_s >= 20.0:
-                s = dataclasses.replace(s, rssi_dbm=-50.0)
-            late.append(s)
+        t = samples.t_s
+        late = shifted(with_rssi(samples, t >= 20.0, -50.0),
+                       (12.0 <= t) & (t < 13.8), 1.7)
         with pytest.raises(QuantizationFailure) as ei:
             extract_triplets(beacons, late, CFG)
         assert ei.value.reason() == RejectReason("quantization", 2)
@@ -265,7 +287,7 @@ class TestSessions:
         # far enough in the future the node has relaxed again
         dt = 100.0
         b3 = [dataclasses.replace(b, t_s=b.t_s + dt) for b in b2]
-        s3 = [dataclasses.replace(s, t_s=s.t_s + dt) for s in s2]
+        s3 = Samples(s2.t_s + dt, s2.rssi_dbm)
         late = run_session(b3, s3, [FIG3], cfg, SlotConfig(), node=node, t_start=dt)
         assert late.verdict == ACCEPTED
 
@@ -280,7 +302,7 @@ class TestSessions:
         cfg = SensorConfig(f_s=5.0, n=3)  # session default watchdog: 8 tu = 32 s
         beacons, samples = clean_observation(FIG3, SlotConfig(), cfg)
         half_b = beacons[:2]
-        half_s = [s for s in samples if s.t_s < 5.8]
+        half_s = kept(samples, samples.t_s < 5.8)
         res = run_session(half_b, half_s, [FIG3], cfg, SlotConfig())
         assert res.verdict == TIMED_OUT
         assert res.reason == RejectReason("timeout")
@@ -289,7 +311,7 @@ class TestSessions:
 
     def test_no_beacons_times_out_from_start(self):
         cfg = SensorConfig(f_s=5.0, n=3, watchdog_s=10.0)
-        res = run_session([], [], [FIG3], cfg, SlotConfig())
+        res = run_session([], Samples(), [FIG3], cfg, SlotConfig())
         assert res.verdict == TIMED_OUT
         assert res.duration_s == pytest.approx(10.0)
 
@@ -300,11 +322,8 @@ class TestSessions:
         store = [parse_pattern("01@1:- 10@1:1", "p")]
         beacons = [BeaconObservation(0.0, 1, 0, "n.0"),
                    BeaconObservation(0.8, 1, 1, "n.1")]
-        samples = []
-        for k in range(15):
-            t = k * 0.125
-            level = -66.0 if t < 0.5 or t >= 1.3 else -60.0
-            samples.append(ObservedSample(t, level))
+        t = np.arange(15) * 0.125
+        samples = Samples(t, np.where((t < 0.5) | (t >= 1.3), -66.0, -60.0))
         res = run_session(beacons, samples, store, cfg, SlotConfig(slot_s=0.5, tu_s=0.8))
         assert res.verdict == ACCEPTED
         assert res.pattern_id == "p"
@@ -316,10 +335,231 @@ class TestSessions:
         beacons = [BeaconObservation(0.0, 1, 0, "n.0"),
                    BeaconObservation(2.0, 1, 1, "n.1")]
         levels = {0.0: -60.0, 1.0: -66.0, 2.0: -66.0, 3.0: -60.0}
-        samples = [ObservedSample(t, lv) for t, lv in levels.items()]
+        samples = Samples(list(levels), list(levels.values()))
         res = run_session(beacons, samples, store, cfg,
                           SlotConfig(slot_s=1.0, tu_s=2.0))
         assert res.verdict == ACCEPTED
+
+
+def _reference_read(beacons, j, pts, cfg, slot_s):
+    """Triplet j read from (t, rssi) pairs one sample at a time, or the
+    RejectReason a session records instead."""
+    b = beacons[j]
+    slots = [[] for _ in range(cfg.n)]
+    for t, r in pts:
+        k = math.floor((t - b.t_s) / slot_s)
+        if not math.isnan(r) and 0 <= k < cfg.n:
+            slots[k].append(r)
+    if not all(slots):
+        return RejectReason("undecodable", j)
+    med = [statistics.median(v) for v in slots]
+    lo, hi = min(med), max(med)
+    bits = "".join("1" if m > (hi + lo) / 2.0 else "0" for m in med)
+    if hi - lo < cfg.delta_db or any(
+            bits[k] != bits[k + 1] and abs(med[k + 1] - med[k]) < cfg.delta_db
+            for k in range(cfg.n - 1)):
+        return RejectReason("undecodable", j)
+    if j == 0:
+        return Triplet(TxPattern(bits), b.channel, None)
+    tu = beacons[1].t_s - beacons[0].t_s
+    if j == 1:
+        return Triplet(TxPattern(bits), b.channel, 1) if tu > 0 \
+            else RejectReason("quantization", 1)
+    k = quantize_interval(b.t_s - beacons[j - 1].t_s, tu, cfg.eps_tu)
+    return Triplet(TxPattern(bits), b.channel, k) if k is not None \
+        else RejectReason("quantization", j)
+
+
+class ReferenceSession:
+    """SensorSession.feed + finish as per-sample events: one list sorted by
+    (time, beacon before sample, seq_no or arrival order), every event
+    advancing the clock, every sample joining the window open at its time.
+    Returns (verdict, pattern_id, reason, transcript, duration_s,
+    terminal_t)."""
+
+    def __init__(self, store, cfg, slot_cfg, seen, locked, t_start):
+        self.cfg, self.slot_s, self.t_start = cfg, slot_cfg.slot_s, t_start
+        self.watchdog = (cfg.watchdog_s if cfg.watchdog_s is not None
+                         else 8.0 * slot_cfg.tu_s)
+        self.deadline = t_start + self.watchdog
+        self.seen, self.matcher = set(seen), new_matcher(store)
+        self.beacons, self.triplets, self.window, self.out = [], [], None, None
+        if locked:
+            self._end(REJECTED, t_start, RejectReason("lockout"))
+
+    def run(self, beacons, pts, t_end):
+        events = sorted([(b.t_s, 0, b.seq_no, b) for b in beacons]
+                        + [(p[0], 1, i, p) for i, p in enumerate(pts)],
+                        key=lambda e: e[:3])
+        for t, tag, _, ev in events:
+            if self.out is None:
+                self._advance(t)
+            if self.out is not None:
+                break
+            if tag == 0:
+                self._beacon(ev)
+            elif self.window is not None and self.window[0].t_s <= t < self.window[1]:
+                self.window[2].append(ev)
+        if self.out is None:
+            t_end = self.deadline if t_end is None else t_end
+            self._advance(t_end)
+            if self.out is None:
+                self._end(TIMED_OUT, t_end, RejectReason("timeout"))
+        return self.out
+
+    def _beacon(self, b):
+        if self.window is not None:
+            self._close()
+            if self.out is not None:
+                return
+        if b.nonce in self.seen:
+            return self._end(REJECTED, b.t_s, RejectReason("replay"))
+        self.seen.add(b.nonce)
+        self.beacons.append(b)
+        self.window = (b, b.t_s + self.cfg.n * self.slot_s, [])
+        self.deadline = b.t_s + self.watchdog
+
+    def _advance(self, t):
+        while self.out is None:
+            w_end = self.window[1] if self.window is not None else math.inf
+            if min(w_end, self.deadline) > t:
+                return
+            if w_end <= self.deadline:
+                self._close()
+            else:
+                self._end(TIMED_OUT, self.deadline, RejectReason("timeout"))
+
+    def _close(self):
+        _, end, pts = self.window
+        self.window = None
+        read = _reference_read(self.beacons, len(self.beacons) - 1, pts, self.cfg,
+                               self.slot_s)
+        if isinstance(read, RejectReason):
+            return self._end(REJECTED, end, read)
+        self.triplets.append(read)
+        self.matcher = m = match_step(self.matcher, read)
+        if m.terminal:
+            self._end(m.status, end, m.reason, m.accepted_id)
+
+    def _end(self, verdict, t, reason=None, pattern_id=None):
+        self.out = (verdict, pattern_id, reason, tuple(self.triplets),
+                    t - self.t_start, t)
+
+
+TICK = 0.25  # the sample grid; exact in binary, so samples land exactly on
+#              beacon times and window ends
+
+LEVELS = [math.nan, -60.0, -63.0, -66.0, -75.0]
+
+
+def feed_case(n, slot_s, tu_s, bits, channels, gaps, t0, jitter, kept, repeat,
+              history, edits, extra, tail, watchdog_s, t_start, locked, t_end,
+              shuffle):
+    """One observation of an emitted pattern on the TICK grid, perturbed by
+    the spec: beacons jittered by whole ticks or dropped, beacon `repeat`
+    reusing the previous nonce, sample levels edited or doubled, `tail`
+    ticks sampled past the last window, and both lists shuffled."""
+    intervals = [None, 1, *gaps][:len(bits)]
+    store = [SecretPattern("p", tuple(Triplet(TxPattern(b), c, iv) for b, c, iv
+                                      in zip(bits, channels, intervals)))]
+    emitted = [t0 * TICK]
+    for iv in intervals[1:]:
+        emitted.append(emitted[-1] + iv * tu_s)
+    nonces = [f"n{j - 1 if j == repeat else j}" for j in range(len(bits))]
+    beacons = [BeaconObservation(e + dj * TICK, c, j, nonce)
+               for j, (e, dj, c, nonce, keep)
+               in enumerate(zip(emitted, jitter, channels, nonces, kept)) if keep]
+    burst = n * slot_s
+
+    def level(t):
+        for e, b in zip(emitted, bits):
+            if e <= t < e + burst:
+                return -60.0 if b[math.floor((t - e) / slot_s)] == "1" else -66.0
+        return math.nan
+
+    ticks = int((emitted[-1] + burst) / TICK) + tail
+    pts = [(k * TICK, level(k * TICK)) for k in range(ticks + 1)]
+    for k, v in edits:
+        pts[k % len(pts)] = (pts[k % len(pts)][0], v)
+    pts += [(pts[k % len(pts)][0], v) for k, v in extra]
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(pts)
+        random.Random(shuffle).shuffle(beacons)
+    cfg = SensorConfig(f_s=1.0 / TICK, n=n, watchdog_s=watchdog_s)
+    slot_cfg = SlotConfig(slot_s=slot_s, tu_s=tu_s, guard_s=0.0)
+    t_end = None if t_end is None else t_end * TICK
+    return store, cfg, slot_cfg, beacons, pts, history, locked, t_start, t_end
+
+
+@st.composite
+def feed_specs(draw):
+    n, L = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    level = st.sampled_from(LEVELS)
+    return dict(
+        n=n, slot_s=draw(st.sampled_from([0.5, 0.75])),
+        tu_s=draw(st.sampled_from([1.0, 1.5, 2.5])),
+        bits=[draw(st.text("01", min_size=n, max_size=n).filter(set("01").issubset))
+              for _ in range(L)],
+        channels=[draw(st.integers(1, 2)) for _ in range(L)],
+        gaps=[draw(st.integers(1, 3)) for _ in range(L - 2)],
+        t0=draw(st.integers(0, 4)),
+        jitter=[draw(st.sampled_from([0] * 9 + [1, -1, -4])) for _ in range(L)],
+        kept=[draw(st.integers(0, 9)) < 9 for _ in range(L)],
+        repeat=draw(st.sampled_from([None] * 9 + [1, 2, 3])),
+        history=draw(st.sampled_from([()] * 4 + [("n0",), ("n1",)])),
+        edits=draw(st.lists(st.tuples(st.integers(0, 999), level), max_size=6)),
+        extra=draw(st.lists(st.tuples(st.integers(0, 999), level), max_size=4)),
+        tail=draw(st.integers(0, 40)),
+        watchdog_s=draw(st.sampled_from([None] * 4 + [40.0, 3.0, 1.0, 0.5, 0.25])),
+        t_start=draw(st.sampled_from([0.0, 0.5])),
+        locked=draw(st.integers(0, 9)) == 9,
+        t_end=draw(st.one_of(st.none(), st.integers(0, 80))),
+        shuffle=draw(st.one_of(st.none(), st.integers(0, 2**16))))
+
+
+# Accepted as it stands: windows end on a sample tick and open on one.
+BASE = dict(n=3, slot_s=0.5, tu_s=2.5, bits=["010", "101", "011"],
+            channels=[1, 2, 1], gaps=[2], t0=2, jitter=[0, 0, 0],
+            kept=[True] * 3, repeat=None, history=(), edits=[], extra=[], tail=8,
+            watchdog_s=None, t_start=0.0, locked=False, t_end=None, shuffle=None)
+
+
+class TestFeedDifferential:
+    @given(spec=feed_specs())
+    @example(spec=BASE)
+    @example(spec={**BASE, "tu_s": 1.0})  # the next beacon closes windows early
+    @example(spec={**BASE, "n": 2, "bits": ["01", "10", "01"],
+                   "jitter": [0, -1, 0]})  # an early close that still decodes
+    @example(spec={**BASE, "t_end": 20})  # samples after t_end
+    @example(spec={**BASE, "watchdog_s": 0.5})  # watchdog shorter than a window
+    @example(spec={**BASE, "n": 2, "bits": ["01", "10", "01"],
+                   "watchdog_s": 1.0})  # watchdog due as the window ends
+    @example(spec={**BASE, "repeat": 2})  # nonce replayed within the session
+    @example(spec={**BASE, "history": ("n1",)})  # nonce seen by the node before
+    @example(spec={**BASE, "jitter": [0, 0, -20],
+                   "history": ("n2",)})  # tied beacons go in seq_no order
+    @example(spec={**BASE, "locked": True})  # lockout
+    @example(spec={**BASE, "shuffle": 7})  # unsorted samples and beacons
+    @settings(max_examples=400, deadline=None)
+    def test_feed_matches_per_sample_events(self, spec):
+        store, cfg, slot_cfg, beacons, pts, history, locked, t_start, t_end = \
+            feed_case(**spec)
+        node = SensorNode()
+        for nonce in history:
+            node.history.record(nonce)
+        if locked:
+            node.locked_until = t_start + 1.0
+        session = SensorSession(store, cfg, slot_cfg, node=node, t_start=t_start)
+        session.feed(beacons, Samples(*zip(*pts)))
+        res = session.finish(t_end)
+        ref = ReferenceSession(store, cfg, slot_cfg, history, locked, t_start)
+        assert (res.verdict, res.pattern_id, res.reason, res.transcript,
+                res.duration_s, session.terminal_t) == ref.run(beacons, pts, t_end)
+
+    def test_base_case_is_accepted(self):
+        store, cfg, slot_cfg, beacons, pts, *_ = feed_case(**BASE)
+        res = authenticate(beacons, Samples(*zip(*pts)), store, cfg, slot_cfg)
+        assert res.verdict == ACCEPTED and res.transcript == store[0].triplets
 
 
 class TestAppStage:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -257,6 +258,10 @@ class TestValidation:
         (Trajectory, dict(waypoints=((0.0, math.nan),))),
         (Trajectory, dict(waypoints=((math.nan, 5.0),))),
         (Trajectory, dict(waypoints=((0.0, 5.0), (math.inf, 6.0)))),
+        (Mitm, dict(pattern_id="desk", extra_delay_s=math.nan)),
+        (Mitm, dict(pattern_id="desk", extra_delay_s=math.inf)),
+        (Proto, dict(pattern_a="a", pattern_b="b", tu_b_s=math.nan)),
+        (Proto, dict(pattern_a="a", pattern_b="b", tu_b_s=math.inf)),
     ], ids=lambda v: v.__name__ if isinstance(v, type)
         else ",".join(f"{k}={x}" for k, x in v.items() if k != "name"))
     def test_non_finite_config_value_refused(self, ctor, kwargs):
@@ -265,11 +270,45 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite"):
             ctor(**kwargs)
 
+    def test_actor_range_checks_catch_nan(self):
+        # A nan that got past the constructor still fails the range checks.
+        mitm, proto = Mitm("desk", 0.0), Proto("desk", "desk", 1.0)
+        object.__setattr__(mitm, "extra_delay_s", math.nan)
+        object.__setattr__(proto, "tu_b_s", math.nan)
+        for actor, problem in ((Mitm("desk", -0.1), "extra_delay_s must be >= 0"),
+                               (mitm, "extra_delay_s must be >= 0"),
+                               (Proto("desk", "desk", 0.0), "tu_b_s must be > 0"),
+                               (proto, "tu_b_s must be > 0")):
+            assert problem in validate_scenario(build_desk(actor, 1))[-1]
+
     def test_bad_trials_and_seed(self):
         cfg = dataclasses.replace(build_desk(Legit("desk"), 1), trials=0, seed=-1)
         problems = validate_scenario(cfg)
         assert any("trials" in p for p in problems)
         assert any("seed" in p for p in problems)
+
+
+class TestPatternLookup:
+    def _store(self, size):
+        t = parse_pattern("01@1:- 10@2:1", "x").triplets
+        return tuple(SecretPattern(f"s{k:05d}", t) for k in range(size))
+
+    def test_actor_pattern_last_in_a_large_store(self):
+        desk = build_desk(Legit("desk"), 3)
+        cfg = dataclasses.replace(desk, store=self._store(10_000) + desk.store)
+        t0 = time.perf_counter()
+        for _ in range(1000):
+            assert cfg.pattern("desk") is desk.store[0]
+        # scanning the store for each lookup took about 0.5 s on a 2-core box
+        assert time.perf_counter() - t0 < 0.1
+        assert verdicts(run_scenario(cfg)) == verdicts(run_scenario(desk))
+        with pytest.raises(KeyError):
+            cfg.pattern("ghost")
+
+    def test_first_of_duplicate_ids_wins(self):
+        a, b = self._store(1)[0], parse_pattern("10@1:- 01@2:1", "s00000")
+        cfg = dataclasses.replace(build_desk(Legit("desk"), 1), store=(a, b))
+        assert cfg.pattern("s00000") is a
 
 
 class TestSweep:
