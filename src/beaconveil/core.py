@@ -236,21 +236,63 @@ class RejectReason:
         return _PLAIN_MESSAGES.get(self.kind, self.code)
 
 
+class _Node:
+    """A prefix-trie node of the credential store (Fredkin's trie memory).
+
+    patterns holds, in pattern_id order, the stored patterns that agree with
+    the `depth` triplets on the path here and are longer than depth; done is
+    the lowest id that completes exactly here. The children are grouped on
+    the first match_step through the node, keyed by the next triplet's
+    (bits, channel, interval), the interval None at index 0 where the matcher
+    ignores it. Grouping changes no answer, so any number of matchers may
+    share one trie.
+    """
+
+    __slots__ = ("patterns", "done", "children")
+
+    def __init__(self, patterns: tuple[SecretPattern, ...], done: Optional[str] = None):
+        self.patterns = patterns
+        self.done = done
+        self.children: Optional[dict[tuple, _Node]] = None
+
+    def group(self, depth: int) -> dict[tuple, "_Node"]:
+        groups: dict[tuple, list[SecretPattern]] = {}
+        for p in self.patterns:
+            t = p.triplets[depth]
+            key = (t.tx_pattern.bits, t.channel, t.interval_tu if depth else None)
+            groups.setdefault(key, []).append(p)
+        children = {}
+        for key, ps in groups.items():
+            done = next((p.pattern_id for p in ps if p.length == depth + 1), None)
+            children[key] = _Node(tuple(p for p in ps if p.length > depth + 1), done)
+        self.children = children
+        return children
+
+
+_EMPTY = _Node(())
+
+
 @dataclass(frozen=True)
 class MatcherState:
     """Progress of the incremental match against a pattern store.
 
-    viable holds, in pattern_id order, the stored patterns whose first
-    `consumed` triplets equal the triplets observed so far; the next observed
-    triplet is compared with each one's triplets[consumed]. Terminal states
-    are accepted (some pattern fully consumed) and rejected (viable emptied).
+    node is the trie node reached by the triplets observed so far; its
+    patterns are the viable ones, whose first `consumed` triplets equal those
+    triplets. Terminal states are accepted (some pattern fully consumed) and
+    rejected (nothing viable). States are immutable values: one initial state
+    from new_matcher can start any number of matches.
     """
 
-    viable: tuple[SecretPattern, ...]
+    node: _Node
     consumed: int
     status: str
     accepted_id: Optional[str] = None
     reason: Optional[RejectReason] = None
+
+    @property
+    def viable(self) -> tuple[SecretPattern, ...]:
+        """The still-viable patterns, in pattern_id order."""
+        return self.node.patterns
 
     @property
     def terminal(self) -> bool:
@@ -258,13 +300,15 @@ class MatcherState:
 
 
 def new_matcher(store: Iterable[SecretPattern]) -> MatcherState:
+    """The initial state over store, the root of a trie that grows as
+    matches visit it; build it once per store and share it."""
     patterns = sorted(store, key=lambda p: p.pattern_id)
     if not patterns:
         raise ValueError("store must be nonempty")
     for a, b in zip(patterns, patterns[1:]):
         if a.pattern_id == b.pattern_id:
             raise ValueError(f"duplicate pattern_id {a.pattern_id!r} in store")
-    return MatcherState(tuple(patterns), 0, IN_PROGRESS)
+    return MatcherState(_Node(tuple(p for p in patterns if p.length)), 0, IN_PROGRESS)
 
 
 def _mismatch_kind(observed: Triplet, expected: Triplet, index: int) -> Optional[str]:
@@ -288,28 +332,18 @@ def match_step(state: MatcherState, observed: Triplet) -> MatcherState:
     """
     if state.terminal:
         raise MatcherError("match_step called after terminal status")
-    i = state.consumed
-    kept = []
-    accepted_id: Optional[str] = None
-    dropped_kind: Optional[str] = None
-    for p in state.viable:
-        # i < p.length always: completion is terminal, so no viable pattern
-        # survives past its last triplet.
-        kind = _mismatch_kind(observed, p.triplets[i], i)
-        if kind is not None:
-            if dropped_kind is None:
-                dropped_kind = kind
-        elif i + 1 < p.length:
-            kept.append(p)
-        elif accepted_id is None:
-            accepted_id = p.pattern_id
-    viable = tuple(kept)
-    if accepted_id is not None:
-        return MatcherState(viable, i + 1, ACCEPTED, accepted_id=accepted_id)
-    if viable:
-        return MatcherState(viable, i + 1, IN_PROGRESS)
-    return MatcherState(viable, i + 1, REJECTED,
-                        reason=RejectReason(dropped_kind or "no-viable-pattern", i))
+    i, node = state.consumed, state.node
+    children = node.children if node.children is not None else node.group(i)
+    child = children.get((observed.tx_pattern.bits, observed.channel,
+                          observed.interval_tu if i else None))
+    if child is None:
+        kind = (_mismatch_kind(observed, node.patterns[0].triplets[i], i)
+                if node.patterns else None)
+        return MatcherState(_EMPTY, i + 1, REJECTED,
+                            reason=RejectReason(kind or "no-viable-pattern", i))
+    if child.done is not None:
+        return MatcherState(child, i + 1, ACCEPTED, accepted_id=child.done)
+    return MatcherState(child, i + 1, IN_PROGRESS)
 
 
 def _parse_triplet(token: str, position: int, first: bool) -> Triplet:

@@ -31,17 +31,17 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (ACCEPTED, IN_PROGRESS, REJECTED, RejectReason,
-                   SecretPattern, Triplet, TxPattern, _check_finite,
-                   match_step, new_matcher)
+from .core import (ACCEPTED, IN_PROGRESS, REJECTED, MatcherState,
+                   RejectReason, SecretPattern, Triplet, TxPattern,
+                   _check_finite, match_step, new_matcher)
 from .emitter import SlotConfig
 
 TIMED_OUT = "timed_out"
 
 
 class Samples:
-    """RSSI samples on the sensor clock: t_s sorted (stably) by time, and
-    rssi_dbm, NaN where the signal sat below the noise floor."""
+    """RSSI samples on the sensor clock: t_s finite and sorted (stably) by
+    time, and rssi_dbm, NaN where the signal sat below the noise floor."""
 
     __slots__ = ("t_s", "rssi_dbm")
 
@@ -50,6 +50,8 @@ class Samples:
         r = np.asarray(rssi_dbm, dtype=np.float64)
         if t.ndim != 1 or t.shape != r.shape:
             raise ValueError("t_s and rssi_dbm must be 1-d and of one length")
+        if not np.isfinite(t).all():
+            raise ValueError("t_s must be finite")
         if not (t[1:] >= t[:-1]).all():
             order = np.argsort(t, kind="stable")
             t, r = t[order], r[order]
@@ -292,11 +294,14 @@ class SensorSession:
     streamed into the matcher. Replay and lockout are enforced against the
     shared SensorNode. A watchdog abandons the session when no beacon arrives
     for watchdog_s (default 8 nominal time units) after the last one.
+
+    The session starts from matcher, an initial state from new_matcher; one
+    such state serves every session against the same store.
     """
 
     _samples = Samples()  # until feed() hands over an observation
 
-    def __init__(self, store: Iterable[SecretPattern], cfg: SensorConfig,
+    def __init__(self, matcher: MatcherState, cfg: SensorConfig,
                  slot_cfg: Optional[SlotConfig] = None, *,
                  node: Optional[SensorNode] = None, t_start: float = 0.0):
         self.cfg = cfg
@@ -311,7 +316,7 @@ class SensorSession:
         self.result: Optional[AuthResult] = None
         self.terminal_t: Optional[float] = None
         self._deadline = t_start + self.watchdog_s
-        self._matcher = new_matcher(store)
+        self._matcher = matcher
         self._beacons: list[BeaconObservation] = []
         self._triplets: list[Triplet] = []
         self._window_end: Optional[float] = None  # of the last beacon's window
@@ -443,7 +448,8 @@ def authenticate(beacons: Iterable[BeaconObservation], samples: Samples,
     Offline wrapper over SensorSession.feed, the same feed the simulator
     uses; the app stage gets the round trip rtt_s as given.
     """
-    session = SensorSession(store, cfg, slot_cfg, node=node, t_start=t_start)
+    session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
+                            t_start=t_start)
     session.feed(beacons, samples)
     result = session.finish(t_end)
     result = apply_app_stage(result, app_message, rtt_s, cfg)

@@ -28,8 +28,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, SecretPattern, Triplet,
-                   TxPattern, _check_finite, validate_pattern)
+from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, MatcherState,
+                   SecretPattern, Triplet, TxPattern, _check_finite,
+                   new_matcher, validate_pattern)
 from .emitter import (EmissionTimeline, Mutation, SlotConfig, SlotFitError,
                       compile_schedule, mutate, random_candidate,
                       random_pattern, replay_timeline)
@@ -131,12 +132,29 @@ class ScenarioConfig:
         # Built once per config; on a duplicate id the first pattern wins.
         return {p.pattern_id: p for p in reversed(self.store)}
 
+    @cached_property
+    def _matcher(self) -> MatcherState:
+        # One trie per config, shared by all of its sessions in a process.
+        return new_matcher(self.store)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_find_problems(self))
+
     def pattern(self, pattern_id: str) -> SecretPattern:
         return self._by_id[pattern_id]
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Every config inconsistency, reported before any trial runs."""
+    """Every config inconsistency, reported before any trial runs.
+
+    The check runs once per config (configs are frozen); each call returns
+    a fresh list.
+    """
+    return list(cfg._problems)
+
+
+def _find_problems(cfg: ScenarioConfig) -> list[str]:
     problems: list[str] = []
     if cfg.trials < 1:
         problems.append(f"trials must be >= 1, got {cfg.trials}")
@@ -243,7 +261,7 @@ def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
     beacons, samples = observe_emission(
         timeline, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot_cfg, rng,
         t_start=t_start)
-    session = SensorSession(cfg.store, eff, slot_cfg, node=node, t_start=t_start)
+    session = SensorSession(cfg._matcher, eff, slot_cfg, node=node, t_start=t_start)
     session.feed(beacons, samples)
     result = session.finish()
     if result.verdict == ACCEPTED and eff.app_secret is not None:

@@ -7,8 +7,13 @@ one sample that can bleed across a slot or burst boundary), no shadowing,
 fixed 5 m range. Its credential space is 2^(2*2) * 2^2 = 64 patterns.
 """
 
-from beaconveil import (BandPlan, ChannelParams, ScenarioConfig, SensorConfig,
-                        SlotConfig, Trajectory, parse_pattern)
+from dataclasses import replace
+
+import numpy as np
+
+from beaconveil import (BandPlan, BruteForce, ChannelParams, ScenarioConfig,
+                        SecretPattern, SensorConfig, SlotConfig, Trajectory,
+                        parse_pattern, random_pattern)
 
 DESK_PATTERN = "01@1:- 10@2:1"
 
@@ -25,3 +30,22 @@ def build_desk(actor, trials, seed=20, **sensor_overrides):
         sensor_cfg=SensorConfig(**sensor),
         trajectory=Trajectory(((0.0, 5.0),)),
         seed=seed, trials=trials, max_tu=2)
+
+
+def build_desk_multi(trials, seed=20):
+    """The desk brute force against the desk credential plus 30 fixed-seed
+    ones: L = 2 and 3, ids on both sides of 'desk', some sharing the desk
+    credential's first triplet or all of it, some repeating another's
+    triplets, so ties and the lowest-id reject reason are exercised."""
+    cfg = build_desk(BruteForce(2, 2), trials, seed=seed)
+    desk = cfg.store[0]
+    rng = np.random.default_rng(4051)
+    store = [desk]
+    for k in range(30):
+        p = random_pattern(rng, 2, 3 if k % 3 == 0 else 2, cfg.band, cfg.max_tu,
+                           pattern_id=f"{'ce'[k % 2]}{k:02d}")
+        if k % 4 == 0:
+            keep = 1 + (k // 4) % 2
+            p = SecretPattern(p.pattern_id, desk.triplets[:keep] + p.triplets[keep:])
+        store.append(p)
+    return replace(cfg, store=tuple(store))

@@ -1,14 +1,17 @@
 """Pattern model, validation, matcher, and grammar round-trips."""
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from beaconveil import (DEFAULT_BAND, ACCEPTED, IN_PROGRESS, REJECTED,
                         BandPlan, MatcherError, PatternError, RejectReason,
-                        SecretPattern, Triplet, TxPattern, ensure_valid,
-                        match_step, new_matcher, parse_pattern,
+                        SecretPattern, Triplet, TxPattern,
+                        candidate_from_index, ensure_valid, match_step,
+                        new_matcher, parse_pattern,
                         parse_pattern_file, pattern_space_size,
                         render_pattern, validate_pattern)
 
@@ -306,6 +309,57 @@ class TestMatcherDifferential:
             assert state.consumed == len(seen)
             assert [p.pattern_id for p in state.viable] \
                 == sorted(p.pattern_id for p in state.viable)
+
+
+class TestSharedMatcher:
+    @given(data=st.data(), store=matcher_stores())
+    @settings(max_examples=200, deadline=None)
+    def test_one_root_serves_interleaved_streams(self, data, store):
+        # Every stream starts from the same initial state, and their steps
+        # interleave, so each one walks a trie the others have partly grown.
+        root = new_matcher(store)
+        streams = data.draw(st.integers(1, 8))
+        states, seen = [root] * streams, [[] for _ in range(streams)]
+        live = list(range(streams))
+        while live:
+            k = data.draw(st.sampled_from(live))
+            follow = data.draw(st.sampled_from(store))
+            if len(seen[k]) < follow.length and data.draw(st.booleans()):
+                t = follow.triplets[len(seen[k])]
+            else:
+                t = data.draw(_SMALL_TRIPLETS)
+            seen[k].append(t)
+            state = states[k] = match_step(states[k], t)
+            code = state.reason.code if state.reason is not None else None
+            assert (state.status, state.accepted_id, code, len(state.viable)) \
+                == _reference_step(store, seen[k])
+            assert state.consumed == len(seen[k])
+            if state.terminal:
+                live.remove(k)
+        assert (root.status, root.consumed, len(root.viable)) == (IN_PROGRESS, 0, len(store))
+
+    def test_cost_is_flat_in_store_size(self):
+        # A scan of the whole store at each match's first step took 49 s
+        # for these 2000 matches on a 2-core box.
+        rng = random.Random(5)
+        space = pattern_space_size(3, 4, 14, 16)
+        store = [candidate_from_index(i, 3, 4, 14, 16)
+                 for i in rng.sample(range(space), 20_000)]
+        streams = [rng.choice(store).triplets if k % 2 else
+                   candidate_from_index(rng.randrange(space), 3, 4, 14, 16).triplets
+                   for k in range(2000)]
+        t0 = time.perf_counter()
+        root = new_matcher(store)
+        accepted = 0
+        for stream in streams:
+            state = root
+            for t in stream:
+                state = match_step(state, t)
+                if state.terminal:
+                    break
+            accepted += state.status == ACCEPTED
+        assert time.perf_counter() - t0 < 1.0
+        assert accepted >= 1000
 
 
 class TestGrammar:

@@ -1,7 +1,9 @@
 """Config file round-trips, error reporting, and report serialization."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,9 @@ from beaconveil import (BruteForce, ConfigError, Legit, Mitm, Mutant, Proto,
 from beaconveil.scenario import render_sweep_csv
 from beaconveil.sim import sweep
 
-from scenario_builders import build_desk
+from scenario_builders import build_desk, build_desk_multi
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ALL_BUILDERS = [
     lambda: build_fig3("a"), lambda: build_fig3("b"), lambda: build_fig3("c"),
@@ -184,6 +188,19 @@ class TestReports:
         assert csv_path.name == "trials.csv"
         assert json.loads(json_path.read_text())["metrics"]["frr"] == 0.0
         assert csv_path.read_text().startswith("trial,actor")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multi_pattern_store_golden(self, workers):
+        # Pins the matcher's rules end to end: the lowest id wins a tie, and
+        # a reject names the field of the lowest-id pattern it dropped.
+        golden = json.loads((GOLDEN / "desk_multi_report.json").read_text())
+        cfg = build_desk_multi(golden["trials"])
+        assert config_sha256(cfg) == golden["config_sha256"], \
+            "builder changed; re-record desk_multi_report.json at a known-good commit"
+        report = run_scenario(cfg, workers=workers)
+        digest = hashlib.sha256((render_report_json(report, cfg)
+                                 + render_trials_csv(report)).encode("utf-8"))
+        assert digest.hexdigest() == golden["report_sha256"]
 
     def test_sweep_csv(self):
         cfg = build_desk(Legit("desk"), 5)

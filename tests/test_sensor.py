@@ -59,6 +59,14 @@ class TestSamples:
         with pytest.raises(ValueError):
             Samples([0.0, 1.0], [-1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_are_refused(self, bad):
+        # A NaN time sorted last and moved the session clock to NaN, which
+        # fired the watchdog: this call timed out at 32 s, not at t_end.
+        with pytest.raises(ValueError, match="t_s must be finite"):
+            authenticate([], Samples([1.0, bad], [-60.0, -60.0]), [FIG3],
+                         SensorConfig(f_s=5.0, n=3), SlotConfig(), t_end=5.0)
+
 
 class TestDecodeSlots:
     def test_basic_pattern(self):
@@ -315,6 +323,24 @@ class TestSessions:
         assert res.verdict == TIMED_OUT
         assert res.duration_s == pytest.approx(10.0)
 
+    def test_shared_initial_state_matches_authenticate(self):
+        # One new_matcher state serves every session, in any order; each
+        # ends as authenticate, which compiles the store itself, ends.
+        cfg = SensorConfig(f_s=5.0, n=3)
+        store = [FIG3] + [parse_pattern(text, f"s{k}") for k, text in enumerate((
+            "010@1:- 101@6:1 010@6:2 101@11:3",
+            "010@1:- 101@6:1",
+            "010@1:- 011@6:1 010@6:2",
+            "101@2:- 101@6:1 010@6:2 101@11:2"))]
+        attempts = store + [parse_pattern("010@1:- 101@6:1 010@7:2 101@11:2", "w")]
+        root = new_matcher(store)
+        for p in random.Random(3).sample(attempts * 2, 2 * len(attempts)):
+            beacons, samples = clean_observation(p, SlotConfig(), cfg)
+            session = SensorSession(root, cfg, SlotConfig())
+            session.feed(beacons, samples)
+            assert session.finish() == run_session(beacons, samples, store, cfg,
+                                                   SlotConfig())
+
     def test_early_beacon_forces_window_close(self):
         # second beacon arrives before the first window would end; the open
         # window is decoded from the samples it already has
@@ -549,7 +575,8 @@ class TestFeedDifferential:
             node.history.record(nonce)
         if locked:
             node.locked_until = t_start + 1.0
-        session = SensorSession(store, cfg, slot_cfg, node=node, t_start=t_start)
+        session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
+                                t_start=t_start)
         session.feed(beacons, Samples(*zip(*pts)))
         res = session.finish(t_end)
         ref = ReferenceSession(store, cfg, slot_cfg, history, locked, t_start)
@@ -633,4 +660,4 @@ class TestSensorConfigValidation:
     def test_undersampled_session_is_refused(self):
         cfg = SensorConfig(f_s=1.0, n=3)
         with pytest.raises(ValueError):
-            SensorSession([FIG3], cfg, SlotConfig())
+            SensorSession(new_matcher([FIG3]), cfg, SlotConfig())

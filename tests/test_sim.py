@@ -21,7 +21,7 @@ from beaconveil import (ACCEPTED, REJECTED, BandPlan, BruteForce, ChannelParams,
                         run_scenario, run_trial, sweep, validate_scenario,
                         wilson)
 
-from scenario_builders import build_desk
+from scenario_builders import build_desk, build_desk_multi
 
 
 def verdicts(report):
@@ -280,6 +280,33 @@ class TestValidation:
                                (Proto("desk", "desk", 0.0), "tu_b_s must be > 0"),
                                (proto, "tu_b_s must be > 0")):
             assert problem in validate_scenario(build_desk(actor, 1))[-1]
+
+    def test_checked_once_per_config(self, monkeypatch):
+        checked = []
+        real = beaconveil.sim.validate_pattern
+
+        def counting(p, *args):
+            checked.append(p.pattern_id)
+            return real(p, *args)
+
+        monkeypatch.setattr(beaconveil.sim, "validate_pattern", counting)
+        cfg = build_desk_multi(1)
+        ids = sorted(p.pattern_id for p in cfg.store)
+        assert validate_scenario(cfg) == [] and sorted(checked) == ids
+        assert validate_scenario(cfg) == [] and sorted(checked) == ids
+        run_scenario(cfg)
+        assert sorted(checked) == ids
+        # A replaced config is a new config and is checked again.
+        assert validate_scenario(dataclasses.replace(cfg, trials=0)) \
+            == ["trials must be >= 1, got 0"]
+        assert sorted(checked) == sorted(ids * 2)
+
+    def test_returned_problems_are_the_callers(self):
+        cfg = dataclasses.replace(build_desk(Legit("ghost"), 1), trials=0)
+        problems = validate_scenario(cfg)
+        expected = list(problems)
+        problems.clear()
+        assert validate_scenario(cfg) == expected != []
 
     def test_bad_trials_and_seed(self):
         cfg = dataclasses.replace(build_desk(Legit("desk"), 1), trials=0, seed=-1)
