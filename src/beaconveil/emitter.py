@@ -1,6 +1,7 @@
 """Compile a credential into an absolute-time emission timeline, and build
-the adversarial variants: single-field mutations, uniform random credentials,
-raw brute-force candidates, and verbatim replays.
+the adversarial variants: single-field mutations, uniform random credentials
+and raw brute-force candidates. A replay puts the same timeline on the air
+again.
 
 Bit transport: each beacon is immediately followed by n equal power slots
 carrying that triplet's bits as high/low levels; between bursts the carrier
@@ -48,45 +49,47 @@ class SlotConfig:
 
 
 @dataclass(frozen=True)
-class BeaconEmission:
+class Beacon:
+    """One beacon frame: on the emitter clock in a timeline, on the sensor
+    clock (quantized to the sampling grid) once observed."""
+
     t_s: float
     channel: int
     seq_no: int
     nonce: str
 
 
-@dataclass(frozen=True)
-class PowerStep:
-    t_start: float
-    t_end: float
-    level_dbm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionTimeline:
-    beacons: tuple[BeaconEmission, ...]
-    power_steps: tuple[PowerStep, ...]
+    """Beacons plus a piecewise-constant power profile: step k holds
+    levels[k] from starts[k] to starts[k+1], the last step up to duration_s.
+    starts and levels are read-only float64 arrays."""
+
+    beacons: tuple[Beacon, ...]
+    starts: np.ndarray
+    levels: np.ndarray
     duration_s: float
-    replayed: bool = False  # ground-truth flag, never visible to the sensor
+
+    def __post_init__(self) -> None:
+        for name in ("starts", "levels"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def levels_at(self, t: Union[float, np.ndarray]
                   ) -> Union[float, np.ndarray]:
         """Power level at a time or an array of times; steps are right-open,
         the last is closed. Returns a float for a scalar t, else an array."""
-        starts = np.array([s.t_start for s in self.power_steps])
-        levels = np.array([s.level_dbm for s in self.power_steps])
-        idx = np.maximum(starts.searchsorted(t, side="right") - 1, 0)
-        return levels[idx] if idx.ndim else float(levels[idx])
-
-    def nonces(self) -> frozenset[str]:
-        return frozenset(b.nonce for b in self.beacons)
+        idx = np.maximum(self.starts.searchsorted(t, side="right") - 1, 0)
+        return self.levels[idx] if idx.ndim else float(self.levels[idx])
 
     def dump(self) -> str:
         """Structured text form, one line per beacon and per power step."""
         lines = [f"beacon seq={b.seq_no} t={b.t_s:.6f} ch={b.channel} nonce={b.nonce}"
                  for b in self.beacons]
-        lines += [f"power {s.t_start:.6f} {s.t_end:.6f} {s.level_dbm:.3f}"
-                  for s in self.power_steps]
+        starts = self.starts.tolist()
+        lines += [f"power {s:.6f} {e:.6f} {lv:.3f}" for s, e, lv
+                  in zip(starts, starts[1:] + [self.duration_s], self.levels.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -108,23 +111,27 @@ def compile_schedule(p: SecretPattern, cfg: SlotConfig, tx: TxPowerLevels,
 
     n = p.bit_count
     beacons = []
-    steps: list[PowerStep] = []
+    starts: list[float] = []
+    levels: list[float] = []
     t = 0.0
     for i, trip in enumerate(p.triplets):
         if i > 0:
             t += trip.interval_tu * cfg.tu_s
-        beacons.append(BeaconEmission(t, trip.channel, i, f"{nonce_prefix}.{i}"))
+        beacons.append(Beacon(t, trip.channel, i, f"{nonce_prefix}.{i}"))
         for k, bit in enumerate(trip.tx_pattern.bits):
-            steps.append(PowerStep(t + k * cfg.slot_s, t + (k + 1) * cfg.slot_s, tx.level(bit)))
+            starts.append(t + k * cfg.slot_s)
+            levels.append(tx.level(bit))
         burst_end = t + n * cfg.slot_s
         if i + 1 < p.length:
             next_t = t + p.triplets[i + 1].interval_tu * cfg.tu_s
             if next_t > burst_end:
-                steps.append(PowerStep(burst_end, next_t, tx.low_dbm))
-    duration = beacons[-1].t_s + n * cfg.slot_s + cfg.guard_s
-    if duration > beacons[-1].t_s + n * cfg.slot_s:
-        steps.append(PowerStep(beacons[-1].t_s + n * cfg.slot_s, duration, tx.low_dbm))
-    return EmissionTimeline(tuple(beacons), tuple(steps), duration)
+                starts.append(burst_end)
+                levels.append(tx.low_dbm)
+    duration = burst_end + cfg.guard_s
+    if duration > burst_end:
+        starts.append(burst_end)
+        levels.append(tx.low_dbm)
+    return EmissionTimeline(tuple(beacons), starts, levels, duration)
 
 
 @dataclass(frozen=True)
@@ -267,7 +274,3 @@ def iter_candidates(n: int, L: int, channels: int, max_tu: int) -> Iterator[Secr
         triplets = tuple(Triplet(TxPattern(b), c, t) for b, c, t in reversed(combo))
         yield SecretPattern(f"cand{idx}", triplets)
 
-
-def replay_timeline(t: EmissionTimeline) -> EmissionTimeline:
-    """Verbatim copy with stale nonces; flagged for ground-truth scoring."""
-    return dataclasses.replace(t, replayed=True)

@@ -166,7 +166,21 @@ def load_scenario(path) -> ScenarioConfig:
     return loads_scenario(Path(path).read_text(encoding="utf-8"))
 
 
+def _verbatim(section: str, key: str, text: str, as_key: bool = False) -> str:
+    # A str is written as is, so it must read back as itself: the parser
+    # strips a value's ends and splits lines, and a key also ends at the
+    # first = or :, cannot be empty, and must not open a comment or a
+    # section header.
+    if (text != text.strip() or "\n" in text or as_key and (
+            not text or text[0] in "#;[" or "=" in text or ":" in text)):
+        raise ValueError(f"[{section}] {key}: {text!r} would not load back as written")
+    return text
+
+
 def _actor_lines(a: Actor) -> list[str]:
+    for key in ("pattern_id", "pattern_a", "pattern_b"):
+        if hasattr(a, key):
+            _verbatim("actor", key, getattr(a, key))
     if isinstance(a, Legit):
         return ["kind = legit", f"pattern_id = {a.pattern_id}"]
     if isinstance(a, Mutant):
@@ -197,9 +211,17 @@ def _actor_lines(a: Actor) -> list[str]:
 
 
 def dump_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical text form; loads_scenario(dump_scenario(cfg)) == cfg."""
+    """Canonical text form; loads_scenario(dump_scenario(cfg)) == cfg.
+
+    Raises ValueError, naming the section and key, for a config whose text
+    would not load back equal: a str that cannot be written verbatim, an
+    empty store or a repeated store id.
+    """
+    ids = [_verbatim("store", "pattern_id", p.pattern_id, as_key=True) for p in cfg.store]
+    if len(set(ids)) < len(ids) or not ids:
+        raise ValueError("[store] needs at least one pattern and no repeated id")
     out = []
-    out += ["[band]", f"name = {cfg.band.name}",
+    out += ["[band]", f"name = {_verbatim('band', 'name', cfg.band.name)}",
             f"channel_count = {cfg.band.channel_count}",
             f"base_freq = {cfg.band.base_freq!r}",
             f"spacing = {cfg.band.spacing!r}", ""]
@@ -217,7 +239,7 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
             f"eps_tu = {sc.eps_tu!r}", f"delta_db = {sc.delta_db!r}",
             f"rtt_limit_s = {sc.rtt_limit_s!r}", f"lockout_s = {sc.lockout_s!r}"]
     if sc.app_secret is not None:
-        out.append(f"app_secret = {sc.app_secret}")
+        out.append(f"app_secret = {_verbatim('sensor', 'app_secret', sc.app_secret)}")
     if sc.watchdog_s is not None:
         out.append(f"watchdog_s = {sc.watchdog_s!r}")
     out.append("")

@@ -34,7 +34,7 @@ import numpy as np
 from .core import (ACCEPTED, IN_PROGRESS, REJECTED, MatcherState,
                    RejectReason, SecretPattern, Triplet, TxPattern,
                    _check_finite, match_step, new_matcher)
-from .emitter import SlotConfig
+from .emitter import Beacon, SlotConfig
 
 TIMED_OUT = "timed_out"
 
@@ -66,14 +66,6 @@ class Samples:
         part = object.__new__(Samples)  # a slice of sorted times is sorted
         part.t_s, part.rssi_dbm = self.t_s[i:j], self.rssi_dbm[i:j]
         return part
-
-
-@dataclass(frozen=True)
-class BeaconObservation:
-    t_s: float  # sensor clock, quantized to the sampling grid
-    channel: int
-    seq_no: int
-    nonce: str
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ def quantize_interval(raw_s: float, tu_s: float, eps: float = 0.10) -> Optional[
     return int(k)
 
 
-def _read_triplet(beacons: Sequence[BeaconObservation], j: int,
+def _read_triplet(beacons: Sequence[Beacon], j: int,
                   window: Samples, cfg: SensorConfig, slot_s: float) -> Triplet:
     """Read triplet j from the slot window its beacon opened.
 
@@ -208,7 +200,7 @@ def _read_triplet(beacons: Sequence[BeaconObservation], j: int,
     return Triplet(bits, b.channel, k)
 
 
-def extract_triplets(beacons: Sequence[BeaconObservation], samples: Samples,
+def extract_triplets(beacons: Sequence[Beacon], samples: Samples,
                      cfg: SensorConfig, slot_s: float = 0.6) -> tuple[Triplet, ...]:
     """Offline pipeline: read every beacon's full slot window in turn.
 
@@ -317,7 +309,7 @@ class SensorSession:
         self.terminal_t: Optional[float] = None
         self._deadline = t_start + self.watchdog_s
         self._matcher = matcher
-        self._beacons: list[BeaconObservation] = []
+        self._beacons: list[Beacon] = []
         self._triplets: list[Triplet] = []
         self._window_end: Optional[float] = None  # of the last beacon's window
         if self.node.locked_at(t_start):
@@ -327,7 +319,7 @@ class SensorSession:
     def terminal(self) -> bool:
         return self.status != IN_PROGRESS
 
-    def observe_beacon(self, b: BeaconObservation) -> None:
+    def observe_beacon(self, b: Beacon) -> None:
         if self.terminal:
             return
         self._advance(b.t_s)
@@ -347,7 +339,7 @@ class SensorSession:
         self._window_end = b.t_s + self.cfg.n * self.slot_cfg.slot_s
         self._deadline = b.t_s + self.watchdog_s
 
-    def feed(self, beacons: Iterable[BeaconObservation], samples: Samples) -> None:
+    def feed(self, beacons: Iterable[Beacon], samples: Samples) -> None:
         """Drive a whole observation through the session: beacons in (time,
         seq_no) order, each window reading the samples from its beacon up to
         its end or the next beacon, whichever is first (a sample at a
@@ -383,20 +375,21 @@ class SensorSession:
                 self._result(TIMED_OUT, self._deadline, RejectReason("timeout"))
 
     def _close_window(self, upto: float) -> None:
-        # The window of the last beacon reads the samples in [beacon, upto).
-        j, end = len(self._beacons) - 1, self._window_end
+        # The window of the last beacon reads the samples in [beacon, upto),
+        # and a verdict it reaches is stamped at upto.
+        j = len(self._beacons) - 1
         self._window_end = None
         window = self._samples.between(self._beacons[j].t_s, upto)
         try:
             trip = _read_triplet(self._beacons, j, window, self.cfg,
                                  self.slot_cfg.slot_s)
         except ExtractionError as e:
-            self._result(REJECTED, end, e.reason())
+            self._result(REJECTED, upto, e.reason())
             return
         self._triplets.append(trip)
         m = self._matcher = match_step(self._matcher, trip)
         if m.terminal:
-            self._result(m.status, end, m.reason, m.accepted_id)
+            self._result(m.status, upto, m.reason, m.accepted_id)
 
     def _result(self, verdict: str, t: float, reason: Optional[RejectReason] = None,
                 pattern_id: Optional[str] = None) -> None:
@@ -437,7 +430,7 @@ def apply_app_stage(result: AuthResult, message: Optional[str],
     return replace(result, app_ok=True)
 
 
-def authenticate(beacons: Iterable[BeaconObservation], samples: Samples,
+def authenticate(beacons: Iterable[Beacon], samples: Samples,
                  store: Iterable[SecretPattern], cfg: SensorConfig,
                  slot_cfg: Optional[SlotConfig] = None, *,
                  node: Optional[SensorNode] = None, t_start: float = 0.0,

@@ -22,7 +22,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -31,13 +31,13 @@ import numpy as np
 from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, MatcherState,
                    SecretPattern, Triplet, TxPattern, _check_finite,
                    new_matcher, validate_pattern)
-from .emitter import (EmissionTimeline, Mutation, SlotConfig, SlotFitError,
-                      compile_schedule, mutate, random_candidate,
-                      random_pattern, replay_timeline)
+from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
+                      SlotFitError, candidate_from_index, compile_schedule,
+                      mutate, random_candidate, random_pattern)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
-from .sensor import (AuthResult, BeaconObservation, Samples, SensorConfig,
-                     SensorNode, SensorSession, apply_app_stage)
+from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
+                     SensorSession, apply_app_stage)
 
 LIGHT_SPEED_M_S = 3.0e8
 
@@ -68,7 +68,7 @@ class BruteForce:
 class Replay:
     """Self-contained replay attack: the trial first runs a legitimate
     session of pattern_id (teaching the sensor its nonces), then replays the
-    identical timeline; the replayed session is the one scored."""
+    identical timeline; that second session is the one scored."""
 
     pattern_id: str
 
@@ -144,6 +144,10 @@ class ScenarioConfig:
     def pattern(self, pattern_id: str) -> SecretPattern:
         return self._by_id[pattern_id]
 
+    def __getstate__(self) -> dict:
+        # Only the fields travel to a worker; it rebuilds the caches itself.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Every config inconsistency, reported before any trial runs.
@@ -190,6 +194,13 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
     elif isinstance(a, BruteForce):
         if a.n < 1 or a.L < 2:
             problems.append("bruteforce needs n >= 1 and L >= 2")
+        else:
+            # A raw candidate's second interval is always 1 TU, so whether
+            # its burst fits depends on n alone.
+            try:
+                cfg.slot_cfg.check_fit(candidate_from_index(0, a.n, 2, 1, 1))
+            except SlotFitError as e:
+                problems.append(f"bruteforce burst does not fit: {e}")
     for pid in ref_ids:
         if pid not in seen:
             problems.append(f"actor references unknown pattern_id {pid!r}")
@@ -198,6 +209,11 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
             cfg.slot_cfg.check_fit(mutate(cfg.pattern(a.pattern_id), a.mutation))
         except (ValueError, TypeError) as e:
             problems.append(f"mutation does not apply: {e}")
+    if isinstance(a, Proto) and a.tu_b_s > 0 and a.pattern_b in seen:
+        try:
+            replace(cfg.slot_cfg, tu_s=a.tu_b_s).check_fit(cfg.pattern(a.pattern_b))
+        except (ValueError, TypeError) as e:
+            problems.append(f"proto pattern_b does not fit tu_b_s: {e}")
     if isinstance(a, Mitm) and not a.extra_delay_s >= 0:
         problems.append("mitm extra_delay_s must be >= 0")
     return problems
@@ -239,7 +255,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
         if r < chan.noise_floor_dbm:
             continue  # frame lost; its window never opens
         m = int(round(t * f))
-        beacons.append(BeaconObservation(m / f, b.channel, b.seq_no, b.nonce))
+        beacons.append(Beacon(m / f, b.channel, b.seq_no, b.nonce))
         ticks_parts.append(np.arange(m, m + win_ticks, dtype=np.int64))
     if not ticks_parts:
         return beacons, Samples()
@@ -314,7 +330,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
         # The recorded copy goes on air after the original, on a grid tick,
         # to the same sensor node; that second session is the one scored.
         t1 = math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s
-        result = _run_session(cfg, eff, slot, replay_timeline(tl), rng, node, t1, message)
+        result = _run_session(cfg, eff, slot, tl, rng, node, t1, message)
     return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
 
 

@@ -52,7 +52,6 @@ from beaconveil import (
     wilson,
 )
 from beaconveil.core import DEFAULT_BAND
-from beaconveil.sensor import BeaconObservation
 
 from scenario_builders import build_desk
 
@@ -211,8 +210,7 @@ def test_criterion_06():
 def _exact_observation(timeline, n, slot_s, pl_db):
     """Noiseless sensor view at a fixed range: beacons at their true times,
     three in-slot samples per bit."""
-    beacons = [BeaconObservation(b.t_s, b.channel, b.seq_no, b.nonce)
-               for b in timeline.beacons]
+    beacons = list(timeline.beacons)
     ts = [b.t_s + (k + f) * slot_s
           for b in timeline.beacons
           for k in range(n)

@@ -4,10 +4,13 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from beaconveil import build_fig3, dump_scenario, load_scenario
+from beaconveil import build_fig3, build_proto, dump_scenario, load_scenario
 from beaconveil.cli import main
 
 
@@ -189,3 +192,77 @@ class TestInProcessMain:
         rc = main(["run"])  # missing config argument
         assert rc == 1
         assert "usage" in capsys.readouterr().err
+
+
+# --- fuzzed scenario text -----------------------------------------------------
+
+FIXTURE_TEXTS = [dump_scenario(build_fig3(c)) for c in "abcd"] + [dump_scenario(build_proto())]
+
+VALUES = (st.integers(-3, 20).map(str) | st.floats(-10.0, 120.0).map(repr)
+          | st.sampled_from(["", "0.0", "0.05", "nan", "inf", "x", "fig3", "pi2",
+                             "01@1:- 10@2:1", "0.0:5.0 10.0:40.0", "wrong_interval"]))
+IDS = st.sampled_from(["fig3", "pi1", "pi2", "ghost"])
+SMALL = st.integers(-1, 12).map(str)
+
+
+@st.composite
+def actor_sections(draw):
+    kind = draw(st.sampled_from(["legit", "mutant", "bruteforce", "replay",
+                                 "mitm", "proto"]))
+    lines = [f"kind = {kind}"]
+    if kind in ("legit", "mutant", "replay", "mitm"):
+        lines.append(f"pattern_id = {draw(IDS)}")
+    if kind == "mutant":
+        mutation, key = draw(st.sampled_from([("flip_tx_bit", "bit_index"),
+                                              ("wrong_channel", "channel"),
+                                              ("wrong_interval", "interval_tu")]))
+        lines += [f"mutation = {mutation}", f"triplet_index = {draw(SMALL)}",
+                  f"{key} = {draw(SMALL)}"]
+    elif kind == "bruteforce":
+        lines += [f"n = {draw(SMALL)}", f"L = {draw(SMALL)}"]
+    elif kind == "mitm":
+        lines.append(f"extra_delay_s = {draw(VALUES)}")
+    elif kind == "proto":
+        lines += [f"pattern_a = {draw(IDS)}", f"pattern_b = {draw(IDS)}",
+                  f"tu_b_s = {draw(st.sampled_from(['0.25', '0.5', '1.0', '2.0', '4.0']) | VALUES)}"]
+    return lines
+
+
+def with_actor(text, lines):
+    head, _, tail = text.partition("[actor]\n")
+    return head + "[actor]\n" + "\n".join(lines) + "\n\n" + tail.partition("\n\n")[2]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture with one value changed, one line dropped, or its actor
+    swapped for one of another kind."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    lines = text.split("\n")
+    how = draw(st.sampled_from(["value", "drop", "actor"]))
+    if how == "actor":
+        return with_actor(text, draw(actor_sections()))
+    if how == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+        return "\n".join(lines)
+    keyed = [i for i, line in enumerate(lines) if " = " in line]
+    i = draw(st.sampled_from(keyed))
+    lines[i] = lines[i].partition(" = ")[0] + " = " + draw(VALUES)
+    return "\n".join(lines)
+
+
+class TestFuzzedScenarioText:
+    @given(text=mutated_fixtures())
+    @example(text=with_actor(FIXTURE_TEXTS[0], ["kind = bruteforce", "n = 9", "L = 2"]))
+    @example(text=with_actor(FIXTURE_TEXTS[4], ["kind = proto", "pattern_a = pi1",
+                                                "pattern_b = pi2", "tu_b_s = 0.5"]))
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_hold_and_validate_ok_runs(self, text):
+        # 0 ok, 1 user error, never 2; and a file that validates must run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.scn"
+            path.write_text(text, encoding="utf-8")
+            validated = main(["validate", str(path)])
+            ran = main(["run", str(path), "--trials", "2", "--out", str(Path(tmp) / "o")])
+        assert validated in (0, 1) and ran in (0, 1)
+        assert validated == 1 or ran == 0

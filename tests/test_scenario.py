@@ -5,12 +5,16 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from beaconveil import (BruteForce, ConfigError, Legit, Mitm, Mutant, Proto,
-                        Replay, WrongInterval, build_fig3, build_flyover,
-                        build_proto, config_sha256, dump_scenario,
-                        load_scenario, loads_scenario, render_report_json,
+from beaconveil import (DEFAULT_BAND, BandPlan, BruteForce, ConfigError,
+                        FlipTxBit, Legit, Mitm, Mutant, Proto, Replay,
+                        ScenarioConfig, SensorConfig, WrongChannel,
+                        WrongInterval, build_fig3, build_flyover, build_proto,
+                        config_sha256, dump_scenario, load_scenario,
+                        loads_scenario, random_pattern, render_report_json,
                         render_trials_csv, run_scenario, validate_scenario,
                         write_fixtures, write_report)
 from beaconveil.scenario import render_sweep_csv
@@ -69,6 +73,56 @@ class TestRoundTrip:
         cfg = loads_scenario(text)
         assert cfg.sensor_cfg.app_secret == "shh"
         assert cfg.sensor_cfg.watchdog_s == 12.5
+
+
+# Any text at all, plus text drawn more often from the characters the parser
+# treats specially, plus plain ids so that many configs do load back.
+TEXT = (st.text(max_size=6)
+        | st.text(st.characters() | st.sampled_from("=:#;[] \t\n\r"), max_size=6)
+        | st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True))
+SMALL = st.integers(-2, 8)
+
+
+@st.composite
+def configs(draw):
+    """Configs built in Python: every str field drawn from TEXT, up to three
+    store patterns, each actor kind, and the numbers of the band, the run and
+    the actors drawn; the other sections keep their defaults."""
+    ids = draw(st.lists(TEXT, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    store = tuple(random_pattern(rng, 2, 2, DEFAULT_BAND, 4, pattern_id=pid)
+                  for pid in ids)
+    pid = st.sampled_from(ids) | TEXT if ids else TEXT
+    mutation = (st.builds(FlipTxBit, SMALL, SMALL) | st.builds(WrongChannel, SMALL, SMALL)
+                | st.builds(WrongInterval, SMALL, SMALL))
+    delay = st.floats(-5.0, 5.0)
+    actor = draw(st.builds(Legit, pid) | st.builds(Replay, pid)
+                 | st.builds(Mutant, pid, mutation) | st.builds(Mitm, pid, delay)
+                 | st.builds(Proto, pid, pid, delay) | st.builds(BruteForce, SMALL, SMALL))
+    band = draw(st.builds(BandPlan, TEXT, st.integers(1, 20),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(0.1, 50.0)))
+    sensor = SensorConfig(app_secret=draw(st.none() | TEXT))
+    return ScenarioConfig(store=store, actor=actor, band=band, sensor_cfg=sensor,
+                          seed=draw(SMALL), trials=draw(SMALL), max_tu=draw(SMALL))
+
+
+class TestDumpRefusesWhatWouldNotLoadBack:
+    @given(cfg=configs())
+    @example(cfg=dataclasses.replace(
+        build_fig3("a"), sensor_cfg=SensorConfig(app_secret=" pad ")))
+    @example(cfg=dataclasses.replace(
+        build_fig3("a"), sensor_cfg=SensorConfig(app_secret="a\nb")))
+    @example(cfg=dataclasses.replace(build_fig3("a"), store=(
+        dataclasses.replace(build_fig3("a").store[0], pattern_id="a=b"),)))
+    @settings(max_examples=300, deadline=None)
+    def test_dump_raises_or_loads_back_equal(self, cfg):
+        try:
+            text = dump_scenario(cfg)
+        except ValueError as e:
+            assert str(e).startswith("[")  # names the section
+            return
+        assert loads_scenario(text) == cfg
 
 
 class TestConfigErrors:

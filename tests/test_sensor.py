@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, BeaconObservation,
+from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, Beacon,
                         NonceHistory, QuantizationFailure, RejectReason,
                         Samples, SecretPattern, SensorConfig, SensorNode,
                         SensorSession, SlotConfig, Triplet, TxPattern,
@@ -163,8 +163,7 @@ def clean_observation(pattern, slot_cfg, cfg, pl_db=73.0, nonce_prefix="n"):
     """Perfect grid-free observation of a compiled timeline at fixed loss."""
     tl = compile_schedule(pattern, slot_cfg, TxPowerLevels(),
                           nonce_prefix=nonce_prefix, require_valid=False)
-    beacons = [BeaconObservation(b.t_s, b.channel, b.seq_no, b.nonce)
-               for b in tl.beacons]
+    beacons = list(tl.beacons)
     ts = [b.t_s + slot_cfg.slot_s * (k + frac)
           for b in tl.beacons for k in range(cfg.n) for frac in (0.25, 0.5, 0.75)]
     return beacons, Samples(ts, [tl.levels_at(t) - pl_db for t in ts])
@@ -346,20 +345,31 @@ class TestSessions:
         # window is decoded from the samples it already has
         cfg = SensorConfig(f_s=8.0, n=2)
         store = [parse_pattern("01@1:- 10@1:1", "p")]
-        beacons = [BeaconObservation(0.0, 1, 0, "n.0"),
-                   BeaconObservation(0.8, 1, 1, "n.1")]
+        beacons = [Beacon(0.0, 1, 0, "n.0"),
+                   Beacon(0.8, 1, 1, "n.1")]
         t = np.arange(15) * 0.125
         samples = Samples(t, np.where((t < 0.5) | (t >= 1.3), -66.0, -60.0))
         res = run_session(beacons, samples, store, cfg, SlotConfig(slot_s=0.5, tu_s=0.8))
         assert res.verdict == ACCEPTED
         assert res.pattern_id == "p"
 
+    def test_early_close_stamps_the_verdict_at_the_cutting_beacon(self):
+        # beacon 1 at 1.0 s cuts window 0 (nominally up to 1.8 s) before its
+        # third slot; the verdict falls when the window closed, not at 1.8 s
+        beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
+        beacons[1] = dataclasses.replace(beacons[1], t_s=1.0)
+        session = SensorSession(new_matcher([FIG3]), CFG, SlotConfig())
+        session.feed(beacons, samples)
+        res = session.finish()
+        assert res.reason == RejectReason("undecodable", 0)
+        assert res.duration_s == 1.0 and session.terminal_t == 1.0
+
     def test_sample_at_exact_beacon_time_lands_in_window(self):
         # beacons sort ahead of samples at equal timestamps
         cfg = SensorConfig(f_s=2.0, n=2)
         store = [parse_pattern("10@1:- 01@1:1", "p")]
-        beacons = [BeaconObservation(0.0, 1, 0, "n.0"),
-                   BeaconObservation(2.0, 1, 1, "n.1")]
+        beacons = [Beacon(0.0, 1, 0, "n.0"),
+                   Beacon(2.0, 1, 1, "n.1")]
         levels = {0.0: -60.0, 1.0: -66.0, 2.0: -66.0, 3.0: -60.0}
         samples = Samples(list(levels), list(levels.values()))
         res = run_session(beacons, samples, store, cfg,
@@ -435,7 +445,7 @@ class ReferenceSession:
 
     def _beacon(self, b):
         if self.window is not None:
-            self._close()
+            self._close(b.t_s)
             if self.out is not None:
                 return
         if b.nonce in self.seen:
@@ -451,12 +461,13 @@ class ReferenceSession:
             if min(w_end, self.deadline) > t:
                 return
             if w_end <= self.deadline:
-                self._close()
+                self._close(w_end)
             else:
                 self._end(TIMED_OUT, self.deadline, RejectReason("timeout"))
 
-    def _close(self):
-        _, end, pts = self.window
+    def _close(self, end):
+        # end: the window's own end, or the beacon that cut it short
+        pts = self.window[2]
         self.window = None
         read = _reference_read(self.beacons, len(self.beacons) - 1, pts, self.cfg,
                                self.slot_s)
@@ -492,7 +503,7 @@ def feed_case(n, slot_s, tu_s, bits, channels, gaps, t0, jitter, kept, repeat,
     for iv in intervals[1:]:
         emitted.append(emitted[-1] + iv * tu_s)
     nonces = [f"n{j - 1 if j == repeat else j}" for j in range(len(bits))]
-    beacons = [BeaconObservation(e + dj * TICK, c, j, nonce)
+    beacons = [Beacon(e + dj * TICK, c, j, nonce)
                for j, (e, dj, c, nonce, keep)
                in enumerate(zip(emitted, jitter, channels, nonces, kept)) if keep]
     burst = n * slot_s

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import time
 from concurrent.futures import Future
 
@@ -221,6 +222,20 @@ class TestValidation:
         cfg = dataclasses.replace(cfg, slot_cfg=SlotConfig(slot_s=0.6, tu_s=1.0, guard_s=0.2))
         assert any("exceeds min interval" in p for p in validate_scenario(cfg))
 
+    def test_bruteforce_burst_that_does_not_fit(self):
+        # 9 slots of 0.6 s plus the guard overrun fig3's 4 s time unit
+        cfg = dataclasses.replace(build_fig3("a"), actor=BruteForce(9, 2))
+        assert any("bruteforce burst does not fit" in p for p in validate_scenario(cfg))
+        with pytest.raises(ValueError, match="invalid scenario"):
+            run_scenario(cfg)
+        assert validate_scenario(dataclasses.replace(cfg, actor=BruteForce(6, 2))) == []
+
+    def test_proto_pattern_b_that_does_not_fit_tu_b_s(self):
+        cfg = dataclasses.replace(build_proto(), actor=Proto("pi1", "pi2", 0.5))
+        assert any("proto pattern_b does not fit" in p for p in validate_scenario(cfg))
+        with pytest.raises(ValueError, match="invalid scenario"):
+            run_scenario(cfg)
+
     def test_undersampling_flagged(self):
         cfg = build_desk(Legit("desk"), 1, f_s=4.0)
         assert any("undersample" in p for p in validate_scenario(cfg))
@@ -331,6 +346,15 @@ class TestPatternLookup:
         assert verdicts(run_scenario(cfg)) == verdicts(run_scenario(desk))
         with pytest.raises(KeyError):
             cfg.pattern("ghost")
+
+    def test_pickles_only_its_fields(self):
+        # The pickle goes with every worker submit; the lookup, the problems
+        # and the matcher trie a run has grown stay in the process.
+        cfg = build_desk_multi(4)
+        fresh = pickle.dumps(cfg)
+        run_scenario(cfg)
+        assert len(pickle.dumps(cfg)) == len(fresh)
+        assert pickle.loads(fresh) == cfg
 
     def test_first_of_duplicate_ids_wins(self):
         a, b = self._store(1)[0], parse_pattern("10@1:- 01@2:1", "s00000")
