@@ -210,6 +210,14 @@ def _actor_lines(a: Actor) -> list[str]:
     raise TypeError(f"unknown actor {a!r}")
 
 
+def _store_text(store: Sequence[SecretPattern]) -> str:
+    """The [store] lines, once the ids are known to load back."""
+    ids = [_verbatim("store", "pattern_id", p.pattern_id, as_key=True) for p in store]
+    if len(set(ids)) < len(ids) or not ids:
+        raise ValueError("[store] needs at least one pattern and no repeated id")
+    return "\n".join(f"{p.pattern_id} = {render_pattern(p)}" for p in store)
+
+
 def dump_scenario(cfg: ScenarioConfig) -> str:
     """Canonical text form; loads_scenario(dump_scenario(cfg)) == cfg.
 
@@ -217,9 +225,7 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
     would not load back equal: a str that cannot be written verbatim, an
     empty store or a repeated store id.
     """
-    ids = [_verbatim("store", "pattern_id", p.pattern_id, as_key=True) for p in cfg.store]
-    if len(set(ids)) < len(ids) or not ids:
-        raise ValueError("[store] needs at least one pattern and no repeated id")
+    store_text = cfg.store.compiled(_store_text)
     out = []
     out += ["[band]", f"name = {_verbatim('band', 'name', cfg.band.name)}",
             f"channel_count = {cfg.band.channel_count}",
@@ -244,7 +250,7 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
         out.append(f"watchdog_s = {sc.watchdog_s!r}")
     out.append("")
     out.append("[store]")
-    out += [f"{p.pattern_id} = {render_pattern(p)}" for p in cfg.store]
+    out.append(store_text)
     out.append("")
     out += ["[actor]"] + _actor_lines(cfg.actor) + [""]
     way = " ".join(f"{t!r}:{d!r}" for t, d in cfg.trajectory.waypoints)

@@ -24,13 +24,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, MatcherState,
-                   SecretPattern, Triplet, TxPattern, _check_finite,
-                   new_matcher, validate_pattern)
+from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, SecretPattern, Triplet,
+                   TxPattern, _check_finite, new_matcher, validate_pattern)
 from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
                       SlotFitError, candidate_from_index, compile_schedule,
                       mutate, random_candidate, random_pattern)
@@ -113,6 +112,35 @@ def actor_label(actor: Actor) -> str:
     return ADVERSARY if isinstance(actor, (Mutant, BruteForce, Replay, Mitm)) else LEGIT
 
 
+T = TypeVar("T")
+
+
+class _Store(tuple):
+    """A config's credential store: its patterns, plus the forms compiled
+    from them (id index, matcher trie, dump text). Every config that
+    `replace` makes from a config shares its store, so each form is built
+    once. Only the patterns pickle; each process compiles its own forms."""
+
+    def __init__(self, patterns=()):
+        # tuple.__new__ has taken the patterns; this adds the kept forms.
+        self._forms: dict = {}
+
+    def __reduce__(self):
+        return _Store, (tuple(self),)
+
+    def compiled(self, build: Callable[["_Store"], T]) -> T:
+        """build(self), run once per store and kept. A build that raises
+        keeps nothing, so the next call raises again."""
+        if build not in self._forms:
+            self._forms[build] = build(self)
+        return self._forms[build]
+
+
+def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
+    # On a duplicate id the first pattern wins.
+    return {p.pattern_id: p for p in reversed(store)}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     store: tuple[SecretPattern, ...]
@@ -127,22 +155,25 @@ class ScenarioConfig:
     trials: int = 1
     max_tu: int = 16
 
-    @cached_property
-    def _by_id(self) -> dict[str, SecretPattern]:
-        # Built once per config; on a duplicate id the first pattern wins.
-        return {p.pattern_id: p for p in reversed(self.store)}
-
-    @cached_property
-    def _matcher(self) -> MatcherState:
-        # One trie per config, shared by all of its sessions in a process.
-        return new_matcher(self.store)
+    def __post_init__(self) -> None:
+        if not isinstance(self.store, _Store):
+            object.__setattr__(self, "store", _Store(self.store))
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         return tuple(_find_problems(self))
 
+    @cached_property
+    def _effective_sensor(self) -> SensorConfig:
+        # Watchdog default: 8 nominal time units, widened when the protocol
+        # itself allows longer beacon gaps than that.
+        if self.sensor_cfg.watchdog_s is not None:
+            return self.sensor_cfg
+        units = max(8, self.max_tu + 2)
+        return replace(self.sensor_cfg, watchdog_s=units * self.slot_cfg.tu_s)
+
     def pattern(self, pattern_id: str) -> SecretPattern:
-        return self._by_id[pattern_id]
+        return self.store.compiled(_index_by_id)[pattern_id]
 
     def __getstate__(self) -> dict:
         # Only the fields travel to a worker; it rebuilds the caches itself.
@@ -169,6 +200,7 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
     if not cfg.store:
         problems.append("store is empty")
     seen = set()
+    fitting = set()  # bit counts whose burst is known to fit
     for p in cfg.store:
         if p.pattern_id in seen:
             problems.append(f"duplicate pattern_id {p.pattern_id!r} in store")
@@ -177,8 +209,13 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
         if not report.ok:
             problems.append(f"pattern {p.pattern_id!r}: {report}")
             continue
+        # A valid pattern's smallest interval is its second, 1 TU, so
+        # whether its burst fits depends on its bit count alone.
+        if p.bit_count in fitting:
+            continue
         try:
             cfg.slot_cfg.check_fit(p)
+            fitting.add(p.bit_count)
         except SlotFitError as e:
             problems.append(f"pattern {p.pattern_id!r}: {e}")
     if cfg.sensor_cfg.f_s * cfg.slot_cfg.slot_s < 2:
@@ -217,15 +254,6 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
     if isinstance(a, Mitm) and not a.extra_delay_s >= 0:
         problems.append("mitm extra_delay_s must be >= 0")
     return problems
-
-
-def _effective_sensor(cfg: ScenarioConfig) -> SensorConfig:
-    # Watchdog default: 8 nominal time units, widened when the protocol
-    # itself allows longer beacon gaps than that.
-    if cfg.sensor_cfg.watchdog_s is not None:
-        return cfg.sensor_cfg
-    units = max(8, cfg.max_tu + 2)
-    return replace(cfg.sensor_cfg, watchdog_s=units * cfg.slot_cfg.tu_s)
 
 
 def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
@@ -277,7 +305,8 @@ def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
     beacons, samples = observe_emission(
         timeline, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot_cfg, rng,
         t_start=t_start)
-    session = SensorSession(cfg._matcher, eff, slot_cfg, node=node, t_start=t_start)
+    session = SensorSession(cfg.store.compiled(new_matcher), eff, slot_cfg,
+                            node=node, t_start=t_start)
     session.feed(beacons, samples)
     result = session.finish()
     if result.verdict == ACCEPTED and eff.app_secret is not None:
@@ -299,7 +328,7 @@ class TrialResult:
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     """One fully deterministic trial; randomness from (seed, trial_index)."""
     rng = np.random.default_rng([cfg.seed, trial_index])
-    eff = _effective_sensor(cfg)
+    eff = cfg._effective_sensor
     node = SensorNode(eff.lockout_s)
     a = cfg.actor
     slot = cfg.slot_cfg

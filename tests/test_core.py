@@ -7,10 +7,10 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from beaconveil import (DEFAULT_BAND, ACCEPTED, IN_PROGRESS, REJECTED,
+from beaconveil import (DEFAULT_BAND, MAX_BITS, ACCEPTED, IN_PROGRESS, REJECTED,
                         BandPlan, MatcherError, PatternError, RejectReason,
-                        SecretPattern, Triplet, TxPattern,
-                        candidate_from_index, ensure_valid, match_step,
+                        SecretPattern, Triplet, TxPattern, ValidationReport,
+                        Violation, candidate_from_index, ensure_valid, match_step,
                         new_matcher, parse_pattern,
                         parse_pattern_file, pattern_space_size,
                         render_pattern, validate_pattern)
@@ -102,6 +102,70 @@ class TestValidation:
         p = make("p", ("01" * 33, 1, None), ("10" * 33, 1, 1))
         codes = {v.code for v in validate_pattern(p).violations}
         assert "bad-bit-length" in codes
+
+
+def _reference_report(p, band, max_tu):
+    """validate_pattern as the full listing of every violation, in order."""
+    out = []
+    if p.length < 2:
+        out.append(Violation("bad-length", f"pattern length L < 2 (got {p.length})"))
+    else:
+        n = len(p.triplets[0].tx_pattern)
+        for i, t in enumerate(p.triplets):
+            bits = t.tx_pattern.bits
+            if len(bits) != n:
+                out.append(Violation("mixed-n", f"triplet {i} has {len(bits)} bits, expected {n}"))
+            if not 2 <= len(bits) <= MAX_BITS:
+                out.append(Violation("bad-bit-length", f"triplet {i} bit count {len(bits)} outside [2, {MAX_BITS}]"))
+            elif len(set(bits)) == 1:
+                out.append(Violation("all-equal-bits", f"triplet {i} tx_pattern {bits} has no transition"))
+            if i == 0:
+                if t.interval_tu is not None:
+                    out.append(Violation("bad-first-interval", "triplet 0 must carry no interval"))
+            elif t.interval_tu is None:
+                out.append(Violation("missing-interval", f"triplet {i} must carry an interval"))
+            elif i == 1 and t.interval_tu != 1:
+                out.append(Violation("bad-second-interval", f"second interval must be 1 TU, got {t.interval_tu}"))
+    for i, t in enumerate(p.triplets):
+        if not 1 <= t.channel <= band.channel_count:
+            out.append(Violation("channel-out-of-band",
+                                 f"triplet {i} channel {t.channel} outside 1..{band.channel_count}"))
+        if t.interval_tu is not None and not 1 <= t.interval_tu <= max_tu:
+            out.append(Violation("interval-out-of-range",
+                                 f"triplet {i} interval {t.interval_tu} outside 1..{max_tu}"))
+    return ValidationReport(tuple(out))
+
+
+@st.composite
+def near_valid_patterns(draw):
+    """(pattern, band, max_tu): a valid pattern of length 0-5 with up to two
+    fields redrawn from a wider range, so single violations are common.
+    The choices are uniform: Hypothesis's own integers lean to small values
+    and would seldom redraw a late interval to just past max_tu."""
+    rnd = draw(st.randoms(use_true_random=False))
+    channels, max_tu, n = rnd.randint(1, 4), rnd.randint(1, 4), rnd.randint(2, 3)
+    mixed = [b for b in ("01", "10", "001", "010", "011", "100", "101", "110")
+             if len(b) == n]
+    rows = []
+    for i in range(rnd.randint(0, 5)):
+        iv = None if i == 0 else 1 if i == 1 else rnd.randint(1, max_tu)
+        rows.append([rnd.choice(mixed), rnd.randint(1, channels), iv])
+    wide = (lambda: "".join(rnd.choice("01") for _ in range(rnd.randint(1, 3))),
+            lambda: rnd.randint(0, channels + 1),
+            lambda: rnd.choice([None, *range(max_tu + 2)]))
+    for _ in range(rnd.choice([0, 1, 1, 2]) if rows else 0):
+        field = rnd.randrange(3)
+        rows[rnd.randrange(len(rows))][field] = wide[field]()
+    p = SecretPattern("p", tuple(Triplet(tp(b), c, iv) for b, c, iv in rows))
+    return p, BandPlan("b", channels, 2412.0, 5.0), max_tu
+
+
+class TestOnePassValidation:
+    @given(case=near_valid_patterns())
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_the_full_listing(self, case):
+        p, band, max_tu = case
+        assert validate_pattern(p, band, max_tu) == _reference_report(p, band, max_tu)
 
 
 class TestSpaceSize:

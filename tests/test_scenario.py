@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +185,35 @@ class TestDigest:
         cfg = build_fig3("a")
         assert config_sha256(cfg) != config_sha256(dataclasses.replace(cfg, seed=8))
         assert config_sha256(cfg) != config_sha256(dataclasses.replace(cfg, trials=2))
+
+
+def _bench_workloads():
+    # The benchmark's scenario generator; it uses the standard library only.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompiledStoreText:
+    def test_bad_store_raises_on_every_dump(self):
+        cfg = build_fig3("a")
+        p = cfg.store[0]
+        for store in ((p, p), (dataclasses.replace(p, pattern_id="a=b"),)):
+            bad = dataclasses.replace(cfg, store=store)
+            for _ in range(2):
+                with pytest.raises(ValueError, match=r"^\[store\]"):
+                    dump_scenario(bad)
+
+    def test_store_10k_digest_is_unchanged(self):
+        # Keeping the store text per store must not move a digest; this is
+        # the value a fresh dump of the whole scenario gives.
+        cfg = loads_scenario(_bench_workloads().store_10k_text(7, 40))
+        expected = "d5e865fe97c38b430dac0cc28262b8cee4411fdac2fe19bec5c0b5cd345473cc"
+        assert config_sha256(cfg) == expected
+        assert config_sha256(dataclasses.replace(cfg, seed=8)) != expected
+        assert config_sha256(cfg) == expected
 
 
 class TestReports:

@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 import beaconveil.sim
 from beaconveil import (ACCEPTED, REJECTED, BandPlan, BruteForce, ChannelParams,
                         FlipTxBit, Legit, Mitm, Mutant, Proto, Replay,
-                        SecretPattern, SensorConfig, SlotConfig, Trajectory,
-                        Triplet, TxPattern, TxPowerLevels, WrongChannel,
-                        WrongInterval, authenticate, build_fig3,
+                        SecretPattern, SensorConfig, SlotConfig, SlotFitError,
+                        Trajectory, Triplet, TxPattern, TxPowerLevels,
+                        WrongChannel, WrongInterval, authenticate, build_fig3,
                         build_flyover, build_proto, compile_schedule,
-                        compute_metrics, eavesdrop, extract_triplets,
-                        monte_carlo, observe_emission, parse_pattern,
+                        compute_metrics, dump_scenario, eavesdrop,
+                        extract_triplets, monte_carlo, new_matcher,
+                        observe_emission, parse_pattern,
                         run_scenario, run_trial, sweep, validate_scenario,
                         wilson)
 
@@ -222,6 +223,21 @@ class TestValidation:
         cfg = dataclasses.replace(cfg, slot_cfg=SlotConfig(slot_s=0.6, tu_s=1.0, guard_s=0.2))
         assert any("exceeds min interval" in p for p in validate_scenario(cfg))
 
+    def test_every_pattern_that_does_not_fit_is_named(self):
+        # 3 slots of 0.4 s plus the guard overrun the 1 s time unit; 2 do not.
+        slot = SlotConfig(slot_s=0.4, tu_s=1.0, guard_s=0.05)
+        desk = build_desk(Legit("desk"), 1)
+        store = desk.store + tuple(parse_pattern(text, pid) for pid, text in (
+            ("a3", "011@1:- 101@2:1 110@1:2"), ("b2", "10@2:- 01@1:1"),
+            ("c3", "001@2:- 100@1:1")))
+        cfg = dataclasses.replace(desk, store=store, slot_cfg=slot)
+        expected = []
+        for p in store[1::2]:
+            with pytest.raises(SlotFitError) as e:
+                slot.check_fit(p)
+            expected.append(f"pattern {p.pattern_id!r}: {e.value}")
+        assert validate_scenario(cfg) == expected
+
     def test_bruteforce_burst_that_does_not_fit(self):
         # 9 slots of 0.6 s plus the guard overrun fig3's 4 s time unit
         cfg = dataclasses.replace(build_fig3("a"), actor=BruteForce(9, 2))
@@ -360,6 +376,45 @@ class TestPatternLookup:
         a, b = self._store(1)[0], parse_pattern("10@1:- 01@2:1", "s00000")
         cfg = dataclasses.replace(build_desk(Legit("desk"), 1), store=(a, b))
         assert cfg.pattern("s00000") is a
+
+
+class TestCompiledStore:
+    def test_replace_shares_the_compiled_store(self):
+        cfg = build_desk_multi(4)
+        run_scenario(cfg)
+        root = cfg.store.compiled(new_matcher)
+        index = cfg.store.compiled(beaconveil.sim._index_by_id)
+        again = dataclasses.replace(cfg, seed=1)
+        assert again.store.compiled(new_matcher) is root
+        assert again.store.compiled(beaconveil.sim._index_by_id) is index
+        other = dataclasses.replace(cfg, store=tuple(cfg.store))
+        assert other.store == cfg.store
+        assert other.store.compiled(new_matcher) is not root
+        assert other.store.compiled(beaconveil.sim._index_by_id) is not index
+        assert verdicts(run_scenario(other)) == verdicts(run_scenario(cfg))
+
+    def test_pickles_only_its_fields_after_a_dump(self):
+        cfg = build_desk_multi(4)
+        fresh = pickle.dumps(cfg)
+        dump_scenario(cfg)
+        run_scenario(cfg)
+        assert len(pickle.dumps(cfg)) == len(fresh)
+        back = pickle.loads(fresh)
+        assert back == cfg and type(back.store) is type(cfg.store)
+        # The copy compiles its own forms.
+        assert back.store.compiled(new_matcher) is not cfg.store.compiled(new_matcher)
+        assert dump_scenario(back) == dump_scenario(cfg)
+
+    def test_effective_sensor_once_per_config(self):
+        cfg = build_desk(Legit("desk"), 1)
+        eff = cfg._effective_sensor
+        assert eff is cfg._effective_sensor
+        assert eff.watchdog_s == max(8, cfg.max_tu + 2) * cfg.slot_cfg.tu_s
+        wide = dataclasses.replace(cfg, max_tu=20)
+        assert wide._effective_sensor.watchdog_s == 22 * cfg.slot_cfg.tu_s
+        fixed = dataclasses.replace(
+            cfg, sensor_cfg=dataclasses.replace(cfg.sensor_cfg, watchdog_s=3.0))
+        assert fixed._effective_sensor is fixed.sensor_cfg
 
 
 class TestSweep:
