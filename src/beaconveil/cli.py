@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import pattern_space_size
@@ -79,19 +80,20 @@ def _resolve_seed(cfg_seed: int, flag_seed) -> int:
     return cfg_seed
 
 
-def _load_for_run(args):
-    from dataclasses import replace
+def _print_problems(cfg) -> bool:
+    """Print each of cfg's validation problems to stderr; True if any."""
+    problems = validate_scenario(cfg)
+    for msg in problems:
+        print(f"error: {msg}", file=sys.stderr)
+    return bool(problems)
 
+
+def _load_for_run(args):
     cfg = load_scenario(args.config)
     cfg = replace(cfg, seed=_resolve_seed(cfg.seed, args.seed))
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
-    problems = validate_scenario(cfg)
-    if problems:
-        for msg in problems:
-            print(f"error: {msg}", file=sys.stderr)
-        return None
-    return cfg
+    return None if _print_problems(cfg) else cfg
 
 
 def _fmt_rate(x) -> str:
@@ -100,11 +102,7 @@ def _fmt_rate(x) -> str:
 
 def _dispatch(args) -> int:
     if args.command == "validate":
-        cfg = load_scenario(args.config)
-        problems = validate_scenario(cfg)
-        if problems:
-            for msg in problems:
-                print(f"error: {msg}", file=sys.stderr)
+        if _print_problems(load_scenario(args.config)):
             return 1
         print("ok")
         return 0

@@ -385,7 +385,7 @@ def _parse_triplet(token: str, position: int, first: bool) -> Triplet:
         raise PatternError(f"triplet {position}: expected BITS@CHANNEL:INTERVAL, got {token!r}")
     if not bits_text or any(c not in "01" for c in bits_text):
         raise PatternError(f"triplet {position}: bits must be a 0/1 string, got {bits_text!r}")
-    if not channel_text.isdigit() or int(channel_text) < 1:
+    if not channel_text.isdecimal() or int(channel_text) < 1:
         raise PatternError(f"triplet {position}: channel must be a positive integer, got {channel_text!r}")
     if interval_text == "-":
         if not first:
@@ -394,7 +394,7 @@ def _parse_triplet(token: str, position: int, first: bool) -> Triplet:
     else:
         if first:
             raise PatternError("triplet 0: first triplet must use '-' for its interval")
-        if not interval_text.isdigit() or int(interval_text) < 1:
+        if not interval_text.isdecimal() or int(interval_text) < 1:
             raise PatternError(f"triplet {position}: interval must be a positive integer or '-', got {interval_text!r}")
         interval = int(interval_text)
     return Triplet(TxPattern(bits_text), int(channel_text), interval)

@@ -1,10 +1,14 @@
 """Scenario files, canonical fixtures, and report serialization.
 
 A scenario is an INI file with sections [band] [channel] [tx] [slots]
-[sensor] [store] [actor] [trajectory] [run]; keys match the config dataclass
-fields, store entries are `id = pattern` lines in the pattern grammar, and
-waypoints are `t:d` pairs. Loading is strict about unknown keys so typos
-fail loudly instead of silently falling back to defaults.
+[sensor] [store] [actor] [trajectory] [run]. The keys of a section are the
+fields of the config class it holds, read with the field's type and
+defaulting to the dataclass's default; [run] holds ScenarioConfig's int
+fields. [actor] names its class with `kind`, a mutant its mutation with
+`mutation`, each followed by that class's fields. Store entries are
+`id = pattern` lines in the pattern grammar, and waypoints are `t:d` pairs.
+An unknown section or key is refused, so a typo fails loudly instead of
+silently falling back to a default.
 
 Reports are written as report.json (config digest, metrics, one record per
 trial) plus trials.csv for external plotting. Identical configs produce
@@ -19,21 +23,43 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import Field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .core import (DEFAULT_BAND, BandPlan, PatternError, SecretPattern,
-                   parse_pattern, render_pattern)
+from .core import PatternError, SecretPattern, parse_pattern, render_pattern
 from .emitter import FlipTxBit, SlotConfig, WrongChannel, WrongInterval
-from .radio import ChannelParams, Trajectory, TxPowerLevels
+from .radio import ChannelParams, Trajectory
 from .sensor import SensorConfig
-from .sim import (Actor, BruteForce, Legit, Metrics, Mitm, Mutant, Proto,
-                  Replay, RunReport, ScenarioConfig)
+from .sim import (_ACTOR_KIND, Legit, Metrics, Mutant, Proto, RunReport,
+                  ScenarioConfig)
 
 
 class ConfigError(ValueError):
     """A scenario file could not be parsed into a valid configuration."""
+
+
+# Sections holding one config object each: the keys are its fields.
+_SECTIONS = {"band": "band", "channel": "channel", "tx": "tx_levels",
+             "slots": "slot_cfg", "sensor": "sensor_cfg"}
+_FIELD = {f.name: f for f in fields(ScenarioConfig)}
+# [actor] holds the actor; [run] holds the config's own int fields.
+_ACTOR = [_FIELD["actor"]]
+_RUN = [f for f in _FIELD.values() if f.type == "int"]
+# A field of a union type is written `tag = <name>`, followed by the
+# fields of the class that name picks.
+_TAGGED = {
+    "Actor": ("kind", _ACTOR_KIND),
+    "Mutation": ("mutation", {FlipTxBit: "flip_tx_bit", WrongChannel: "wrong_channel",
+                              WrongInterval: "wrong_interval"}),
+}
+
+
+def _parser(f: Field) -> Callable:
+    # Annotations are strings (postponed evaluation); Optional[X] reads as X.
+    return {"int": int, "float": float, "str": str}[
+        f.type.removeprefix("Optional[").removesuffix("]")]
 
 
 def _conv(section: str, key: str, text: str, kind: Callable):
@@ -48,18 +74,6 @@ def _conv(section: str, key: str, text: str, kind: Callable):
     return value
 
 
-def _section_kwargs(cp: configparser.ConfigParser, section: str,
-                    fields: dict[str, Callable]) -> dict:
-    # Missing keys fall back to the dataclass defaults; unknown keys fail.
-    out = {}
-    if section in cp:
-        for key, text in cp[section].items():
-            if key not in fields:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-            out[key] = _conv(section, key, text, fields[key])
-    return out
-
-
 def _make(section: str, ctor: Callable, kwargs: dict):
     try:
         return ctor(**kwargs)
@@ -67,43 +81,33 @@ def _make(section: str, ctor: Callable, kwargs: dict):
         raise ConfigError(f"[{section}] {e}") from None
 
 
-def _req(sec: configparser.SectionProxy, key: str, section: str = "actor") -> str:
-    if key not in sec:
-        raise ConfigError(f"[{section}] missing key {key!r}")
-    return sec[key]
+def _read(section: str, fs: Sequence[Field], sec: Mapping[str, str],
+          used: set[str], required: bool) -> dict:
+    """Keyword arguments for the fields fs from the keys of sec named after
+    them; the keys read are added to used."""
+    out = {}
+    for f in fs:
+        if f.type in _TAGGED:
+            tag, names = _TAGGED[f.type]
+            if tag not in sec:
+                raise ConfigError(f"[{section}] missing key {tag!r}")
+            used.add(tag)
+            cls = next((c for c, name in names.items() if name == sec[tag]), None)
+            if cls is None:
+                raise ConfigError(f"[{section}] unknown {tag} {sec[tag]!r}")
+            out[f.name] = _make(section, cls, _read(section, fields(cls), sec, used, True))
+        elif f.name in sec:
+            used.add(f.name)
+            out[f.name] = _conv(section, f.name, sec[f.name], _parser(f))
+        elif required:
+            raise ConfigError(f"[{section}] missing key {f.name!r}")
+    return out
 
 
-def _parse_actor(cp: configparser.ConfigParser) -> Actor:
-    if "actor" not in cp:
-        raise ConfigError("missing [actor] section")
-    sec = cp["actor"]
-    kind = _req(sec, "kind")
-    if kind == "legit":
-        return Legit(_req(sec, "pattern_id"))
-    if kind == "mutant":
-        ti = _conv("actor", "triplet_index", _req(sec, "triplet_index"), int)
-        mname = _req(sec, "mutation")
-        if mname == "flip_tx_bit":
-            mut = FlipTxBit(ti, _conv("actor", "bit_index", _req(sec, "bit_index"), int))
-        elif mname == "wrong_channel":
-            mut = WrongChannel(ti, _conv("actor", "channel", _req(sec, "channel"), int))
-        elif mname == "wrong_interval":
-            mut = WrongInterval(ti, _conv("actor", "interval_tu", _req(sec, "interval_tu"), int))
-        else:
-            raise ConfigError(f"[actor] unknown mutation {mname!r}")
-        return Mutant(_req(sec, "pattern_id"), mut)
-    if kind == "bruteforce":
-        return BruteForce(_conv("actor", "n", _req(sec, "n"), int),
-                          _conv("actor", "L", _req(sec, "L"), int))
-    if kind == "replay":
-        return Replay(_req(sec, "pattern_id"))
-    if kind == "mitm":
-        return Mitm(_req(sec, "pattern_id"),
-                    _conv("actor", "extra_delay_s", _req(sec, "extra_delay_s"), float))
-    if kind == "proto":
-        return Proto(_req(sec, "pattern_a"), _req(sec, "pattern_b"),
-                     _conv("actor", "tu_b_s", _req(sec, "tu_b_s"), float))
-    raise ConfigError(f"[actor] unknown kind {kind!r}")
+def _refuse_unknown(section: str, sec: Mapping[str, str], used) -> None:
+    for key in sec:
+        if key not in used:
+            raise ConfigError(f"[{section}] unknown key {key!r}")
 
 
 def _parse_waypoints(text: str) -> Trajectory:
@@ -126,21 +130,23 @@ def loads_scenario(text: str) -> ScenarioConfig:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"bad scenario syntax: {e}") from None
+    if cp.defaults():  # its keys would be read as keys of every section
+        raise ConfigError(f"unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section not in (*_SECTIONS, "store", "actor", "trajectory", "run"):
+            raise ConfigError(f"unknown section [{section}]")
 
-    band = _make("band", lambda **kw: replace(DEFAULT_BAND, **kw), _section_kwargs(
-        cp, "band", {"name": str, "channel_count": int,
-                     "base_freq": float, "spacing": float}))
-    channel = _make("channel", ChannelParams, _section_kwargs(
-        cp, "channel", {"pl0_db": float, "d0": float, "gamma": float,
-                        "sigma_db": float, "noise_floor_dbm": float}))
-    tx = _make("tx", TxPowerLevels, _section_kwargs(
-        cp, "tx", {"high_dbm": float, "low_dbm": float}))
-    slots = _make("slots", SlotConfig, _section_kwargs(
-        cp, "slots", {"slot_s": float, "tu_s": float, "guard_s": float}))
-    sensor = _make("sensor", SensorConfig, _section_kwargs(
-        cp, "sensor", {"f_s": float, "n": int, "eps_tu": float, "delta_db": float,
-                       "rtt_limit_s": float, "lockout_s": float,
-                       "app_secret": str, "watchdog_s": float}))
+    def keys(section: str, fs: Sequence[Field]) -> dict:
+        sec = cp[section] if section in cp else {}
+        used: set[str] = set()
+        out = _read(section, fs, sec, used, required=False)
+        _refuse_unknown(section, sec, used)
+        return out
+
+    kwargs = {}
+    for section, name in _SECTIONS.items():
+        base = _FIELD[name].default
+        kwargs[name] = _make(section, partial(replace, base), keys(section, fields(base)))
     if "store" not in cp or not list(cp["store"]):
         raise ConfigError("missing or empty [store] section")
     store = []
@@ -149,17 +155,15 @@ def loads_scenario(text: str) -> ScenarioConfig:
             store.append(parse_pattern(ptext, pattern_id=pid))
         except PatternError as e:
             raise ConfigError(f"[store] {pid}: {e}") from None
-    actor = _parse_actor(cp)
-    if "trajectory" in cp and "waypoints" in cp["trajectory"]:
-        traj = _parse_waypoints(cp["trajectory"]["waypoints"])
-    else:
-        traj = Trajectory(((0.0, 5.0),))
-    run = _section_kwargs(cp, "run", {"seed": int, "trials": int, "max_tu": int})
-    return ScenarioConfig(store=tuple(store), actor=actor, band=band,
-                          channel=channel, tx_levels=tx, slot_cfg=slots,
-                          sensor_cfg=sensor, trajectory=traj,
-                          seed=run.get("seed", 0), trials=run.get("trials", 1),
-                          max_tu=run.get("max_tu", 16))
+    if "actor" not in cp:
+        raise ConfigError("missing [actor] section")
+    kwargs.update(keys("actor", _ACTOR))
+    if "trajectory" in cp:
+        _refuse_unknown("trajectory", cp["trajectory"], {"waypoints"})
+        if "waypoints" in cp["trajectory"]:
+            kwargs["trajectory"] = _parse_waypoints(cp["trajectory"]["waypoints"])
+    kwargs.update(keys("run", _RUN))
+    return ScenarioConfig(store=tuple(store), **kwargs)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -177,37 +181,22 @@ def _verbatim(section: str, key: str, text: str, as_key: bool = False) -> str:
     return text
 
 
-def _actor_lines(a: Actor) -> list[str]:
-    for key in ("pattern_id", "pattern_a", "pattern_b"):
-        if hasattr(a, key):
-            _verbatim("actor", key, getattr(a, key))
-    if isinstance(a, Legit):
-        return ["kind = legit", f"pattern_id = {a.pattern_id}"]
-    if isinstance(a, Mutant):
-        m = a.mutation
-        lines = ["kind = mutant", f"pattern_id = {a.pattern_id}",
-                 f"triplet_index = {m.triplet_index}"]
-        if isinstance(m, FlipTxBit):
-            lines[2:2] = ["mutation = flip_tx_bit"]
-            lines.append(f"bit_index = {m.bit_index}")
-        elif isinstance(m, WrongChannel):
-            lines[2:2] = ["mutation = wrong_channel"]
-            lines.append(f"channel = {m.channel}")
-        else:
-            lines[2:2] = ["mutation = wrong_interval"]
-            lines.append(f"interval_tu = {m.interval_tu}")
-        return lines
-    if isinstance(a, BruteForce):
-        return ["kind = bruteforce", f"n = {a.n}", f"L = {a.L}"]
-    if isinstance(a, Replay):
-        return ["kind = replay", f"pattern_id = {a.pattern_id}"]
-    if isinstance(a, Mitm):
-        return ["kind = mitm", f"pattern_id = {a.pattern_id}",
-                f"extra_delay_s = {a.extra_delay_s!r}"]
-    if isinstance(a, Proto):
-        return ["kind = proto", f"pattern_a = {a.pattern_a}",
-                f"pattern_b = {a.pattern_b}", f"tu_b_s = {a.tu_b_s!r}"]
-    raise TypeError(f"unknown actor {a!r}")
+def _lines(section: str, obj, fs: Sequence[Field]) -> list[str]:
+    """`key = value` for each field of fs in order, None skipped."""
+    out = []
+    for f in fs:
+        value = getattr(obj, f.name)
+        if f.type in _TAGGED:
+            tag, names = _TAGGED[f.type]
+            if type(value) not in names:
+                raise TypeError(f"unknown {tag} {value!r}")
+            out += [f"{tag} = {names[type(value)]}", *_lines(section, value, fields(value))]
+        elif value is not None:
+            parser = _parser(f)
+            text = (_verbatim(section, f.name, value) if parser is str
+                    else repr(value) if parser is float else str(value))
+            out.append(f"{f.name} = {text}")
+    return out
 
 
 def _store_text(store: Sequence[SecretPattern]) -> str:
@@ -227,36 +216,14 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
     """
     store_text = cfg.store.compiled(_store_text)
     out = []
-    out += ["[band]", f"name = {_verbatim('band', 'name', cfg.band.name)}",
-            f"channel_count = {cfg.band.channel_count}",
-            f"base_freq = {cfg.band.base_freq!r}",
-            f"spacing = {cfg.band.spacing!r}", ""]
-    c = cfg.channel
-    out += ["[channel]", f"pl0_db = {c.pl0_db!r}", f"d0 = {c.d0!r}",
-            f"gamma = {c.gamma!r}", f"sigma_db = {c.sigma_db!r}",
-            f"noise_floor_dbm = {c.noise_floor_dbm!r}", ""]
-    out += ["[tx]", f"high_dbm = {cfg.tx_levels.high_dbm!r}",
-            f"low_dbm = {cfg.tx_levels.low_dbm!r}", ""]
-    s = cfg.slot_cfg
-    out += ["[slots]", f"slot_s = {s.slot_s!r}", f"tu_s = {s.tu_s!r}",
-            f"guard_s = {s.guard_s!r}", ""]
-    sc = cfg.sensor_cfg
-    out += ["[sensor]", f"f_s = {sc.f_s!r}", f"n = {sc.n}",
-            f"eps_tu = {sc.eps_tu!r}", f"delta_db = {sc.delta_db!r}",
-            f"rtt_limit_s = {sc.rtt_limit_s!r}", f"lockout_s = {sc.lockout_s!r}"]
-    if sc.app_secret is not None:
-        out.append(f"app_secret = {_verbatim('sensor', 'app_secret', sc.app_secret)}")
-    if sc.watchdog_s is not None:
-        out.append(f"watchdog_s = {sc.watchdog_s!r}")
-    out.append("")
-    out.append("[store]")
-    out.append(store_text)
-    out.append("")
-    out += ["[actor]"] + _actor_lines(cfg.actor) + [""]
+    for section, name in _SECTIONS.items():
+        obj = getattr(cfg, name)
+        out += [f"[{section}]", *_lines(section, obj, fields(obj)), ""]
     way = " ".join(f"{t!r}:{d!r}" for t, d in cfg.trajectory.waypoints)
-    out += ["[trajectory]", f"waypoints = {way}", ""]
-    out += ["[run]", f"seed = {cfg.seed}", f"trials = {cfg.trials}",
-            f"max_tu = {cfg.max_tu}", ""]
+    out += ["[store]", store_text, "",
+            "[actor]", *_lines("actor", cfg, _ACTOR), "",
+            "[trajectory]", f"waypoints = {way}", "",
+            "[run]", *_lines("run", cfg, _RUN), ""]
     return "\n".join(out)
 
 

@@ -83,6 +83,23 @@ class TestExitCodes:
         assert "not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("[sensor]", "[sensr]"),
+        ("waypoints = ", "waypionts = "),
+        ("pattern_id = fig3", "pattern_id = fig3\nbogus = 1"),
+        ("bit_index = 0", "bit_index = 0\nchannel = 3"),
+        ("fig3 = 010@1:-", "fig3 = 010@²:-"),
+        ("101@11:2", "101@11:³"),
+    ], ids=["section", "trajectory-key", "actor-key", "mutation-key",
+            "superscript-channel", "superscript-interval"])
+    def test_refused_name_or_pattern_is_user_error(self, tmp_path, capsys, old, new):
+        text = dump_scenario(build_fig3("b"))
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unwritable_out_is_runtime_error(self, fig3a, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -235,30 +252,54 @@ def with_actor(text, lines):
 
 @st.composite
 def mutated_fixtures(draw):
-    """A fixture with one value changed, one line dropped, or its actor
-    swapped for one of another kind."""
+    """A fixture with one value changed, one line or one section dropped,
+    its actor swapped for one of another kind, or one section or key name
+    misspelled; returns the text and which of these it is."""
     text = draw(st.sampled_from(FIXTURE_TEXTS))
     lines = text.split("\n")
-    how = draw(st.sampled_from(["value", "drop", "actor"]))
+    how = draw(st.sampled_from(["value", "drop", "actor", "section", "misspell"]))
     if how == "actor":
-        return with_actor(text, draw(actor_sections()))
+        return with_actor(text, draw(actor_sections())), how
     if how == "drop":
         del lines[draw(st.integers(0, len(lines) - 1))]
-        return "\n".join(lines)
+        return "\n".join(lines), how
+    if how == "section":
+        sections = text.split("\n\n")
+        del sections[draw(st.integers(0, len(sections) - 1))]
+        return "\n\n".join(sections), how
+    if how == "misspell":
+        # A doubled letter spells no other name. Store ids are the file's
+        # own names, so they keep their spelling.
+        named, section = [], None
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line
+                named.append(i)
+            elif " = " in line and section != "[store]":
+                named.append(i)
+        line = lines[i := draw(st.sampled_from(named))]
+        lo, hi = (1, len(line) - 2) if line.startswith("[") else (0, line.index(" = ") - 1)
+        k = draw(st.integers(lo, hi))
+        lines[i] = line[:k] + line[k] + line[k:]
+        return "\n".join(lines), how
     keyed = [i for i, line in enumerate(lines) if " = " in line]
     i = draw(st.sampled_from(keyed))
     lines[i] = lines[i].partition(" = ")[0] + " = " + draw(VALUES)
-    return "\n".join(lines)
+    return "\n".join(lines), how
 
 
 class TestFuzzedScenarioText:
-    @given(text=mutated_fixtures())
-    @example(text=with_actor(FIXTURE_TEXTS[0], ["kind = bruteforce", "n = 9", "L = 2"]))
-    @example(text=with_actor(FIXTURE_TEXTS[4], ["kind = proto", "pattern_a = pi1",
-                                                "pattern_b = pi2", "tu_b_s = 0.5"]))
+    @given(case=mutated_fixtures())
+    @example(case=(with_actor(FIXTURE_TEXTS[0], ["kind = bruteforce", "n = 9", "L = 2"]),
+                   "actor"))
+    @example(case=(with_actor(FIXTURE_TEXTS[4], ["kind = proto", "pattern_a = pi1",
+                                                 "pattern_b = pi2", "tu_b_s = 0.5"]),
+                   "actor"))
     @settings(max_examples=150, deadline=None)
-    def test_exit_codes_hold_and_validate_ok_runs(self, text):
-        # 0 ok, 1 user error, never 2; and a file that validates must run
+    def test_exit_codes_hold_and_validate_ok_runs(self, case):
+        # 0 ok, 1 user error, never 2; a file that validates must run; and
+        # a misspelled name is refused
+        text, how = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.scn"
             path.write_text(text, encoding="utf-8")
@@ -266,3 +307,4 @@ class TestFuzzedScenarioText:
             ran = main(["run", str(path), "--trials", "2", "--out", str(Path(tmp) / "o")])
         assert validated in (0, 1) and ran in (0, 1)
         assert validated == 1 or ran == 0
+        assert how != "misspell" or validated == 1

@@ -446,7 +446,9 @@ class TestGrammar:
             parse_pattern("01@1:- 10@1:-", "x")
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "01@1", "01:1", "01@x:-", "01@1:- 10@1:zz"):
+        # A superscript digit passes str.isdigit() but not int().
+        for bad in ("", "01@1", "01:1", "01@x:-", "01@1:- 10@1:zz",
+                    "01@²:- 10@2:1", "01@1:- 10@2:³"):
             with pytest.raises(PatternError):
                 parse_pattern(bad, "x")
 

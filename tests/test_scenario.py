@@ -136,9 +136,24 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="actor"):
             loads_scenario("[store]\np = 01@1:- 10@2:1\n")
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            loads_scenario(MINIMAL + "\n[run]\nspeed = 9\n")
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(MINIMAL + "\n[run]\nspeed = 9\n", "[run] unknown key 'speed'",
+                     id="run-speed"),
+        pytest.param(MINIMAL + "\n[sensr]\nf_s = 9.0\n", "unknown section [sensr]",
+                     id="section-sensr"),
+        pytest.param("[DEFAULT]\nseed = 5\n" + MINIMAL, "unknown section [DEFAULT]",
+                     id="section-DEFAULT"),
+        pytest.param(MINIMAL + "\n[trajectory]\nwaypionts = 0.0:5.0\n",
+                     "[trajectory] unknown key 'waypionts'", id="trajectory-waypionts"),
+        pytest.param(MINIMAL + "bogus = 1\n", "[actor] unknown key 'bogus'", id="actor-bogus"),
+        pytest.param("[store]\np = 01@1:- 10@2:1\n[actor]\nkind = mutant\npattern_id = p\n"
+                     "mutation = flip_tx_bit\ntriplet_index = 1\nbit_index = 0\nchannel = 3\n",
+                     "[actor] unknown key 'channel'", id="actor-channel-on-flip_tx_bit"),
+    ])
+    def test_unknown_key(self, text, message):
+        with pytest.raises(ConfigError) as e:
+            loads_scenario(text)
+        assert str(e.value) == message
 
     def test_unparseable_number(self):
         with pytest.raises(ConfigError, match="cannot parse"):
