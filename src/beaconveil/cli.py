@@ -16,7 +16,8 @@ from pathlib import Path
 from .core import pattern_space_size
 from .scenario import (ConfigError, load_scenario, write_fixtures,
                        write_report, write_sweep)
-from .sim import SWEEP_AXES, run_scenario, sweep, validate_scenario
+from .sim import (SWEEP_AXES, _sweep_rows, monte_carlo, run_scenario,
+                  validate_scenario)
 
 
 class _UsageError(Exception):
@@ -39,22 +40,19 @@ def build_parser() -> _Parser:
     v = sub.add_parser("validate", help="check a scenario file")
     v.add_argument("config")
 
-    r = sub.add_parser("run", help="run a scenario and write report files")
-    r.add_argument("config")
-    r.add_argument("--out", default=".", help="output directory")
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--trials", type=int, default=None)
-    r.add_argument("--threads", type=int, default=1)
+    common = argparse.ArgumentParser(add_help=False)  # what run and sweep share
+    common.add_argument("config")
+    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--trials", type=int, default=None)
+    common.add_argument("--threads", type=int, default=1)
 
-    s = sub.add_parser("sweep", help="re-run a scenario across one axis")
-    s.add_argument("config")
+    sub.add_parser("run", parents=[common], help="run a scenario and write report files")
+
+    s = sub.add_parser("sweep", parents=[common], help="re-run a scenario across one axis")
     s.add_argument("--axis", required=True, choices=SWEEP_AXES)
     s.add_argument("--values", required=True,
                    help="comma-separated axis values, e.g. 0.5,1,2")
-    s.add_argument("--out", default=".")
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--trials", type=int, default=None)
-    s.add_argument("--threads", type=int, default=1)
 
     e = sub.add_parser("enumerate", help="print the credential space size")
     e.add_argument("--n", type=int, required=True)
@@ -80,9 +78,8 @@ def _resolve_seed(cfg_seed: int, flag_seed) -> int:
     return cfg_seed
 
 
-def _print_problems(cfg) -> bool:
-    """Print each of cfg's validation problems to stderr; True if any."""
-    problems = validate_scenario(cfg)
+def _print_problems(problems) -> bool:
+    """Print each problem to stderr; True if any."""
     for msg in problems:
         print(f"error: {msg}", file=sys.stderr)
     return bool(problems)
@@ -93,7 +90,7 @@ def _load_for_run(args):
     cfg = replace(cfg, seed=_resolve_seed(cfg.seed, args.seed))
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
-    return None if _print_problems(cfg) else cfg
+    return None if _print_problems(validate_scenario(cfg)) else cfg
 
 
 def _fmt_rate(x) -> str:
@@ -102,7 +99,7 @@ def _fmt_rate(x) -> str:
 
 def _dispatch(args) -> int:
     if args.command == "validate":
-        if _print_problems(load_scenario(args.config)):
+        if _print_problems(validate_scenario(load_scenario(args.config))):
             return 1
         print("ok")
         return 0
@@ -130,8 +127,11 @@ def _dispatch(args) -> int:
             raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
         if not values:
             raise ConfigError("--values is empty")
-        rows = sweep(cfg, args.axis, values, workers=args.threads)
-        path = write_sweep(args.axis, rows, Path(args.out))
+        rows, problems = _sweep_rows(cfg, args.axis, values)
+        if _print_problems(problems):
+            return 1
+        path = write_sweep(args.axis, [(v, monte_carlo(row, workers=args.threads))
+                                       for v, row in rows], Path(args.out))
         print(path)
         return 0
 

@@ -76,11 +76,6 @@ class BandPlan:
         if not self.spacing > 0:
             raise ValueError("spacing must be > 0")
 
-    def channel_freq(self, channel: ChannelId) -> float:
-        if not 1 <= channel <= self.channel_count:
-            raise ValueError(f"channel {channel} outside band plan {self.name}")
-        return self.base_freq + (channel - 1) * self.spacing
-
 
 #: 14 channels spaced 5 MHz apart starting at 2412 MHz.
 DEFAULT_BAND = BandPlan("2.4GHz-14ch", 14, 2412.0, 5.0)
@@ -145,8 +140,8 @@ class ValidationReport:
 def _all_hold(p: SecretPattern, channel_count: float, max_tu: float) -> bool:
     """Every invariant of validate_pattern, in one walk over the triplets.
 
-    True only when the full listing would find nothing; a False just sends
-    the caller to that listing for the messages.
+    True only when _violations would list nothing; a False just sends the
+    caller on to _violations for the messages.
     """
     ts = p.triplets
     if len(ts) < 2:
@@ -167,30 +162,38 @@ def _all_hold(p: SecretPattern, channel_count: float, max_tu: float) -> bool:
     return True
 
 
-def _structural_violations(p: SecretPattern) -> list[Violation]:
-    # The subset of checks that need no band plan or interval bound.
-    if _all_hold(p, math.inf, math.inf):
+def _violations(p: SecretPattern, channel_count: float, max_tu: float) -> list[Violation]:
+    """Every violated invariant, the structural ones first, then channel and
+    interval ranges; with both bounds math.inf only the structural ones."""
+    if _all_hold(p, channel_count, max_tu):
         return []
     out: list[Violation] = []
     if p.length < 2:
         out.append(Violation("bad-length", f"pattern length L < 2 (got {p.length})"))
-        return out
-    n = len(p.triplets[0].tx_pattern)
+    else:
+        n = len(p.triplets[0].tx_pattern)
+        for i, t in enumerate(p.triplets):
+            bits = t.tx_pattern.bits
+            if len(bits) != n:
+                out.append(Violation("mixed-n", f"triplet {i} has {len(bits)} bits, expected {n}"))
+            if not 2 <= len(bits) <= MAX_BITS:
+                out.append(Violation("bad-bit-length", f"triplet {i} bit count {len(bits)} outside [2, {MAX_BITS}]"))
+            elif len(set(bits)) == 1:
+                out.append(Violation("all-equal-bits", f"triplet {i} tx_pattern {bits} has no transition"))
+            if i == 0:
+                if t.interval_tu is not None:
+                    out.append(Violation("bad-first-interval", "triplet 0 must carry no interval"))
+            elif t.interval_tu is None:
+                out.append(Violation("missing-interval", f"triplet {i} must carry an interval"))
+            elif i == 1 and t.interval_tu != 1:
+                out.append(Violation("bad-second-interval", f"second interval must be 1 TU, got {t.interval_tu}"))
     for i, t in enumerate(p.triplets):
-        bits = t.tx_pattern.bits
-        if len(bits) != n:
-            out.append(Violation("mixed-n", f"triplet {i} has {len(bits)} bits, expected {n}"))
-        if not 2 <= len(bits) <= MAX_BITS:
-            out.append(Violation("bad-bit-length", f"triplet {i} bit count {len(bits)} outside [2, {MAX_BITS}]"))
-        elif len(set(bits)) == 1:
-            out.append(Violation("all-equal-bits", f"triplet {i} tx_pattern {bits} has no transition"))
-        if i == 0:
-            if t.interval_tu is not None:
-                out.append(Violation("bad-first-interval", "triplet 0 must carry no interval"))
-        elif t.interval_tu is None:
-            out.append(Violation("missing-interval", f"triplet {i} must carry an interval"))
-        elif i == 1 and t.interval_tu != 1:
-            out.append(Violation("bad-second-interval", f"second interval must be 1 TU, got {t.interval_tu}"))
+        if not 1 <= t.channel <= channel_count:
+            out.append(Violation("channel-out-of-band",
+                                 f"triplet {i} channel {t.channel} outside 1..{channel_count}"))
+        if t.interval_tu is not None and not 1 <= t.interval_tu <= max_tu:
+            out.append(Violation("interval-out-of-range",
+                                 f"triplet {i} interval {t.interval_tu} outside 1..{max_tu}"))
     return out
 
 
@@ -200,17 +203,8 @@ _VALID = ValidationReport(())
 def validate_pattern(p: SecretPattern, band: BandPlan = DEFAULT_BAND,
                      max_tu: int = DEFAULT_MAX_TU) -> ValidationReport:
     """Check every pattern invariant plus channel membership in the band."""
-    if _all_hold(p, band.channel_count, max_tu):
-        return _VALID
-    out = _structural_violations(p)
-    for i, t in enumerate(p.triplets):
-        if not 1 <= t.channel <= band.channel_count:
-            out.append(Violation("channel-out-of-band",
-                                 f"triplet {i} channel {t.channel} outside 1..{band.channel_count}"))
-        if t.interval_tu is not None and not 1 <= t.interval_tu <= max_tu:
-            out.append(Violation("interval-out-of-range",
-                                 f"triplet {i} interval {t.interval_tu} outside 1..{max_tu}"))
-    return ValidationReport(tuple(out))
+    out = _violations(p, band.channel_count, max_tu)
+    return ValidationReport(tuple(out)) if out else _VALID
 
 
 def ensure_valid(p: SecretPattern, band: BandPlan = DEFAULT_BAND,
@@ -413,7 +407,7 @@ def parse_pattern(text: str, pattern_id: str = "p0") -> SecretPattern:
         raise PatternError("empty pattern text")
     triplets = tuple(_parse_triplet(tok, i, i == 0) for i, tok in enumerate(tokens))
     p = SecretPattern(pattern_id, triplets)
-    problems = _structural_violations(p)
+    problems = _violations(p, math.inf, math.inf)
     if problems:
         raise PatternError(f"pattern {pattern_id!r}: " + "; ".join(str(v) for v in problems))
     return p

@@ -12,14 +12,13 @@ t_i = t_{i-1} + interval_tu_i * tu_s.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .core import (BandPlan, PatternError, SecretPattern, Triplet, TxPattern,
-                   _check_finite, _structural_violations)
+                   _check_finite, pattern_space_size)
 from .radio import TxPowerLevels
 
 
@@ -94,22 +93,21 @@ class EmissionTimeline:
 
 
 def compile_schedule(p: SecretPattern, cfg: SlotConfig, tx: TxPowerLevels,
-                     nonce_prefix: str = "n", require_valid: bool = True) -> EmissionTimeline:
+                     nonce_prefix: str = "n") -> EmissionTimeline:
     """Compile a pattern into beacons plus a piecewise-constant power profile.
 
-    require_valid=False skips the structural pattern checks so that raw
-    adversarial candidates (possibly with all-equal bit patterns) can still
-    be put on the air; the fit check always applies.
+    Any pattern that can be laid out compiles: two or more triplets of one
+    bit count, each after the first with an interval >= 1, and bursts that
+    fit. Raw candidates and mutants need not be valid credentials; whether a
+    pattern is one is validate_pattern's question.
     """
-    if require_valid:
-        problems = _structural_violations(p)
-        if problems:
-            raise PatternError(f"pattern {p.pattern_id!r}: " + "; ".join(str(v) for v in problems))
-    if p.length < 2 or any(t.interval_tu is None or t.interval_tu < 1 for t in p.triplets[1:]):
-        raise PatternError(f"pattern {p.pattern_id!r}: cannot schedule without positive intervals")
+    n = p.bit_count
+    if p.length < 2 or any(len(t.tx_pattern.bits) != n for t in p.triplets) \
+            or any(t.interval_tu is None or t.interval_tu < 1 for t in p.triplets[1:]):
+        raise PatternError(f"pattern {p.pattern_id!r}: cannot lay out; need two or more "
+                           "triplets of one bit count and intervals >= 1 after the first")
     cfg.check_fit(p)
 
-    n = p.bit_count
     beacons = []
     starts: list[float] = []
     levels: list[float] = []
@@ -121,17 +119,14 @@ def compile_schedule(p: SecretPattern, cfg: SlotConfig, tx: TxPowerLevels,
         for k, bit in enumerate(trip.tx_pattern.bits):
             starts.append(t + k * cfg.slot_s)
             levels.append(tx.level(bit))
+        # Idle low up to the next beacon, or over the guard after the last.
         burst_end = t + n * cfg.slot_s
-        if i + 1 < p.length:
-            next_t = t + p.triplets[i + 1].interval_tu * cfg.tu_s
-            if next_t > burst_end:
-                starts.append(burst_end)
-                levels.append(tx.low_dbm)
-    duration = burst_end + cfg.guard_s
-    if duration > burst_end:
-        starts.append(burst_end)
-        levels.append(tx.low_dbm)
-    return EmissionTimeline(tuple(beacons), starts, levels, duration)
+        idle_end = (t + p.triplets[i + 1].interval_tu * cfg.tu_s if i + 1 < p.length
+                    else burst_end + cfg.guard_s)
+        if idle_end > burst_end:
+            starts.append(burst_end)
+            levels.append(tx.low_dbm)
+    return EmissionTimeline(tuple(beacons), starts, levels, burst_end + cfg.guard_s)
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,7 @@ def mutate(p: SecretPattern, m: Mutation) -> SecretPattern:
         if m.channel == trip.channel:
             raise ValueError("mutation must change the pattern")
         new = dataclasses.replace(trip, channel=m.channel)
-    elif isinstance(m, WrongInterval):
+    else:
         if m.triplet_index == 0:
             raise ValueError("triplet 0 carries no interval to mutate")
         if m.interval_tu < 1:
@@ -187,8 +182,6 @@ def mutate(p: SecretPattern, m: Mutation) -> SecretPattern:
         if m.interval_tu == trip.interval_tu:
             raise ValueError("mutation must change the pattern")
         new = dataclasses.replace(trip, interval_tu=m.interval_tu)
-    else:
-        raise TypeError(f"unknown mutation {m!r}")
     triplets = list(p.triplets)
     triplets[m.triplet_index] = new
     return dataclasses.replace(p, triplets=tuple(triplets))
@@ -246,16 +239,12 @@ def candidate_from_index(index: int, n: int, L: int, channels: int,
     triplets = []
     rem = index
     for i in range(L):
-        bits_val = rem % (1 << n)
-        rem //= (1 << n)
-        ch = rem % channels
-        rem //= channels
+        rem, bits_val = divmod(rem, 1 << n)
+        rem, ch = divmod(rem, channels)
+        interval: Optional[int] = None if i == 0 else 1
         if i >= 2:
-            tu = rem % max_tu
-            rem //= max_tu
-            interval: Optional[int] = 1 + tu
-        else:
-            interval = None if i == 0 else 1
+            rem, tu = divmod(rem, max_tu)
+            interval = 1 + tu
         triplets.append(Triplet(TxPattern(format(bits_val, f"0{n}b")), 1 + ch, interval))
     if rem:
         raise ValueError("index outside the candidate space")
@@ -263,14 +252,7 @@ def candidate_from_index(index: int, n: int, L: int, channels: int,
 
 
 def iter_candidates(n: int, L: int, channels: int, max_tu: int) -> Iterator[SecretPattern]:
-    """All raw candidates, in candidate_from_index order."""
-    per_triplet = []
-    for i in range(L):
-        bits = ["".join(c) for c in itertools.product("01", repeat=n)]
-        chans = range(1, channels + 1)
-        tus = [None] if i == 0 else ([1] if i == 1 else range(1, max_tu + 1))
-        per_triplet.append([(b, c, t) for t in tus for c in chans for b in bits])
-    for idx, combo in enumerate(itertools.product(*reversed(per_triplet))):
-        triplets = tuple(Triplet(TxPattern(b), c, t) for b, c, t in reversed(combo))
-        yield SecretPattern(f"cand{idx}", triplets)
+    """All raw candidates, in index order."""
+    for i in range(pattern_space_size(n, L, channels, max_tu)):
+        yield candidate_from_index(i, n, L, channels, max_tu)
 

@@ -333,7 +333,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     a = cfg.actor
     slot = cfg.slot_cfg
     # Mutant and BruteForce emit a credential of their own making, which need
-    # not be well-formed, and they do not know the app secret.
+    # not be valid, and they do not know the app secret.
     guessing = isinstance(a, (Mutant, BruteForce))
     if isinstance(a, (Legit, Replay, Mitm)):
         p = cfg.pattern(a.pattern_id)
@@ -350,8 +350,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
             p, slot = cfg.pattern(a.pattern_b), replace(slot, tu_s=a.tu_b_s)
     else:
         raise TypeError(f"unknown actor {a!r}")
-    tl = compile_schedule(p, slot, cfg.tx_levels, nonce_prefix=f"t{trial_index}.s0",
-                          require_valid=not guessing)
+    tl = compile_schedule(p, slot, cfg.tx_levels, nonce_prefix=f"t{trial_index}.s0")
     message = "" if guessing else eff.app_secret
     extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
     result = _run_session(cfg, eff, slot, tl, rng, node, 0.0, message, extra)
@@ -464,6 +463,8 @@ SWEEP_AXES = ("distance", "sigma_db", "n", "L", "eps_tu")
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
     if axis == "distance":
         return replace(cfg, trajectory=Trajectory(((0.0, float(value)),)))
     if axis == "sigma_db":
@@ -472,6 +473,8 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         return replace(cfg, sensor_cfg=replace(cfg.sensor_cfg, eps_tu=float(value)))
     if axis in ("n", "L"):
         iv = int(value)
+        if iv != value:
+            raise ValueError("must be an integer")
         store = []
         for idx, p in enumerate(cfg.store):
             n2 = iv if axis == "n" else p.bit_count
@@ -492,12 +495,31 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 
 
+def _sweep_rows(cfg: ScenarioConfig, axis: str, values
+                ) -> tuple[list[tuple[float, ScenarioConfig]], list[str]]:
+    """Each value with its row's config, and every problem of every row
+    named by its value; nothing runs."""
+    rows, problems = [], []
+    for v in values:
+        try:
+            row = _apply_axis(cfg, axis, v)
+        except ValueError as e:
+            problems.append(f"{axis} = {v}: {e}")
+            continue
+        problems += [f"{axis} = {v}: {msg}" for msg in validate_scenario(row)]
+        rows.append((v, row))
+    return rows, problems
+
+
 def sweep(cfg: ScenarioConfig, axis: str, values, workers: int = 1
           ) -> list[tuple[float, Metrics]]:
     """One monte_carlo row per axis value, all rows sharing cfg.seed so rows
-    are paired comparisons; empty values give an empty table."""
-    return [(v, monte_carlo(_apply_axis(cfg, axis, v), workers=workers))
-            for v in values]
+    are paired comparisons; empty values give an empty table. Every row is
+    built and validated before any runs: ValueError names each bad one."""
+    rows, problems = _sweep_rows(cfg, axis, values)
+    if problems:
+        raise ValueError("invalid sweep: " + "; ".join(problems))
+    return [(v, monte_carlo(row, workers=workers)) for v, row in rows]
 
 
 def eavesdrop(timeline: EmissionTimeline, slot_cfg: SlotConfig,

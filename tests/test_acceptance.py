@@ -102,7 +102,7 @@ def test_criterion_02():
     accepted = []
     for idx, cand in enumerate(iter_candidates(2, 2, 2, 2)):
         tl = compile_schedule(cand, cfg.slot_cfg, cfg.tx_levels,
-                              nonce_prefix=f"c{idx}", require_valid=False)
+                              nonce_prefix=f"c{idx}")
         rng = np.random.default_rng([99, idx])
         beacons, samples = observe_emission(
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels,

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beaconveil import build_fig3, build_proto, dump_scenario, load_scenario
+from beaconveil import (SWEEP_AXES, build_fig3, build_proto, dump_scenario,
+                        load_scenario)
 from beaconveil.cli import main
 
 
@@ -187,6 +188,24 @@ class TestSweep:
         proc = run_cli(["sweep", str(fig3a), "--axis", "distance", "--values", "a,b"])
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("axis, values", [
+        ("distance", "-5"), ("sigma_db", "-1"), ("eps_tu", "0.7"),
+        ("n", "1"), ("L", "1"), ("n", "9"), ("distance", "5,-5"),
+        ("distance", "nan"), ("sigma_db", "inf"), ("n", "inf"), ("L", "inf"),
+        ("n", "2.5"), ("L", "2.5")])
+    def test_bad_axis_value_is_user_error(self, tmp_path, capsys, axis, values):
+        # every row is checked before any runs, and each bad one is named
+        path = tmp_path / "fig3b.scn"
+        path.write_text(dump_scenario(build_fig3("b")), encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["sweep", str(path), "--trials", "2", "--axis", axis,
+                   f"--values={values}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err and all(line.startswith("error: ") for line in err.splitlines())
+        assert f"{axis} = {float(values.split(',')[-1])}: " in err
+        assert not out.exists()
+
 
 class TestFixturesCommand:
     def test_writes_and_validates(self, tmp_path):
@@ -308,3 +327,23 @@ class TestFuzzedScenarioText:
         assert validated in (0, 1) and ran in (0, 1)
         assert validated == 1 or ran == 0
         assert how != "misspell" or validated == 1
+
+
+SWEEP_VALUES = [-5, -1, 0, 0.05, 0.5, 0.7, 1, 2, 2.5, 3, 9, 70,
+                float("nan"), float("inf")]
+
+
+class TestFuzzedSweep:
+    # The values stay small: a row redraws its store in time and memory
+    # linear in n or L before validation can refuse it.
+    @given(text=st.sampled_from(FIXTURE_TEXTS), axis=st.sampled_from(SWEEP_AXES),
+           values=st.lists(st.sampled_from(SWEEP_VALUES), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_is_0_or_1(self, text, axis, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.scn"
+            path.write_text(text, encoding="utf-8")
+            rc = main(["sweep", str(path), "--axis", axis, "--trials", "2",
+                       "--values=" + ",".join(map(repr, values)),
+                       "--out", str(Path(tmp) / "o")])
+        assert rc in (0, 1)

@@ -4,14 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beaconveil import (DEFAULT_BAND, FlipTxBit, PatternError, SecretPattern,
-                        SlotConfig, SlotFitError, Triplet, TxPattern,
-                        TxPowerLevels, WrongChannel, WrongInterval,
-                        candidate_from_index, compile_schedule, iter_candidates,
-                        mutate, parse_pattern, pattern_space_size,
-                        random_candidate, random_pattern, render_pattern,
-                        validate_pattern)
+from beaconveil import (DEFAULT_BAND, BandPlan, FlipTxBit, PatternError,
+                        SecretPattern, SlotConfig, SlotFitError, Triplet,
+                        TxPattern, TxPowerLevels, WrongChannel, WrongInterval,
+                        candidate_from_index, compile_schedule, eavesdrop,
+                        iter_candidates, mutate, parse_pattern,
+                        pattern_space_size, random_candidate, random_pattern,
+                        render_pattern, validate_pattern)
 
 GOLDEN = Path(__file__).parent / "golden" / "fig3_timeline.txt"
 FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
@@ -60,12 +61,10 @@ class TestCompileSchedule:
         with pytest.raises(SlotFitError):
             compile_schedule(FIG3, SlotConfig(slot_s=2.0, tu_s=4.0, guard_s=0.5), TX)
 
-    def test_invalid_pattern_refused_unless_raw(self):
+    def test_raw_pattern_schedules(self):
         raw = SecretPattern("raw", (
             Triplet(TxPattern("00"), 1, None), Triplet(TxPattern("00"), 1, 1)))
-        with pytest.raises(PatternError):
-            compile_schedule(raw, SlotConfig(), TX)
-        t = compile_schedule(raw, SlotConfig(), TX, require_valid=False)
+        t = compile_schedule(raw, SlotConfig(), TX)
         assert len(t.beacons) == 2
 
     def test_golden_timeline_dump(self):
@@ -74,6 +73,68 @@ class TestCompileSchedule:
             GOLDEN.parent.mkdir(exist_ok=True)
             GOLDEN.write_text(text, encoding="utf-8")
         assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+def assert_laid_out(p):
+    """p compiles to one beacon per triplet, steps in time order, and bits
+    that a perfect receiver reads back unchanged."""
+    t = compile_schedule(p, SlotConfig(), TX)
+    assert len(t.beacons) == p.length
+    assert (np.diff(t.starts) >= 0).all()
+    heard = eavesdrop(t, SlotConfig(), TX, p.bit_count)
+    assert [h.tx_pattern.bits for h in heard] == [q.tx_pattern.bits for q in p.triplets]
+
+
+@st.composite
+def raw_candidates(draw):
+    n, L = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    channels, max_tu = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    index = draw(st.integers(0, pattern_space_size(n, L, channels, max_tu) - 1))
+    return candidate_from_index(index, n, L, channels, max_tu)
+
+
+class TestLaysOutAnyPattern:
+    """compile_schedule lays out any pattern of two or more triplets with
+    one bit count and positive intervals, valid credential or not."""
+
+    @given(p=raw_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_raw_candidates(self, p):
+        assert_laid_out(p)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), L=st.integers(2, 4),
+           channels=st.integers(1, 3), max_tu=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_mutant(self, seed, n, L, channels, max_tu):
+        p = random_pattern(np.random.default_rng(seed), n, L,
+                           BandPlan("b", channels, 2412.0, 5.0), max_tu)
+        mutations = ([FlipTxBit(i, b) for i in range(L) for b in range(n)]
+                     + [WrongChannel(i, c) for i in range(L) for c in range(channels + 2)]
+                     + [WrongInterval(i, k) for i in range(L) for k in range(max_tu + 2)])
+        laid_out = 0
+        for m in mutations:
+            try:
+                mutant = mutate(p, m)
+            except ValueError:
+                continue
+            assert_laid_out(mutant)
+            laid_out += 1
+        assert laid_out > 0
+
+    @pytest.mark.parametrize("rows", [
+        [("01", None), ("01010", 1), ("10", 3)],
+        [("01", None), ("10", 1), ("101", 2)],
+        [],
+        [("01", None)],
+        [("01", None), ("10", None)],
+        [("01", None), ("10", 1), ("01", None)],
+        [("01", None), ("10", 0)],
+    ], ids=["mixed-bits", "mixed-bits-last", "empty", "one-triplet",
+            "missing-second", "missing-third", "zero-interval"])
+    def test_unschedulable_refused(self, rows):
+        p = SecretPattern("p", tuple(Triplet(TxPattern(b), 1, iv) for b, iv in rows))
+        with pytest.raises(PatternError):
+            compile_schedule(p, SlotConfig(), TX)
 
 
 class TestMutations:

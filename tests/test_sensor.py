@@ -162,7 +162,7 @@ class TestQuantizeInterval:
 def clean_observation(pattern, slot_cfg, cfg, pl_db=73.0, nonce_prefix="n"):
     """Perfect grid-free observation of a compiled timeline at fixed loss."""
     tl = compile_schedule(pattern, slot_cfg, TxPowerLevels(),
-                          nonce_prefix=nonce_prefix, require_valid=False)
+                          nonce_prefix=nonce_prefix)
     beacons = list(tl.beacons)
     ts = [b.t_s + slot_cfg.slot_s * (k + frac)
           for b in tl.beacons for k in range(cfg.n) for frac in (0.25, 0.5, 0.75)]
