@@ -28,8 +28,9 @@ from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .core import (ACCEPTED, BandPlan, DEFAULT_BAND, SecretPattern, Triplet,
-                   TxPattern, _check_finite, new_matcher, validate_pattern)
+from .core import (ACCEPTED, MAX_BITS, BandPlan, DEFAULT_BAND, SecretPattern,
+                   Triplet, TxPattern, _check_finite, new_matcher,
+                   validate_pattern)
 from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
                       SlotFitError, candidate_from_index, compile_schedule,
                       mutate, random_candidate, random_pattern)
@@ -117,7 +118,8 @@ T = TypeVar("T")
 
 class _Store(tuple):
     """A config's credential store: its patterns, plus the forms compiled
-    from them (id index, matcher trie, dump text). Every config that
+    from them (id index, matcher trie, dump text, and the store's half of
+    validation, once per (band, max_tu, slot_cfg)). Every config that
     `replace` makes from a config shares its store, so each form is built
     once. Only the patterns pickle; each process compiles its own forms."""
 
@@ -128,12 +130,15 @@ class _Store(tuple):
     def __reduce__(self):
         return _Store, (tuple(self),)
 
-    def compiled(self, build: Callable[["_Store"], T]) -> T:
-        """build(self), run once per store and kept. A build that raises
-        keeps nothing, so the next call raises again."""
-        if build not in self._forms:
-            self._forms[build] = build(self)
-        return self._forms[build]
+    def compiled(self, build: Callable[..., T], *args) -> T:
+        """build(self, *args), run once per store and args and kept. A build
+        that raises keeps nothing, so the next call raises again."""
+        # Keyed on the args' repr, not their equality: 16 == 16.0 and
+        # 0.0 == -0.0, but a build's messages print them differently.
+        key = (build, repr(args))
+        if key not in self._forms:
+            self._forms[key] = build(self, *args)
+        return self._forms[key]
 
 
 def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
@@ -183,10 +188,39 @@ class ScenarioConfig:
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Every config inconsistency, reported before any trial runs.
 
-    The check runs once per config (configs are frozen); each call returns
-    a fresh list.
+    The check runs once per config (configs are frozen), and the store's
+    own checks once per store and per (band, max_tu, slot_cfg); each call
+    returns a fresh list.
     """
     return list(cfg._problems)
+
+
+def _store_problems(store: _Store, band: BandPlan, max_tu: int,
+                    slot_cfg: SlotConfig) -> tuple[str, ...]:
+    """The store's half of validation; it reads nothing else of a config."""
+    problems: list[str] = []
+    if not store:
+        problems.append("store is empty")
+    seen = set()
+    fitting = set()  # bit counts whose burst is known to fit
+    for p in store:
+        if p.pattern_id in seen:
+            problems.append(f"duplicate pattern_id {p.pattern_id!r} in store")
+        seen.add(p.pattern_id)
+        report = validate_pattern(p, band, max_tu)
+        if not report.ok:
+            problems.append(f"pattern {p.pattern_id!r}: {report}")
+            continue
+        # A valid pattern's smallest interval is its second, 1 TU, so
+        # whether its burst fits depends on its bit count alone.
+        if p.bit_count in fitting:
+            continue
+        try:
+            slot_cfg.check_fit(p)
+            fitting.add(p.bit_count)
+        except SlotFitError as e:
+            problems.append(f"pattern {p.pattern_id!r}: {e}")
+    return tuple(problems)
 
 
 def _find_problems(cfg: ScenarioConfig) -> list[str]:
@@ -197,27 +231,8 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.max_tu < 1:
         problems.append(f"max_tu must be >= 1, got {cfg.max_tu}")
-    if not cfg.store:
-        problems.append("store is empty")
-    seen = set()
-    fitting = set()  # bit counts whose burst is known to fit
-    for p in cfg.store:
-        if p.pattern_id in seen:
-            problems.append(f"duplicate pattern_id {p.pattern_id!r} in store")
-        seen.add(p.pattern_id)
-        report = validate_pattern(p, cfg.band, cfg.max_tu)
-        if not report.ok:
-            problems.append(f"pattern {p.pattern_id!r}: {report}")
-            continue
-        # A valid pattern's smallest interval is its second, 1 TU, so
-        # whether its burst fits depends on its bit count alone.
-        if p.bit_count in fitting:
-            continue
-        try:
-            cfg.slot_cfg.check_fit(p)
-            fitting.add(p.bit_count)
-        except SlotFitError as e:
-            problems.append(f"pattern {p.pattern_id!r}: {e}")
+    problems += cfg.store.compiled(_store_problems, cfg.band, cfg.max_tu,
+                                   cfg.slot_cfg)
     if cfg.sensor_cfg.f_s * cfg.slot_cfg.slot_s < 2:
         problems.append("sensor undersamples: need f_s*slot_s >= 2")
     a = cfg.actor
@@ -238,15 +253,16 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
                 cfg.slot_cfg.check_fit(candidate_from_index(0, a.n, 2, 1, 1))
             except SlotFitError as e:
                 problems.append(f"bruteforce burst does not fit: {e}")
+    ids = cfg.store.compiled(_index_by_id)
     for pid in ref_ids:
-        if pid not in seen:
+        if pid not in ids:
             problems.append(f"actor references unknown pattern_id {pid!r}")
-    if isinstance(a, Mutant) and a.pattern_id in seen:
+    if isinstance(a, Mutant) and a.pattern_id in ids:
         try:
             cfg.slot_cfg.check_fit(mutate(cfg.pattern(a.pattern_id), a.mutation))
         except (ValueError, TypeError) as e:
             problems.append(f"mutation does not apply: {e}")
-    if isinstance(a, Proto) and a.tu_b_s > 0 and a.pattern_b in seen:
+    if isinstance(a, Proto) and a.tu_b_s > 0 and a.pattern_b in ids:
         try:
             replace(cfg.slot_cfg, tu_s=a.tu_b_s).check_fit(cfg.pattern(a.pattern_b))
         except (ValueError, TypeError) as e:
@@ -475,6 +491,9 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         iv = int(value)
         if iv != value:
             raise ValueError("must be an integer")
+        if axis == "n" and not 2 <= iv <= MAX_BITS:
+            # Refused before the store is redrawn: the draw is linear in n.
+            raise ValueError(f"n must be in [2, {MAX_BITS}]")
         store = []
         for idx, p in enumerate(cfg.store):
             n2 = iv if axis == "n" else p.bit_count

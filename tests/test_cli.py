@@ -206,6 +206,22 @@ class TestSweep:
         assert f"{axis} = {float(values.split(',')[-1])}: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["65", "1e9"])
+    def test_huge_n_refused_before_the_store_is_drawn(self, fig3a, capsys,
+                                                       monkeypatch, values):
+        import beaconveil.sim
+        drawn = []
+
+        def no_draw(*args, **kwargs):
+            drawn.append(args)
+            raise AssertionError("store drawn for an n that cannot be valid")
+
+        monkeypatch.setattr(beaconveil.sim, "random_pattern", no_draw)
+        rc = main(["sweep", str(fig3a), "--trials", "2", "--axis", "n",
+                   f"--values={values}"])
+        assert rc == 1 and drawn == []
+        assert f"n = {float(values)}: " in capsys.readouterr().err
+
 
 class TestFixturesCommand:
     def test_writes_and_validates(self, tmp_path):

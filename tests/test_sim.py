@@ -327,10 +327,57 @@ class TestValidation:
         assert validate_scenario(cfg) == [] and sorted(checked) == ids
         run_scenario(cfg)
         assert sorted(checked) == ids
-        # A replaced config is a new config and is checked again.
+        # A replaced config is checked again, but its store's patterns only
+        # when the store, band, max_tu or slot_cfg differs.
         assert validate_scenario(dataclasses.replace(cfg, trials=0)) \
             == ["trials must be >= 1, got 0"]
-        assert sorted(checked) == sorted(ids * 2)
+        validate_scenario(dataclasses.replace(cfg, seed=7))
+        validate_scenario(dataclasses.replace(cfg, trajectory=Trajectory(((0.0, 9.0),))))
+        assert sorted(checked) == ids
+        rounds = 1
+        for again in (dataclasses.replace(cfg, max_tu=12),
+                      dataclasses.replace(cfg, slot_cfg=SlotConfig(guard_s=0.3)),
+                      dataclasses.replace(cfg, band=BandPlan("b", 20, 2412.0, 5.0)),
+                      dataclasses.replace(cfg, store=tuple(cfg.store))):
+            validate_scenario(again)
+            rounds += 1
+            assert sorted(checked) == sorted(ids * rounds)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_store_checks_kept_per_band_max_tu_and_slot(self, data):
+        # A store of the desk_multi kind, sometimes with invalid patterns, a
+        # duplicate id or a burst that does not fit, validated under a run of
+        # settings with repeats; each must read as on a fresh store. 3 and
+        # 3.0, 0.0 and -0.0 are equal but print differently in messages.
+        base = build_desk_multi(1)
+        extras = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            n = data.draw(st.integers(2, 5))
+            triplets = []
+            for i in range(data.draw(st.integers(1, 4))):
+                # One triplet in six may take another bit count.
+                width = n if data.draw(st.integers(0, 5)) else data.draw(st.integers(2, 5))
+                bits = data.draw(st.text("01", min_size=width, max_size=width))
+                iv = None if i == 0 else 1 if i == 1 else data.draw(st.integers(1, 4))
+                triplets.append(Triplet(TxPattern(bits), data.draw(st.integers(1, 4)), iv))
+            pid = data.draw(st.sampled_from(["desk", "c01", "x", "y"]))
+            extras.append(SecretPattern(pid, tuple(triplets)))
+        store = data.draw(st.permutations(
+            base.store[:data.draw(st.integers(0, len(base.store)))] + tuple(extras)))
+        cfg = dataclasses.replace(base, store=tuple(store))
+        setting = st.tuples(
+            st.sampled_from([2, 4]), st.sampled_from([2, 3, 3.0]),
+            st.sampled_from([base.slot_cfg, SlotConfig(0.25, 1.0, 0.3),
+                             SlotConfig(0.25, 1.0, 0.0), SlotConfig(0.25, 1.0, -0.0)]))
+        runs = data.draw(st.lists(setting, min_size=1, max_size=5))
+        runs.append(data.draw(st.sampled_from(runs)))
+        for channel_count, max_tu, slot_cfg in runs:
+            row = dataclasses.replace(
+                cfg, band=BandPlan("b", channel_count, 2412.0, 5.0),
+                max_tu=max_tu, slot_cfg=slot_cfg)
+            assert validate_scenario(row) \
+                == validate_scenario(dataclasses.replace(row, store=tuple(row.store)))
 
     def test_returned_problems_are_the_callers(self):
         cfg = dataclasses.replace(build_desk(Legit("ghost"), 1), trials=0)
@@ -432,6 +479,21 @@ class TestSweep:
         far2 = rows[0][1].far
         far3 = rows[1][1].far
         assert far2 > far3 > 0.0
+
+    @pytest.mark.parametrize("axis, values", [("distance", [3.0, 5.0, 8.0]),
+                                              ("sigma_db", [0.0, 1.0, 2.0])])
+    def test_rows_validate_a_shared_store_once(self, monkeypatch, axis, values):
+        checked = []
+        real = beaconveil.sim.validate_pattern
+
+        def counting(p, *args):
+            checked.append(p.pattern_id)
+            return real(p, *args)
+
+        monkeypatch.setattr(beaconveil.sim, "validate_pattern", counting)
+        cfg = build_desk_multi(20)
+        assert len(sweep(cfg, axis, values)) == 3
+        assert sorted(checked) == sorted(p.pattern_id for p in cfg.store)
 
     def test_empty_values(self):
         assert sweep(build_desk(Legit("desk"), 1), "distance", []) == []
