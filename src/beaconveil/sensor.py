@@ -1,4 +1,4 @@
-"""Sensor-side decoding and the authentication session state machine.
+"""Sensor-side decoding and the authentication session.
 
 The authenticator is a dumb device: it samples received power on a fixed
 grid, timestamps beacon frames, and turns each beacon's slot window into one
@@ -15,9 +15,11 @@ Anything the device cannot read cleanly rejects the session rather than
 being guessed at: a silent slot, a window without high/low structure, a
 transition smaller than delta_db, an interval off the measured grid.
 
-One reader turns a window into a triplet, and one feed plays an observation
-into a session: the online SensorSession and the offline extract_triplets and
-authenticate all go through them, so they read an observation the same way.
+One reader turns a window into a triplet: SensorSession.run, a single walk
+over an observation's beacons in time order, and the offline
+extract_triplets both go through it, so they read a window the same way.
+(extract_triplets reads every window in full, where a session cuts one
+short at the next beacon.)
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (ACCEPTED, IN_PROGRESS, REJECTED, MatcherState,
+from .core import (ACCEPTED, REJECTED, MatcherState,
                    RejectReason, SecretPattern, Triplet, TxPattern,
                    _check_finite, match_step, new_matcher)
 from .emitter import Beacon, SlotConfig
@@ -278,20 +280,20 @@ class AuthResult:
 
 
 class SensorSession:
-    """One authentication attempt as an online state machine.
+    """One authentication attempt, decided in one walk over its beacons.
 
-    Consumes beacon observations in time order over one Samples value. Each
-    beacon opens an n-slot window; a window is decoded once the clock passes
-    its end, or the next beacon cuts it short, producing one triplet that is
-    streamed into the matcher. Replay and lockout are enforced against the
-    shared SensorNode. A watchdog abandons the session when no beacon arrives
-    for watchdog_s (default 8 nominal time units) after the last one.
+    run walks the beacons of a whole observation in (time, seq_no) order.
+    Each beacon opens an n-slot window that closes after n slots, or at the
+    next beacon if that comes first, and reads one triplet that is streamed
+    into the matcher; a verdict is stamped when its window closed. Replay
+    and lockout are enforced against the shared SensorNode. A watchdog
+    abandons the session when no beacon arrives for watchdog_s (default 8
+    nominal time units) after the last one.
 
     The session starts from matcher, an initial state from new_matcher; one
-    such state serves every session against the same store.
+    such state serves every session against the same store. After run,
+    terminal_t is the time the verdict fell, on the sensor clock.
     """
-
-    _samples = Samples()  # until feed() hands over an observation
 
     def __init__(self, matcher: MatcherState, cfg: SensorConfig,
                  slot_cfg: Optional[SlotConfig] = None, *,
@@ -304,100 +306,63 @@ class SensorSession:
         self.t_start = t_start
         self.watchdog_s = (cfg.watchdog_s if cfg.watchdog_s is not None
                            else 8.0 * self.slot_cfg.tu_s)
-        self.status = IN_PROGRESS
-        self.result: Optional[AuthResult] = None
         self.terminal_t: Optional[float] = None
-        self._deadline = t_start + self.watchdog_s
         self._matcher = matcher
-        self._beacons: list[Beacon] = []
-        self._triplets: list[Triplet] = []
-        self._window_end: Optional[float] = None  # of the last beacon's window
-        if self.node.locked_at(t_start):
-            self._result(REJECTED, t_start, RejectReason("lockout"))
 
-    @property
-    def terminal(self) -> bool:
-        return self.status != IN_PROGRESS
+    def run(self, beacons: Iterable[Beacon], samples: Samples,
+            t_end: Optional[float] = None) -> AuthResult:
+        """The verdict on a whole observation.
 
-    def observe_beacon(self, b: Beacon) -> None:
-        if self.terminal:
-            return
-        self._advance(b.t_s)
-        if self.terminal:
-            return
-        if self._window_end is not None:
-            # Next frame announced before the previous window ran out; close
-            # the old window on the samples before this frame.
-            self._close_window(b.t_s)
-            if self.terminal:
-                return
-        if b.nonce in self.node.history:
-            self._result(REJECTED, b.t_s, RejectReason("replay"))
-            return
-        self.node.history.record(b.nonce)
-        self._beacons.append(b)
-        self._window_end = b.t_s + self.cfg.n * self.slot_cfg.slot_s
-        self._deadline = b.t_s + self.watchdog_s
+        A window reads the samples from its beacon up to where it closed (a
+        sample at a beacon's own time is the new window's). Given t_end, the
+        observation ends at its last sample or t_end, whichever is later: a
+        last window still open then is never read, and a session whose
+        watchdog would fire after that end times out at t_end. Without
+        t_end, the observation lasts until the watchdog fires.
+        """
+        triplets: list[Triplet] = []
+        if self.node.locked_at(self.t_start):
+            return self._end(REJECTED, self.t_start, triplets, RejectReason("lockout"))
+        stop = math.inf
+        if t_end is not None:
+            stop = max(t_end, float(samples.t_s[-1])) if len(samples) else t_end
+        bs = sorted(beacons, key=lambda b: (b.t_s, b.seq_no))
+        history, matcher = self.node.history, self._matcher
+        deadline = self.t_start + self.watchdog_s
+        for j, b in enumerate(bs):
+            if deadline <= b.t_s:
+                return self._end(TIMED_OUT, deadline, triplets)
+            if b.nonce in history:
+                return self._end(REJECTED, b.t_s, triplets, RejectReason("replay"))
+            history.record(b.nonce)
+            deadline = b.t_s + self.watchdog_s
+            end = b.t_s + self.cfg.n * self.slot_cfg.slot_s
+            upto = bs[j + 1].t_s if j + 1 < len(bs) else stop
+            if deadline < end and deadline <= upto:
+                return self._end(TIMED_OUT, deadline, triplets)
+            if end > upto:
+                if j + 1 == len(bs):
+                    break  # the observation ends with this window open
+                end = upto  # the next beacon cuts this window short
+            try:
+                trip = _read_triplet(bs, j, samples.between(b.t_s, end), self.cfg,
+                                     self.slot_cfg.slot_s)
+            except ExtractionError as e:
+                return self._end(REJECTED, end, triplets, e.reason())
+            triplets.append(trip)
+            matcher = match_step(matcher, trip)
+            if matcher.terminal:
+                return self._end(matcher.status, end, triplets, matcher.reason,
+                                 matcher.accepted_id)
+        return self._end(TIMED_OUT, t_end if deadline > stop else deadline, triplets)
 
-    def feed(self, beacons: Iterable[Beacon], samples: Samples) -> None:
-        """Drive a whole observation through the session: beacons in (time,
-        seq_no) order, each window reading the samples from its beacon up to
-        its end or the next beacon, whichever is first (a sample at a
-        beacon's own time is the new window's), then the clock on to the
-        last sample. Stops early once the session is terminal."""
-        self._samples = samples
-        for b in sorted(beacons, key=lambda b: (b.t_s, b.seq_no)):
-            if self.terminal:
-                return
-            self.observe_beacon(b)
-        if len(samples):
-            self._advance(float(samples.t_s[-1]))
-
-    def finish(self, t_end: Optional[float] = None) -> AuthResult:
-        """Declare the observation over; an unresolved session times out."""
-        if not self.terminal:
-            if t_end is None:
-                t_end = self._deadline
-            self._advance(t_end)
-            if not self.terminal:
-                self._result(TIMED_OUT, t_end, RejectReason("timeout"))
-        return self.result
-
-    def _advance(self, t: float) -> None:
-        # Deferred events (window end, watchdog) up to time t, in time order.
-        while not self.terminal:
-            w_end = self._window_end if self._window_end is not None else math.inf
-            if min(w_end, self._deadline) > t:
-                return
-            if w_end <= self._deadline:
-                self._close_window(w_end)
-            else:
-                self._result(TIMED_OUT, self._deadline, RejectReason("timeout"))
-
-    def _close_window(self, upto: float) -> None:
-        # The window of the last beacon reads the samples in [beacon, upto),
-        # and a verdict it reaches is stamped at upto.
-        j = len(self._beacons) - 1
-        self._window_end = None
-        window = self._samples.between(self._beacons[j].t_s, upto)
-        try:
-            trip = _read_triplet(self._beacons, j, window, self.cfg,
-                                 self.slot_cfg.slot_s)
-        except ExtractionError as e:
-            self._result(REJECTED, upto, e.reason())
-            return
-        self._triplets.append(trip)
-        m = self._matcher = match_step(self._matcher, trip)
-        if m.terminal:
-            self._result(m.status, upto, m.reason, m.accepted_id)
-
-    def _result(self, verdict: str, t: float, reason: Optional[RejectReason] = None,
-                pattern_id: Optional[str] = None) -> None:
-        self.status = verdict
+    def _end(self, verdict: str, t: float, triplets: list[Triplet],
+             reason: Optional[RejectReason] = RejectReason("timeout"),
+             pattern_id: Optional[str] = None) -> AuthResult:
         self.terminal_t = t
-        self.result = AuthResult(
+        return AuthResult(
             verdict, pattern_id, reason, phy_ok=(verdict == ACCEPTED), app_ok=None,
-            transcript=tuple(self._triplets), duration_s=t - self.t_start)
+            transcript=tuple(triplets), duration_s=t - self.t_start)
 
 
 def app_gate(received: str, cfg: SensorConfig) -> bool:
@@ -436,16 +401,15 @@ def authenticate(beacons: Iterable[Beacon], samples: Samples,
                  node: Optional[SensorNode] = None, t_start: float = 0.0,
                  t_end: Optional[float] = None, app_message: Optional[str] = None,
                  rtt_s: Optional[float] = None) -> AuthResult:
-    """Replay a complete observation through a session and the app stage.
+    """Run a complete observation through a session and the app stage.
 
-    Offline wrapper over SensorSession.feed, the same feed the simulator
+    Offline wrapper over SensorSession.run, the same walk the simulator
     uses; the app stage gets the round trip rtt_s as given.
     """
     session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                             t_start=t_start)
-    session.feed(beacons, samples)
-    result = session.finish(t_end)
-    result = apply_app_stage(result, app_message, rtt_s, cfg)
+    result = apply_app_stage(session.run(beacons, samples, t_end), app_message,
+                             rtt_s, cfg)
     if node is not None:
         node.note_result(result, session.terminal_t)
     return result

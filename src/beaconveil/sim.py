@@ -2,9 +2,9 @@
 
 Binds the pieces together: an actor compiles an emission timeline, the radio
 model places it on the sensor's sampling grid along a trajectory as beacons
-plus one Samples array pair, and SensorSession.feed plays them into a session
-in time order (a window reads the samples from its beacon up to its end or the
-next beacon). There is no wall clock anywhere; trial i draws all its
+plus one Samples array pair, and SensorSession.run walks the beacons in time
+order (a window reads the samples from its beacon up to its end or the next
+beacon). There is no wall clock anywhere; trial i draws all its
 randomness from numpy.random.default_rng([seed, i]), so results are
 independent of run order and worker count.
 
@@ -246,6 +246,11 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
     elif isinstance(a, BruteForce):
         if a.n < 1 or a.L < 2:
             problems.append("bruteforce needs n >= 1 and L >= 2")
+        elif a.n > MAX_BITS:
+            # Refused before a candidate is built: building one is linear
+            # in n, and no stored pattern has more bits.
+            problems.append(
+                f"bruteforce n must be <= MAX_BITS ({MAX_BITS}), got {a.n}")
         else:
             # A raw candidate's second interval is always 1 TU, so whether
             # its burst fits depends on n alone.
@@ -323,8 +328,7 @@ def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
         t_start=t_start)
     session = SensorSession(cfg.store.compiled(new_matcher), eff, slot_cfg,
                             node=node, t_start=t_start)
-    session.feed(beacons, samples)
-    result = session.finish()
+    result = session.run(beacons, samples)
     if result.verdict == ACCEPTED and eff.app_secret is not None:
         d = distance_at(cfg.trajectory, session.terminal_t - t_start)
         rtt = 2.0 * d / LIGHT_SPEED_M_S + rtt_extra_s
@@ -366,7 +370,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
             p, slot = cfg.pattern(a.pattern_b), replace(slot, tu_s=a.tu_b_s)
     else:
         raise TypeError(f"unknown actor {a!r}")
-    tl = compile_schedule(p, slot, cfg.tx_levels, nonce_prefix=f"t{trial_index}.s0")
+    tl = compile_schedule(p, slot, cfg.tx_levels)
     message = "" if guessing else eff.app_secret
     extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
     result = _run_session(cfg, eff, slot, tl, rng, node, 0.0, message, extra)

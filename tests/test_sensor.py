@@ -336,9 +336,8 @@ class TestSessions:
         for p in random.Random(3).sample(attempts * 2, 2 * len(attempts)):
             beacons, samples = clean_observation(p, SlotConfig(), cfg)
             session = SensorSession(root, cfg, SlotConfig())
-            session.feed(beacons, samples)
-            assert session.finish() == run_session(beacons, samples, store, cfg,
-                                                   SlotConfig())
+            assert session.run(beacons, samples) == run_session(
+                beacons, samples, store, cfg, SlotConfig())
 
     def test_early_beacon_forces_window_close(self):
         # second beacon arrives before the first window would end; the open
@@ -359,8 +358,7 @@ class TestSessions:
         beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
         beacons[1] = dataclasses.replace(beacons[1], t_s=1.0)
         session = SensorSession(new_matcher([FIG3]), CFG, SlotConfig())
-        session.feed(beacons, samples)
-        res = session.finish()
+        res = session.run(beacons, samples)
         assert res.reason == RejectReason("undecodable", 0)
         assert res.duration_s == 1.0 and session.terminal_t == 1.0
 
@@ -407,7 +405,7 @@ def _reference_read(beacons, j, pts, cfg, slot_s):
 
 
 class ReferenceSession:
-    """SensorSession.feed + finish as per-sample events: one list sorted by
+    """SensorSession.run as per-sample events: one list sorted by
     (time, beacon before sample, seq_no or arrival order), every event
     advancing the clock, every sample joining the window open at its time.
     Returns (verdict, pattern_id, reason, transcript, duration_s,
@@ -568,6 +566,8 @@ class TestFeedDifferential:
     @example(spec={**BASE, "n": 2, "bits": ["01", "10", "01"],
                    "jitter": [0, -1, 0]})  # an early close that still decodes
     @example(spec={**BASE, "t_end": 20})  # samples after t_end
+    @example(spec={**BASE, "jitter": [0, 0, 1], "tail": 0,
+                   "t_end": 34})  # t_end inside the last open window
     @example(spec={**BASE, "watchdog_s": 0.5})  # watchdog shorter than a window
     @example(spec={**BASE, "n": 2, "bits": ["01", "10", "01"],
                    "watchdog_s": 1.0})  # watchdog due as the window ends
@@ -588,8 +588,7 @@ class TestFeedDifferential:
             node.locked_until = t_start + 1.0
         session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                                 t_start=t_start)
-        session.feed(beacons, Samples(*zip(*pts)))
-        res = session.finish(t_end)
+        res = session.run(beacons, Samples(*zip(*pts)), t_end)
         ref = ReferenceSession(store, cfg, slot_cfg, history, locked, t_start)
         assert (res.verdict, res.pattern_id, res.reason, res.transcript,
                 res.duration_s, session.terminal_t) == ref.run(beacons, pts, t_end)

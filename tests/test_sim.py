@@ -246,6 +246,19 @@ class TestValidation:
             run_scenario(cfg)
         assert validate_scenario(dataclasses.replace(cfg, actor=BruteForce(6, 2))) == []
 
+    def test_bruteforce_n_above_max_bits_refused_before_a_candidate(self, monkeypatch):
+        edge = dataclasses.replace(build_fig3("a"),
+                                   actor=BruteForce(beaconveil.sim.MAX_BITS, 2))
+        assert not any("MAX_BITS" in p for p in validate_scenario(edge))
+        # Building a candidate is linear in n; no stored pattern has more
+        # than MAX_BITS bits, so a larger n is refused without one.
+        built = []
+        monkeypatch.setattr(beaconveil.sim, "candidate_from_index",
+                            lambda *args: built.append(args))
+        cfg = dataclasses.replace(edge, actor=BruteForce(10**6, 2))
+        assert any("MAX_BITS" in p and "1000000" in p for p in validate_scenario(cfg))
+        assert built == []
+
     def test_proto_pattern_b_that_does_not_fit_tu_b_s(self):
         cfg = dataclasses.replace(build_proto(), actor=Proto("pi1", "pi2", 0.5))
         assert any("proto pattern_b does not fit" in p for p in validate_scenario(cfg))
