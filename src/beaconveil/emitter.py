@@ -62,7 +62,8 @@ class Beacon:
 class EmissionTimeline:
     """Beacons plus a piecewise-constant power profile: step k holds
     levels[k] from starts[k] to starts[k+1], the last step up to duration_s.
-    starts and levels are read-only float64 arrays."""
+    starts and levels are read-only float64 arrays, and so is beacon_times,
+    the beacons' t_s in order, built once for the radio."""
 
     beacons: tuple[Beacon, ...]
     starts: np.ndarray
@@ -70,8 +71,10 @@ class EmissionTimeline:
     duration_s: float
 
     def __post_init__(self) -> None:
-        for name in ("starts", "levels"):
-            a = np.array(getattr(self, name), dtype=np.float64)
+        columns = {"starts": self.starts, "levels": self.levels,
+                   "beacon_times": [b.t_s for b in self.beacons]}
+        for name, col in columns.items():
+            a = np.array(col, dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

@@ -53,7 +53,11 @@ class TxPowerLevels:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear emitter-to-sensor range over time, clamped outside."""
+    """Piecewise-linear emitter-to-sensor range over time, clamped outside.
+
+    The waypoint times and ranges are also kept as two read-only float64
+    arrays, built once, for distance_at; only the waypoints pickle.
+    """
 
     waypoints: tuple[tuple[float, float], ...]
 
@@ -69,6 +73,13 @@ class Trajectory:
             raise ValueError("waypoint times must be strictly increasing")
         if not all(d > 0 for _, d in self.waypoints):
             raise ValueError("waypoint distances must be > 0")
+        for name, col in (("_xp", times), ("_fp", [d for _, d in self.waypoints])):
+            a = np.array(col, dtype=np.float64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return Trajectory, (self.waypoints,)
 
 
 def path_loss(d: Union[float, np.ndarray],
@@ -97,5 +108,5 @@ def distance_at(traj: Trajectory,
                 t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Range at a time or an array of times, clamped outside the waypoints.
     Returns a float for a scalar t, else an array."""
-    d = np.interp(t, [w[0] for w in traj.waypoints], [w[1] for w in traj.waypoints])
+    d = np.interp(t, traj._xp, traj._fp)
     return d if d.ndim else float(d)

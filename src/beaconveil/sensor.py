@@ -17,9 +17,9 @@ transition smaller than delta_db, an interval off the measured grid.
 
 One reader turns a window into a triplet: SensorSession.run, a single walk
 over an observation's beacons in time order, and the offline
-extract_triplets both go through it, so they read a window the same way.
-(extract_triplets reads every window in full, where a session cuts one
-short at the next beacon.)
+extract_triplets both go through it, and both close a window by one rule
+(n slots after its beacon, or at the next beacon if that comes first), so
+they read a window the same way.
 """
 
 from __future__ import annotations
@@ -59,15 +59,21 @@ class Samples:
             t, r = t[order], r[order]
         self.t_s, self.rssi_dbm = t, r
 
+    @classmethod
+    def _sorted(cls, t_s: np.ndarray, rssi_dbm: np.ndarray) -> "Samples":
+        # Unchecked: float64 arrays of one length, t_s finite and sorted.
+        out = object.__new__(cls)
+        out.t_s, out.rssi_dbm = t_s, rssi_dbm
+        return out
+
     def __len__(self) -> int:
         return len(self.t_s)
 
     def between(self, lo: float, hi: float) -> "Samples":
         """The samples with lo <= t_s < hi, as views."""
         i, j = self.t_s.searchsorted((lo, hi))
-        part = object.__new__(Samples)  # a slice of sorted times is sorted
-        part.t_s, part.rssi_dbm = self.t_s[i:j], self.rssi_dbm[i:j]
-        return part
+        # A slice of sorted times is sorted.
+        return Samples._sorted(self.t_s[i:j], self.rssi_dbm[i:j])
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,13 @@ def quantize_interval(raw_s: float, tu_s: float, eps: float = 0.10) -> Optional[
     return int(k)
 
 
+def _window_close(beacons: Sequence[Beacon], j: int, span_s: float) -> float:
+    """Where beacon j's window closes: span_s (n slots) after the beacon, or
+    at the next beacon if that comes first."""
+    end = beacons[j].t_s + span_s
+    return min(end, beacons[j + 1].t_s) if j + 1 < len(beacons) else end
+
+
 def _read_triplet(beacons: Sequence[Beacon], j: int,
                   window: Samples, cfg: SensorConfig, slot_s: float) -> Triplet:
     """Read triplet j from the slot window its beacon opened.
@@ -204,7 +217,8 @@ def _read_triplet(beacons: Sequence[Beacon], j: int,
 
 def extract_triplets(beacons: Sequence[Beacon], samples: Samples,
                      cfg: SensorConfig, slot_s: float = 0.6) -> tuple[Triplet, ...]:
-    """Offline pipeline: read every beacon's full slot window in turn.
+    """Offline pipeline: read every beacon's slot window in turn, each cut
+    short at the next beacon as a session cuts it.
 
     Stops at the first triplet it cannot read, as a session does. Scale
     invariance falls out of measuring the time unit: multiplying every
@@ -215,7 +229,7 @@ def extract_triplets(beacons: Sequence[Beacon], samples: Samples,
         raise ValueError("need at least one beacon")
     out = []
     for j, b in enumerate(beacons):
-        window = samples.between(b.t_s, b.t_s + cfg.n * slot_s)
+        window = samples.between(b.t_s, _window_close(beacons, j, cfg.n * slot_s))
         out.append(_read_triplet(beacons, j, window, cfg, slot_s))
     if len(out) < 2:
         raise QuantizationFailure("need two beacons to measure the time unit", index=1)
@@ -329,6 +343,7 @@ class SensorSession:
         bs = sorted(beacons, key=lambda b: (b.t_s, b.seq_no))
         history, matcher = self.node.history, self._matcher
         deadline = self.t_start + self.watchdog_s
+        span = self.cfg.n * self.slot_cfg.slot_s
         for j, b in enumerate(bs):
             if deadline <= b.t_s:
                 return self._end(TIMED_OUT, deadline, triplets)
@@ -336,14 +351,13 @@ class SensorSession:
                 return self._end(REJECTED, b.t_s, triplets, RejectReason("replay"))
             history.record(b.nonce)
             deadline = b.t_s + self.watchdog_s
-            end = b.t_s + self.cfg.n * self.slot_cfg.slot_s
+            end = b.t_s + span
             upto = bs[j + 1].t_s if j + 1 < len(bs) else stop
             if deadline < end and deadline <= upto:
                 return self._end(TIMED_OUT, deadline, triplets)
-            if end > upto:
-                if j + 1 == len(bs):
-                    break  # the observation ends with this window open
-                end = upto  # the next beacon cuts this window short
+            if end > upto and j + 1 == len(bs):
+                break  # the observation ends with this window open
+            end = _window_close(bs, j, span)
             try:
                 trip = _read_triplet(bs, j, samples.between(b.t_s, end), self.cfg,
                                      self.slot_cfg.slot_s)

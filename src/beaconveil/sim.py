@@ -148,6 +148,16 @@ def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One experiment: a store, an actor, the radio and sensor set-up, and
+    the trials to run.
+
+    Forms derived from a config are built on first use and kept with it:
+    its validation problems, the sensor config with its watchdog filled in,
+    and the actor's compiled timelines (all but BruteForce's, which changes
+    every trial). The store keeps its own forms (see _Store). None of them
+    travel in a pickle; each worker builds its own.
+    """
+
     store: tuple[SecretPattern, ...]
     actor: Actor
     band: BandPlan = DEFAULT_BAND
@@ -176,6 +186,27 @@ class ScenarioConfig:
             return self.sensor_cfg
         units = max(8, self.max_tu + 2)
         return replace(self.sensor_cfg, watchdog_s=units * self.slot_cfg.tu_s)
+
+    @cached_property
+    def _timelines(self) -> tuple[tuple[SlotConfig, EmissionTimeline], ...]:
+        # What the actor emits, as (slot layout, timeline): one for Legit,
+        # Replay, Mitm and Mutant, Proto's even and odd half. BruteForce
+        # draws a new candidate every trial, so it has none here.
+        a = self.actor
+        slot = self.slot_cfg
+        if isinstance(a, (Legit, Replay, Mitm)):
+            emitted = [(self.pattern(a.pattern_id), slot)]
+        elif isinstance(a, Mutant):
+            # A wrong second interval merely redefines the observed time unit.
+            emitted = [(mutate(self.pattern(a.pattern_id), a.mutation), slot)]
+        elif isinstance(a, Proto):
+            emitted = [(self.pattern(a.pattern_a), slot),
+                       (self.pattern(a.pattern_b), replace(slot, tu_s=a.tu_b_s))]
+        elif isinstance(a, BruteForce):
+            emitted = []
+        else:
+            raise TypeError(f"unknown actor {a!r}")
+        return tuple((s, compile_schedule(p, s, self.tx_levels)) for p, s in emitted)
 
     def pattern(self, pattern_id: str) -> SecretPattern:
         return self.store.compiled(_index_by_id)[pattern_id]
@@ -288,35 +319,51 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     detected beacon opens, NaN where a tick heard nothing. Ticks outside
     those windows carry no information and are not materialized. The
     trajectory is anchored at t_start.
+
+    One radio pass: range and path loss are evaluated once, over the
+    emitted beacons and every tick of every window a beacon could open,
+    and the ticks of unheard beacons are dropped after. Windows that do not
+    overlap already come out in tick order; overlapping ones are merged.
+    The draws, in order: the emission phase, then with sigma_db > 0 one
+    normal per emitted beacon and one per kept tick.
     """
     f = scfg.f_s
     phase = t_start + rng.uniform(0.0, 1.0 / f)  # emission start on the sensor clock
     sigma = chan.sigma_db
     emitted = timeline.beacons
-    t_true = phase + np.array([b.t_s for b in emitted])
-    rssi = tx.high_dbm - path_loss(distance_at(traj, t_true - t_start), chan)
+    t_true = phase + timeline.beacon_times
+    # Each beacon's grid tick (half to even, as round() does) and the ticks
+    # of the window it would open, one row per beacon.
+    m = np.rint(t_true * f).astype(np.int64)
+    win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
+    ticks = m[:, None] + np.arange(win_ticks, dtype=np.int64)
+    t_ticks = ticks / f
+    pl = path_loss(distance_at(traj, np.concatenate((t_true, t_ticks.ravel()))
+                               - t_start), chan)
+    rssi = tx.high_dbm - pl[:len(emitted)]
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=len(emitted))
-    beacons = []
-    ticks_parts = []
-    win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
-    for b, t, r in zip(emitted, t_true.tolist(), rssi.tolist()):
-        if r < chan.noise_floor_dbm:
-            continue  # frame lost; its window never opens
-        m = int(round(t * f))
-        beacons.append(Beacon(m / f, b.channel, b.seq_no, b.nonce))
-        ticks_parts.append(np.arange(m, m + win_ticks, dtype=np.int64))
-    if not ticks_parts:
+    # A frame lost under the noise floor opens no window.
+    rows = [k for k, h in enumerate((rssi >= chan.noise_floor_dbm).tolist()) if h]
+    ms = m.tolist()
+    beacons = [Beacon(ms[k] / f, emitted[k].channel, emitted[k].seq_no,
+                      emitted[k].nonce) for k in rows]
+    if not rows:
         return beacons, Samples()
-    ticks = np.unique(np.concatenate(ticks_parts))
-    t_ticks = ticks / f
+    pl = pl[len(emitted):].reshape(ticks.shape)
+    if len(rows) < len(emitted):
+        ticks, t_ticks, pl = ticks[rows], t_ticks[rows], pl[rows]
+    t_ticks, pl = t_ticks.ravel(), pl.ravel()
+    # Rows of windows that do not overlap are already in strict tick order.
+    if any(ms[b] - ms[a] < win_ticks for a, b in zip(rows, rows[1:])):
+        _, first = np.unique(ticks, return_index=True)
+        t_ticks, pl = t_ticks[first], pl[first]
     local = t_ticks - phase
-    pl = path_loss(distance_at(traj, t_ticks - t_start), chan)
     rssi = timeline.levels_at(local) - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=rssi.shape)
     absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
-    return beacons, Samples(t_ticks, np.where(absent, np.nan, rssi))
+    return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi))
 
 
 def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
@@ -346,31 +393,25 @@ class TrialResult:
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
-    """One fully deterministic trial; randomness from (seed, trial_index)."""
+    """One fully deterministic trial; randomness from (seed, trial_index).
+
+    The emission is the config's compiled timeline (Proto's even or odd
+    half); only a BruteForce trial compiles its own, from the candidate it
+    draws first.
+    """
     rng = np.random.default_rng([cfg.seed, trial_index])
     eff = cfg._effective_sensor
     node = SensorNode(eff.lockout_s)
     a = cfg.actor
-    slot = cfg.slot_cfg
     # Mutant and BruteForce emit a credential of their own making, which need
     # not be valid, and they do not know the app secret.
     guessing = isinstance(a, (Mutant, BruteForce))
-    if isinstance(a, (Legit, Replay, Mitm)):
-        p = cfg.pattern(a.pattern_id)
-    elif isinstance(a, Mutant):
-        # A wrong second interval merely redefines the observed time unit.
-        p = mutate(cfg.pattern(a.pattern_id), a.mutation)
-    elif isinstance(a, BruteForce):
+    if isinstance(a, BruteForce):
         p = random_candidate(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu,
                              pattern_id=f"cand.{trial_index}")
-    elif isinstance(a, Proto):
-        if trial_index % 2 == 0:
-            p = cfg.pattern(a.pattern_a)
-        else:
-            p, slot = cfg.pattern(a.pattern_b), replace(slot, tu_s=a.tu_b_s)
+        slot, tl = cfg.slot_cfg, compile_schedule(p, cfg.slot_cfg, cfg.tx_levels)
     else:
-        raise TypeError(f"unknown actor {a!r}")
-    tl = compile_schedule(p, slot, cfg.tx_levels)
+        slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
     message = "" if guessing else eff.app_secret
     extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
     result = _run_session(cfg, eff, slot, tl, rng, node, 0.0, message, extra)

@@ -227,6 +227,23 @@ class TestExtractTriplets:
         res = authenticate(beacons, late, [FIG3], CFG, SlotConfig())
         assert res.reason == RejectReason("quantization", 2)
 
+    def test_window_cut_at_the_next_beacon_as_in_a_session(self):
+        # beacon 1 at 0.8 s cuts window 0 inside its second slot, where
+        # nothing was heard; read in full to 1.0 s, that slot would borrow
+        # the samples of window 1
+        cfg = SensorConfig(f_s=8.0, n=2)
+        slot_cfg = SlotConfig(slot_s=0.5, tu_s=0.8)
+        beacons = [Beacon(0.0, 1, 0, "n.0"), Beacon(0.8, 1, 1, "n.1")]
+        t = np.arange(15) * 0.125
+        rssi = np.where((t < 0.5) | (t >= 1.3), -66.0, -60.0)
+        samples = Samples(t, np.where((0.5 <= t) & (t < 0.8), np.nan, rssi))
+        res = authenticate(beacons, samples, [parse_pattern("01@1:- 10@1:1", "p")],
+                           cfg, slot_cfg)
+        assert res.reason == RejectReason("undecodable", 0)
+        with pytest.raises(UndecodableWindow) as ei:
+            extract_triplets(beacons, samples, cfg, slot_cfg.slot_s)
+        assert ei.value.reason() == res.reason
+
 
 class TestNonceHistory:
     def test_membership_and_fifo_eviction(self):

@@ -8,20 +8,21 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import beaconveil.sim
-from beaconveil import (ACCEPTED, REJECTED, BandPlan, BruteForce, ChannelParams,
-                        FlipTxBit, Legit, Mitm, Mutant, Proto, Replay,
-                        SecretPattern, SensorConfig, SlotConfig, SlotFitError,
-                        Trajectory, Triplet, TxPattern, TxPowerLevels,
-                        WrongChannel, WrongInterval, authenticate, build_fig3,
-                        build_flyover, build_proto, compile_schedule,
-                        compute_metrics, dump_scenario, eavesdrop,
-                        extract_triplets, monte_carlo, new_matcher,
-                        observe_emission, parse_pattern,
-                        run_scenario, run_trial, sweep, validate_scenario,
-                        wilson)
+from beaconveil import (ACCEPTED, REJECTED, BandPlan, Beacon, BruteForce,
+                        ChannelParams, FlipTxBit, Legit, Mitm, Mutant, Proto,
+                        Replay, Samples, SecretPattern, SensorConfig,
+                        SlotConfig, SlotFitError, Trajectory, Triplet,
+                        TxPattern, TxPowerLevels, WrongChannel, WrongInterval,
+                        authenticate, build_fig3, build_flyover, build_proto,
+                        candidate_from_index, compile_schedule,
+                        compute_metrics, distance_at, dump_scenario,
+                        eavesdrop, extract_triplets, monte_carlo, new_matcher,
+                        observe_emission, parse_pattern, path_loss,
+                        pattern_space_size, run_scenario, run_trial, sweep,
+                        validate_scenario, wilson)
 
 from scenario_builders import build_desk, build_desk_multi
 
@@ -477,6 +478,34 @@ class TestCompiledStore:
         assert fixed._effective_sensor is fixed.sensor_cfg
 
 
+class TestCompiledTimeline:
+    @pytest.mark.parametrize("cfg, compiles", [
+        (build_fig3("a"), 1),
+        (dataclasses.replace(build_fig3("a"), actor=Replay("fig3")), 1),
+        (dataclasses.replace(build_fig3("a"), actor=Mitm("fig3", 0.5)), 1),
+        (build_fig3("b"), 1),
+        (build_proto(), 2),
+        (build_desk(BruteForce(2, 2), 1), 50),
+    ], ids=["legit", "replay", "mitm", "mutant", "proto", "bruteforce"])
+    def test_compiled_once_per_config(self, monkeypatch, cfg, compiles):
+        compiled = []
+        real = beaconveil.sim.compile_schedule
+
+        def counting(p, *args):
+            compiled.append(p.pattern_id)
+            return real(p, *args)
+
+        monkeypatch.setattr(beaconveil.sim, "compile_schedule", counting)
+        cfg = dataclasses.replace(cfg, trials=50)
+        fresh = pickle.dumps(cfg)
+        report = run_scenario(cfg)
+        assert len(compiled) == compiles
+        # The timelines stay in the process, as the store's forms do.
+        assert len(pickle.dumps(cfg)) == len(fresh)
+        assert verdicts(run_scenario(pickle.loads(fresh))) == verdicts(report)
+        assert len(compiled) == 2 * compiles
+
+
 class TestSweep:
     def test_distance_axis_degrades_monotonically(self):
         cfg = build_desk(Legit("desk"), 40)
@@ -558,3 +587,122 @@ class TestCrossLayerOracle:
                 == extract_triplets(beacons, samples, cfg, slot_cfg.slot_s)
                 == eavesdrop(tl, slot_cfg, tx, n)
                 == p.triplets)
+
+
+def reference_observe_emission(timeline, traj, chan, tx, scfg, slot_cfg, rng,
+                               t_start=0.0):
+    """observe_emission as one beacon at a time: range and path loss
+    evaluated for the beacons and again for the merged window ticks, each
+    beacon rounded with round(), the ticks merged with np.unique."""
+    f = scfg.f_s
+    phase = t_start + rng.uniform(0.0, 1.0 / f)
+    sigma = chan.sigma_db
+    emitted = timeline.beacons
+    t_true = phase + np.array([b.t_s for b in emitted])
+    rssi = tx.high_dbm - path_loss(distance_at(traj, t_true - t_start), chan)
+    if sigma > 0:
+        rssi += rng.normal(0.0, sigma, size=len(emitted))
+    beacons = []
+    ticks_parts = []
+    win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
+    for b, t, r in zip(emitted, t_true.tolist(), rssi.tolist()):
+        if r < chan.noise_floor_dbm:
+            continue
+        m = int(round(t * f))
+        beacons.append(Beacon(m / f, b.channel, b.seq_no, b.nonce))
+        ticks_parts.append(np.arange(m, m + win_ticks, dtype=np.int64))
+    if not ticks_parts:
+        return beacons, Samples()
+    ticks = np.unique(np.concatenate(ticks_parts))
+    t_ticks = ticks / f
+    local = t_ticks - phase
+    pl = path_loss(distance_at(traj, t_ticks - t_start), chan)
+    rssi = timeline.levels_at(local) - pl
+    if sigma > 0:
+        rssi += rng.normal(0.0, sigma, size=rssi.shape)
+    absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
+    return beacons, Samples(t_ticks, np.where(absent, np.nan, rssi))
+
+
+@st.composite
+def raw_candidates(draw):
+    n, L = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    channels, max_tu = draw(st.integers(1, 14)), draw(st.integers(1, MAX_TU))
+    index = draw(st.integers(0, pattern_space_size(n, L, channels, max_tu) - 1))
+    return candidate_from_index(index, n, L, channels, max_tu)
+
+
+@st.composite
+def emissions(draw):
+    """A pattern, a slot layout it fits (guard 0 included, so windows can
+    share a tick), a sampling rate of 2-8 ticks per slot, and a channel,
+    trajectory and start time to observe it through."""
+    p = draw(valid_patterns() | raw_candidates())
+    tu_s = draw(st.floats(0.2, 5.0))
+    slot_s = draw(st.floats(0.1, 1.0)) * tu_s / p.bit_count
+    guard_s = draw(st.just(0.0) | st.floats(0.0, 1.0)) * (tu_s - p.bit_count * slot_s)
+    times = draw(st.lists(st.floats(0.0, 120.0), min_size=1, max_size=6, unique=True))
+    return {"pattern": p, "slot": (slot_s, tu_s, guard_s),
+            "f_s": draw(st.floats(2.0, 8.0)) / slot_s,
+            "sigma_db": draw(st.just(0.0) | st.floats(0.1, 8.0)),
+            "waypoints": [(t, draw(st.floats(0.5, 60.0))) for t in sorted(times)],
+            "t_start": draw(st.just(0.0) | st.floats(0.1, 200.0)),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+# Three beacons 5.5 ticks apart with 6-tick windows: one pair of adjacent
+# windows always shares a tick.
+OVERLAPPING = {"pattern": parse_pattern("01@1:- 10@1:1 01@1:1", "p"),
+               "slot": (0.55, 1.1, 0.0), "f_s": 5.0, "sigma_db": 0.0,
+               "waypoints": [(0.0, 5.0)], "t_start": 0.0, "seed": 3}
+
+
+class MidTickPhase:
+    """An rng whose emission phase is half a tick, so that beacon 0 sits
+    exactly between two ticks."""
+
+    def uniform(self, lo, hi):
+        return (lo + hi) / 2.0
+
+
+def observe_both(spec, make_rng=np.random.default_rng):
+    slot_cfg = SlotConfig(*spec["slot"])
+    p = spec["pattern"]
+    tl = compile_schedule(p, slot_cfg, TxPowerLevels())
+    args = (tl, Trajectory(tuple(spec["waypoints"])),
+            ChannelParams(sigma_db=spec["sigma_db"]), TxPowerLevels(),
+            SensorConfig(f_s=spec["f_s"], n=p.bit_count), slot_cfg)
+    rngs = [make_rng(spec["seed"]) for _ in range(2)]
+    got = observe_emission(*args, rngs[0], t_start=spec["t_start"])
+    want = reference_observe_emission(*args, rngs[1], t_start=spec["t_start"])
+    return got, want, rngs
+
+
+class TestObserveEmissionDifferential:
+    @given(spec=emissions())
+    @example(spec=OVERLAPPING)
+    @example(spec={**OVERLAPPING, "sigma_db": 4.0, "t_start": 37.3,
+                   "waypoints": [(0.0, 2.0), (30.0, 45.0), (60.0, 3.0)]})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, spec):
+        (beacons, samples), (ref_beacons, ref_samples), rngs = observe_both(spec)
+        assert beacons == ref_beacons
+        for got, want in ((samples.t_s, ref_samples.t_s),
+                          (samples.rssi_dbm, ref_samples.rssi_dbm)):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_a_beacon_half_a_tick_off_rounds_to_even(self):
+        # phase 0.1 s at 5 Hz: beacon 0 falls on tick 0.5 and, as round()
+        # does, goes to tick 0
+        (beacons, samples), (ref_beacons, ref_samples), _ = observe_both(
+            OVERLAPPING, lambda seed: MidTickPhase())
+        assert beacons == ref_beacons and beacons[0].t_s == 0.0
+        assert samples.t_s.tobytes() == ref_samples.t_s.tobytes()
+
+    def test_overlapping_windows_share_a_tick(self):
+        (beacons, samples), _, _ = observe_both(OVERLAPPING)
+        assert len(beacons) == 3
+        assert len(samples) == 3 * 6 - 1
+        assert (np.diff(samples.t_s) > 0).all()
