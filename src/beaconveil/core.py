@@ -137,64 +137,41 @@ class ValidationReport:
         return "ok" if self.ok else "; ".join(str(v) for v in self.violations)
 
 
-def _all_hold(p: SecretPattern, channel_count: float, max_tu: float) -> bool:
-    """Every invariant of validate_pattern, in one walk over the triplets.
-
-    True only when _violations would list nothing; a False just sends the
-    caller on to _violations for the messages.
-    """
+def _violations(p: SecretPattern, channel_count: float, max_tu: float) -> list[Violation]:
+    """Every violated invariant, in one walk over the triplets: the
+    structural ones first, then channel and interval ranges; with both
+    bounds math.inf only the structural ones. A pattern shorter than two
+    triplets lists bad-length in place of the per-triplet structure."""
     ts = p.triplets
-    if len(ts) < 2:
-        return False
-    n = len(ts[0].tx_pattern.bits)
-    if not 2 <= n <= MAX_BITS:
-        return False
+    shape: list[Violation] = []
+    ranges: list[Violation] = []
+    whole = len(ts) >= 2
+    if not whole:
+        shape.append(Violation("bad-length", f"pattern length L < 2 (got {len(ts)})"))
+    n = len(ts[0].tx_pattern.bits) if ts else 0
     for i, t in enumerate(ts):
         bits, iv = t.tx_pattern.bits, t.interval_tu
-        if len(bits) != n or "0" not in bits or "1" not in bits \
-                or not 1 <= t.channel <= channel_count:
-            return False
-        if i == 0:
-            if iv is not None:
-                return False
-        elif iv is None or not 1 <= iv <= max_tu or i == 1 and iv != 1:
-            return False
-    return True
-
-
-def _violations(p: SecretPattern, channel_count: float, max_tu: float) -> list[Violation]:
-    """Every violated invariant, the structural ones first, then channel and
-    interval ranges; with both bounds math.inf only the structural ones."""
-    if _all_hold(p, channel_count, max_tu):
-        return []
-    out: list[Violation] = []
-    if p.length < 2:
-        out.append(Violation("bad-length", f"pattern length L < 2 (got {p.length})"))
-    else:
-        n = len(p.triplets[0].tx_pattern)
-        for i, t in enumerate(p.triplets):
-            bits = t.tx_pattern.bits
+        if whole:
             if len(bits) != n:
-                out.append(Violation("mixed-n", f"triplet {i} has {len(bits)} bits, expected {n}"))
+                shape.append(Violation("mixed-n", f"triplet {i} has {len(bits)} bits, expected {n}"))
             if not 2 <= len(bits) <= MAX_BITS:
-                out.append(Violation("bad-bit-length", f"triplet {i} bit count {len(bits)} outside [2, {MAX_BITS}]"))
-            elif len(set(bits)) == 1:
-                out.append(Violation("all-equal-bits", f"triplet {i} tx_pattern {bits} has no transition"))
+                shape.append(Violation("bad-bit-length", f"triplet {i} bit count {len(bits)} outside [2, {MAX_BITS}]"))
+            elif "0" not in bits or "1" not in bits:
+                shape.append(Violation("all-equal-bits", f"triplet {i} tx_pattern {bits} has no transition"))
             if i == 0:
-                if t.interval_tu is not None:
-                    out.append(Violation("bad-first-interval", "triplet 0 must carry no interval"))
-            elif t.interval_tu is None:
-                out.append(Violation("missing-interval", f"triplet {i} must carry an interval"))
-            elif i == 1 and t.interval_tu != 1:
-                out.append(Violation("bad-second-interval", f"second interval must be 1 TU, got {t.interval_tu}"))
-    for i, t in enumerate(p.triplets):
+                if iv is not None:
+                    shape.append(Violation("bad-first-interval", "triplet 0 must carry no interval"))
+            elif iv is None:
+                shape.append(Violation("missing-interval", f"triplet {i} must carry an interval"))
+            elif i == 1 and iv != 1:
+                shape.append(Violation("bad-second-interval", f"second interval must be 1 TU, got {iv}"))
         if not 1 <= t.channel <= channel_count:
-            out.append(Violation("channel-out-of-band",
-                                 f"triplet {i} channel {t.channel} outside 1..{channel_count}"))
-        if t.interval_tu is not None and not 1 <= t.interval_tu <= max_tu:
-            out.append(Violation("interval-out-of-range",
-                                 f"triplet {i} interval {t.interval_tu} outside 1..{max_tu}"))
-    return out
+            ranges.append(Violation("channel-out-of-band",
+                                    f"triplet {i} channel {t.channel} outside 1..{channel_count}"))
+        if iv is not None and not 1 <= iv <= max_tu:
+            ranges.append(Violation("interval-out-of-range",
+                                    f"triplet {i} interval {iv} outside 1..{max_tu}"))
+    return shape + ranges
 
 
 _VALID = ValidationReport(())

@@ -16,10 +16,12 @@ being guessed at: a silent slot, a window without high/low structure, a
 transition smaller than delta_db, an interval off the measured grid.
 
 One reader turns a window into a triplet: SensorSession.run, a single walk
-over an observation's beacons in time order, and the offline
-extract_triplets both go through it, and both close a window by one rule
-(n slots after its beacon, or at the next beacon if that comes first), so
-they read a window the same way.
+over an observation's beacons, and the offline extract_triplets both go
+through it. Both take the beacons in (t_s, seq_no) order whatever order
+they are given in, refuse a beacon time that is NaN or infinite, and close
+a window by one rule (n slots after its beacon, or at the next beacon if
+that comes first), so they read a window the same way. A SensorNode keeps
+what outlives a session; a reject locks it for its session's lockout_s.
 """
 
 from __future__ import annotations
@@ -179,6 +181,18 @@ def quantize_interval(raw_s: float, tu_s: float, eps: float = 0.10) -> Optional[
     return int(k)
 
 
+def _in_order(beacons: Iterable[Beacon]) -> list[Beacon]:
+    """The beacons sorted by (t_s, seq_no), the order both readers take them
+    in. Raises ValueError if any beacon's time is NaN or infinite: a NaN key
+    does not sort, so every beacon is checked, not just the ends."""
+    bs = list(beacons)
+    for b in bs:
+        if not math.isfinite(b.t_s):
+            raise ValueError(f"beacon {b.seq_no} t_s must be finite, got {b.t_s!r}")
+    bs.sort(key=lambda b: (b.t_s, b.seq_no))
+    return bs
+
+
 def _window_close(beacons: Sequence[Beacon], j: int, span_s: float) -> float:
     """Where beacon j's window closes: span_s (n slots) after the beacon, or
     at the next beacon if that comes first."""
@@ -217,20 +231,23 @@ def _read_triplet(beacons: Sequence[Beacon], j: int,
 
 def extract_triplets(beacons: Sequence[Beacon], samples: Samples,
                      cfg: SensorConfig, slot_s: float = 0.6) -> tuple[Triplet, ...]:
-    """Offline pipeline: read every beacon's slot window in turn, each cut
-    short at the next beacon as a session cuts it.
+    """Offline pipeline: read every beacon's slot window in turn, in
+    (t_s, seq_no) order, each cut short at the next beacon as a session
+    cuts it.
 
-    Stops at the first triplet it cannot read, as a session does. Scale
+    Stops at the first triplet it cannot read, as a session does, and
+    raises ValueError on a beacon time that is NaN or infinite. Scale
     invariance falls out of measuring the time unit: multiplying every
     timestamp by k > 0 rescales the time unit and all raw intervals
     together, leaving every quantized interval unchanged.
     """
-    if not beacons:
+    bs = _in_order(beacons)
+    if not bs:
         raise ValueError("need at least one beacon")
     out = []
-    for j, b in enumerate(beacons):
-        window = samples.between(b.t_s, _window_close(beacons, j, cfg.n * slot_s))
-        out.append(_read_triplet(beacons, j, window, cfg, slot_s))
+    for j, b in enumerate(bs):
+        window = samples.between(b.t_s, _window_close(bs, j, cfg.n * slot_s))
+        out.append(_read_triplet(bs, j, window, cfg, slot_s))
     if len(out) < 2:
         raise QuantizationFailure("need two beacons to measure the time unit", index=1)
     return tuple(out)
@@ -263,18 +280,18 @@ class NonceHistory:
 
 @dataclass
 class SensorNode:
-    """Device-lifetime state that outlives one session: nonce ledger, lockout."""
+    """Device-lifetime state that outlives one session: the nonce ledger and
+    the end of the lockout, whose length is the ended session's lockout_s."""
 
-    lockout_s: float = 0.0
     history: NonceHistory = field(default_factory=NonceHistory)
     locked_until: float = float("-inf")
 
     def locked_at(self, t: float) -> bool:
         return t < self.locked_until
 
-    def note_result(self, result: "AuthResult", t_terminal: float) -> None:
-        if result.verdict == REJECTED and self.lockout_s > 0:
-            self.locked_until = max(self.locked_until, t_terminal + self.lockout_s)
+    def note_result(self, result: "AuthResult", t_terminal: float, lockout_s: float) -> None:
+        if result.verdict == REJECTED and lockout_s > 0:
+            self.locked_until = max(self.locked_until, t_terminal + lockout_s)
 
 
 @dataclass(frozen=True)
@@ -316,7 +333,7 @@ class SensorSession:
         self.slot_cfg = slot_cfg if slot_cfg is not None else SlotConfig()
         if cfg.f_s * self.slot_cfg.slot_s < 2:
             raise ValueError("need f_s*slot_s >= 2 samples per slot")
-        self.node = node if node is not None else SensorNode(cfg.lockout_s)
+        self.node = node if node is not None else SensorNode()
         self.t_start = t_start
         self.watchdog_s = (cfg.watchdog_s if cfg.watchdog_s is not None
                            else 8.0 * self.slot_cfg.tu_s)
@@ -328,19 +345,20 @@ class SensorSession:
         """The verdict on a whole observation.
 
         A window reads the samples from its beacon up to where it closed (a
-        sample at a beacon's own time is the new window's). Given t_end, the
+        sample at a beacon's own time is the new window's). A beacon time
+        that is NaN or infinite raises ValueError. Given t_end, the
         observation ends at its last sample or t_end, whichever is later: a
         last window still open then is never read, and a session whose
         watchdog would fire after that end times out at t_end. Without
         t_end, the observation lasts until the watchdog fires.
         """
+        bs = _in_order(beacons)
         triplets: list[Triplet] = []
         if self.node.locked_at(self.t_start):
             return self._end(REJECTED, self.t_start, triplets, RejectReason("lockout"))
         stop = math.inf
         if t_end is not None:
             stop = max(t_end, float(samples.t_s[-1])) if len(samples) else t_end
-        bs = sorted(beacons, key=lambda b: (b.t_s, b.seq_no))
         history, matcher = self.node.history, self._matcher
         deadline = self.t_start + self.watchdog_s
         span = self.cfg.n * self.slot_cfg.slot_s
@@ -418,12 +436,13 @@ def authenticate(beacons: Iterable[Beacon], samples: Samples,
     """Run a complete observation through a session and the app stage.
 
     Offline wrapper over SensorSession.run, the same walk the simulator
-    uses; the app stage gets the round trip rtt_s as given.
+    uses; the app stage gets the round trip rtt_s as given. A reject locks
+    node out for cfg.lockout_s.
     """
     session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                             t_start=t_start)
     result = apply_app_stage(session.run(beacons, samples, t_end), app_message,
                              rtt_s, cfg)
     if node is not None:
-        node.note_result(result, session.terminal_t)
+        node.note_result(result, session.terminal_t, cfg.lockout_s)
     return result

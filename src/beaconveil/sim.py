@@ -152,10 +152,10 @@ class ScenarioConfig:
     the trials to run.
 
     Forms derived from a config are built on first use and kept with it:
-    its validation problems, the sensor config with its watchdog filled in,
-    and the actor's compiled timelines (all but BruteForce's, which changes
-    every trial). The store keeps its own forms (see _Store). None of them
-    travel in a pickle; each worker builds its own.
+    the sensor config with its watchdog filled in, and the actor's compiled
+    timelines (all but BruteForce's, which changes every trial). The store
+    keeps its own forms (see _Store), the costly half of validation among
+    them. None of them travel in a pickle; each worker builds its own.
     """
 
     store: tuple[SecretPattern, ...]
@@ -173,10 +173,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.store, _Store):
             object.__setattr__(self, "store", _Store(self.store))
-
-    @cached_property
-    def _problems(self) -> tuple[str, ...]:
-        return tuple(_find_problems(self))
 
     @cached_property
     def _effective_sensor(self) -> SensorConfig:
@@ -217,13 +213,15 @@ class ScenarioConfig:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Every config inconsistency, reported before any trial runs.
+    """Every config inconsistency, reported before any trial runs, as a
+    fresh list.
 
-    The check runs once per config (configs are frozen), and the store's
-    own checks once per store and per (band, max_tu, slot_cfg); each call
-    returns a fresh list.
+    The store's own checks (its patterns' invariants and burst fit) run
+    once per store and per (band, max_tu, slot_cfg) and are kept with the
+    store; the rest, a few checks of the config's scalars and its actor,
+    runs on every call.
     """
-    return list(cfg._problems)
+    return _find_problems(cfg)
 
 
 def _store_problems(store: _Store, band: BandPlan, max_tu: int,
@@ -380,7 +378,7 @@ def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
         d = distance_at(cfg.trajectory, session.terminal_t - t_start)
         rtt = 2.0 * d / LIGHT_SPEED_M_S + rtt_extra_s
         result = apply_app_stage(result, app_message, rtt, eff)
-    node.note_result(result, session.terminal_t)
+    node.note_result(result, session.terminal_t, eff.lockout_s)
     return result
 
 
@@ -401,7 +399,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     """
     rng = np.random.default_rng([cfg.seed, trial_index])
     eff = cfg._effective_sensor
-    node = SensorNode(eff.lockout_s)
+    node = SensorNode()
     a = cfg.actor
     # Mutant and BruteForce emit a credential of their own making, which need
     # not be valid, and they do not know the app secret.

@@ -288,11 +288,13 @@ def with_actor(text, lines):
 @st.composite
 def mutated_fixtures(draw):
     """A fixture with one value changed, one line or one section dropped,
-    its actor swapped for one of another kind, or one section or key name
-    misspelled; returns the text and which of these it is."""
+    its actor swapped for one of another kind, one section or key name
+    misspelled, or two sections swapped; returns the text and which of
+    these it is."""
     text = draw(st.sampled_from(FIXTURE_TEXTS))
     lines = text.split("\n")
-    how = draw(st.sampled_from(["value", "drop", "actor", "section", "misspell"]))
+    how = draw(st.sampled_from(["value", "drop", "actor", "section", "misspell",
+                                "reorder"]))
     if how == "actor":
         return with_actor(text, draw(actor_sections())), how
     if how == "drop":
@@ -302,6 +304,12 @@ def mutated_fixtures(draw):
         sections = text.split("\n\n")
         del sections[draw(st.integers(0, len(sections) - 1))]
         return "\n\n".join(sections), how
+    if how == "reorder":
+        sections = text.rstrip("\n").split("\n\n")
+        i, j = draw(st.lists(st.integers(0, len(sections) - 1), min_size=2,
+                             max_size=2, unique=True))
+        sections[i], sections[j] = sections[j], sections[i]
+        return "\n\n".join(sections) + "\n", how
     if how == "misspell":
         # A doubled letter spells no other name. Store ids are the file's
         # own names, so they keep their spelling.
@@ -323,25 +331,40 @@ def mutated_fixtures(draw):
     return "\n".join(lines), how
 
 
+def sections(text):
+    return sorted(text.rstrip("\n").split("\n\n"))
+
+
 class TestFuzzedScenarioText:
-    @given(case=mutated_fixtures())
+    # At most 3 trials, so a run never starts a process pool.
+    @given(case=mutated_fixtures(), seed=st.integers(-3, 2**70),
+           trials=st.integers(-2, 3), threads=st.integers(-1, 2))
     @example(case=(with_actor(FIXTURE_TEXTS[0], ["kind = bruteforce", "n = 9", "L = 2"]),
-                   "actor"))
+                   "actor"), seed=7, trials=2, threads=1)
     @example(case=(with_actor(FIXTURE_TEXTS[4], ["kind = proto", "pattern_a = pi1",
                                                  "pattern_b = pi2", "tu_b_s = 0.5"]),
-                   "actor"))
+                   "actor"), seed=11, trials=2, threads=1)
     @settings(max_examples=150, deadline=None)
-    def test_exit_codes_hold_and_validate_ok_runs(self, case):
-        # 0 ok, 1 user error, never 2; a file that validates must run; and
-        # a misspelled name is refused
+    def test_exit_codes_hold_and_validate_ok_runs(self, case, seed, trials, threads):
+        # 0 ok, 1 user error, never 2; a file that validates runs with any
+        # good seed and trial count and refuses bad ones; a misspelled name
+        # is refused; and section order does not matter
         text, how = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.scn"
             path.write_text(text, encoding="utf-8")
             validated = main(["validate", str(path)])
-            ran = main(["run", str(path), "--trials", "2", "--out", str(Path(tmp) / "o")])
+            ran = main(["run", str(path), "--seed", str(seed), "--trials", str(trials),
+                        "--threads", str(threads), "--out", str(Path(tmp) / "o")])
+            if how == "reorder":
+                original = next(t for t in FIXTURE_TEXTS if sections(t) == sections(text))
+                orig_path = Path(tmp) / "orig.scn"
+                orig_path.write_text(original, encoding="utf-8")
+                assert validated == main(["validate", str(orig_path)])
+                assert load_scenario(path) == load_scenario(orig_path)
         assert validated in (0, 1) and ran in (0, 1)
-        assert validated == 1 or ran == 0
+        bad_flags = seed < 0 or trials < 1
+        assert ran == 1 if bad_flags else validated == 1 or ran == 0
         assert how != "misspell" or validated == 1
 
 

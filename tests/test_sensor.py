@@ -244,6 +244,18 @@ class TestExtractTriplets:
             extract_triplets(beacons, samples, cfg, slot_cfg.slot_s)
         assert ei.value.reason() == res.reason
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_non_finite_beacon_time_is_refused(self, bad, index):
+        # by both readers, wherever the beacon sits: a NaN key does not sort
+        beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
+        beacons[index] = dataclasses.replace(beacons[index], t_s=bad)
+        for read in (lambda: extract_triplets(beacons, samples, CFG),
+                     lambda: authenticate(beacons, samples, [FIG3], CFG),
+                     lambda: SensorSession(new_matcher([FIG3]), CFG).run(beacons, samples)):
+            with pytest.raises(ValueError, match="must be finite"):
+                read()
+
 
 class TestNonceHistory:
     def test_membership_and_fifo_eviction(self):
@@ -297,7 +309,7 @@ class TestSessions:
 
     def test_lockout_after_reject(self):
         cfg = SensorConfig(f_s=5.0, n=3, lockout_s=30.0)
-        node = SensorNode(lockout_s=30.0)
+        node = SensorNode()
         wrong = parse_pattern("001@1:- 101@6:1 010@6:2 101@11:2", "w")
         bw, sw = clean_observation(wrong, SlotConfig(), cfg, nonce_prefix="w")
         first = run_session(bw, sw, [FIG3], cfg, SlotConfig(), node=node)
@@ -315,9 +327,29 @@ class TestSessions:
         late = run_session(b3, s3, [FIG3], cfg, SlotConfig(), node=node, t_start=dt)
         assert late.verdict == ACCEPTED
 
+    def test_lockout_length_is_the_configs(self):
+        # A node keeps no lockout length of its own: a reject locks it for
+        # the lockout_s of the config its session ran under.
+        wrong = parse_pattern("001@1:- 101@6:1 010@6:2 101@11:2", "w")
+        bw, sw = clean_observation(wrong, SlotConfig(), CFG, nonce_prefix="w")
+        b2, s2 = clean_observation(FIG3, SlotConfig(), CFG, nonce_prefix="x")
+        for lockout_s, verdict in ((0.0, ACCEPTED), (30.0, REJECTED)):
+            cfg = SensorConfig(f_s=5.0, n=3, lockout_s=lockout_s)
+            node = SensorNode()
+            first = authenticate(bw, sw, [FIG3], cfg, SlotConfig(), node=node)
+            assert first.reason.kind == "txpower"
+            again = authenticate(b2, s2, [FIG3], cfg, SlotConfig(), node=node)
+            assert again.verdict == verdict
+        assert again.reason == RejectReason("lockout")
+        dt = 100.0
+        b3 = [dataclasses.replace(b, t_s=b.t_s + dt) for b in b2]
+        late = authenticate(b3, Samples(s2.t_s + dt, s2.rssi_dbm), [FIG3], cfg,
+                            SlotConfig(), node=node, t_start=dt)
+        assert late.verdict == ACCEPTED
+
     def test_accept_does_not_lock(self):
         cfg = SensorConfig(f_s=5.0, n=3, lockout_s=30.0)
-        node = SensorNode(lockout_s=30.0)
+        node = SensorNode()
         b1, s1 = clean_observation(FIG3, SlotConfig(), cfg, nonce_prefix="a")
         assert run_session(b1, s1, [FIG3], cfg, SlotConfig(), node=node).verdict == ACCEPTED
         assert not node.locked_at(b1[-1].t_s + 100.0)

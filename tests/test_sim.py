@@ -567,11 +567,13 @@ def valid_patterns(draw):
 
 
 class TestCrossLayerOracle:
-    @given(p=valid_patterns(), d=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
+    @given(p=valid_patterns(), d=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_noiseless_readers_agree_with_the_air(self, p, d, seed):
+    def test_noiseless_readers_agree_with_the_air(self, p, d, seed, data):
         # Session, offline extraction and the perfect receiver all read the
-        # credential that went on air, fig3 slot timing, in noiseless range.
+        # credential that went on air, fig3 slot timing, in noiseless range;
+        # the two readers take the beacons in any order.
         slot_cfg = SlotConfig()
         tx = TxPowerLevels()
         n = p.bit_count
@@ -581,6 +583,7 @@ class TestCrossLayerOracle:
         beacons, samples = observe_emission(
             tl, Trajectory(((0.0, d),)), ChannelParams(sigma_db=0.0), tx, cfg,
             slot_cfg, np.random.default_rng(seed))
+        beacons = data.draw(st.permutations(beacons))
         res = authenticate(beacons, samples, [p], cfg, slot_cfg)
         assert res.verdict == ACCEPTED
         assert (res.transcript
