@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import hmac
 import math
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (ACCEPTED, REJECTED, MatcherState,
+from .core import (ACCEPTED, DEFAULT_MAX_TU, REJECTED, MatcherState,
                    RejectReason, SecretPattern, Triplet, TxPattern,
                    _check_finite, match_step, new_matcher)
 from .emitter import Beacon, SlotConfig
@@ -85,9 +85,12 @@ class SensorConfig:
     eps_tu: float = 0.10  # relative interval tolerance
     delta_db: float = 3.0  # minimum decodable transition
     rtt_limit_s: float = 0.1  # app-layer round trips above this look relayed
-    lockout_s: float = 0.0  # quiet period after a rejection
+    # Quiet period after a rejection, on the node the session ran on. A
+    # simulated trial gets a fresh node, so there it acts only between the
+    # two sessions of a Replay trial; a brute-force FAR is per attempt.
+    lockout_s: float = 0.0
     app_secret: Optional[str] = None  # None disables the app-layer gate
-    watchdog_s: Optional[float] = None  # None: 8 nominal time units
+    watchdog_s: Optional[float] = None  # None: see _watchdog_s
 
     def __post_init__(self) -> None:
         _check_finite(f_s=self.f_s, eps_tu=self.eps_tu, delta_db=self.delta_db,
@@ -260,8 +263,8 @@ class NonceHistory:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._order: deque[str] = deque()
-        self._seen: set[str] = set()
+        # Each nonce once, oldest first; popitem(last=False) evicts in O(1).
+        self._seen: OrderedDict[str, None] = OrderedDict()
 
     def __contains__(self, nonce: str) -> bool:
         return nonce in self._seen
@@ -272,10 +275,9 @@ class NonceHistory:
     def record(self, nonce: str) -> None:
         if nonce in self._seen:
             return
-        if len(self._order) >= self.capacity:
-            self._seen.discard(self._order.popleft())
-        self._order.append(nonce)
-        self._seen.add(nonce)
+        if len(self._seen) >= self.capacity:
+            self._seen.popitem(last=False)
+        self._seen[nonce] = None
 
 
 @dataclass
@@ -289,9 +291,9 @@ class SensorNode:
     def locked_at(self, t: float) -> bool:
         return t < self.locked_until
 
-    def note_result(self, result: "AuthResult", t_terminal: float, lockout_s: float) -> None:
+    def note_result(self, result: "AuthResult", lockout_s: float) -> None:
         if result.verdict == REJECTED and lockout_s > 0:
-            self.locked_until = max(self.locked_until, t_terminal + lockout_s)
+            self.locked_until = max(self.locked_until, result.terminal_t + lockout_s)
 
 
 @dataclass(frozen=True)
@@ -303,11 +305,17 @@ class AuthResult:
     app_ok: Optional[bool]  # None unless phy passed and the app gate is on
     transcript: tuple[Triplet, ...]
     duration_s: float
+    terminal_t: float  # when the verdict fell, on the sensor clock
 
     @property
     def bucket(self) -> str:
         """Aggregation key for per-reason counting."""
         return ACCEPTED if self.verdict == ACCEPTED else self.reason.code
+
+
+def _watchdog_s(max_tu: int, tu_s: float) -> float:
+    """The unset watchdog: 8 time units, or max_tu + 2 if that is longer."""
+    return max(8, max_tu + 2) * tu_s
 
 
 class SensorSession:
@@ -318,12 +326,11 @@ class SensorSession:
     next beacon if that comes first, and reads one triplet that is streamed
     into the matcher; a verdict is stamped when its window closed. Replay
     and lockout are enforced against the shared SensorNode. A watchdog
-    abandons the session when no beacon arrives for watchdog_s (default 8
-    nominal time units) after the last one.
+    abandons the session when no beacon arrives for watchdog_s after the
+    last one (unset: 18 time units, the simulator's rule at DEFAULT_MAX_TU).
 
     The session starts from matcher, an initial state from new_matcher; one
-    such state serves every session against the same store. After run,
-    terminal_t is the time the verdict fell, on the sensor clock.
+    such state serves every session against the same store.
     """
 
     def __init__(self, matcher: MatcherState, cfg: SensorConfig,
@@ -336,8 +343,7 @@ class SensorSession:
         self.node = node if node is not None else SensorNode()
         self.t_start = t_start
         self.watchdog_s = (cfg.watchdog_s if cfg.watchdog_s is not None
-                           else 8.0 * self.slot_cfg.tu_s)
-        self.terminal_t: Optional[float] = None
+                           else _watchdog_s(DEFAULT_MAX_TU, self.slot_cfg.tu_s))
         self._matcher = matcher
 
     def run(self, beacons: Iterable[Beacon], samples: Samples,
@@ -391,10 +397,9 @@ class SensorSession:
     def _end(self, verdict: str, t: float, triplets: list[Triplet],
              reason: Optional[RejectReason] = RejectReason("timeout"),
              pattern_id: Optional[str] = None) -> AuthResult:
-        self.terminal_t = t
         return AuthResult(
             verdict, pattern_id, reason, phy_ok=(verdict == ACCEPTED), app_ok=None,
-            transcript=tuple(triplets), duration_s=t - self.t_start)
+            transcript=tuple(triplets), duration_s=t - self.t_start, terminal_t=t)
 
 
 def app_gate(received: str, cfg: SensorConfig) -> bool:
@@ -436,13 +441,13 @@ def authenticate(beacons: Iterable[Beacon], samples: Samples,
     """Run a complete observation through a session and the app stage.
 
     Offline wrapper over SensorSession.run, the same walk the simulator
-    uses; the app stage gets the round trip rtt_s as given. A reject locks
-    node out for cfg.lockout_s.
+    uses, and its default watchdog; the app stage gets the round trip rtt_s
+    as given. A reject locks node out for cfg.lockout_s from terminal_t.
     """
     session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                             t_start=t_start)
     result = apply_app_stage(session.run(beacons, samples, t_end), app_message,
                              rtt_s, cfg)
     if node is not None:
-        node.note_result(result, session.terminal_t, cfg.lockout_s)
+        node.note_result(result, cfg.lockout_s)
     return result

@@ -37,7 +37,7 @@ from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
-                     SensorSession, apply_app_stage)
+                     SensorSession, _watchdog_s, apply_app_stage)
 
 LIGHT_SPEED_M_S = 3.0e8
 
@@ -176,12 +176,11 @@ class ScenarioConfig:
 
     @cached_property
     def _effective_sensor(self) -> SensorConfig:
-        # Watchdog default: 8 nominal time units, widened when the protocol
-        # itself allows longer beacon gaps than that.
+        # The sensor config with the default watchdog set for this max_tu.
         if self.sensor_cfg.watchdog_s is not None:
             return self.sensor_cfg
-        units = max(8, self.max_tu + 2)
-        return replace(self.sensor_cfg, watchdog_s=units * self.slot_cfg.tu_s)
+        return replace(self.sensor_cfg,
+                       watchdog_s=_watchdog_s(self.max_tu, self.slot_cfg.tu_s))
 
     @cached_property
     def _timelines(self) -> tuple[tuple[SlotConfig, EmissionTimeline], ...]:
@@ -212,18 +211,6 @@ class ScenarioConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Every config inconsistency, reported before any trial runs, as a
-    fresh list.
-
-    The store's own checks (its patterns' invariants and burst fit) run
-    once per store and per (band, max_tu, slot_cfg) and are kept with the
-    store; the rest, a few checks of the config's scalars and its actor,
-    runs on every call.
-    """
-    return _find_problems(cfg)
-
-
 def _store_problems(store: _Store, band: BandPlan, max_tu: int,
                     slot_cfg: SlotConfig) -> tuple[str, ...]:
     """The store's half of validation; it reads nothing else of a config."""
@@ -252,7 +239,20 @@ def _store_problems(store: _Store, band: BandPlan, max_tu: int,
     return tuple(problems)
 
 
-def _find_problems(cfg: ScenarioConfig) -> list[str]:
+def _bit_counts(store: _Store) -> frozenset[int]:
+    return frozenset(p.bit_count for p in store)
+
+
+def validate_scenario(cfg: ScenarioConfig) -> list[str]:
+    """Every config inconsistency, reported before any trial runs, as a
+    fresh list.
+
+    The store's own checks (its patterns' invariants and burst fit) run
+    once per store and per (band, max_tu, slot_cfg) and are kept with the
+    store, as is its set of bit counts, which a store that passes its own
+    checks must share with the sensor's n; the rest, a few checks of the
+    config's scalars and its actor, runs on every call.
+    """
     problems: list[str] = []
     if cfg.trials < 1:
         problems.append(f"trials must be >= 1, got {cfg.trials}")
@@ -260,8 +260,15 @@ def _find_problems(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.max_tu < 1:
         problems.append(f"max_tu must be >= 1, got {cfg.max_tu}")
-    problems += cfg.store.compiled(_store_problems, cfg.band, cfg.max_tu,
-                                   cfg.slot_cfg)
+    store_problems = cfg.store.compiled(_store_problems, cfg.band, cfg.max_tu,
+                                        cfg.slot_cfg)
+    problems += store_problems
+    if not store_problems:
+        # A sensor reads n slots per beacon, so it can never read another
+        # bit count. A faulty store is reported by its own checks first.
+        n = cfg.sensor_cfg.n
+        for bits in sorted(cfg.store.compiled(_bit_counts) - {n}):
+            problems.append(f"store holds {bits}-bit patterns, the sensor reads n = {n}")
     if cfg.sensor_cfg.f_s * cfg.slot_cfg.slot_s < 2:
         problems.append("sensor undersamples: need f_s*slot_s >= 2")
     a = cfg.actor
@@ -364,24 +371,6 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi))
 
 
-def _run_session(cfg: ScenarioConfig, eff: SensorConfig, slot_cfg: SlotConfig,
-                 timeline: EmissionTimeline, rng: np.random.Generator,
-                 node: SensorNode, t_start: float, app_message: Optional[str],
-                 rtt_extra_s: float = 0.0) -> AuthResult:
-    beacons, samples = observe_emission(
-        timeline, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot_cfg, rng,
-        t_start=t_start)
-    session = SensorSession(cfg.store.compiled(new_matcher), eff, slot_cfg,
-                            node=node, t_start=t_start)
-    result = session.run(beacons, samples)
-    if result.verdict == ACCEPTED and eff.app_secret is not None:
-        d = distance_at(cfg.trajectory, session.terminal_t - t_start)
-        rtt = 2.0 * d / LIGHT_SPEED_M_S + rtt_extra_s
-        result = apply_app_stage(result, app_message, rtt, eff)
-    node.note_result(result, session.terminal_t, eff.lockout_s)
-    return result
-
-
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
@@ -395,7 +384,10 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
 
     The emission is the config's compiled timeline (Proto's even or odd
     half); only a BruteForce trial compiles its own, from the candidate it
-    draws first.
+    draws first. The trial's sessions (two for Replay, one otherwise) run
+    on one fresh SensorNode, so lockout_s acts only between a Replay
+    trial's two sessions, never across trials: a brute-force FAR is a
+    per-attempt rate.
     """
     rng = np.random.default_rng([cfg.seed, trial_index])
     eff = cfg._effective_sensor
@@ -412,12 +404,23 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
     message = "" if guessing else eff.app_secret
     extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
-    result = _run_session(cfg, eff, slot, tl, rng, node, 0.0, message, extra)
+    starts = [0.0]
     if isinstance(a, Replay):
         # The recorded copy goes on air after the original, on a grid tick,
         # to the same sensor node; that second session is the one scored.
-        t1 = math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s
-        result = _run_session(cfg, eff, slot, tl, rng, node, t1, message)
+        starts.append(math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s)
+    matcher = cfg.store.compiled(new_matcher)
+    for t_start in starts:
+        beacons, samples = observe_emission(
+            tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
+            t_start=t_start)
+        result = SensorSession(matcher, eff, slot, node=node,
+                               t_start=t_start).run(beacons, samples)
+        if result.verdict == ACCEPTED and eff.app_secret is not None:
+            d = distance_at(cfg.trajectory, result.duration_s)
+            result = apply_app_stage(result, message,
+                                     2.0 * d / LIGHT_SPEED_M_S + extra, eff)
+        node.note_result(result, eff.lockout_s)
     return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
 
 

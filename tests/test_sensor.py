@@ -347,6 +347,26 @@ class TestSessions:
                             SlotConfig(), node=node, t_start=dt)
         assert late.verdict == ACCEPTED
 
+    def test_app_stage_reject_locks_from_terminal_t(self):
+        # The physical stage accepts and the app secret is wrong: the lockout
+        # runs from the verdict's terminal_t, up to the bound and not past it.
+        cfg = SensorConfig(f_s=5.0, n=3, lockout_s=30.0, app_secret="s3cr3t")
+        b1, s1 = clean_observation(FIG3, SlotConfig(), cfg, nonce_prefix="a")
+        b2, s2 = clean_observation(FIG3, SlotConfig(), cfg, nonce_prefix="b")
+        for wait_s, verdict, reason in ((29.9, REJECTED, RejectReason("lockout")),
+                                        (30.0, ACCEPTED, None)):
+            node = SensorNode()
+            first = authenticate(b1, s1, [FIG3], cfg, SlotConfig(), node=node,
+                                 app_message="guess")
+            assert first.reason == RejectReason("app-secret") and first.phy_ok
+            assert first.terminal_t == first.duration_s == pytest.approx(21.8)
+            dt = first.terminal_t + wait_s
+            res = authenticate([dataclasses.replace(b, t_s=b.t_s + dt) for b in b2],
+                               Samples(s2.t_s + dt, s2.rssi_dbm), [FIG3], cfg,
+                               SlotConfig(), node=node, t_start=dt,
+                               app_message="s3cr3t")
+            assert (res.verdict, res.reason) == (verdict, reason)
+
     def test_accept_does_not_lock(self):
         cfg = SensorConfig(f_s=5.0, n=3, lockout_s=30.0)
         node = SensorNode()
@@ -355,7 +375,7 @@ class TestSessions:
         assert not node.locked_at(b1[-1].t_s + 100.0)
 
     def test_watchdog_times_out_stalled_emitter(self):
-        cfg = SensorConfig(f_s=5.0, n=3)  # session default watchdog: 8 tu = 32 s
+        cfg = SensorConfig(f_s=5.0, n=3)  # session default watchdog: 18 tu = 72 s
         beacons, samples = clean_observation(FIG3, SlotConfig(), cfg)
         half_b = beacons[:2]
         half_s = kept(samples, samples.t_s < 5.8)
@@ -363,7 +383,7 @@ class TestSessions:
         assert res.verdict == TIMED_OUT
         assert res.reason == RejectReason("timeout")
         assert res.bucket == "timeout"
-        assert res.duration_s == pytest.approx(4.0 + 32.0)
+        assert res.duration_s == pytest.approx(4.0 + 72.0)
 
     def test_no_beacons_times_out_from_start(self):
         cfg = SensorConfig(f_s=5.0, n=3, watchdog_s=10.0)
@@ -409,7 +429,7 @@ class TestSessions:
         session = SensorSession(new_matcher([FIG3]), CFG, SlotConfig())
         res = session.run(beacons, samples)
         assert res.reason == RejectReason("undecodable", 0)
-        assert res.duration_s == 1.0 and session.terminal_t == 1.0
+        assert res.duration_s == 1.0 and res.terminal_t == 1.0
 
     def test_sample_at_exact_beacon_time_lands_in_window(self):
         # beacons sort ahead of samples at equal timestamps
@@ -463,7 +483,7 @@ class ReferenceSession:
     def __init__(self, store, cfg, slot_cfg, seen, locked, t_start):
         self.cfg, self.slot_s, self.t_start = cfg, slot_cfg.slot_s, t_start
         self.watchdog = (cfg.watchdog_s if cfg.watchdog_s is not None
-                         else 8.0 * slot_cfg.tu_s)
+                         else 18.0 * slot_cfg.tu_s)
         self.deadline = t_start + self.watchdog
         self.seen, self.matcher = set(seen), new_matcher(store)
         self.beacons, self.triplets, self.window, self.out = [], [], None, None
@@ -640,7 +660,7 @@ class TestFeedDifferential:
         res = session.run(beacons, Samples(*zip(*pts)), t_end)
         ref = ReferenceSession(store, cfg, slot_cfg, history, locked, t_start)
         assert (res.verdict, res.pattern_id, res.reason, res.transcript,
-                res.duration_s, session.terminal_t) == ref.run(beacons, pts, t_end)
+                res.duration_s, res.terminal_t) == ref.run(beacons, pts, t_end)
 
     def test_base_case_is_accepted(self):
         store, cfg, slot_cfg, beacons, pts, *_ = feed_case(**BASE)

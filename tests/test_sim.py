@@ -149,6 +149,36 @@ class TestActors:
         assert all(t.label == "adversary" for t in rep.trials)
 
 
+    def test_lockout_does_not_carry_across_trials(self):
+        # Each trial runs on a fresh SensorNode, so a brute-force FAR is a
+        # per-attempt rate however long a reject locks the node.
+        def outcomes(lockout_s):
+            rep = run_scenario(build_desk(BruteForce(2, 2), 500, lockout_s=lockout_s))
+            return [(t.result.verdict, t.result.reason, t.result.duration_s)
+                    for t in rep.trials]
+
+        free = outcomes(0.0)
+        assert {v for v, _, _ in free} == {ACCEPTED, REJECTED}
+        assert outcomes(1e6) == free
+
+    def test_offline_default_watchdog_is_the_simulators(self):
+        # Beacons 10 TU apart outlast 8 TU. authenticate, given the
+        # scenario's own sensor_cfg with no watchdog, waits as long as a
+        # simulated session does, and on the same draws reaches its verdict.
+        p = parse_pattern("010@1:- 101@6:1 010@6:10 101@11:2", "long")
+        cfg = dataclasses.replace(build_fig3("a"), store=(p,), actor=Legit("long"))
+        scfg = cfg.sensor_cfg
+        assert scfg.watchdog_s is None
+        beacons, samples = observe_emission(
+            compile_schedule(p, cfg.slot_cfg, cfg.tx_levels), cfg.trajectory,
+            cfg.channel, cfg.tx_levels, scfg, cfg.slot_cfg,
+            np.random.default_rng([cfg.seed, 0]))
+        res = authenticate(beacons, samples, cfg.store, scfg, cfg.slot_cfg,
+                           app_message=scfg.app_secret, rtt_s=0.0)
+        assert res.verdict == ACCEPTED and res.transcript == p.triplets
+        assert res == run_trial(cfg, 0).result
+
+
 class TestWilson:
     def test_frozen_values(self):
         lo, hi = wilson(0.5, 10)
@@ -392,6 +422,23 @@ class TestValidation:
                 max_tu=max_tu, slot_cfg=slot_cfg)
             assert validate_scenario(row) \
                 == validate_scenario(dataclasses.replace(row, store=tuple(row.store)))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_sensor_that_cannot_read_the_store(self, n):
+        # Every trial would be rejected at the first window: fig3 is 3-bit.
+        cfg = build_fig3("a")
+        cfg = dataclasses.replace(
+            cfg, sensor_cfg=dataclasses.replace(cfg.sensor_cfg, n=n))
+        assert validate_scenario(cfg) \
+            == [f"store holds 3-bit patterns, the sensor reads n = {n}"]
+
+    def test_each_unreadable_bit_count_is_named_once(self):
+        desk = build_desk(Legit("desk"), 1, n=4)
+        store = desk.store + (parse_pattern("011@1:- 101@2:1", "t1"),
+                              parse_pattern("110@2:- 011@1:1", "t2"))
+        assert validate_scenario(dataclasses.replace(desk, store=store)) == [
+            "store holds 2-bit patterns, the sensor reads n = 4",
+            "store holds 3-bit patterns, the sensor reads n = 4"]
 
     def test_returned_problems_are_the_callers(self):
         cfg = dataclasses.replace(build_desk(Legit("ghost"), 1), trials=0)
