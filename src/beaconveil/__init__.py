@@ -37,4 +37,6 @@ from .sim import (SWEEP_AXES, Actor, BruteForce, Legit, Metrics, Mitm,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, not the submodules that importing them binds.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, type(core))]

@@ -21,7 +21,7 @@ through it. Both take the beacons in (t_s, seq_no) order whatever order
 they are given in, refuse a beacon time that is NaN or infinite, and close
 a window by one rule (n slots after its beacon, or at the next beacon if
 that comes first), so they read a window the same way. A SensorNode keeps
-what outlives a session; a reject locks it for its session's lockout_s.
+what outlives a session; a reject locks it for lockout_s, a lockout refusal aside.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class QuantizationFailure(ExtractionError):
 
 
 def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
-                 slot_s: float = 0.6, t0: Optional[float] = None) -> TxPattern:
+                 slot_s: float = SlotConfig.slot_s,
+                 t0: Optional[float] = None) -> TxPattern:
     """Decode one beacon's slot window into an n-bit power pattern.
 
     Level shape only, never absolute power: per-slot medians are thresholded
@@ -170,7 +171,8 @@ def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
     return TxPattern(bits)
 
 
-def quantize_interval(raw_s: float, tu_s: float, eps: float = 0.10) -> Optional[int]:
+def quantize_interval(raw_s: float, tu_s: float,
+                      eps: float = SensorConfig.eps_tu) -> Optional[int]:
     """Snap a raw beacon interval onto the measured time-unit grid.
 
     Returns k = round(raw_s/tu_s) when k >= 1 and the residual stays within
@@ -232,8 +234,8 @@ def _read_triplet(beacons: Sequence[Beacon], j: int,
     return Triplet(bits, b.channel, k)
 
 
-def extract_triplets(beacons: Sequence[Beacon], samples: Samples,
-                     cfg: SensorConfig, slot_s: float = 0.6) -> tuple[Triplet, ...]:
+def extract_triplets(beacons: Sequence[Beacon], samples: Samples, cfg: SensorConfig,
+                     slot_s: float = SlotConfig.slot_s) -> tuple[Triplet, ...]:
     """Offline pipeline: read every beacon's slot window in turn, in
     (t_s, seq_no) order, each cut short at the next beacon as a session
     cuts it.
@@ -292,7 +294,8 @@ class SensorNode:
         return t < self.locked_until
 
     def note_result(self, result: "AuthResult", lockout_s: float) -> None:
-        if result.verdict == REJECTED and lockout_s > 0:
+        if (result.verdict == REJECTED and lockout_s > 0
+                and result.reason.kind != "lockout"):
             self.locked_until = max(self.locked_until, result.terminal_t + lockout_s)
 
 
@@ -442,7 +445,7 @@ def authenticate(beacons: Iterable[Beacon], samples: Samples,
 
     Offline wrapper over SensorSession.run, the same walk the simulator
     uses, and its default watchdog; the app stage gets the round trip rtt_s
-    as given. A reject locks node out for cfg.lockout_s from terminal_t.
+    as given. A reject locks node for cfg.lockout_s, a lockout refusal aside.
     """
     session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                             t_start=t_start)

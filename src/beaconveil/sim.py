@@ -63,6 +63,13 @@ class BruteForce:
     n: int
     L: int
 
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.L < 2:
+            raise ValueError("bruteforce needs n >= 1 and L >= 2")
+        if self.n > MAX_BITS:  # no stored pattern has more bits
+            raise ValueError(
+                f"bruteforce n must be <= MAX_BITS ({MAX_BITS}), got {self.n}")
+
 
 @dataclass(frozen=True)
 class Replay:
@@ -83,6 +90,8 @@ class Mitm:
 
     def __post_init__(self) -> None:
         _check_finite(extra_delay_s=self.extra_delay_s)
+        if not self.extra_delay_s >= 0:
+            raise ValueError("mitm extra_delay_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,8 @@ class Proto:
 
     def __post_init__(self) -> None:
         _check_finite(tu_b_s=self.tu_b_s)
+        if not self.tu_b_s > 0:
+            raise ValueError("proto tu_b_s must be > 0")
 
 
 Actor = Union[Legit, Mutant, BruteForce, Replay, Mitm, Proto]
@@ -153,9 +164,10 @@ class ScenarioConfig:
 
     Forms derived from a config are built on first use and kept with it:
     the sensor config with its watchdog filled in, and the actor's compiled
-    timelines (all but BruteForce's, which changes every trial). The store
-    keeps its own forms (see _Store), the costly half of validation among
-    them. None of them travel in a pickle; each worker builds its own.
+    timelines (all but BruteForce's, which changes every trial), first
+    compiled by validate_scenario. The store keeps its own forms (see
+    _Store), the costly half of validation among them. None of them travel
+    in a pickle; each worker builds its own.
     """
 
     store: tuple[SecretPattern, ...]
@@ -250,8 +262,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     The store's own checks (its patterns' invariants and burst fit) run
     once per store and per (band, max_tu, slot_cfg) and are kept with the
     store, as is its set of bit counts, which a store that passes its own
-    checks must share with the sensor's n; the rest, a few checks of the
-    config's scalars and its actor, runs on every call.
+    checks must share with the sensor's n. The actor's emission is compiled
+    as the run compiles it, and kept with the config (its values were
+    checked when it was built); the rest, a few checks of the config's
+    scalars, runs on every call.
     """
     problems: list[str] = []
     if cfg.trials < 1:
@@ -272,44 +286,24 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if cfg.sensor_cfg.f_s * cfg.slot_cfg.slot_s < 2:
         problems.append("sensor undersamples: need f_s*slot_s >= 2")
     a = cfg.actor
-    ref_ids = []
-    if isinstance(a, (Legit, Mutant, Replay, Mitm)):
-        ref_ids = [a.pattern_id]
-    elif isinstance(a, Proto):
-        ref_ids = [a.pattern_a, a.pattern_b]
-        if not a.tu_b_s > 0:
-            problems.append("proto tu_b_s must be > 0")
-    elif isinstance(a, BruteForce):
-        if a.n < 1 or a.L < 2:
-            problems.append("bruteforce needs n >= 1 and L >= 2")
-        elif a.n > MAX_BITS:
-            # Refused before a candidate is built: building one is linear
-            # in n, and no stored pattern has more bits.
-            problems.append(
-                f"bruteforce n must be <= MAX_BITS ({MAX_BITS}), got {a.n}")
-        else:
-            # A raw candidate's second interval is always 1 TU, so whether
-            # its burst fits depends on n alone.
-            try:
-                cfg.slot_cfg.check_fit(candidate_from_index(0, a.n, 2, 1, 1))
-            except SlotFitError as e:
-                problems.append(f"bruteforce burst does not fit: {e}")
+    if isinstance(a, BruteForce):
+        # A raw candidate's second interval is always 1 TU, so whether its
+        # burst fits depends on n alone.
+        try:
+            cfg.slot_cfg.check_fit(candidate_from_index(0, a.n, 2, 1, 1))
+        except SlotFitError as e:
+            problems.append(f"bruteforce burst does not fit: {e}")
     ids = cfg.store.compiled(_index_by_id)
-    for pid in ref_ids:
-        if pid not in ids:
-            problems.append(f"actor references unknown pattern_id {pid!r}")
-    if isinstance(a, Mutant) and a.pattern_id in ids:
+    refs = [getattr(a, f.name) for f in fields(a) if f.name.startswith("pattern_")]
+    unknown = [pid for pid in refs if pid not in ids]
+    problems += [f"actor references unknown pattern_id {pid!r}" for pid in unknown]
+    if not unknown and not store_problems:
+        # The emission the run will put on air, compiled as the run
+        # compiles it; a faulty store is reported by its own checks first.
         try:
-            cfg.slot_cfg.check_fit(mutate(cfg.pattern(a.pattern_id), a.mutation))
+            cfg._timelines
         except (ValueError, TypeError) as e:
-            problems.append(f"mutation does not apply: {e}")
-    if isinstance(a, Proto) and a.tu_b_s > 0 and a.pattern_b in ids:
-        try:
-            replace(cfg.slot_cfg, tu_s=a.tu_b_s).check_fit(cfg.pattern(a.pattern_b))
-        except (ValueError, TypeError) as e:
-            problems.append(f"proto pattern_b does not fit tu_b_s: {e}")
-    if isinstance(a, Mitm) and not a.extra_delay_s >= 0:
-        problems.append("mitm extra_delay_s must be >= 0")
+            problems.append(f"{actor_kind(a)} emission does not compile: {e}")
     return problems
 
 
@@ -553,9 +547,7 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         if axis == "n":
             out = replace(out, sensor_cfg=replace(out.sensor_cfg, n=iv))
         if isinstance(cfg.actor, BruteForce):
-            out = replace(out, actor=BruteForce(
-                iv if axis == "n" else cfg.actor.n,
-                iv if axis == "L" else cfg.actor.L))
+            out = replace(out, actor=replace(cfg.actor, **{axis: iv}))
         return out
     raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 

@@ -3,10 +3,12 @@
 import math
 import random
 import time
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import beaconveil
 from beaconveil import (DEFAULT_BAND, MAX_BITS, ACCEPTED, IN_PROGRESS, REJECTED,
                         BandPlan, MatcherError, PatternError, RejectReason,
                         SecretPattern, Triplet, TxPattern, ValidationReport,
@@ -26,6 +28,16 @@ def make(pid, *trips):
 
 
 GOOD = make("good", ("010", 1, None), ("101", 6, 1), ("010", 6, 2), ("101", 11, 2))
+
+
+class TestPublicNames:
+    def test_all_lists_names_not_submodules(self):
+        # Importing the names binds beaconveil.core, .sim and the rest in
+        # the package too; those stay importable but are not exported.
+        for name in beaconveil.__all__:
+            assert not isinstance(getattr(beaconveil, name), types.ModuleType), name
+        assert isinstance(beaconveil.sim, types.ModuleType)
+        assert "sim" not in beaconveil.__all__
 
 
 class TestTxPattern:

@@ -97,10 +97,12 @@ def configs(draw):
     pid = st.sampled_from(ids) | TEXT if ids else TEXT
     mutation = (st.builds(FlipTxBit, SMALL, SMALL) | st.builds(WrongChannel, SMALL, SMALL)
                 | st.builds(WrongInterval, SMALL, SMALL))
-    delay = st.floats(-5.0, 5.0)
+    # Only values an actor's constructor accepts.
+    delay = st.floats(0.0, 5.0)
     actor = draw(st.builds(Legit, pid) | st.builds(Replay, pid)
                  | st.builds(Mutant, pid, mutation) | st.builds(Mitm, pid, delay)
-                 | st.builds(Proto, pid, pid, delay) | st.builds(BruteForce, SMALL, SMALL))
+                 | st.builds(Proto, pid, pid, st.floats(0.0, 5.0, exclude_min=True))
+                 | st.builds(BruteForce, st.integers(1, 8), st.integers(2, 8)))
     band = draw(st.builds(BandPlan, TEXT, st.integers(1, 20),
                           st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(0.1, 50.0)))

@@ -62,7 +62,7 @@ class TestSamples:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_are_refused(self, bad):
         # A NaN time sorted last and moved the session clock to NaN, which
-        # fired the watchdog: this call timed out at 32 s, not at t_end.
+        # fired the watchdog: this call timed out at 72 s, not at t_end.
         with pytest.raises(ValueError, match="t_s must be finite"):
             authenticate([], Samples([1.0, bad], [-60.0, -60.0]), [FIG3],
                          SensorConfig(f_s=5.0, n=3), SlotConfig(), t_end=5.0)
@@ -366,6 +366,29 @@ class TestSessions:
                                SlotConfig(), node=node, t_start=dt,
                                app_message="s3cr3t")
             assert (res.verdict, res.reason) == (verdict, reason)
+
+    def test_lockout_refusal_does_not_extend_the_lock(self):
+        # A reject at 21.8 s locks the node until 51.8 s. An attempt refused
+        # at 51.7 s for that lockout leaves the lock as it was, so a valid
+        # attempt at 51.8 s is accepted.
+        cfg = SensorConfig(f_s=5.0, n=3, lockout_s=30.0, app_secret="s3cr3t")
+        node = SensorNode()
+        b1, s1 = clean_observation(FIG3, SlotConfig(), cfg, nonce_prefix="a")
+        first = authenticate(b1, s1, [FIG3], cfg, SlotConfig(), node=node,
+                             app_message="guess")
+        assert first.reason == RejectReason("app-secret")
+        locked_until = node.locked_until
+        assert locked_until == pytest.approx(51.8)
+        for prefix, dt, verdict in (("b", locked_until - 0.1, REJECTED),
+                                    ("c", locked_until, ACCEPTED)):
+            b, s = clean_observation(FIG3, SlotConfig(), cfg, nonce_prefix=prefix)
+            res = authenticate([dataclasses.replace(x, t_s=x.t_s + dt) for x in b],
+                               Samples(s.t_s + dt, s.rssi_dbm), [FIG3], cfg,
+                               SlotConfig(), node=node, t_start=dt,
+                               app_message="s3cr3t")
+            assert res.verdict == verdict
+            assert node.locked_until == locked_until
+        assert res.pattern_id == "fig3"
 
     def test_accept_does_not_lock(self):
         cfg = SensorConfig(f_s=5.0, n=3, lockout_s=30.0)

@@ -12,14 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import beaconveil.sim
 from beaconveil import (ACCEPTED, REJECTED, BandPlan, Beacon, BruteForce,
-                        ChannelParams, FlipTxBit, Legit, Mitm, Mutant, Proto,
-                        Replay, Samples, SecretPattern, SensorConfig,
-                        SlotConfig, SlotFitError, Trajectory, Triplet,
-                        TxPattern, TxPowerLevels, WrongChannel, WrongInterval,
-                        authenticate, build_fig3, build_flyover, build_proto,
-                        candidate_from_index, compile_schedule,
-                        compute_metrics, distance_at, dump_scenario,
-                        eavesdrop, extract_triplets, monte_carlo, new_matcher,
+                        ChannelParams, ConfigError, FlipTxBit, Legit, Mitm,
+                        Mutant, Proto, Replay, Samples, SecretPattern,
+                        SensorConfig, SlotConfig, SlotFitError, Trajectory,
+                        Triplet, TxPattern, TxPowerLevels, WrongChannel,
+                        WrongInterval, authenticate, build_fig3,
+                        build_flyover, build_proto, candidate_from_index,
+                        compile_schedule, compute_metrics, distance_at,
+                        dump_scenario, eavesdrop, extract_triplets,
+                        loads_scenario, monte_carlo, new_matcher,
                         observe_emission, parse_pattern, path_loss,
                         pattern_space_size, run_scenario, run_trial, sweep,
                         validate_scenario, wilson)
@@ -282,17 +283,22 @@ class TestValidation:
                                    actor=BruteForce(beaconveil.sim.MAX_BITS, 2))
         assert not any("MAX_BITS" in p for p in validate_scenario(edge))
         # Building a candidate is linear in n; no stored pattern has more
-        # than MAX_BITS bits, so a larger n is refused without one.
+        # than MAX_BITS bits, so a larger n is refused at construction,
+        # from Python or from a file, without one.
         built = []
         monkeypatch.setattr(beaconveil.sim, "candidate_from_index",
                             lambda *args: built.append(args))
-        cfg = dataclasses.replace(edge, actor=BruteForce(10**6, 2))
-        assert any("MAX_BITS" in p and "1000000" in p for p in validate_scenario(cfg))
+        with pytest.raises(ValueError, match=r"MAX_BITS \(64\), got 1000000"):
+            BruteForce(10**6, 2)
+        text = dump_scenario(build_fig3("a")).replace(
+            "kind = legit\npattern_id = fig3\n", "kind = bruteforce\nn = 1000000\nL = 2\n")
+        with pytest.raises(ConfigError, match=r"^\[actor\] .*got 1000000"):
+            loads_scenario(text)
         assert built == []
 
     def test_proto_pattern_b_that_does_not_fit_tu_b_s(self):
         cfg = dataclasses.replace(build_proto(), actor=Proto("pi1", "pi2", 0.5))
-        assert any("proto pattern_b does not fit" in p for p in validate_scenario(cfg))
+        assert any("proto emission does not compile" in p for p in validate_scenario(cfg))
         with pytest.raises(ValueError, match="invalid scenario"):
             run_scenario(cfg)
 
@@ -346,15 +352,14 @@ class TestValidation:
             ctor(**kwargs)
 
     def test_actor_range_checks_catch_nan(self):
-        # A nan that got past the constructor still fails the range checks.
-        mitm, proto = Mitm("desk", 0.0), Proto("desk", "desk", 1.0)
-        object.__setattr__(mitm, "extra_delay_s", math.nan)
-        object.__setattr__(proto, "tu_b_s", math.nan)
-        for actor, problem in ((Mitm("desk", -0.1), "extra_delay_s must be >= 0"),
-                               (mitm, "extra_delay_s must be >= 0"),
-                               (Proto("desk", "desk", 0.0), "tu_b_s must be > 0"),
-                               (proto, "tu_b_s must be > 0")):
-            assert problem in validate_scenario(build_desk(actor, 1))[-1]
+        # An actor checks its values when built, as every other config class
+        # does: out of range or nan, it is refused there.
+        for build, bad, problem in (
+                (lambda v: Mitm("desk", v), (-0.1, math.nan), "extra_delay_s must be"),
+                (lambda v: Proto("desk", "desk", v), (0.0, math.nan), "tu_b_s must be")):
+            for value in bad:
+                with pytest.raises(ValueError, match=problem):
+                    build(value)
 
     def test_checked_once_per_config(self, monkeypatch):
         checked = []
@@ -452,6 +457,66 @@ class TestValidation:
         problems = validate_scenario(cfg)
         assert any("trials" in p for p in problems)
         assert any("seed" in p for p in problems)
+
+
+
+FIG3A_ACTOR = "kind = legit\npattern_id = fig3\n"
+
+
+class TestActorValues:
+    @pytest.mark.parametrize("actor_cls, args, message, file_message", [
+        (Mitm, ("fig3", -0.1), "mitm extra_delay_s must be >= 0", None),
+        (Mitm, ("fig3", math.nan), "extra_delay_s must be finite, got nan",
+         "extra_delay_s: 'nan' is not a finite number"),
+        (Proto, ("fig3", "fig3", 0.0), "proto tu_b_s must be > 0", None),
+        (Proto, ("fig3", "fig3", math.nan), "tu_b_s must be finite, got nan",
+         "tu_b_s: 'nan' is not a finite number"),
+        (BruteForce, (0, 2), "bruteforce needs n >= 1 and L >= 2", None),
+        (BruteForce, (2, 1), "bruteforce needs n >= 1 and L >= 2", None),
+        (BruteForce, (65, 2), "bruteforce n must be <= MAX_BITS (64), got 65", None),
+    ], ids=["mitm-negative", "mitm-nan", "proto-zero", "proto-nan", "bruteforce-n0",
+            "bruteforce-L1", "bruteforce-n65"])
+    def test_refused_at_construction_and_load(self, actor_cls, args, message,
+                                              file_message):
+        with pytest.raises(ValueError) as e:
+            actor_cls(*args)
+        assert str(e.value) == message
+        # The same values in a scenario file are refused by loads_scenario,
+        # named by their section.
+        lines = [f"kind = {beaconveil.sim._ACTOR_KIND[actor_cls]}"] + [
+            f"{f.name} = {v}" for f, v in zip(dataclasses.fields(actor_cls), args)]
+        text = dump_scenario(build_fig3("a"))
+        assert FIG3A_ACTOR in text
+        with pytest.raises(ConfigError) as e:
+            loads_scenario(text.replace(FIG3A_ACTOR, "\n".join(lines) + "\n"))
+        assert str(e.value) == "[actor] " + (file_message or message)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_clean_config_runs_and_a_named_emission_does_not_compile(self, data):
+        # validate compiles the actor's emission as the run does: a config
+        # it passes runs, and one whose emission it names fails to compile.
+        base = data.draw(st.sampled_from(
+            [lambda: build_fig3("a"), lambda: build_desk(Legit("desk"), 1),
+             build_proto]))()
+        pid = st.sampled_from([p.pattern_id for p in base.store])
+        index = st.integers(0, 4)
+        mutation = (st.builds(FlipTxBit, index, index)
+                    | st.builds(WrongChannel, index, st.integers(1, 4))
+                    | st.builds(WrongInterval, index, st.integers(1, 4)))
+        actor = data.draw(
+            st.builds(Mutant, pid, mutation)
+            | st.builds(Proto, pid, pid, st.floats(0.05, 6.0))
+            | st.builds(BruteForce, st.integers(1, 12), st.integers(2, 4))
+            | st.builds(Mitm, pid, st.floats(0.0, 2.0)))
+        cfg = dataclasses.replace(base, actor=actor, trials=2)
+        problems = validate_scenario(cfg)
+        if not problems:
+            assert {run_trial(cfg, i).trial for i in (0, 1)} == {0, 1}
+        kind = beaconveil.sim.actor_kind(actor)
+        if any(p.startswith(f"{kind} emission does not compile: ") for p in problems):
+            with pytest.raises((ValueError, TypeError)):
+                cfg._timelines
 
 
 class TestPatternLookup:
