@@ -11,20 +11,18 @@ from .core import (DEFAULT_BAND, DEFAULT_MAX_TU, MAX_BITS, ACCEPTED,
                    IN_PROGRESS, REJECTED, BandPlan, MatcherError,
                    MatcherState, PatternError, RejectReason, SecretPattern,
                    Triplet, TxPattern, ValidationReport, Violation,
-                   ensure_valid, match_step, new_matcher, parse_pattern,
-                   parse_pattern_file, pattern_space_size, render_pattern,
-                   validate_pattern)
+                   match_step, new_matcher, parse_pattern, pattern_space_size,
+                   render_pattern, validate_pattern)
 from .emitter import (Beacon, EmissionTimeline, FlipTxBit, SlotConfig,
                       SlotFitError, WrongChannel, WrongInterval,
                       candidate_from_index, compile_schedule, iter_candidates,
                       mutate, random_candidate, random_pattern)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss, received_power)
-from .sensor import (TIMED_OUT, AuthResult, NonceHistory, QuantizationFailure,
-                     Samples, SensorConfig, SensorNode, SensorSession,
-                     UndecodableWindow, app_gate,
-                     apply_app_stage, authenticate, decode_slots,
-                     extract_triplets, mitm_check, quantize_interval)
+from .sensor import (TIMED_OUT, AuthResult, QuantizationFailure, Samples,
+                     SensorConfig, SensorNode, SensorSession,
+                     UndecodableWindow, apply_app_stage, authenticate,
+                     decode_slots, extract_triplets, quantize_interval)
 from .scenario import (ConfigError, build_fig3, build_flyover, build_proto,
                        config_sha256, dump_scenario, load_scenario,
                        loads_scenario, render_report_json, render_trials_csv,

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 from .core import pattern_space_size
@@ -137,9 +138,11 @@ def _dispatch(args) -> int:
 
     if args.command == "enumerate":
         try:
-            print(pattern_space_size(args.n, args.L, args.channels, args.max_tu))
+            size = pattern_space_size(args.n, args.L, args.channels, args.max_tu)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        # Decimal prints every digit; str() of an int over 4300 digits raises.
+        print(Decimal(size))
         return 0
 
     if args.command == "fixtures":

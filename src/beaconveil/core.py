@@ -184,13 +184,6 @@ def validate_pattern(p: SecretPattern, band: BandPlan = DEFAULT_BAND,
     return ValidationReport(tuple(out)) if out else _VALID
 
 
-def ensure_valid(p: SecretPattern, band: BandPlan = DEFAULT_BAND,
-                 max_tu: int = DEFAULT_MAX_TU) -> None:
-    report = validate_pattern(p, band, max_tu)
-    if not report.ok:
-        raise PatternError(f"pattern {p.pattern_id!r}: {report}")
-
-
 def pattern_space_size(n: int, L: int, channels: int, max_tu: int) -> int:
     """Exact size of the raw candidate space: 2^(nL) * channels^L * max_tu^(L-2).
 
@@ -393,17 +386,3 @@ def parse_pattern(text: str, pattern_id: str = "p0") -> SecretPattern:
 def render_pattern(p: SecretPattern) -> str:
     """Canonical text form; parse_pattern(render_pattern(p), p.pattern_id) == p."""
     return " ".join(map(str, p.triplets))
-
-
-def parse_pattern_file(text: str) -> list[SecretPattern]:
-    """Parse a pattern file: one pattern per line, '#' starts a comment."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            out.append(parse_pattern(stripped, pattern_id=f"line{lineno}"))
-        except PatternError as e:
-            raise PatternError(f"line {lineno}: {e}") from None
-    return out

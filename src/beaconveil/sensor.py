@@ -20,8 +20,10 @@ over an observation's beacons, and the offline extract_triplets both go
 through it. Both take the beacons in (t_s, seq_no) order whatever order
 they are given in, refuse a beacon time that is NaN or infinite, and close
 a window by one rule (n slots after its beacon, or at the next beacon if
-that comes first), so they read a window the same way. A SensorNode keeps
-what outlives a session; a reject locks it for lockout_s, a lockout refusal aside.
+that comes first), so they read a window the same way. A session's
+observation lasts until its watchdog fires. A SensorNode keeps what outlives
+a session, and nothing else: the last 4096 beacon nonces heard, and a
+lockout; a reject locks it for lockout_s, a lockout refusal aside.
 """
 
 from __future__ import annotations
@@ -258,37 +260,29 @@ def extract_triplets(beacons: Sequence[Beacon], samples: Samples, cfg: SensorCon
     return tuple(out)
 
 
-class NonceHistory:
-    """Bounded ledger of seen beacon nonces, FIFO eviction."""
-
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        # Each nonce once, oldest first; popitem(last=False) evicts in O(1).
-        self._seen: OrderedDict[str, None] = OrderedDict()
-
-    def __contains__(self, nonce: str) -> bool:
-        return nonce in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def record(self, nonce: str) -> None:
-        if nonce in self._seen:
-            return
-        if len(self._seen) >= self.capacity:
-            self._seen.popitem(last=False)
-        self._seen[nonce] = None
+_LEDGER_SIZE = 4096  # nonces a node remembers
 
 
 @dataclass
 class SensorNode:
-    """Device-lifetime state that outlives one session: the nonce ledger and
-    the end of the lockout, whose length is the ended session's lockout_s."""
+    """Device-lifetime state that outlives one session: a ledger of the last
+    4096 beacon nonces heard, and the end of the lockout, whose length is the
+    ended session's lockout_s."""
 
-    history: NonceHistory = field(default_factory=NonceHistory)
     locked_until: float = float("-inf")
+    # Each nonce once, oldest first; popitem(last=False) evicts in O(1).
+    _nonces: OrderedDict[str, None] = field(default_factory=OrderedDict,
+                                            init=False, repr=False)
+
+    def heard(self, nonce: str) -> bool:
+        """Whether nonce was heard before. A new nonce is recorded, evicting
+        the oldest first once the ledger is full; an old one is not moved."""
+        if nonce in self._nonces:
+            return True
+        if len(self._nonces) >= _LEDGER_SIZE:
+            self._nonces.popitem(last=False)
+        self._nonces[nonce] = None
+        return False
 
     def locked_at(self, t: float) -> bool:
         return t < self.locked_until
@@ -349,42 +343,30 @@ class SensorSession:
                            else _watchdog_s(DEFAULT_MAX_TU, self.slot_cfg.tu_s))
         self._matcher = matcher
 
-    def run(self, beacons: Iterable[Beacon], samples: Samples,
-            t_end: Optional[float] = None) -> AuthResult:
-        """The verdict on a whole observation.
+    def run(self, beacons: Iterable[Beacon], samples: Samples) -> AuthResult:
+        """The verdict on a whole observation, which lasts until the
+        watchdog fires.
 
         A window reads the samples from its beacon up to where it closed (a
         sample at a beacon's own time is the new window's). A beacon time
-        that is NaN or infinite raises ValueError. Given t_end, the
-        observation ends at its last sample or t_end, whichever is later: a
-        last window still open then is never read, and a session whose
-        watchdog would fire after that end times out at t_end. Without
-        t_end, the observation lasts until the watchdog fires.
+        that is NaN or infinite raises ValueError.
         """
         bs = _in_order(beacons)
         triplets: list[Triplet] = []
         if self.node.locked_at(self.t_start):
             return self._end(REJECTED, self.t_start, triplets, RejectReason("lockout"))
-        stop = math.inf
-        if t_end is not None:
-            stop = max(t_end, float(samples.t_s[-1])) if len(samples) else t_end
-        history, matcher = self.node.history, self._matcher
+        node, matcher = self.node, self._matcher
         deadline = self.t_start + self.watchdog_s
         span = self.cfg.n * self.slot_cfg.slot_s
         for j, b in enumerate(bs):
             if deadline <= b.t_s:
                 return self._end(TIMED_OUT, deadline, triplets)
-            if b.nonce in history:
+            if node.heard(b.nonce):
                 return self._end(REJECTED, b.t_s, triplets, RejectReason("replay"))
-            history.record(b.nonce)
             deadline = b.t_s + self.watchdog_s
-            end = b.t_s + span
-            upto = bs[j + 1].t_s if j + 1 < len(bs) else stop
-            if deadline < end and deadline <= upto:
-                return self._end(TIMED_OUT, deadline, triplets)
-            if end > upto and j + 1 == len(bs):
-                break  # the observation ends with this window open
             end = _window_close(bs, j, span)
+            if deadline < b.t_s + span and deadline <= end:
+                return self._end(TIMED_OUT, deadline, triplets)
             try:
                 trip = _read_triplet(bs, j, samples.between(b.t_s, end), self.cfg,
                                      self.slot_cfg.slot_s)
@@ -395,7 +377,7 @@ class SensorSession:
             if matcher.terminal:
                 return self._end(matcher.status, end, triplets, matcher.reason,
                                  matcher.accepted_id)
-        return self._end(TIMED_OUT, t_end if deadline > stop else deadline, triplets)
+        return self._end(TIMED_OUT, deadline, triplets)
 
     def _end(self, verdict: str, t: float, triplets: list[Triplet],
              reason: Optional[RejectReason] = RejectReason("timeout"),
@@ -405,52 +387,42 @@ class SensorSession:
             transcript=tuple(triplets), duration_s=t - self.t_start, terminal_t=t)
 
 
-def app_gate(received: str, cfg: SensorConfig) -> bool:
-    """Constant-time comparison of the app-layer secret."""
-    if cfg.app_secret is None:
-        raise RuntimeError("app gate is disabled: no app_secret configured")
-    return hmac.compare_digest(received.encode(), cfg.app_secret.encode())
-
-
-def mitm_check(rtt_s: float, cfg: SensorConfig) -> bool:
-    """True when the app-layer round trip looks relayed (strictly above limit)."""
-    return rtt_s > cfg.rtt_limit_s
-
-
 def apply_app_stage(result: AuthResult, message: Optional[str],
                     rtt_s: Optional[float], cfg: SensorConfig) -> AuthResult:
     """Second factor after a physical accept: delay check, then the secret.
 
     No-op unless the physical layer accepted and an app_secret is configured.
-    A round trip over rtt_limit_s rejects before the secret is even compared.
+    A round trip over rtt_limit_s rejects before the secret is even compared
+    in constant time (a missing message compares as "").
     """
     if result.verdict != ACCEPTED or cfg.app_secret is None:
         return result
-    if rtt_s is not None and mitm_check(rtt_s, cfg):
-        return replace(result, verdict=REJECTED, pattern_id=None,
-                       reason=RejectReason("mitm-delay"), app_ok=False)
-    if not app_gate(message if message is not None else "", cfg):
-        return replace(result, verdict=REJECTED, pattern_id=None,
-                       reason=RejectReason("app-secret"), app_ok=False)
-    return replace(result, app_ok=True)
+    if rtt_s is not None and rtt_s > cfg.rtt_limit_s:
+        kind = "mitm-delay"
+    elif not hmac.compare_digest((message or "").encode(), cfg.app_secret.encode()):
+        kind = "app-secret"
+    else:
+        return replace(result, app_ok=True)
+    return replace(result, verdict=REJECTED, pattern_id=None,
+                   reason=RejectReason(kind), app_ok=False)
 
 
 def authenticate(beacons: Iterable[Beacon], samples: Samples,
                  store: Iterable[SecretPattern], cfg: SensorConfig,
                  slot_cfg: Optional[SlotConfig] = None, *,
                  node: Optional[SensorNode] = None, t_start: float = 0.0,
-                 t_end: Optional[float] = None, app_message: Optional[str] = None,
+                 app_message: Optional[str] = None,
                  rtt_s: Optional[float] = None) -> AuthResult:
     """Run a complete observation through a session and the app stage.
 
-    Offline wrapper over SensorSession.run, the same walk the simulator
-    uses, and its default watchdog; the app stage gets the round trip rtt_s
-    as given. A reject locks node for cfg.lockout_s, a lockout refusal aside.
+    Offline wrapper over SensorSession.run, the walk the simulator uses; the
+    observation lasts until the default watchdog fires. The app stage gets
+    rtt_s as given. A reject locks node for cfg.lockout_s, a lockout refusal
+    aside.
     """
     session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                             t_start=t_start)
-    result = apply_app_stage(session.run(beacons, samples, t_end), app_message,
-                             rtt_s, cfg)
+    result = apply_app_stage(session.run(beacons, samples), app_message, rtt_s, cfg)
     if node is not None:
         node.note_result(result, cfg.lockout_s)
     return result

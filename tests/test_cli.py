@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beaconveil import (SWEEP_AXES, build_fig3, build_proto, dump_scenario,
-                        load_scenario)
+                        load_scenario, pattern_space_size)
 from beaconveil.cli import main
 
 
@@ -120,6 +121,15 @@ class TestEnumerate:
         proc = run_cli(["enumerate", "--n", "3", "--L", "4",
                         "--channels", "14", "--max-tu", "4"])
         assert proc.stdout.strip() == "2517630976"
+
+    def test_space_past_the_int_to_str_limit(self):
+        # 6483 digits, past the 4300 that str(int) converts by default
+        proc = run_cli(["enumerate", "--n", "64", "--L", "300",
+                        "--channels", "14", "--max-tu", "16"])
+        assert proc.returncode == 0, proc.stderr
+        digits = proc.stdout.strip()
+        assert len(digits) == 6483
+        assert Decimal(digits) == pattern_space_size(64, 300, 14, 16)
 
     def test_bad_dimensions(self):
         proc = run_cli(["enumerate", "--n", "0", "--L", "2",

@@ -12,9 +12,8 @@ import beaconveil
 from beaconveil import (DEFAULT_BAND, MAX_BITS, ACCEPTED, IN_PROGRESS, REJECTED,
                         BandPlan, MatcherError, PatternError, RejectReason,
                         SecretPattern, Triplet, TxPattern, ValidationReport,
-                        Violation, candidate_from_index, ensure_valid, match_step,
-                        new_matcher, parse_pattern,
-                        parse_pattern_file, pattern_space_size,
+                        Violation, candidate_from_index, match_step,
+                        new_matcher, parse_pattern, pattern_space_size,
                         render_pattern, validate_pattern)
 
 
@@ -57,7 +56,6 @@ class TestTxPattern:
 class TestValidation:
     def test_good_pattern_passes(self):
         assert validate_pattern(GOOD).ok
-        ensure_valid(GOOD)  # must not raise
 
     def test_single_triplet_is_too_short(self):
         p = make("p", ("01", 1, None))
@@ -105,10 +103,10 @@ class TestValidation:
         assert "interval-out-of-range" not in {
             v.code for v in validate_pattern(p, max_tu=17).violations}
 
-    def test_ensure_valid_raises_with_position(self):
+    def test_violation_names_its_triplet(self):
         p = make("p", ("00", 1, None), ("01", 1, 1))
-        with pytest.raises(PatternError):
-            ensure_valid(p)
+        assert validate_pattern(p).violations == (Violation(
+            "all-equal-bits", "triplet 0 tx_pattern 00 has no transition"),)
 
     def test_bits_too_long(self):
         p = make("p", ("01" * 33, 1, None), ("10" * 33, 1, 1))
@@ -463,12 +461,6 @@ class TestGrammar:
                     "01@²:- 10@2:1", "01@1:- 10@2:³"):
             with pytest.raises(PatternError):
                 parse_pattern(bad, "x")
-
-    def test_parse_pattern_file(self):
-        text = "01@1:- 10@2:1\n\n10@3:- 01@4:1\n"
-        patterns = parse_pattern_file(text)
-        assert [p.pattern_id for p in patterns] == ["line1", "line3"]
-        assert patterns[1].triplets[0].channel == 3
 
     @given(st.data())
     def test_render_parse_inverse(self, data):

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, Beacon,
-                        NonceHistory, QuantizationFailure, RejectReason,
-                        Samples, SecretPattern, SensorConfig, SensorNode,
+                        QuantizationFailure, RejectReason, Samples,
+                        SecretPattern, SensorConfig, SensorNode,
                         SensorSession, SlotConfig, Triplet, TxPattern,
-                        TxPowerLevels, UndecodableWindow, app_gate,
-                        apply_app_stage, authenticate, compile_schedule,
-                        decode_slots, extract_triplets, match_step,
-                        mitm_check, new_matcher, parse_pattern,
-                        quantize_interval)
+                        TxPowerLevels, UndecodableWindow, apply_app_stage,
+                        authenticate, compile_schedule, decode_slots,
+                        extract_triplets, match_step, new_matcher,
+                        parse_pattern, quantize_interval)
 
 CFG = SensorConfig(f_s=5.0, n=3, delta_db=3.0)
 FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
@@ -61,11 +60,11 @@ class TestSamples:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_are_refused(self, bad):
-        # A NaN time sorted last and moved the session clock to NaN, which
-        # fired the watchdog: this call timed out at 72 s, not at t_end.
+        # A NaN time sorts last and would move the session clock to NaN,
+        # firing the watchdog, so the call would time out, not raise.
         with pytest.raises(ValueError, match="t_s must be finite"):
             authenticate([], Samples([1.0, bad], [-60.0, -60.0]), [FIG3],
-                         SensorConfig(f_s=5.0, n=3), SlotConfig(), t_end=5.0)
+                         SensorConfig(f_s=5.0, n=3), SlotConfig())
 
 
 class TestDecodeSlots:
@@ -258,20 +257,22 @@ class TestExtractTriplets:
 
 
 class TestNonceHistory:
+    """The SensorNode ledger: the last 4096 nonces heard, oldest out first."""
+
     def test_membership_and_fifo_eviction(self):
-        h = NonceHistory(capacity=3)
-        for n in ("a", "b", "c"):
-            h.record(n)
-        assert "a" in h and len(h) == 3
-        h.record("d")
-        assert "a" not in h and "d" in h and len(h) == 3
+        node = SensorNode()
+        assert not any(node.heard(f"n{i}") for i in range(4097))
+        assert all(node.heard(f"n{i}") for i in range(1, 4097))
+        assert not node.heard("n0")  # the first was evicted by the 4097th
 
     def test_duplicate_record_is_idempotent(self):
-        h = NonceHistory(capacity=2)
-        h.record("a")
-        h.record("a")
-        h.record("b")
-        assert "a" in h and "b" in h
+        node = SensorNode()
+        assert not node.heard("a") and node.heard("a")
+        assert not any(node.heard(f"n{i}") for i in range(4095))  # now full
+        assert node.heard("a")
+        node.heard("new")
+        # hearing "a" again did not refresh it, so it was the one evicted
+        assert node.heard("n0") and not node.heard("a")
 
 
 def run_session(beacons, samples, store, cfg, slot_cfg, **kw):
@@ -513,7 +514,7 @@ class ReferenceSession:
         if locked:
             self._end(REJECTED, t_start, RejectReason("lockout"))
 
-    def run(self, beacons, pts, t_end):
+    def run(self, beacons, pts):
         events = sorted([(b.t_s, 0, b.seq_no, b) for b in beacons]
                         + [(p[0], 1, i, p) for i, p in enumerate(pts)],
                         key=lambda e: e[:3])
@@ -527,10 +528,9 @@ class ReferenceSession:
             elif self.window is not None and self.window[0].t_s <= t < self.window[1]:
                 self.window[2].append(ev)
         if self.out is None:
-            t_end = self.deadline if t_end is None else t_end
-            self._advance(t_end)
+            self._advance(self.deadline)
             if self.out is None:
-                self._end(TIMED_OUT, t_end, RejectReason("timeout"))
+                self._end(TIMED_OUT, self.deadline, RejectReason("timeout"))
         return self.out
 
     def _beacon(self, b):
@@ -580,8 +580,7 @@ LEVELS = [math.nan, -60.0, -63.0, -66.0, -75.0]
 
 
 def feed_case(n, slot_s, tu_s, bits, channels, gaps, t0, jitter, kept, repeat,
-              history, edits, extra, tail, watchdog_s, t_start, locked, t_end,
-              shuffle):
+              history, edits, extra, tail, watchdog_s, t_start, locked, shuffle):
     """One observation of an emitted pattern on the TICK grid, perturbed by
     the spec: beacons jittered by whole ticks or dropped, beacon `repeat`
     reusing the previous nonce, sample levels edited or doubled, `tail`
@@ -614,8 +613,7 @@ def feed_case(n, slot_s, tu_s, bits, channels, gaps, t0, jitter, kept, repeat,
         random.Random(shuffle).shuffle(beacons)
     cfg = SensorConfig(f_s=1.0 / TICK, n=n, watchdog_s=watchdog_s)
     slot_cfg = SlotConfig(slot_s=slot_s, tu_s=tu_s, guard_s=0.0)
-    t_end = None if t_end is None else t_end * TICK
-    return store, cfg, slot_cfg, beacons, pts, history, locked, t_start, t_end
+    return store, cfg, slot_cfg, beacons, pts, history, locked, t_start
 
 
 @st.composite
@@ -640,7 +638,6 @@ def feed_specs(draw):
         watchdog_s=draw(st.sampled_from([None] * 4 + [40.0, 3.0, 1.0, 0.5, 0.25])),
         t_start=draw(st.sampled_from([0.0, 0.5])),
         locked=draw(st.integers(0, 9)) == 9,
-        t_end=draw(st.one_of(st.none(), st.integers(0, 80))),
         shuffle=draw(st.one_of(st.none(), st.integers(0, 2**16))))
 
 
@@ -648,7 +645,7 @@ def feed_specs(draw):
 BASE = dict(n=3, slot_s=0.5, tu_s=2.5, bits=["010", "101", "011"],
             channels=[1, 2, 1], gaps=[2], t0=2, jitter=[0, 0, 0],
             kept=[True] * 3, repeat=None, history=(), edits=[], extra=[], tail=8,
-            watchdog_s=None, t_start=0.0, locked=False, t_end=None, shuffle=None)
+            watchdog_s=None, t_start=0.0, locked=False, shuffle=None)
 
 
 class TestFeedDifferential:
@@ -657,9 +654,6 @@ class TestFeedDifferential:
     @example(spec={**BASE, "tu_s": 1.0})  # the next beacon closes windows early
     @example(spec={**BASE, "n": 2, "bits": ["01", "10", "01"],
                    "jitter": [0, -1, 0]})  # an early close that still decodes
-    @example(spec={**BASE, "t_end": 20})  # samples after t_end
-    @example(spec={**BASE, "jitter": [0, 0, 1], "tail": 0,
-                   "t_end": 34})  # t_end inside the last open window
     @example(spec={**BASE, "watchdog_s": 0.5})  # watchdog shorter than a window
     @example(spec={**BASE, "n": 2, "bits": ["01", "10", "01"],
                    "watchdog_s": 1.0})  # watchdog due as the window ends
@@ -671,19 +665,19 @@ class TestFeedDifferential:
     @example(spec={**BASE, "shuffle": 7})  # unsorted samples and beacons
     @settings(max_examples=400, deadline=None)
     def test_feed_matches_per_sample_events(self, spec):
-        store, cfg, slot_cfg, beacons, pts, history, locked, t_start, t_end = \
+        store, cfg, slot_cfg, beacons, pts, history, locked, t_start = \
             feed_case(**spec)
         node = SensorNode()
         for nonce in history:
-            node.history.record(nonce)
+            node.heard(nonce)
         if locked:
             node.locked_until = t_start + 1.0
         session = SensorSession(new_matcher(store), cfg, slot_cfg, node=node,
                                 t_start=t_start)
-        res = session.run(beacons, Samples(*zip(*pts)), t_end)
+        res = session.run(beacons, Samples(*zip(*pts)))
         ref = ReferenceSession(store, cfg, slot_cfg, history, locked, t_start)
         assert (res.verdict, res.pattern_id, res.reason, res.transcript,
-                res.duration_s, res.terminal_t) == ref.run(beacons, pts, t_end)
+                res.duration_s, res.terminal_t) == ref.run(beacons, pts)
 
     def test_base_case_is_accepted(self):
         store, cfg, slot_cfg, beacons, pts, *_ = feed_case(**BASE)
@@ -695,17 +689,20 @@ class TestAppStage:
     CFG = SensorConfig(f_s=5.0, n=3, app_secret="1234567890", rtt_limit_s=0.1)
 
     def test_gate(self):
-        assert app_gate("1234567890", self.CFG)
-        assert not app_gate("123456789", self.CFG)
-        assert not app_gate("", self.CFG)
-        with pytest.raises(RuntimeError):
-            app_gate("x", SensorConfig(f_s=5.0, n=3))
+        phy = self._accepted()
+        assert apply_app_stage(phy, "1234567890", None, self.CFG).app_ok is True
+        for message in ("123456789", "", None):
+            res = apply_app_stage(phy, message, None, self.CFG)
+            assert res.reason == RejectReason("app-secret")
 
     def test_mitm_check_is_strict(self):
-        # True means the round trip looks relayed; the limit itself is fine
-        assert not mitm_check(0.09, self.CFG)
-        assert not mitm_check(0.1, self.CFG)
-        assert mitm_check(0.100001, self.CFG)
+        # a round trip over the limit looks relayed; the limit itself is fine
+        phy = self._accepted()
+        for rtt_s in (0.09, 0.1):
+            res = apply_app_stage(phy, "1234567890", rtt_s, self.CFG)
+            assert res.verdict == ACCEPTED and res.app_ok is True
+        res = apply_app_stage(phy, "1234567890", 0.100001, self.CFG)
+        assert res.reason == RejectReason("mitm-delay")
 
     def _accepted(self):
         # physical stage only; the app stage under test is applied explicitly
