@@ -8,6 +8,7 @@ internal failures. Diagnostics go to stderr; results go to files or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,6 +24,11 @@ from .sim import (SWEEP_AXES, _sweep_rows, monte_carlo, run_scenario,
 
 class _UsageError(Exception):
     pass
+
+
+# enumerate prints at most this many digits. The exact size of a larger space
+# can take gigabytes, and printing it takes time quadratic in its length.
+_MAX_DIGITS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,8 +143,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "enumerate":
+        n, L, channels, max_tu = dims = (args.n, args.L, args.channels, args.max_tu)
+        # Refused from log10 of the size, before any big-integer arithmetic.
+        if min(dims) >= 1 and (L * (n * math.log10(2) + math.log10(channels * max_tu))
+                               - 2 * math.log10(max_tu)) >= _MAX_DIGITS:
+            raise ConfigError(f"the credential space has more than {_MAX_DIGITS} "
+                              "decimal digits, too many to print")
         try:
-            size = pattern_space_size(args.n, args.L, args.channels, args.max_tu)
+            size = pattern_space_size(*dims)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         # Decimal prints every digit; str() of an int over 4300 digits raises.

@@ -10,7 +10,8 @@ are free credential material.
 Type constructors check shape only. Whether a pattern is *usable* (decodable
 bit patterns, channels inside the band plan, bounded intervals) is the job of
 validate_pattern, which must be able to describe invalid patterns, so invalid
-ones stay constructible.
+ones stay constructible. The text parser checks token syntax, and the walk
+behind validate_pattern judges the structure of what it parsed.
 """
 
 from __future__ import annotations
@@ -197,24 +198,6 @@ def pattern_space_size(n: int, L: int, channels: int, max_tu: int) -> int:
     return (1 << (n * L)) * channels ** L * max_tu ** (L - 2)
 
 
-_MISMATCH_MESSAGES = {
-    "txpower": "txpower mismatch at index {i}",
-    "channel": "channel mismatch at index {i}",
-    "interval": "interval mismatch at index {i}",
-    "undecodable": "undecodable window at index {i}",
-    "quantization": "interval quantization failed at index {i}",
-}
-
-_PLAIN_MESSAGES = {
-    "replay": "replayed nonce",
-    "lockout": "sensor in post-reject lockout",
-    "timeout": "watchdog expired",
-    "app-secret": "application secret mismatch",
-    "mitm-delay": "round-trip delay above limit",
-    "no-viable-pattern": "no viable pattern",
-}
-
-
 @dataclass(frozen=True)
 class RejectReason:
     """Why a session was rejected. code is the canonical machine form."""
@@ -225,11 +208,6 @@ class RejectReason:
     @property
     def code(self) -> str:
         return self.kind if self.index is None else f"{self.kind}@{self.index}"
-
-    def __str__(self) -> str:
-        if self.index is not None and self.kind in _MISMATCH_MESSAGES:
-            return _MISMATCH_MESSAGES[self.kind].format(i=self.index)
-        return _PLAIN_MESSAGES.get(self.kind, self.code)
 
 
 class _Node:
@@ -307,15 +285,13 @@ def new_matcher(store: Iterable[SecretPattern]) -> MatcherState:
     return MatcherState(_Node(tuple(p for p in patterns if p.length)), 0, IN_PROGRESS)
 
 
-def _mismatch_kind(observed: Triplet, expected: Triplet, index: int) -> Optional[str]:
-    """First differing field in precedence order, or None on a match."""
+def _mismatch_kind(observed: Triplet, expected: Triplet) -> str:
+    """First differing field of a trie key that differs, in precedence order."""
     if observed.tx_pattern.bits != expected.tx_pattern.bits:
         return "txpower"
     if observed.channel != expected.channel:
         return "channel"
-    if index >= 1 and observed.interval_tu != expected.interval_tu:
-        return "interval"
-    return None
+    return "interval"
 
 
 def match_step(state: MatcherState, observed: Triplet) -> MatcherState:
@@ -333,16 +309,15 @@ def match_step(state: MatcherState, observed: Triplet) -> MatcherState:
     child = children.get((observed.tx_pattern.bits, observed.channel,
                           observed.interval_tu if i else None))
     if child is None:
-        kind = (_mismatch_kind(observed, node.patterns[0].triplets[i], i)
-                if node.patterns else None)
-        return MatcherState(_EMPTY, i + 1, REJECTED,
-                            reason=RejectReason(kind or "no-viable-pattern", i))
+        kind = (_mismatch_kind(observed, node.patterns[0].triplets[i])
+                if node.patterns else "no-viable-pattern")
+        return MatcherState(_EMPTY, i + 1, REJECTED, reason=RejectReason(kind, i))
     if child.done is not None:
         return MatcherState(child, i + 1, ACCEPTED, accepted_id=child.done)
     return MatcherState(child, i + 1, IN_PROGRESS)
 
 
-def _parse_triplet(token: str, position: int, first: bool) -> Triplet:
+def _parse_triplet(token: str, position: int) -> Triplet:
     body, sep, interval_text = token.partition(":")
     bits_text, sep2, channel_text = body.partition("@")
     if not sep or not sep2:
@@ -351,31 +326,22 @@ def _parse_triplet(token: str, position: int, first: bool) -> Triplet:
         raise PatternError(f"triplet {position}: bits must be a 0/1 string, got {bits_text!r}")
     if not channel_text.isdecimal() or int(channel_text) < 1:
         raise PatternError(f"triplet {position}: channel must be a positive integer, got {channel_text!r}")
-    if interval_text == "-":
-        if not first:
-            raise PatternError(f"triplet {position}: only the first triplet may omit its interval")
-        interval = None
-    else:
-        if first:
-            raise PatternError("triplet 0: first triplet must use '-' for its interval")
-        if not interval_text.isdecimal() or int(interval_text) < 1:
-            raise PatternError(f"triplet {position}: interval must be a positive integer or '-', got {interval_text!r}")
-        interval = int(interval_text)
+    if interval_text != "-" and (not interval_text.isdecimal() or int(interval_text) < 1):
+        raise PatternError(f"triplet {position}: interval must be a positive integer or '-', got {interval_text!r}")
+    interval = None if interval_text == "-" else int(interval_text)
     return Triplet(TxPattern(bits_text), int(channel_text), interval)
 
 
 def parse_pattern(text: str, pattern_id: str = "p0") -> SecretPattern:
     """Parse one pattern in the BITS@CHANNEL:INTERVAL grammar.
 
-    Raises PatternError annotated with the offending triplet position, or with
-    the structural violation (length, interval shape, mixed n, all-equal bits).
+    A token with bad syntax raises PatternError naming its triplet position;
+    then _violations judges the structure (length, where intervals sit, mixed
+    n, all-equal bits), and PatternError names each violation's code.
     Channel range and the interval bound need a band plan and are left to
     validate_pattern.
     """
-    tokens = text.split()
-    if not tokens:
-        raise PatternError("empty pattern text")
-    triplets = tuple(_parse_triplet(tok, i, i == 0) for i, tok in enumerate(tokens))
+    triplets = tuple(_parse_triplet(tok, i) for i, tok in enumerate(text.split()))
     p = SecretPattern(pattern_id, triplets)
     problems = _violations(p, math.inf, math.inf)
     if problems:

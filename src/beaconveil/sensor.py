@@ -213,7 +213,8 @@ def _read_triplet(beacons: Sequence[Beacon], j: int,
 
     The bits come from the level shape; the time unit is the gap between
     beacons 0 and 1, so the second interval is 1 by definition and later
-    intervals quantize onto it. Raises UndecodableWindow or
+    intervals quantize onto it. That gap is positive, since beacons at one
+    time leave window 0 empty and undecodable. Raises UndecodableWindow or
     QuantizationFailure carrying j.
     """
     b = beacons[j]
@@ -223,11 +224,9 @@ def _read_triplet(beacons: Sequence[Beacon], j: int,
         raise UndecodableWindow(e.detail, index=j) from None
     if j == 0:
         return Triplet(bits, b.channel, None)
-    tu_s = beacons[1].t_s - beacons[0].t_s
     if j == 1:
-        if tu_s <= 0:
-            raise QuantizationFailure("first interval is empty, no time unit", index=1)
         return Triplet(bits, b.channel, 1)
+    tu_s = beacons[1].t_s - beacons[0].t_s
     raw = b.t_s - beacons[j - 1].t_s
     k = quantize_interval(raw, tu_s, cfg.eps_tu)
     if k is None:

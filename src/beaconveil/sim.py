@@ -391,8 +391,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     # not be valid, and they do not know the app secret.
     guessing = isinstance(a, (Mutant, BruteForce))
     if isinstance(a, BruteForce):
-        p = random_candidate(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu,
-                             pattern_id=f"cand.{trial_index}")
+        p = random_candidate(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu)
         slot, tl = cfg.slot_cfg, compile_schedule(p, cfg.slot_cfg, cfg.tx_levels)
     else:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]

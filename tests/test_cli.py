@@ -82,7 +82,7 @@ class TestExitCodes:
         bad.write_text(text)
         assert main(["validate", str(bad)]) == 1
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert "not a finite number" in capsys.readouterr().err
+        assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("old, new", [
@@ -92,8 +92,11 @@ class TestExitCodes:
         ("bit_index = 0", "bit_index = 0\nchannel = 3"),
         ("fig3 = 010@1:-", "fig3 = 010@²:-"),
         ("101@11:2", "101@11:³"),
+        ("waypoints = 0.0:5.0", "waypoints ="),
+        ("kind = mutant\n", ""),
     ], ids=["section", "trajectory-key", "actor-key", "mutation-key",
-            "superscript-channel", "superscript-interval"])
+            "superscript-channel", "superscript-interval", "empty-waypoints",
+            "actor-without-kind"])
     def test_refused_name_or_pattern_is_user_error(self, tmp_path, capsys, old, new):
         text = dump_scenario(build_fig3("b"))
         assert old in text
@@ -135,6 +138,23 @@ class TestEnumerate:
         proc = run_cli(["enumerate", "--n", "0", "--L", "2",
                         "--channels", "1", "--max-tu", "1"])
         assert proc.returncode == 1
+
+    def test_space_past_the_printed_digits_is_refused_unsized(self, monkeypatch, capsys):
+        # 1 << (64 * 10**9) alone would take 8 GB; the size is never computed.
+        def unsized(*args):
+            raise AssertionError("pattern_space_size called")
+        monkeypatch.setattr("beaconveil.cli.pattern_space_size", unsized)
+        assert main(["enumerate", "--n", "64", "--L", "1000000000",
+                     "--channels", "14", "--max-tu", "16"]) == 1
+        assert "more than 100000 decimal digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "-5", "--L", "-1000000000"], "all arguments must be >= 1"),
+        (["--n", "1", "--L", "1"], "L must be >= 2"),
+    ])
+    def test_refused_dimensions_keep_their_message(self, capsys, args, message):
+        assert main(["enumerate", *args, "--channels", "14", "--max-tu", "16"]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestRun:

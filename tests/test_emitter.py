@@ -176,6 +176,17 @@ class TestSamplers:
             p = random_pattern(rng, 3, 4, DEFAULT_BAND, 16)
             assert validate_pattern(p).ok, render_pattern(p)
 
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_random_pattern_past_62_bits(self, n):
+        # drawn bit by bit, since 2^n - 2 overflows the integer draw
+        p = random_pattern(np.random.default_rng(5), n, 3, DEFAULT_BAND, 16)
+        assert validate_pattern(p).ok, render_pattern(p)
+        assert {len(t.tx_pattern) for t in p.triplets} == {n}
+
+    def test_random_candidate_needs_two_triplets(self):
+        with pytest.raises(ValueError, match="L >= 2"):
+            random_candidate(np.random.default_rng(0), 2, 1, 2, 2)
+
     def test_random_pattern_uniform_over_valid_space(self):
         from scipy.stats import chisquare
         # n=2 L=2 on a 2-channel slice: 2 mixed bit pairs x 2 channels per

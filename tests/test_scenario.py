@@ -183,6 +183,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="t:d"):
             loads_scenario(MINIMAL + "\n[trajectory]\nwaypoints = 0-5\n")
 
+    def test_empty_waypoints(self):
+        with pytest.raises(ConfigError) as e:
+            loads_scenario(MINIMAL + "\n[trajectory]\nwaypoints =\n")
+        assert str(e.value) == "[trajectory] trajectory needs at least one waypoint"
+
+    def test_actor_without_kind(self):
+        with pytest.raises(ConfigError) as e:
+            loads_scenario("[store]\np = 01@1:- 10@2:1\n[actor]\npattern_id = p\n")
+        assert str(e.value) == "[actor] missing key 'kind'"
+
     def test_bad_field_value_wrapped(self):
         with pytest.raises(ConfigError, match="sensor"):
             loads_scenario(MINIMAL + "\n[sensor]\nf_s = -1\n")
@@ -324,6 +334,10 @@ class TestFixtures:
         for p in paths:
             cfg = load_scenario(p)
             assert validate_scenario(cfg) == []
+
+    def test_unknown_fig3_case(self):
+        with pytest.raises(ValueError, match="a/b/c/d"):
+            build_fig3("e")
 
     def test_fixture_files_match_builders(self, tmp_path):
         paths = write_fixtures(tmp_path)

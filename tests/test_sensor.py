@@ -113,6 +113,11 @@ class TestDecodeSlots:
         with pytest.raises(UndecodableWindow):
             decode_slots(Samples(), 3, CFG)
 
+    @pytest.mark.parametrize("n, slot_s", [(0, 0.6), (3, 0.0)])
+    def test_bad_shape(self, n, slot_s):
+        with pytest.raises(ValueError, match="need n >= 1 and slot_s > 0"):
+            decode_slots(window([-46.0, -40.0, -46.0]), n, CFG, slot_s)
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_offset_invariance_property(self, data):
@@ -189,6 +194,21 @@ class TestExtractTriplets:
             got = [t.interval_tu
                    for t in extract_triplets(beacons, samples, CFG, slot_s=0.6 * k)]
             assert got == ref
+
+    def test_no_beacons(self):
+        with pytest.raises(ValueError, match="need at least one beacon"):
+            extract_triplets([], Samples(), CFG)
+
+    def test_beacons_at_one_time_are_undecodable_at_zero(self):
+        # No gap between beacons 0 and 1 means no time unit, but window 0 is
+        # then [t0, t0): both readers stop there, before triplet 1 is read.
+        beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
+        beacons[1] = dataclasses.replace(beacons[1], t_s=beacons[0].t_s)
+        res = SensorSession(new_matcher([FIG3]), CFG).run(beacons, samples)
+        assert res.reason == RejectReason("undecodable", 0)
+        with pytest.raises(UndecodableWindow) as ei:
+            extract_triplets(beacons, samples, CFG)
+        assert ei.value.index == 0
 
     def test_single_beacon_has_no_time_unit(self):
         beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
