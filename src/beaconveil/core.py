@@ -339,10 +339,22 @@ def parse_pattern(text: str, pattern_id: str = "p0") -> SecretPattern:
     then _violations judges the structure (length, where intervals sit, mixed
     n, all-equal bits), and PatternError names each violation's code.
     Channel range and the interval bound need a band plan and are left to
-    validate_pattern.
+    validate_pattern. Each call parses with a fresh token memo, so two calls
+    share no Triplet.
     """
-    triplets = tuple(_parse_triplet(tok, i) for i, tok in enumerate(text.split()))
-    p = SecretPattern(pattern_id, triplets)
+    return _parse_pattern(text, pattern_id, {})
+
+
+def _parse_pattern(text: str, pattern_id: str, seen: dict[str, Triplet]) -> SecretPattern:
+    """parse_pattern, taking each token's Triplet from seen when an equal
+    token was parsed before; a token that fails to parse never enters it."""
+    triplets = []
+    for i, tok in enumerate(text.split()):
+        t = seen.get(tok)
+        if t is None:
+            t = seen[tok] = _parse_triplet(tok, i)
+        triplets.append(t)
+    p = SecretPattern(pattern_id, tuple(triplets))
     problems = _violations(p, math.inf, math.inf)
     if problems:
         raise PatternError(f"pattern {pattern_id!r}: " + "; ".join(str(v) for v in problems))

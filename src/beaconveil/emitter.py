@@ -217,10 +217,11 @@ def random_pattern(rng: np.random.Generator, n: int, L: int, band: BandPlan,
 
 
 def random_candidate(rng: np.random.Generator, n: int, L: int, channels: int,
-                     max_tu: int, pattern_id: str = "cand") -> SecretPattern:
+                     max_tu: int) -> SecretPattern:
     """Uniform draw over the *raw* candidate space counted by
     pattern_space_size: every bit string (all-equal included), every channel,
-    every interval. This is the brute-force adversary's sample space."""
+    every interval. This is the brute-force adversary's sample space. The
+    candidate's id is "cand"; nothing reads it."""
     if n < 1 or L < 2 or channels < 1 or max_tu < 1:
         raise ValueError("need n >= 1, L >= 2, channels >= 1, max_tu >= 1")
     triplets = []
@@ -229,7 +230,7 @@ def random_candidate(rng: np.random.Generator, n: int, L: int, channels: int,
         channel = 1 + int(rng.integers(0, channels))
         interval = None if i == 0 else (1 if i == 1 else 1 + int(rng.integers(0, max_tu)))
         triplets.append(Triplet(TxPattern(bits), channel, interval))
-    return SecretPattern(pattern_id, tuple(triplets))
+    return SecretPattern("cand", tuple(triplets))
 
 
 def candidate_from_index(index: int, n: int, L: int, channels: int,

@@ -28,7 +28,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .core import PatternError, SecretPattern, parse_pattern, render_pattern
+from .core import (PatternError, SecretPattern, _parse_pattern, parse_pattern,
+                   render_pattern)
 from .emitter import FlipTxBit, SlotConfig, WrongChannel, WrongInterval
 from .radio import ChannelParams, Trajectory
 from .sensor import SensorConfig
@@ -118,6 +119,10 @@ def _parse_waypoints(text: str) -> Trajectory:
 
 
 def loads_scenario(text: str) -> ScenarioConfig:
+    """Parse scenario text into a ScenarioConfig, refusing bad input with
+    ConfigError. The [store] patterns are parsed with one token memo per
+    load, so equal tokens give one shared Triplet and a store loads at the
+    cost of its distinct triplets."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # store ids and L are case-sensitive
     try:
@@ -143,10 +148,12 @@ def loads_scenario(text: str) -> ScenarioConfig:
         kwargs[name] = _make(section, partial(replace, base), keys(section, fields(base)))
     if "store" not in cp or not list(cp["store"]):
         raise ConfigError("missing or empty [store] section")
-    store = []
-    for pid, ptext in cp["store"].items():
+    # raw=True reads the values without the section proxy; with
+    # interpolation off and [DEFAULT] refused, the pairs are the same.
+    store, seen = [], {}
+    for pid, ptext in cp.items("store", raw=True):
         try:
-            store.append(parse_pattern(ptext, pattern_id=pid))
+            store.append(_parse_pattern(ptext, pid, seen))
         except PatternError as e:
             raise ConfigError(f"[store] {pid}: {e}") from None
     if "actor" not in cp:

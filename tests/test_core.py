@@ -459,6 +459,13 @@ class TestGrammar:
             parse_pattern(text, "x")
         assert str(e.value) == f"pattern 'x': bad-length: pattern length L < 2 (got {got})"
 
+    def test_separate_calls_share_no_triplet(self):
+        # Each call parses with a fresh token memo.
+        text = "010@1:- 101@6:1 010@6:2 101@11:2"
+        a, b = parse_pattern(text, "x"), parse_pattern(text, "x")
+        assert a == b
+        assert not {id(t) for t in a.triplets} & {id(t) for t in b.triplets}
+
     def test_parse_rejects_garbage(self):
         # A superscript digit passes str.isdigit() but not int().
         for bad in ("", "01@1", "01:1", "01@x:-", "01@1:- 10@1:zz",

@@ -241,5 +241,4 @@ class TestSamplers:
     def test_ids(self):
         rng = np.random.default_rng(0)
         assert random_pattern(rng, 2, 2, DEFAULT_BAND, 16, pattern_id="me").pattern_id == "me"
-        assert random_candidate(rng, 2, 2, 2, 2, pattern_id="c9").pattern_id == "c9"
 

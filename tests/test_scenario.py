@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beaconveil import (DEFAULT_BAND, BandPlan, BruteForce, ConfigError,
-                        FlipTxBit, Legit, Mitm, Mutant, Proto, Replay,
-                        ScenarioConfig, SensorConfig, WrongChannel,
+                        FlipTxBit, Legit, Mitm, Mutant, PatternError, Proto,
+                        Replay, ScenarioConfig, SensorConfig, WrongChannel,
                         WrongInterval, build_fig3, build_flyover, build_proto,
                         config_sha256, dump_scenario, load_scenario,
-                        loads_scenario, random_pattern, render_report_json,
-                        render_trials_csv, run_scenario, validate_scenario,
-                        write_fixtures, write_report)
+                        loads_scenario, parse_pattern, random_pattern,
+                        render_report_json, render_trials_csv, run_scenario,
+                        validate_scenario, write_fixtures, write_report)
 from beaconveil.scenario import render_sweep_csv
 from beaconveil.sim import sweep
 
@@ -241,6 +241,56 @@ class TestCompiledStoreText:
         assert config_sha256(cfg) == expected
         assert config_sha256(dataclasses.replace(cfg, seed=8)) != expected
         assert config_sha256(cfg) == expected
+
+
+# Token parts that make good, structurally bad and unparseable tokens.
+_TOKENS = st.builds("{}@{}:{}".format, st.sampled_from(["01", "10", "010", "11", "0x", ""]),
+                    st.sampled_from(["1", "2", "0", "x"]), st.sampled_from(["-", "1", "2", "0"]))
+
+
+class TestStoreTokenMemo:
+    def test_store_10k_holds_each_distinct_triplet_once(self):
+        # Equal tokens within one load are one shared Triplet.
+        cfg = loads_scenario(_bench_workloads().store_10k_text(7, 40))
+        tokens = [t for p in cfg.store for t in p.triplets]
+        assert len(tokens) == 40_000
+        assert len({id(t) for t in tokens}) == len({str(t) for t in tokens}) == 1428
+
+    @pytest.mark.parametrize("store, message", [
+        pytest.param("a = 01@1:- 10@2:1\nb = 01@1:- 10@2:1 01@x:3\n",
+                     "[store] b: triplet 2: channel must be a positive integer, got 'x'",
+                     id="second-pattern"),
+        pytest.param("a = 01@1:- 10@2:1 01@x:3\nb = 01@1:- 01@x:3\n",
+                     "[store] a: triplet 2: channel must be a positive integer, got 'x'",
+                     id="first-of-two"),
+        pytest.param("a = 01@1:- 10@2:1\nb = 01@1:- 01@x:3\nc = 01@1:- 10@2:1 01@x:3\n",
+                     "[store] b: triplet 1: channel must be a positive integer, got 'x'",
+                     id="first-at-its-own-position"),
+    ])
+    def test_bad_token_reported_at_its_first_pattern(self, store, message):
+        with pytest.raises(ConfigError) as e:
+            loads_scenario("[store]\n" + store + "[actor]\nkind = legit\npattern_id = a\n")
+        assert str(e.value) == message
+
+    @given(store=st.lists(st.tuples(st.sampled_from("abcAB"), st.lists(_TOKENS, max_size=4)),
+                          min_size=1, max_size=5, unique_by=lambda e: e[0]))
+    @settings(max_examples=200, deadline=None)
+    def test_load_equals_each_pattern_parsed_alone(self, store):
+        text = "[store]\n" + "".join(f"{pid} = {' '.join(toks)}\n" for pid, toks in store)
+        text += f"[actor]\nkind = legit\npattern_id = {store[0][0]}\n"
+        expected, message = [], None
+        for pid, toks in store:
+            try:
+                expected.append(parse_pattern(" ".join(toks), pid))
+            except PatternError as e:
+                message = f"[store] {pid}: {e}"
+                break
+        if message is None:
+            assert loads_scenario(text).store == tuple(expected)
+        else:
+            with pytest.raises(ConfigError) as e:
+                loads_scenario(text)
+            assert str(e.value) == message
 
 
 class TestReports:

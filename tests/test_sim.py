@@ -485,18 +485,17 @@ FIG3A_ACTOR = "kind = legit\npattern_id = fig3\n"
 
 
 class TestActorValues:
-    @pytest.mark.parametrize("actor_cls, args, message, file_message", [
-        (Mitm, ("fig3", -0.1), "mitm extra_delay_s must be >= 0", None),
-        (Mitm, ("fig3", math.nan), "extra_delay_s must be finite, got nan", None),
-        (Proto, ("fig3", "fig3", 0.0), "proto tu_b_s must be > 0", None),
-        (Proto, ("fig3", "fig3", math.nan), "tu_b_s must be finite, got nan", None),
-        (BruteForce, (0, 2), "bruteforce needs n >= 1 and L >= 2", None),
-        (BruteForce, (2, 1), "bruteforce needs n >= 1 and L >= 2", None),
-        (BruteForce, (65, 2), "bruteforce n must be <= MAX_BITS (64), got 65", None),
+    @pytest.mark.parametrize("actor_cls, args, message", [
+        (Mitm, ("fig3", -0.1), "mitm extra_delay_s must be >= 0"),
+        (Mitm, ("fig3", math.nan), "extra_delay_s must be finite, got nan"),
+        (Proto, ("fig3", "fig3", 0.0), "proto tu_b_s must be > 0"),
+        (Proto, ("fig3", "fig3", math.nan), "tu_b_s must be finite, got nan"),
+        (BruteForce, (0, 2), "bruteforce needs n >= 1 and L >= 2"),
+        (BruteForce, (2, 1), "bruteforce needs n >= 1 and L >= 2"),
+        (BruteForce, (65, 2), "bruteforce n must be <= MAX_BITS (64), got 65"),
     ], ids=["mitm-negative", "mitm-nan", "proto-zero", "proto-nan", "bruteforce-n0",
             "bruteforce-L1", "bruteforce-n65"])
-    def test_refused_at_construction_and_load(self, actor_cls, args, message,
-                                              file_message):
+    def test_refused_at_construction_and_load(self, actor_cls, args, message):
         with pytest.raises(ValueError) as e:
             actor_cls(*args)
         assert str(e.value) == message
@@ -508,7 +507,7 @@ class TestActorValues:
         assert FIG3A_ACTOR in text
         with pytest.raises(ConfigError) as e:
             loads_scenario(text.replace(FIG3A_ACTOR, "\n".join(lines) + "\n"))
-        assert str(e.value) == "[actor] " + (file_message or message)
+        assert str(e.value) == "[actor] " + message
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
