@@ -216,21 +216,37 @@ def random_pattern(rng: np.random.Generator, n: int, L: int, band: BandPlan,
     return SecretPattern(pattern_id, tuple(triplets))
 
 
+def _candidate_index(rng: np.random.Generator, n: int, L: int, channels: int,
+                     max_tu: int) -> int:
+    """Draw a uniform raw candidate as its index in candidate_from_index's
+    order. Per triplet, in this order: n bits, the channel, and from the
+    third triplet the interval, each one rng.integers call."""
+    if n < 1 or L < 2 or channels < 1 or max_tu < 1:
+        raise ValueError("need n >= 1, L >= 2, channels >= 1, max_tu >= 1")
+    index, radix = 0, 1
+    for i in range(L):
+        bits = 0
+        for b in rng.integers(0, 2, size=n).tolist():
+            bits = bits << 1 | b
+        index += bits * radix
+        radix <<= n
+        index += int(rng.integers(0, channels)) * radix
+        radix *= channels
+        if i >= 2:
+            index += int(rng.integers(0, max_tu)) * radix
+            radix *= max_tu
+    return index
+
+
 def random_candidate(rng: np.random.Generator, n: int, L: int, channels: int,
                      max_tu: int) -> SecretPattern:
     """Uniform draw over the *raw* candidate space counted by
     pattern_space_size: every bit string (all-equal included), every channel,
     every interval. This is the brute-force adversary's sample space. The
-    candidate's id is "cand"; nothing reads it."""
-    if n < 1 or L < 2 or channels < 1 or max_tu < 1:
-        raise ValueError("need n >= 1, L >= 2, channels >= 1, max_tu >= 1")
-    triplets = []
-    for i in range(L):
-        bits = "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
-        channel = 1 + int(rng.integers(0, channels))
-        interval = None if i == 0 else (1 if i == 1 else 1 + int(rng.integers(0, max_tu)))
-        triplets.append(Triplet(TxPattern(bits), channel, interval))
-    return SecretPattern("cand", tuple(triplets))
+    candidate is candidate_from_index's, so its id is "cand<index>"; nothing
+    reads it."""
+    return candidate_from_index(_candidate_index(rng, n, L, channels, max_tu),
+                                n, L, channels, max_tu)
 
 
 def candidate_from_index(index: int, n: int, L: int, channels: int,

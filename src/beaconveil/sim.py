@@ -5,8 +5,11 @@ model places it on the sensor's sampling grid along a trajectory as beacons
 plus one Samples array pair, and SensorSession.run walks the beacons in time
 order (a window reads the samples from its beacon up to its end or the next
 beacon). There is no wall clock anywhere; trial i draws all its
-randomness from numpy.random.default_rng([seed, i]), so results are
-independent of run order and worker count.
+randomness from the stream numpy.random.default_rng([seed, i]) starts, so
+results are independent of run order and worker count. A block of trials
+does not build those generators one by one: it hashes the block's seeds
+together and sets one kept PCG64 to each trial's starting state in turn,
+which gives the same streams.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -24,7 +27,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -32,8 +35,11 @@ from .core import (ACCEPTED, MAX_BITS, BandPlan, DEFAULT_BAND, SecretPattern,
                    Triplet, TxPattern, _check_finite, new_matcher,
                    validate_pattern)
 from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
-                      SlotFitError, candidate_from_index, compile_schedule,
-                      mutate, random_candidate, random_pattern)
+                      SlotFitError, _candidate_index, candidate_from_index,
+                      compile_schedule, mutate, random_pattern)
+# Not called here: trials draw a candidate's index. It stays importable from
+# sim for span tracers that wrap it under this module's name.
+from .emitter import random_candidate  # noqa: F401
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
@@ -163,11 +169,11 @@ class ScenarioConfig:
     the trials to run.
 
     Forms derived from a config are built on first use and kept with it:
-    the sensor config with its watchdog filled in, and the actor's compiled
-    timelines (all but BruteForce's, which changes every trial), first
-    compiled by validate_scenario. The store keeps its own forms (see
-    _Store), the costly half of validation among them. None of them travel
-    in a pickle; each worker builds its own.
+    the sensor config with its watchdog filled in, the actor's compiled
+    timelines, first compiled by validate_scenario, and for BruteForce the
+    candidates its trials have drawn, compiled on first draw. The store
+    keeps its own forms (see _Store), the costly half of validation among
+    them. None of them travel in a pickle; each worker builds its own.
     """
 
     store: tuple[SecretPattern, ...]
@@ -198,7 +204,7 @@ class ScenarioConfig:
     def _timelines(self) -> tuple[tuple[SlotConfig, EmissionTimeline], ...]:
         # What the actor emits, as (slot layout, timeline): one for Legit,
         # Replay, Mitm and Mutant, Proto's even and odd half. BruteForce
-        # draws a new candidate every trial, so it has none here.
+        # draws a candidate every trial; _candidates keeps those.
         a = self.actor
         slot = self.slot_cfg
         if isinstance(a, (Legit, Replay, Mitm)):
@@ -214,6 +220,25 @@ class ScenarioConfig:
         else:
             raise TypeError(f"unknown actor {a!r}")
         return tuple((s, compile_schedule(p, s, self.tx_levels)) for p, s in emitted)
+
+    @cached_property
+    def _candidates(self) -> dict[int, EmissionTimeline]:
+        # BruteForce's compiled candidates by index, compiled when a trial
+        # first draws one and emptied at _CANDIDATE_CAP entries. Trials may
+        # share them: a timeline's arrays are read-only.
+        return {}
+
+    def _candidate_timeline(self, index: int) -> EmissionTimeline:
+        memo = self._candidates
+        tl = memo.get(index)
+        if tl is None:
+            if len(memo) >= _CANDIDATE_CAP:
+                memo.clear()
+            a = self.actor
+            p = candidate_from_index(index, a.n, a.L, self.band.channel_count,
+                                     self.max_tu)
+            tl = memo[index] = compile_schedule(p, self.slot_cfg, self.tx_levels)
+        return tl
 
     def pattern(self, pattern_id: str) -> SecretPattern:
         return self.store.compiled(_index_by_id)[pattern_id]
@@ -365,6 +390,92 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi))
 
 
+# How many trials' generator seeds _trial_generators hashes in one pass, and
+# how many compiled candidates a config keeps before it starts over.
+_SEED_CHUNK = 256
+_CANDIDATE_CAP = 4096
+
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(x: int) -> int:
+    # How many 32-bit words SeedSequence splits a non-negative int into.
+    return max(1, (x.bit_length() + 31) // 32)
+
+
+def _pcg64_seeds(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence([seed, i])) for each i in
+    [lo, hi), where every i splits into as many 32-bit words as lo. The
+    SeedSequence hashing runs once over the range, in uint32 arrays (numpy
+    NEP 19; O'Neill, PCG, 2014)."""
+    u32 = np.uint32
+    entropy = [np.full(hi - lo, (seed >> 32 * k) & _M32, dtype=u32)
+               for k in range(_words(seed))]
+    entropy += [np.array([(i >> 32 * k) & _M32 for i in range(lo, hi)], dtype=u32)
+                for k in range(_words(lo))]
+
+    def hasher(hc: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+        # SeedSequence's word hash; its multiplier advances on every call.
+        def hash_word(v: np.ndarray) -> np.ndarray:
+            nonlocal hc
+            v = v ^ u32(hc)
+            hc = hc * mult & _M32
+            v = v * u32(hc)
+            return v ^ (v >> u32(16))
+        return hash_word
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> u32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(hi - lo, dtype=u32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words off the cycled pool, paired
+    # little-endian into the seed's (high, low) and the stream's (high, low).
+    draw = hasher(_INIT_B, _MULT_B)
+    out = [draw(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    halves = [(out[2 * k + 1] << np.uint64(32) | out[2 * k]).tolist() for k in range(4)]
+    seeds = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0.
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc))
+    return seeds
+
+
+def _trial_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """For each trial in [lo, hi), one kept Generator whose bit generator is
+    set to the state default_rng([seed, i]) starts in, so it draws the same
+    stream. The seeds are hashed _SEED_CHUNK trials at a time."""
+    if seed < 0 or lo < 0:
+        raise ValueError("expected non-negative integer")
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    start = lo
+    while start < hi:
+        # A chunk ends early where the trial index takes one more word.
+        stop = min(hi, start + _SEED_CHUNK, 1 << 32 * _words(start))
+        for state, inc in _pcg64_seeds(seed, start, stop):
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+        start = stop
+
+
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
@@ -373,17 +484,21 @@ class TrialResult:
     result: AuthResult
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
+def run_trial(cfg: ScenarioConfig, trial_index: int,
+              rng: Optional[np.random.Generator] = None) -> TrialResult:
     """One fully deterministic trial; randomness from (seed, trial_index).
 
-    The emission is the config's compiled timeline (Proto's even or odd
-    half); only a BruteForce trial compiles its own, from the candidate it
-    draws first. The trial's sessions (two for Replay, one otherwise) run
-    on one fresh SensorNode, so lockout_s acts only between a Replay
-    trial's two sessions, never across trials: a brute-force FAR is a
-    per-attempt rate.
+    rng is the trial's generator as _trial_generators yields it for a
+    block of trials; without it the trial is a block of one. The emission
+    is the config's compiled timeline (Proto's even or odd half); a
+    BruteForce trial draws a candidate's index first and takes its
+    timeline from the config's memo, compiled on the first draw. The
+    trial's sessions (two for Replay, one otherwise) run on one fresh
+    SensorNode, so lockout_s acts only between a Replay trial's two
+    sessions, never across trials: a brute-force FAR is a per-attempt rate.
     """
-    rng = np.random.default_rng([cfg.seed, trial_index])
+    if rng is None:
+        rng = next(_trial_generators(cfg.seed, trial_index, trial_index + 1))
     eff = cfg._effective_sensor
     node = SensorNode()
     a = cfg.actor
@@ -391,8 +506,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     # not be valid, and they do not know the app secret.
     guessing = isinstance(a, (Mutant, BruteForce))
     if isinstance(a, BruteForce):
-        p = random_candidate(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu)
-        slot, tl = cfg.slot_cfg, compile_schedule(p, cfg.slot_cfg, cfg.tx_levels)
+        k = _candidate_index(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu)
+        slot, tl = cfg.slot_cfg, cfg._candidate_timeline(k)
     else:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
     message = "" if guessing else eff.app_secret
@@ -482,7 +597,8 @@ class RunReport:
 
 
 def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> list[TrialResult]:
-    return [run_trial(cfg, i) for i in range(lo, hi)]
+    return [run_trial(cfg, i, rng) for i, rng
+            in zip(range(lo, hi), _trial_generators(cfg.seed, lo, hi))]
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> RunReport:

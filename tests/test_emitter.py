@@ -13,6 +13,7 @@ from beaconveil import (DEFAULT_BAND, BandPlan, FlipTxBit, PatternError,
                         iter_candidates, mutate, parse_pattern,
                         pattern_space_size, random_candidate, random_pattern,
                         render_pattern, validate_pattern)
+from beaconveil.emitter import _candidate_index
 
 GOLDEN = Path(__file__).parent / "golden" / "fig3_timeline.txt"
 FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
@@ -214,6 +215,28 @@ class TestSamplers:
         assert len(counts) == space == 64
         stat, pvalue = chisquare(list(counts.values()))
         assert pvalue > 0.001
+
+    @given(seed=st.integers(0, 2**64), n=st.integers(1, 64), L=st.integers(2, 5),
+           channels=st.integers(1, 14), max_tu=st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_candidate_index_draws_as_random_candidate(self, seed, n, L, channels,
+                                                       max_tu):
+        # The reference is the per-triplet draw the index replaced: n bits,
+        # the channel, then from the third triplet the interval.
+        ref = np.random.default_rng(seed)
+        triplets = []
+        for i in range(L):
+            bits = "".join("1" if b else "0" for b in ref.integers(0, 2, size=n))
+            channel = 1 + int(ref.integers(0, channels))
+            interval = None if i == 0 else (1 if i == 1 else 1 + int(ref.integers(0, max_tu)))
+            triplets.append(Triplet(TxPattern(bits), channel, interval))
+        rng = np.random.default_rng(seed)
+        index = _candidate_index(rng, n, L, channels, max_tu)
+        assert candidate_from_index(index, n, L, channels, max_tu).triplets == tuple(triplets)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        again = random_candidate(np.random.default_rng(seed), n, L, channels, max_tu)
+        assert again.triplets == tuple(triplets)
+        assert again.pattern_id == f"cand{index}"
 
     def test_candidate_index_bijection(self):
         space = pattern_space_size(2, 2, 2, 2)

@@ -22,14 +22,21 @@ from beaconveil import (ACCEPTED, REJECTED, BandPlan, Beacon, BruteForce,
                         dump_scenario, eavesdrop, extract_triplets,
                         loads_scenario, monte_carlo, new_matcher,
                         observe_emission, parse_pattern, path_loss,
-                        pattern_space_size, run_scenario, run_trial, sweep,
-                        validate_scenario, wilson)
+                        pattern_space_size, random_candidate,
+                        render_report_json, render_trials_csv, run_scenario,
+                        run_trial, sweep, validate_scenario, wilson)
+from beaconveil.sim import _trial_generators
 
 from scenario_builders import build_desk, build_desk_multi
 
 
 def verdicts(report):
     return [(t.trial, t.result.verdict, t.result.duration_s) for t in report.trials]
+
+
+def report_bytes(cfg, workers=1):
+    report = run_scenario(cfg, workers=workers)
+    return render_report_json(report, cfg) + render_trials_csv(report)
 
 
 class TestDeterminism:
@@ -89,6 +96,65 @@ class TestDeterminism:
         cfg = build_desk(BruteForce(2, 2), 64, seed=1)
         other = dataclasses.replace(cfg, seed=2)
         assert verdicts(run_scenario(cfg)) != verdicts(run_scenario(other))
+
+
+class TestTrialGenerators:
+    """A block's generators against default_rng([seed, i]), the stream the
+    determinism contract names."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**100 + 3])
+    @pytest.mark.parametrize("lo, hi", [(0, 300), (2**32 - 5, 2**32 + 3),
+                                        (2**64 - 2, 2**64 + 1)],
+                             ids=["first-chunks", "index-crosses-2^32",
+                                  "index-crosses-2^64"])
+    def test_matches_default_rng(self, seed, lo, hi):
+        gens = _trial_generators(seed, lo, hi)
+        for i, rng in zip(range(lo, hi), gens, strict=True):
+            ref = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == ref.bit_generator.state, i
+            # An odd count of 32-bit draws leaves half a word buffered,
+            # which the next trial's generator must not inherit.
+            draws = [(g.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+                      g.normal(size=2).tolist(), int(g.integers(0, 14)))
+                     for g in (rng, ref)]
+            assert draws[0] == draws[1], i
+            assert rng.bit_generator.state == ref.bit_generator.state, i
+
+    def test_negative_seed_refused_as_default_rng_refuses_it(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError):
+            next(_trial_generators(-1, 0, 1))
+
+
+class TestBlockState:
+    """The candidate memo and the seeding chunks carry state from trial to
+    trial within a block; no trial's outcome may depend on it."""
+
+    @pytest.mark.parametrize("cfg", [
+        build_desk(BruteForce(2, 2), 300),
+        build_desk(Replay("desk"), 300),
+        dataclasses.replace(build_proto(), trials=300),
+        build_flyover(300),
+    ], ids=["bruteforce", "replay", "proto", "flyover"])
+    def test_trial_alone_equals_trial_in_block(self, cfg):
+        report = run_scenario(cfg)
+        for i in (0, 255, 256, 257, cfg.trials - 1):
+            fresh = dataclasses.replace(cfg)
+            assert run_trial(fresh, i) == report.trials[i], i
+
+    def test_workers_agree_on_an_odd_bruteforce_run(self):
+        cfg = build_desk(BruteForce(2, 2), 777)
+        assert report_bytes(cfg, workers=2) == report_bytes(cfg, workers=1)
+
+    def test_emptied_memo_gives_the_same_report(self, monkeypatch):
+        cfg = build_desk(BruteForce(2, 2), 500)
+        kept = report_bytes(cfg)
+        assert len(cfg._candidates) > 2
+        monkeypatch.setattr(beaconveil.sim, "_CANDIDATE_CAP", 2)
+        fresh = dataclasses.replace(cfg)
+        assert report_bytes(fresh) == kept
+        assert 1 <= len(fresh._candidates) <= 2
 
 
 class TestActors:
@@ -615,9 +681,16 @@ class TestCompiledTimeline:
         (dataclasses.replace(build_fig3("a"), actor=Mitm("fig3", 0.5)), 1),
         (build_fig3("b"), 1),
         (build_proto(), 2),
-        (build_desk(BruteForce(2, 2), 1), 50),
+        (build_desk(BruteForce(2, 2), 1), None),
     ], ids=["legit", "replay", "mitm", "mutant", "proto", "bruteforce"])
     def test_compiled_once_per_config(self, monkeypatch, cfg, compiles):
+        if compiles is None:
+            # BruteForce compiles each distinct candidate its trials draw.
+            drawn = {random_candidate(np.random.default_rng([cfg.seed, i]), 2, 2,
+                                      cfg.band.channel_count, cfg.max_tu).triplets
+                     for i in range(50)}
+            compiles = len(drawn)
+            assert 1 < compiles < 50
         compiled = []
         real = beaconveil.sim.compile_schedule
 
