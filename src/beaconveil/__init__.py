@@ -29,9 +29,8 @@ from .scenario import (ConfigError, build_fig3, build_flyover, build_proto,
                        write_fixtures, write_report, write_sweep)
 from .sim import (SWEEP_AXES, Actor, BruteForce, Legit, Metrics, Mitm,
                   Mutant, Proto, Replay, RunReport, ScenarioConfig,
-                  TrialResult, compute_metrics, eavesdrop, monte_carlo,
-                  observe_emission, run_scenario, run_trial, sweep,
-                  validate_scenario, wilson)
+                  TrialResult, compute_metrics, eavesdrop, observe_emission,
+                  run_scenario, run_trial, sweep, validate_scenario, wilson)
 
 __version__ = "0.1.0"
 

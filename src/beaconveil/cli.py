@@ -18,8 +18,7 @@ from pathlib import Path
 from .core import pattern_space_size
 from .scenario import (ConfigError, load_scenario, write_fixtures,
                        write_report, write_sweep)
-from .sim import (SWEEP_AXES, _sweep_rows, monte_carlo, run_scenario,
-                  validate_scenario)
+from .sim import SWEEP_AXES, run_scenario, sweep, validate_scenario
 
 
 class _UsageError(Exception):
@@ -134,12 +133,8 @@ def _dispatch(args) -> int:
             raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from None
         if not values:
             raise ConfigError("--values is empty")
-        rows, problems = _sweep_rows(cfg, args.axis, values)
-        if _print_problems(problems):
-            return 1
-        path = write_sweep(args.axis, [(v, monte_carlo(row, workers=args.threads))
-                                       for v, row in rows], Path(args.out))
-        print(path)
+        print(write_sweep(args.axis, sweep(cfg, args.axis, values, workers=args.threads),
+                          Path(args.out)))
         return 0
 
     if args.command == "enumerate":

@@ -33,12 +33,8 @@ from .core import (PatternError, SecretPattern, _parse_pattern, parse_pattern,
 from .emitter import FlipTxBit, SlotConfig, WrongChannel, WrongInterval
 from .radio import ChannelParams, Trajectory
 from .sensor import SensorConfig
-from .sim import (_ACTOR_KIND, Legit, Metrics, Mutant, Proto, RunReport,
-                  ScenarioConfig)
-
-
-class ConfigError(ValueError):
-    """A scenario file could not be parsed into a valid configuration."""
+from .sim import (_ACTOR_KIND, ConfigError, Legit, Metrics, Mutant, Proto,
+                  RunReport, ScenarioConfig)
 
 
 # Sections holding one config object each: the keys are its fields.

@@ -37,9 +37,6 @@ from .core import (ACCEPTED, MAX_BITS, BandPlan, DEFAULT_BAND, SecretPattern,
 from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
                       SlotFitError, _candidate_index, candidate_from_index,
                       compile_schedule, mutate, random_pattern)
-# Not called here: trials draw a candidate's index. It stays importable from
-# sim for span tracers that wrap it under this module's name.
-from .emitter import random_candidate  # noqa: F401
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
@@ -278,6 +275,11 @@ def _store_problems(store: _Store, band: BandPlan, max_tu: int,
 
 def _bit_counts(store: _Store) -> frozenset[int]:
     return frozenset(p.bit_count for p in store)
+
+
+class ConfigError(ValueError):
+    """A scenario that cannot run: a file that does not parse into a
+    config, or a config or sweep row that validate_scenario refuses."""
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -601,33 +603,38 @@ def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> list[TrialResult]:
             in zip(range(lo, hi), _trial_generators(cfg.seed, lo, hi))]
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> RunReport:
-    """All trials plus aggregate metrics.
+def _run_rows(rows: Sequence[ScenarioConfig], workers: int) -> list[RunReport]:
+    """Every trial of every row, as one RunReport per row.
 
-    workers > 1 fans trials out over processes, at most one per CPU;
-    aggregation is pure counting over per-trial results keyed by index, so
-    the outcome is identical for any worker count.
+    workers > 1 cuts each row into blocks of ceil(trials / workers) trials
+    and runs the blocks of all the rows on one pool of at most one process
+    per CPU. A row's blocks come back in block order, which is trial order,
+    so its outcome is identical for any worker count.
     """
-    problems = validate_scenario(cfg)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
     # The pool starts all its processes on the first submit.
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or cfg.trials < 2 * workers:
-        results = _run_block(cfg, 0, cfg.trials)
+    if workers <= 1 or sum(cfg.trials for cfg in rows) < 2 * workers:
+        results = [_run_block(cfg, 0, cfg.trials) for cfg in rows]
     else:
-        block = math.ceil(cfg.trials / workers)
-        bounds = [(lo, min(lo + block, cfg.trials))
-                  for lo in range(0, cfg.trials, block)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in bounds]
-            results = [t for fut in futures for t in fut.result()]
-        results.sort(key=lambda t: t.trial)
-    return RunReport(compute_metrics(results), tuple(results))
+            futures = []
+            for cfg in rows:
+                block = math.ceil(cfg.trials / workers)
+                futures.append([pool.submit(_run_block, cfg, lo,
+                                            min(lo + block, cfg.trials))
+                                for lo in range(0, cfg.trials, block)])
+            results = [[t for fut in row for t in fut.result()] for row in futures]
+    return [RunReport(compute_metrics(r), tuple(r)) for r in results]
 
 
-def monte_carlo(cfg: ScenarioConfig, workers: int = 1) -> Metrics:
-    return run_scenario(cfg, workers=workers).metrics
+def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> RunReport:
+    """All trials plus aggregate metrics, identical for any worker count
+    (see _run_rows); ConfigError ("invalid scenario: ...") if
+    validate_scenario refuses cfg."""
+    problems = validate_scenario(cfg)
+    if problems:
+        raise ConfigError("invalid scenario: " + "; ".join(problems))
+    return _run_rows([cfg], workers)[0]
 
 
 SWEEP_AXES = ("distance", "sigma_db", "n", "L", "eps_tu")
@@ -667,10 +674,15 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
 
 
-def _sweep_rows(cfg: ScenarioConfig, axis: str, values
-                ) -> tuple[list[tuple[float, ScenarioConfig]], list[str]]:
-    """Each value with its row's config, and every problem of every row
-    named by its value; nothing runs."""
+def sweep(cfg: ScenarioConfig, axis: str, values, workers: int = 1
+          ) -> list[tuple[float, Metrics]]:
+    """Each axis value with its row's metrics, all rows sharing cfg.seed so
+    rows are paired comparisons; empty values give an empty table.
+
+    Every row is built and validated once before any runs: ConfigError
+    ("invalid sweep: ...") names each bad one by its value. Then the trials
+    of all the rows run on one pool of workers, as run_scenario runs one.
+    """
     rows, problems = [], []
     for v in values:
         try:
@@ -680,18 +692,10 @@ def _sweep_rows(cfg: ScenarioConfig, axis: str, values
             continue
         problems += [f"{axis} = {v}: {msg}" for msg in validate_scenario(row)]
         rows.append((v, row))
-    return rows, problems
-
-
-def sweep(cfg: ScenarioConfig, axis: str, values, workers: int = 1
-          ) -> list[tuple[float, Metrics]]:
-    """One monte_carlo row per axis value, all rows sharing cfg.seed so rows
-    are paired comparisons; empty values give an empty table. Every row is
-    built and validated before any runs: ValueError names each bad one."""
-    rows, problems = _sweep_rows(cfg, axis, values)
     if problems:
-        raise ValueError("invalid sweep: " + "; ".join(problems))
-    return [(v, monte_carlo(row, workers=workers)) for v, row in rows]
+        raise ConfigError("invalid sweep: " + "; ".join(problems))
+    reports = _run_rows([row for _, row in rows], workers)
+    return [(v, report.metrics) for (v, _), report in zip(rows, reports)]
 
 
 def eavesdrop(timeline: EmissionTimeline, slot_cfg: SlotConfig,

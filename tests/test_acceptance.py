@@ -41,7 +41,6 @@ from beaconveil import (
     extract_triplets,
     iter_candidates,
     match_step,
-    monte_carlo,
     new_matcher,
     observe_emission,
     pattern_space_size,
@@ -122,7 +121,7 @@ def test_criterion_02():
 def test_criterion_03():
     t0 = time.perf_counter()
     cfg = build_desk(BruteForce(2, 2), trials=100_000, seed=20)
-    metrics = monte_carlo(cfg)
+    metrics = run_scenario(cfg).metrics
     elapsed = time.perf_counter() - t0
     lo, hi = wilson(1.0 / 64.0, cfg.trials)
     assert lo <= metrics.far <= hi, \
@@ -253,7 +252,7 @@ def test_criterion_08():
 def test_criterion_09():
     cfg = build_flyover(trials=10_000)
     sha = config_sha256(cfg)
-    frr = monte_carlo(cfg).frr
+    frr = run_scenario(cfg).metrics.frr
     golden = GOLDEN / "flyover_frr.json"
     if not golden.exists():
         GOLDEN.mkdir(exist_ok=True)

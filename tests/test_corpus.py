@@ -1,0 +1,98 @@
+"""Byte-identity corpus: the report bytes of a fixed set of runs and one sweep.
+
+Each case records the sha256 of its config's dump and of the bytes the CLI
+would write for it: report.json + trials.csv for a run, sweep.csv for the
+sweep. Every case is recomputed at one worker, and a few at two, so a change
+that moves any trial's outcome, or that makes the outcome depend on the
+worker count, fails here. To re-record at a known-good commit, delete
+tests/golden/corpus.json and run this file.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from beaconveil import (BruteForce, Mitm, Replay, build_fig3, build_flyover,
+                        build_proto, config_sha256, loads_scenario,
+                        render_report_json, render_trials_csv, run_scenario,
+                        sweep)
+from beaconveil.scenario import render_sweep_csv
+
+from scenario_builders import build_desk, build_desk_multi
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "golden" / "corpus.json"
+
+
+def _fig3a(trials, actor=None, sigma_db=None, lockout_s=None):
+    cfg = replace(build_fig3("a"), trials=trials)
+    if actor is not None:
+        cfg = replace(cfg, actor=actor)
+    if sigma_db is not None:
+        cfg = replace(cfg, channel=replace(cfg.channel, sigma_db=sigma_db))
+    if lockout_s is not None:
+        cfg = replace(cfg, sensor_cfg=replace(cfg.sensor_cfg, lockout_s=lockout_s))
+    return cfg
+
+
+def _store_10k():
+    # The benchmark's 10k-credential store, as the text its workload reads.
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return loads_scenario(workloads.store_10k_text(7, 8))
+
+
+RUNS = {
+    **{f"fig3{c}": (lambda c=c: replace(build_fig3(c), trials=50)) for c in "abcd"},
+    "proto": lambda: replace(build_proto(), trials=40),
+    "fig3a_replay": lambda: _fig3a(60, Replay("fig3"), sigma_db=4.0, lockout_s=50.0),
+    "fig3a_mitm": lambda: _fig3a(50, Mitm("fig3", 0.05)),
+    "fig3a_bruteforce": lambda: _fig3a(300, BruteForce(3, 2), lockout_s=5.0),
+    "flyover": lambda: build_flyover(200),
+    "desk_bruteforce": lambda: build_desk(BruteForce(2, 2), 2000),
+    "desk_multi": lambda: build_desk_multi(2000),
+    "store_10k": _store_10k,
+}
+SWEEP = ("sigma_db", [0.0, 3.0])
+
+
+def _record(name, workers):
+    if name == "sweep":
+        cfg = _fig3a(40)
+        data = render_sweep_csv(SWEEP[0], sweep(cfg, *SWEEP, workers=workers))
+        key = "sweep_sha256"
+    else:
+        cfg = RUNS[name]()
+        report = run_scenario(cfg, workers=workers)
+        data = render_report_json(report, cfg) + render_trials_csv(report)
+        key = "report_sha256"
+    return {"config_sha256": config_sha256(cfg),
+            key: hashlib.sha256(data.encode("utf-8")).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    if not CORPUS.exists():
+        cases = {name: _record(name, 1) for name in [*RUNS, "sweep"]}
+        CORPUS.write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name, workers", [
+    *((name, 1) for name in [*RUNS, "sweep"]),
+    ("sweep", 2), ("fig3a_replay", 2), ("fig3a_bruteforce", 2)])
+def test_bytes_match_the_corpus(corpus, name, workers):
+    got = _record(name, workers)
+    want = corpus[name]
+    assert got["config_sha256"] == want["config_sha256"], \
+        f"case {name} changed; re-record corpus.json at a known-good commit"
+    assert got == want

@@ -20,7 +20,7 @@ from beaconveil import (ACCEPTED, REJECTED, BandPlan, Beacon, BruteForce,
                         build_flyover, build_proto, candidate_from_index,
                         compile_schedule, compute_metrics, distance_at,
                         dump_scenario, eavesdrop, extract_triplets,
-                        loads_scenario, monte_carlo, new_matcher,
+                        loads_scenario, new_matcher,
                         observe_emission, parse_pattern, path_loss,
                         pattern_space_size, random_candidate,
                         render_report_json, render_trials_csv, run_scenario,
@@ -159,13 +159,13 @@ class TestBlockState:
 
 class TestActors:
     def test_legit_noiseless_always_accepts(self):
-        m = monte_carlo(build_desk(Legit("desk"), 200))
+        m = run_scenario(build_desk(Legit("desk"), 200)).metrics
         assert m.frr == 0.0
         assert m.far is None
         assert m.per_reason_counts == {"accepted": 200}
 
     def test_mutant_channel(self):
-        m = monte_carlo(build_desk(Mutant("desk", WrongChannel(1, 1)), 20))
+        m = run_scenario(build_desk(Mutant("desk", WrongChannel(1, 1)), 20)).metrics
         assert m.far == 0.0
         assert m.frr is None
         assert m.per_reason_counts == {"channel@1": 20}
@@ -173,35 +173,35 @@ class TestActors:
     def test_mutant_txpower_on_wide_pattern(self):
         cfg = build_fig3("b")
         cfg = dataclasses.replace(cfg, trials=10)
-        m = monte_carlo(cfg)
+        m = run_scenario(cfg).metrics
         assert m.per_reason_counts == {"txpower@1": 10}
 
     def test_mutant_second_interval_rescales_time_unit(self):
         # stretching the TU-defining interval is invisible by construction:
         # the sensor measures the unit from that very interval
-        m = monte_carlo(build_desk(Mutant("desk", WrongInterval(1, 2)), 10))
+        m = run_scenario(build_desk(Mutant("desk", WrongInterval(1, 2)), 10)).metrics
         assert m.per_reason_counts == {"accepted": 10}
         assert m.far == 1.0
 
     def test_replay_always_rejected(self):
-        m = monte_carlo(build_desk(Replay("desk"), 25))
+        m = run_scenario(build_desk(Replay("desk"), 25)).metrics
         assert m.far == 0.0
         assert m.per_reason_counts == {"replay": 25}
 
     def test_mitm_detected_by_round_trip(self):
         cfg = build_desk(Mitm("desk", 0.2), 10, app_secret="s3cr3t")
-        m = monte_carlo(cfg)
+        m = run_scenario(cfg).metrics
         assert m.per_reason_counts == {"mitm-delay": 10}
 
     def test_mitm_with_negligible_delay_passes(self):
         # a relay adding no measurable delay is indistinguishable on purpose
         cfg = build_desk(Mitm("desk", 0.0), 10, app_secret="s3cr3t")
-        m = monte_carlo(cfg)
+        m = run_scenario(cfg).metrics
         assert m.per_reason_counts == {"accepted": 10}
 
     def test_mutant_fails_app_stage_even_if_phy_accepts(self):
         cfg = build_desk(Mutant("desk", WrongInterval(1, 2)), 6, app_secret="s3cr3t")
-        m = monte_carlo(cfg)
+        m = run_scenario(cfg).metrics
         assert m.per_reason_counts == {"app-secret": 6}
 
     def test_proto_interleaves_two_credentials(self):
@@ -279,16 +279,16 @@ class TestWilson:
 
 class TestMetrics:
     def test_counts_partition_trials(self):
-        m = monte_carlo(build_desk(BruteForce(2, 2), 400))
+        m = run_scenario(build_desk(BruteForce(2, 2), 400)).metrics
         assert sum(m.per_reason_counts.values()) == 400 == m.trials
 
     def test_no_adversaries_means_no_far(self):
-        m = monte_carlo(build_desk(Legit("desk"), 10))
+        m = run_scenario(build_desk(Legit("desk"), 10)).metrics
         assert m.far is None and m.far_ci_95 is None
         assert m.frr == 0.0 and m.frr_ci_95 is not None
 
     def test_no_legit_means_no_frr(self):
-        m = monte_carlo(build_desk(BruteForce(2, 2), 10))
+        m = run_scenario(build_desk(BruteForce(2, 2), 10)).metrics
         assert m.frr is None and m.frr_ci_95 is None
 
     def test_mean_session_duration(self):
@@ -297,7 +297,7 @@ class TestMetrics:
         assert rep.metrics.mean_session_s == pytest.approx(mean)
 
     def test_to_dict_shape(self):
-        d = monte_carlo(build_desk(Legit("desk"), 4)).to_dict()
+        d = run_scenario(build_desk(Legit("desk"), 4)).metrics.to_dict()
         assert d["trials"] == 4
         assert d["far"] is None
         assert isinstance(d["frr_ci_95"], list)
@@ -739,6 +739,56 @@ class TestSweep:
         cfg = build_desk_multi(20)
         assert len(sweep(cfg, axis, values)) == 3
         assert sorted(checked) == sorted(p.pattern_id for p in cfg.store)
+
+    def test_rows_run_on_one_pool(self, monkeypatch):
+        # The fake pool of test_workers_capped_at_cpu_count: it runs each
+        # block inline and records the size it was asked for.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        cfg = build_desk(BruteForce(2, 2), 30)
+        values = [5.0, 20.0, 45.0]
+        serial = sweep(cfg, "distance", values)
+        monkeypatch.setattr(beaconveil.sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: 2)
+        assert sweep(cfg, "distance", values, workers=4096) == serial
+        assert sizes == [2]
+
+    def test_each_row_validated_once(self, monkeypatch):
+        calls = []
+        real = beaconveil.sim.validate_scenario
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(beaconveil.sim, "validate_scenario", counting)
+        rows = sweep(build_desk(Legit("desk"), 4), "distance", [5.0, 20.0, 45.0])
+        assert len(rows) == 3
+        assert len(calls) == 3
+
+    def test_refusals_are_config_errors(self):
+        cfg = build_desk(Legit("desk"), 4)
+        with pytest.raises(ConfigError, match=r"^invalid sweep: distance = -5\.0: "):
+            sweep(cfg, "distance", [5.0, -5.0])
+        with pytest.raises(ConfigError, match="^invalid scenario: trials"):
+            run_scenario(dataclasses.replace(cfg, trials=0))
+        assert issubclass(ConfigError, ValueError)
+        assert beaconveil.scenario.ConfigError is beaconveil.sim.ConfigError
 
     def test_empty_values(self):
         assert sweep(build_desk(Legit("desk"), 1), "distance", []) == []
