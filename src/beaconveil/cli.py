@@ -92,11 +92,12 @@ def _print_problems(problems) -> bool:
 
 
 def _load_for_run(args):
+    # Unvalidated: run checks the config, sweep each row it builds from it.
     cfg = load_scenario(args.config)
     cfg = replace(cfg, seed=_resolve_seed(cfg.seed, args.seed))
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
-    return None if _print_problems(validate_scenario(cfg)) else cfg
+    return cfg
 
 
 def _fmt_rate(x) -> str:
@@ -112,7 +113,7 @@ def _dispatch(args) -> int:
 
     if args.command == "run":
         cfg = _load_for_run(args)
-        if cfg is None:
+        if _print_problems(validate_scenario(cfg)):
             return 1
         report = run_scenario(cfg, workers=args.threads)
         json_path, csv_path = write_report(report, cfg, Path(args.out))
@@ -125,8 +126,6 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         cfg = _load_for_run(args)
-        if cfg is None:
-            return 1
         try:
             values = [float(tok) for tok in args.values.split(",") if tok.strip()]
         except ValueError:

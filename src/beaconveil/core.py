@@ -49,7 +49,7 @@ class TxPattern:
     bits: str
 
     def __post_init__(self) -> None:
-        if not self.bits or any(c not in "01" for c in self.bits):
+        if not self.bits or self.bits.strip("01"):
             raise ValueError(f"bits must be a nonempty 0/1 string, got {self.bits!r}")
 
     def __len__(self) -> int:

@@ -216,24 +216,37 @@ def random_pattern(rng: np.random.Generator, n: int, L: int, band: BandPlan,
     return SecretPattern(pattern_id, tuple(triplets))
 
 
+# The largest bound numpy's int64 rng.integers takes: its values end at 2^63 - 1.
+_MAX_BOUND = 1 << 63
+
+
 def _candidate_index(rng: np.random.Generator, n: int, L: int, channels: int,
                      max_tu: int) -> int:
     """Draw a uniform raw candidate as its index in candidate_from_index's
     order. Per triplet, in this order: n bits, the channel, and from the
-    third triplet the interval, each one rng.integers call."""
+    third triplet the interval, all in one rng.integers call over an array
+    of bounds. numpy draws such an array element by element with the
+    bounded-integer routine a one-value call uses (Lemire, 2019), so the
+    digits and the generator's final state are those of one call per digit.
+    A bound above 2^63 raises ValueError, as numpy's int64 draw does."""
     if n < 1 or L < 2 or channels < 1 or max_tu < 1:
         raise ValueError("need n >= 1, L >= 2, channels >= 1, max_tu >= 1")
+    if channels > _MAX_BOUND or (L >= 3 and max_tu > _MAX_BOUND):
+        raise ValueError("high is out of bounds for int64")
+    head = [2] * n + [channels]
+    bounds = head * 2 + (head + [max_tu]) * (L - 2)
+    digits = iter(rng.integers(0, np.array(bounds, dtype=np.uint64)).tolist())
     index, radix = 0, 1
     for i in range(L):
         bits = 0
-        for b in rng.integers(0, 2, size=n).tolist():
-            bits = bits << 1 | b
+        for _ in range(n):
+            bits = bits << 1 | next(digits)
         index += bits * radix
         radix <<= n
-        index += int(rng.integers(0, channels)) * radix
+        index += next(digits) * radix
         radix *= channels
         if i >= 2:
-            index += int(rng.integers(0, max_tu)) * radix
+            index += next(digits) * radix
             radix *= max_tu
     return index
 

@@ -32,7 +32,6 @@ import hmac
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from statistics import median
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,7 +74,7 @@ class Samples:
 
     def between(self, lo: float, hi: float) -> "Samples":
         """The samples with lo <= t_s < hi, as views."""
-        i, j = self.t_s.searchsorted((lo, hi))
+        i, j = self.t_s.searchsorted((lo, hi)).tolist()
         # A slice of sorted times is sorted.
         return Samples._sorted(self.t_s[i:j], self.rssi_dbm[i:j])
 
@@ -145,26 +144,29 @@ def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
     """
     if n < 1 or slot_s <= 0:
         raise ValueError("need n >= 1 and slot_s > 0")
-    if not len(samples):
+    t_s, rssi = samples.t_s, samples.rssi_dbm
+    if not len(t_s):
         raise UndecodableWindow("no samples in window")
-    t0 = samples.t_s[0] if t0 is None else t0
-    heard = ~np.isnan(samples.rssi_dbm)
-    r = samples.rssi_dbm[heard]
+    t0 = t_s[0] if t0 is None else t0
+    heard = ~np.isnan(rssi)
     # Times are sorted, so slot indices are too: slot j is one run of r.
-    k = np.floor((samples.t_s[heard] - t0) / slot_s)
-    edges = k.searchsorted(range(n + 1)).tolist()
+    k = np.floor((t_s[heard] - t0) / slot_s)
+    edges = k.searchsorted(np.arange(n + 1)).tolist()
+    r = rssi[heard].tolist()
     med = []
     for j in range(n):
-        vals = r[edges[j]:edges[j + 1]].tolist()
-        if not vals:
+        vals = sorted(r[edges[j]:edges[j + 1]])
+        m = len(vals)
+        if not m:
             raise UndecodableWindow(f"slot {j} has no detectable samples")
-        med.append(median(vals))
+        # statistics.median's rule: the middle value, or the mean of two.
+        med.append(vals[m // 2] if m % 2 else (vals[m // 2 - 1] + vals[m // 2]) / 2)
     lo, hi = min(med), max(med)
     if hi - lo < cfg.delta_db:
         raise UndecodableWindow(
             f"median spread {hi - lo:.2f} dB below delta_db {cfg.delta_db:g}")
     threshold = (hi + lo) / 2.0
-    bits = "".join("1" if m > threshold else "0" for m in med)
+    bits = "".join(["1" if m > threshold else "0" for m in med])
     for k in range(n - 1):
         jump = abs(med[k + 1] - med[k])
         if bits[k] != bits[k + 1] and jump < cfg.delta_db:

@@ -34,9 +34,10 @@ import numpy as np
 from .core import (ACCEPTED, MAX_BITS, BandPlan, DEFAULT_BAND, SecretPattern,
                    Triplet, TxPattern, _check_finite, new_matcher,
                    validate_pattern)
-from .emitter import (Beacon, EmissionTimeline, Mutation, SlotConfig,
-                      SlotFitError, _candidate_index, candidate_from_index,
-                      compile_schedule, mutate, random_pattern)
+from .emitter import (_MAX_BOUND, Beacon, EmissionTimeline, Mutation,
+                      SlotConfig, SlotFitError, _candidate_index,
+                      candidate_from_index, compile_schedule, mutate,
+                      random_pattern)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
@@ -320,6 +321,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             cfg.slot_cfg.check_fit(candidate_from_index(0, a.n, 2, 1, 1))
         except SlotFitError as e:
             problems.append(f"bruteforce burst does not fit: {e}")
+        # numpy draws a digit below a bound of at most 2^63.
+        if cfg.band.channel_count > _MAX_BOUND:
+            problems.append("bruteforce draws a channel below [band] channel_count, "
+                            f"which must be <= 2^63, got {cfg.band.channel_count}")
+        if a.L >= 3 and cfg.max_tu > _MAX_BOUND:
+            problems.append("bruteforce draws an interval below [run] max_tu, which "
+                            f"must be <= 2^63 at L >= 3, got {cfg.max_tu}")
     ids = cfg.store.compiled(_index_by_id)
     refs = [getattr(a, f.name) for f in fields(a) if f.name.startswith("pattern_")]
     unknown = [pid for pid in refs if pid not in ids]
@@ -329,9 +337,36 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         # compiles it; a faulty store is reported by its own checks first.
         try:
             cfg._timelines
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             problems.append(f"{actor_kind(a)} emission does not compile: {e}")
+        else:
+            if not _last_tick(cfg) < _MAX_TICK:
+                problems.append(
+                    f"{actor_kind(a)} emission can end at or past sensor tick 2^53 "
+                    "(f_s times its end time), where float64 no longer holds every tick")
     return problems
+
+
+# Sensor ticks from here on are not all exact float64 values.
+_MAX_TICK = float(1 << 53)
+
+
+def _last_tick(cfg: ScenarioConfig) -> float:
+    """A bound on the sensor tick at which any emission of a trial ends:
+    the longest timeline (a brute-force candidate with every interval past
+    the second at max_tu), Replay's recorded copy counted, plus one tick
+    of start phase. A max_tu past the draw bound, refused on its own,
+    counts as the bound."""
+    a, f, s = cfg.actor, cfg.sensor_cfg.f_s, cfg.slot_cfg
+    if isinstance(a, BruteForce):
+        longest = (s.tu_s * (1 + (a.L - 2) * min(cfg.max_tu, _MAX_BOUND))
+                   + a.n * s.slot_s + s.guard_s)
+    else:
+        longest = max(tl.duration_s for _, tl in cfg._timelines)
+    if isinstance(a, Replay):
+        # run_trial starts the copy within tu_s and a tick of the original's end.
+        longest += longest + s.tu_s + 1.0 / f
+    return longest * f + 1.0
 
 
 def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
@@ -656,6 +691,8 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         if axis == "n" and not 2 <= iv <= MAX_BITS:
             # Refused before the store is redrawn: the draw is linear in n.
             raise ValueError(f"n must be in [2, {MAX_BITS}]")
+        if cfg.seed < 0:  # the redraw below is seeded from it
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         store = []
         for idx, p in enumerate(cfg.store):
             n2 = iv if axis == "n" else p.bit_count

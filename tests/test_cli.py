@@ -105,6 +105,32 @@ class TestExitCodes:
         assert main(["validate", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    LEGIT = "kind = legit\npattern_id = fig3\n"
+    BRUTE = "kind = bruteforce\nn = 3\nL = 3\n"
+
+    @pytest.mark.parametrize("edits, named", [
+        ([(LEGIT, BRUTE), ("channel_count = 14", f"channel_count = {2**70}")],
+         "channel_count"),
+        ([(LEGIT, BRUTE), ("max_tu = 16", f"max_tu = {2**63 + 1}")],
+         "[run] max_tu"),
+        ([("max_tu = 16", f"max_tu = {2**61}"), ("010@6:2", f"010@6:{2**60}")],
+         "sensor tick 2^53"),
+    ], ids=["channel-count", "max-tu", "tick-grid"])
+    def test_emission_off_the_draw_or_the_grid_is_user_error(self, fig3a, tmp_path,
+                                                              capsys, edits, named):
+        # Such a config used to validate, then fail its run with exit 2.
+        text = fig3a.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 1
+        assert main(["run", str(bad), "--trials", "2", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "internal error" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_is_runtime_error(self, fig3a, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -235,6 +261,24 @@ class TestSweep:
         assert err and all(line.startswith("error: ") for line in err.splitlines())
         assert f"{axis} = {float(values.split(',')[-1])}: " in err
         assert not out.exists()
+
+    def test_base_invalid_only_on_the_swept_axis_runs(self, fig3a, tmp_path, capsys):
+        # A 2-bit sensor cannot read fig3's 3-bit store, but every row of an
+        # n sweep redraws the store at its own n, so each row is valid.
+        path = tmp_path / "n2.scn"
+        path.write_text(fig3a.read_text().replace("\nn = 3\n", "\nn = 2\n"))
+        assert main(["validate", str(path)]) == 1
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["sweep", str(path), "--trials", "4", "--axis", "n",
+                     "--values", "3", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("n,3.0,4,")
+        # A row that stays invalid is still refused, by value.
+        assert main(["sweep", str(path), "--trials", "4", "--axis", "sigma_db",
+                     "--values", "0", "--out", str(tmp_path / "bad")]) == 1
+        assert "sigma_db = 0.0: store holds 3-bit patterns" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("values", ["65", "1e9"])
     def test_huge_n_refused_before_the_store_is_drawn(self, fig3a, capsys,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beaconveil import (DEFAULT_BAND, BandPlan, FlipTxBit, PatternError,
                         SecretPattern, SlotConfig, SlotFitError, Triplet,
@@ -216,8 +216,15 @@ class TestSamplers:
         stat, pvalue = chisquare(list(counts.values()))
         assert pvalue > 0.001
 
+    # Bounds up to 2^63 reach numpy's 64-bit bounded draw as well as its
+    # 32-bit one, whose cached half-word a later 32-bit draw uses.
     @given(seed=st.integers(0, 2**64), n=st.integers(1, 64), L=st.integers(2, 5),
-           channels=st.integers(1, 14), max_tu=st.integers(1, 16))
+           channels=st.integers(1, 2**63), max_tu=st.integers(1, 2**63))
+    @example(seed=1, n=3, L=4, channels=2**32 - 1, max_tu=2**32 - 1)
+    @example(seed=2, n=3, L=4, channels=2**32, max_tu=2**32)
+    @example(seed=3, n=3, L=4, channels=2**32 + 1, max_tu=2**32 + 1)
+    @example(seed=4, n=3, L=4, channels=2**63, max_tu=2**63)
+    @example(seed=5, n=1, L=5, channels=3, max_tu=2**32 + 1)
     @settings(max_examples=200, deadline=None)
     def test_candidate_index_draws_as_random_candidate(self, seed, n, L, channels,
                                                        max_tu):
@@ -237,6 +244,20 @@ class TestSamplers:
         again = random_candidate(np.random.default_rng(seed), n, L, channels, max_tu)
         assert again.triplets == tuple(triplets)
         assert again.pattern_id == f"cand{index}"
+
+    @pytest.mark.parametrize("L, channels, max_tu", [
+        (2, 2**63 + 1, 1), (2, 2**70, 1), (3, 1, 2**63 + 1), (3, 1, 2**70)])
+    def test_candidate_index_bound_past_2_63(self, L, channels, max_tu):
+        # numpy's int64 draw refuses such a bound with ValueError; a uint64
+        # array of bounds would fail with OverflowError past 2^64 instead.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="high is out of bounds for int64"):
+            _candidate_index(rng, 2, L, channels, max_tu)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_candidate_index_max_tu_past_2_63_unused_at_two_triplets(self):
+        index = _candidate_index(np.random.default_rng(0), 2, 2, 2**63, 2**70)
+        assert 0 <= index < pattern_space_size(2, 2, 2**63, 2**70)
 
     def test_candidate_index_bijection(self):
         space = pattern_space_size(2, 2, 2, 2)

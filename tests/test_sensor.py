@@ -136,6 +136,87 @@ class TestDecodeSlots:
         assert decode_slots(shifted, n, CFG).bits == ref
 
 
+def median_decode(samples, n, cfg, slot_s=0.6, t0=None):
+    """decode_slots as it was written with statistics.median, frozen: the
+    reference its one-pass form must agree with, bits and errors alike."""
+    if n < 1 or slot_s <= 0:
+        raise ValueError("need n >= 1 and slot_s > 0")
+    if not len(samples):
+        raise UndecodableWindow("no samples in window")
+    t0 = samples.t_s[0] if t0 is None else t0
+    heard = ~np.isnan(samples.rssi_dbm)
+    r = samples.rssi_dbm[heard]
+    k = np.floor((samples.t_s[heard] - t0) / slot_s)
+    edges = k.searchsorted(range(n + 1)).tolist()
+    med = []
+    for j in range(n):
+        vals = r[edges[j]:edges[j + 1]].tolist()
+        if not vals:
+            raise UndecodableWindow(f"slot {j} has no detectable samples")
+        med.append(statistics.median(vals))
+    lo, hi = min(med), max(med)
+    if hi - lo < cfg.delta_db:
+        raise UndecodableWindow(
+            f"median spread {hi - lo:.2f} dB below delta_db {cfg.delta_db:g}")
+    threshold = (hi + lo) / 2.0
+    bits = "".join("1" if m > threshold else "0" for m in med)
+    for k in range(n - 1):
+        jump = abs(med[k + 1] - med[k])
+        if bits[k] != bits[k + 1] and jump < cfg.delta_db:
+            raise UndecodableWindow(
+                f"bit flip at slot {k} rides a {jump:.2f} dB step, below delta_db")
+    return TxPattern(bits)
+
+
+@st.composite
+def decode_windows(draw):
+    """(samples, n, cfg, slot_s, t0): a window whose slots hold 0 to 6
+    samples each, on the sampling grid or off it, some of them NaN, with
+    strays before t0 and past the last slot; t0 given or None."""
+    n = draw(st.integers(1, 8))
+    slot_s = draw(st.sampled_from([0.25, 0.6, 1.0, 0.35]))
+    f_s = draw(st.sampled_from([5.0, 16.0, 50.0, 3.0]))
+    start = draw(st.integers(-100, 100)) / f_s  # a window opens on a tick
+    if draw(st.booleans()):
+        start += draw(st.floats(0.0, 1.0 / f_s, exclude_max=True))
+    levels = st.sampled_from([-46.0, -43.0, -40.0, -41.5, -44.5]) | st.floats(-90.0, -20.0)
+    rssi = st.just(math.nan) | levels
+    pts = []
+    for j in range(-1, n + 1):
+        lo = start + j * slot_s
+        count = draw(st.integers(0, 6 if 0 <= j < n else 2))
+        for _ in range(count):
+            where = draw(st.sampled_from(["edge", "grid", "off"]))
+            if where == "edge":
+                t = lo
+            elif where == "grid":
+                t = math.floor(lo * f_s + draw(st.integers(0, math.ceil(slot_s * f_s)))) / f_s
+            else:
+                t = lo + draw(st.floats(0.0, slot_s, exclude_max=True))
+            pts.append((t, draw(rssi)))
+    t0 = draw(st.none() | st.just(start) | st.just(start + 1e-9))
+    delta_db = draw(st.sampled_from([0.5, 2.5, 3.0, 6.0]))
+    cfg = SensorConfig(f_s=f_s, n=n, delta_db=delta_db)
+    samples = Samples(*zip(*pts)) if pts else Samples()
+    return samples, n, cfg, slot_s, t0
+
+
+class TestDecodeDifferential:
+    @given(case=decode_windows())
+    @example(case=(window([-46.0, -40.0, -46.0], per_slot=2), 3, CFG, 0.6, None))
+    @example(case=(window([-46.0, -40.0, -46.0], per_slot=1), 3, CFG, 0.6, 0.0))
+    @example(case=(Samples(), 2, CFG, 0.6, None))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_median_decoder(self, case):
+        def outcome(decode):
+            try:
+                return decode(*case).bits
+            except (UndecodableWindow, ValueError) as e:
+                return type(e), str(e)
+
+        assert outcome(decode_slots) == outcome(median_decode)
+
+
 class TestQuantizeInterval:
     def test_snaps_within_tolerance(self):
         assert quantize_interval(2.05, 1.0, 0.10) == 2

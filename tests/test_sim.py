@@ -545,6 +545,79 @@ class TestValidation:
         cfg = dataclasses.replace(build_desk(Legit("desk"), 1), max_tu=0)
         assert "max_tu must be >= 1, got 0" in validate_scenario(cfg)
 
+    # numpy draws a brute-force digit below a bound of at most 2^63, and a
+    # sensor tick is an exact float64 below 2^53. A config just inside a
+    # bound runs; one at the next value is refused before any trial.
+
+    @pytest.mark.parametrize("count", [2**63, 2**63 + 1, 2**70])
+    def test_bruteforce_channel_count_bound(self, count):
+        cfg = dataclasses.replace(build_desk(BruteForce(2, 2), 3),
+                                  band=BandPlan("wide", count, 2412.0, 5.0))
+        problems = validate_scenario(cfg)
+        if count <= 2**63:
+            assert problems == []
+            assert run_scenario(cfg).metrics.trials == 3
+        else:
+            assert problems == [
+                "bruteforce draws a channel below [band] channel_count, "
+                f"which must be <= 2^63, got {count}"]
+            with pytest.raises(ConfigError, match="channel_count"):
+                run_scenario(cfg)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("max_tu", [2**63, 2**63 + 1])
+    def test_bruteforce_max_tu_bound(self, L, max_tu):
+        # Intervals are drawn from the third triplet on. An interval that
+        # long also ends the emission past the tick grid.
+        cfg = dataclasses.replace(build_desk(BruteForce(2, L), 3), max_tu=max_tu)
+        problems = validate_scenario(cfg)
+        named = [p for p in problems if "[run] max_tu" in p]
+        assert named == ([] if L == 2 or max_tu == 2**63 else [
+            "bruteforce draws an interval below [run] max_tu, which must be "
+            f"<= 2^63 at L >= 3, got {max_tu}"])
+        assert any("sensor tick 2^53" in p for p in problems) == (L == 3)
+        if L == 2:
+            assert problems == []
+            assert run_scenario(cfg).metrics.trials == 3
+
+    @pytest.mark.parametrize("max_tu, refused", [(2**49 - 2, False), (2**49, True)])
+    def test_longest_bruteforce_candidate_on_the_tick_grid(self, max_tu, refused):
+        # desk: 16 ticks per 1 s time unit; the longest BruteForce(2, 3)
+        # candidate lasts (1 + max_tu) TU plus a 0.55 s burst and guard.
+        cfg = dataclasses.replace(build_desk(BruteForce(2, 3), 3), max_tu=max_tu)
+        problems = validate_scenario(cfg)
+        if refused:
+            assert problems == [
+                "bruteforce emission can end at or past sensor tick 2^53 (f_s times "
+                "its end time), where float64 no longer holds every tick"]
+        else:
+            assert problems == []
+            assert run_scenario(cfg).metrics.trials == 3
+
+    @pytest.mark.parametrize("actor", [Legit("long"), Replay("long")])
+    @pytest.mark.parametrize("interval", [2**48 - 3, 2**48])
+    def test_stored_emission_on_the_tick_grid(self, actor, interval):
+        # Replay puts a second copy on air after the first, so it reaches
+        # twice as far: at 2^48 TU only the replay runs past 2^53 ticks.
+        desk = build_desk(actor, 2)
+        long = parse_pattern(f"01@1:- 10@2:1 01@1:{interval}", "long")
+        cfg = dataclasses.replace(desk, store=desk.store + (long,), max_tu=2**48)
+        problems = validate_scenario(cfg)
+        if isinstance(actor, Replay) and interval == 2**48:
+            assert problems == [
+                "replay emission can end at or past sensor tick 2^53 (f_s times "
+                "its end time), where float64 no longer holds every tick"]
+        else:
+            assert problems == []
+            assert run_scenario(cfg).metrics.trials == 2
+
+    def test_interval_too_long_for_a_float_does_not_compile(self):
+        desk = build_desk(Legit("long"), 1)
+        long = parse_pattern(f"01@1:- 10@2:1 01@1:{10**400}", "long")
+        cfg = dataclasses.replace(desk, store=desk.store + (long,), max_tu=10**400)
+        assert validate_scenario(cfg) == [
+            "legit emission does not compile: int too large to convert to float"]
+
 
 
 FIG3A_ACTOR = "kind = legit\npattern_id = fig3\n"
@@ -789,6 +862,15 @@ class TestSweep:
             run_scenario(dataclasses.replace(cfg, trials=0))
         assert issubclass(ConfigError, ValueError)
         assert beaconveil.scenario.ConfigError is beaconveil.sim.ConfigError
+
+    @pytest.mark.parametrize("axis", ["n", "L", "distance"])
+    def test_negative_seed_named_by_every_row(self, axis):
+        # Only the rows are validated, so a row that redraws its store from
+        # the seed must name a negative one, as validation does.
+        cfg = build_desk(Legit("desk"), 4, seed=-1)
+        with pytest.raises(ConfigError, match=rf"^invalid sweep: {axis} = 3: "
+                                              r"seed must be >= 0, got -1$"):
+            sweep(cfg, axis, [3])
 
     def test_empty_values(self):
         assert sweep(build_desk(Legit("desk"), 1), "distance", []) == []
