@@ -204,6 +204,22 @@ def _store_text(store: Sequence[SecretPattern]) -> str:
     return "\n".join(f"{p.pattern_id} = {render_pattern(p)}" for p in store)
 
 
+def _dump_parts(cfg: ScenarioConfig) -> tuple[str, str, str]:
+    """dump_scenario's text in three parts: up to [store]'s lines, the
+    store's lines (kept with the store), and the rest."""
+    store_text = cfg.store.compiled(_store_text)
+    head = []
+    for section, name in _SECTIONS.items():
+        obj = getattr(cfg, name)
+        head += [f"[{section}]", *_lines(section, obj, fields(obj)), ""]
+    way = " ".join(f"{t!r}:{d!r}" for t, d in cfg.trajectory.waypoints)
+    tail = ["", "",
+            "[actor]", *_lines("actor", cfg, _ACTOR), "",
+            "[trajectory]", f"waypoints = {way}", "",
+            "[run]", *_lines("run", cfg, _RUN), ""]
+    return "\n".join([*head, "[store]", ""]), store_text, "\n".join(tail)
+
+
 def dump_scenario(cfg: ScenarioConfig) -> str:
     """Canonical text form; loads_scenario(dump_scenario(cfg)) == cfg.
 
@@ -211,21 +227,24 @@ def dump_scenario(cfg: ScenarioConfig) -> str:
     would not load back equal: a str that cannot be written verbatim, an
     empty store or a repeated store id.
     """
-    store_text = cfg.store.compiled(_store_text)
-    out = []
-    for section, name in _SECTIONS.items():
-        obj = getattr(cfg, name)
-        out += [f"[{section}]", *_lines(section, obj, fields(obj)), ""]
-    way = " ".join(f"{t!r}:{d!r}" for t, d in cfg.trajectory.waypoints)
-    out += ["[store]", store_text, "",
-            "[actor]", *_lines("actor", cfg, _ACTOR), "",
-            "[trajectory]", f"waypoints = {way}", "",
-            "[run]", *_lines("run", cfg, _RUN), ""]
-    return "\n".join(out)
+    return "".join(_dump_parts(cfg))
+
+
+def _hash_through_store(store, head: str):
+    # sha256 of head and the store's lines; the store's text is its own form.
+    h = hashlib.sha256(head.encode("utf-8"))
+    h.update(store.compiled(_store_text).encode("utf-8"))
+    return h
 
 
 def config_sha256(cfg: ScenarioConfig) -> str:
-    return hashlib.sha256(dump_scenario(cfg).encode("utf-8")).hexdigest()
+    """sha256 of dump_scenario(cfg). The hash state after the [store] lines
+    is kept with the store, per text before them, so a large store is
+    hashed once and each config feeds only what follows it."""
+    head, _, tail = _dump_parts(cfg)
+    h = cfg.store.compiled(_hash_through_store, head).copy()
+    h.update(tail.encode("utf-8"))
+    return h.hexdigest()
 
 
 def report_dict(report: RunReport, cfg: ScenarioConfig) -> dict:

@@ -4,12 +4,20 @@ The authenticator is a dumb device: it samples received power on a fixed
 grid, timestamps beacon frames, and turns each beacon's slot window into one
 observed triplet. The samples travel as one Samples value, a pair of arrays
 (times sorted, power with NaN below the noise floor), and a window is the
-slice of it that searchsorted cuts. Power bits are recovered by shape, not
+run of it that searchsorted cuts. Power bits are recovered by shape, not
 absolute level: the median of every slot is thresholded at the midrange of
 the window's medians, so a common offset (the emitter being nearer or
 farther) cancels out. The time unit is measured from the first two beacons,
 never configured, and all later intervals must quantize onto integer
 multiples of it.
+
+Where each slot's samples sit depends on the sample times alone, so it is
+compiled into a slot grid (_SlotGrid): one row of sample indices per
+(window, slot). A read gathers the rssi through it, sorts each row once and
+takes every slot's median in one pass (_SlotGrid.medians). Samples that
+observe_emission returns carry the grid their sampling layout compiled to;
+any other Samples get one built from their times when they are read.
+decode_slots is the one-window case of the same grid and pass.
 
 Anything the device cannot read cleanly rejects the session rather than
 being guessed at: a silent slot, a window without high/low structure, a
@@ -30,8 +38,10 @@ from __future__ import annotations
 
 import hmac
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,7 +58,7 @@ class Samples:
     """RSSI samples on the sensor clock: t_s finite and sorted (stably) by
     time, and rssi_dbm, NaN where the signal sat below the noise floor."""
 
-    __slots__ = ("t_s", "rssi_dbm")
+    __slots__ = ("t_s", "rssi_dbm", "_grid")
 
     def __init__(self, t_s=(), rssi_dbm=()):
         t = np.asarray(t_s, dtype=np.float64)
@@ -60,13 +70,15 @@ class Samples:
         if not (t[1:] >= t[:-1]).all():
             order = np.argsort(t, kind="stable")
             t, r = t[order], r[order]
-        self.t_s, self.rssi_dbm = t, r
+        self.t_s, self.rssi_dbm, self._grid = t, r, None
 
     @classmethod
-    def _sorted(cls, t_s: np.ndarray, rssi_dbm: np.ndarray) -> "Samples":
-        # Unchecked: float64 arrays of one length, t_s finite and sorted.
+    def _sorted(cls, t_s: np.ndarray, rssi_dbm: np.ndarray,
+                grid: Optional["_SlotGrid"] = None) -> "Samples":
+        # Unchecked: float64 arrays of one length, t_s finite and sorted, and
+        # grid, if given, built on these t_s.
         out = object.__new__(cls)
-        out.t_s, out.rssi_dbm = t_s, rssi_dbm
+        out.t_s, out.rssi_dbm, out._grid = t_s, rssi_dbm, grid
         return out
 
     def __len__(self) -> int:
@@ -131,48 +143,123 @@ class QuantizationFailure(ExtractionError):
     kind = "quantization"
 
 
+class _SlotGrid:
+    """Where each slot of an observation's windows finds its samples, from
+    the sample times alone, so it serves every rssi drawn on those times.
+
+    idx has one row per (window, slot), window-major: the indices of the
+    samples in that slot, padded with len(t_s), where medians puts a NaN,
+    to one column more than the fullest slot. key is (n, slot_s, window
+    starts) and closes the windows' ends, in window order; empty[w] is
+    whether window w holds no sample at all.
+    """
+
+    __slots__ = ("idx", "key", "closes", "empty", "_twice")
+
+    def __init__(self, idx: np.ndarray, key: tuple = (), closes: Sequence[float] = (),
+                 empty: Sequence[bool] = ()):
+        self.idx, self.key, self.closes, self.empty = idx, key, closes, empty
+        self._twice = np.arange(0, 2 * idx.size, 2 * idx.shape[1])  # 2 * row start
+
+    def medians(self, rssi: np.ndarray) -> tuple[list[int], list[float]]:
+        """Per row, how many of its samples were heard and their median, in
+        one pass over rssi. NaN sorts last, so a row's c heard values lead
+        it and its first NaN sits at c; the median is
+        (v[(c - 1) // 2] + v[c // 2]) / 2, statistics.median's rule: the
+        middle value, or the mean of the two middle ones. A row with nothing
+        heard has count 0 and a median that means nothing."""
+        v = np.concatenate((rssi, _NAN))[self.idx]
+        v.sort(axis=1)
+        c = np.isnan(v).argmax(axis=1)
+        t = self._twice + c
+        flat = v.ravel()
+        med = (flat[(t - 1) >> 1] + flat[t >> 1]) / 2
+        return c.tolist(), med.tolist()
+
+
+_NAN = np.array([np.nan])
+_NAN.flags.writeable = False
+
+
+def _slot_index(t_s: np.ndarray, lo: list[int], hi: list[int], t0: np.ndarray,
+                n: int, slot_s: float) -> np.ndarray:
+    """The idx of _SlotGrid for windows that hold the samples lo[w]:hi[w]
+    and open at t0[w]. A sample is in slot floor((t - t0) / slot_s) if that
+    is in [0, n); times are sorted, so each slot is one run of a window."""
+    lens = [b - a for a, b in zip(lo, hi)]
+    pos = np.array(lo)[:, None] + np.arange(max(lens))
+    # q < j exactly when floor(q) < j, so the quotients need no floor.
+    q = ((t_s.take(pos, mode="clip") - t0[:, None]) / slot_s).tolist()
+    first, count = [], []
+    for row, a, m in zip(q, lo, lens):
+        # Where each slot's run starts in the window, and where the last ends.
+        e = [bisect_left(row, j, 0, m) for j in range(n + 1)]
+        first += [a + x for x in e[:-1]]
+        count += [y - x for x, y in zip(e, e[1:])]
+    cols = np.arange(max(count) + 1)
+    return np.where(cols < np.array(count)[:, None], np.array(first)[:, None] + cols,
+                    len(t_s))
+
+
+def _slot_grid(t_s: np.ndarray, starts: tuple[float, ...], n: int,
+               slot_s: float) -> _SlotGrid:
+    """The grid of windows opened at starts (sorted, at least one), each
+    reading the samples from its start up to where it closes: n slots
+    later, or at the next start if that comes first."""
+    span = n * slot_s
+    closes = [min(a + span, b) for a, b in zip(starts, starts[1:])]
+    closes.append(starts[-1] + span)
+    edges = np.array((starts, closes))
+    lo, hi = t_s.searchsorted(edges).tolist()
+    idx = _slot_index(t_s, lo, hi, edges[0], n, slot_s)
+    return _SlotGrid(idx, (n, slot_s, starts), closes, [a == b for a, b in zip(lo, hi)])
+
+
+def _bits(counts: list[int], med: list[float], delta_db: float,
+          index: Optional[int] = None) -> TxPattern:
+    """The power pattern of one window's slot counts and medians.
+
+    Level shape only, never absolute power: the medians are thresholded at
+    their midrange, so adding a constant offset to every sample (a farther
+    emitter) leaves the bits unchanged. delta_db gates both the overall
+    spread and every adjacent bit flip; windows that fail it are
+    undecodable, not guessed. Errors carry index."""
+    if 0 in counts:
+        raise UndecodableWindow(
+            f"slot {counts.index(0)} has no detectable samples", index)
+    lo, hi = min(med), max(med)
+    if hi - lo < delta_db:
+        raise UndecodableWindow(
+            f"median spread {hi - lo:.2f} dB below delta_db {delta_db:g}", index)
+    threshold = (hi + lo) / 2.0
+    bits = "".join(["1" if m > threshold else "0" for m in med])
+    for k in range(len(med) - 1):
+        jump = abs(med[k + 1] - med[k])
+        if bits[k] != bits[k + 1] and jump < delta_db:
+            raise UndecodableWindow(
+                f"bit flip at slot {k} rides a {jump:.2f} dB step, below delta_db",
+                index)
+    return TxPattern(bits)
+
+
 def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
                  slot_s: float = SlotConfig.slot_s,
                  t0: Optional[float] = None) -> TxPattern:
     """Decode one beacon's slot window into an n-bit power pattern.
 
-    Level shape only, never absolute power: per-slot medians are thresholded
-    at the midrange of the window, so adding a constant offset to every
-    sample (a farther emitter) leaves the bits unchanged. delta_db gates both
-    the overall spread and every adjacent bit flip; windows that fail it are
-    undecodable, not guessed.
+    Every sample is the window's; slot j holds those with
+    floor((t - t0) / slot_s) == j, t0 defaulting to the first sample's time.
+    Each slot's median is taken over its heard samples, and the medians are
+    read by shape (see _bits): delta_db gates the spread and every flip.
     """
     if n < 1 or slot_s <= 0:
         raise ValueError("need n >= 1 and slot_s > 0")
-    t_s, rssi = samples.t_s, samples.rssi_dbm
+    t_s = samples.t_s
     if not len(t_s):
         raise UndecodableWindow("no samples in window")
     t0 = t_s[0] if t0 is None else t0
-    heard = ~np.isnan(rssi)
-    # Times are sorted, so slot indices are too: slot j is one run of r.
-    k = np.floor((t_s[heard] - t0) / slot_s)
-    edges = k.searchsorted(np.arange(n + 1)).tolist()
-    r = rssi[heard].tolist()
-    med = []
-    for j in range(n):
-        vals = sorted(r[edges[j]:edges[j + 1]])
-        m = len(vals)
-        if not m:
-            raise UndecodableWindow(f"slot {j} has no detectable samples")
-        # statistics.median's rule: the middle value, or the mean of two.
-        med.append(vals[m // 2] if m % 2 else (vals[m // 2 - 1] + vals[m // 2]) / 2)
-    lo, hi = min(med), max(med)
-    if hi - lo < cfg.delta_db:
-        raise UndecodableWindow(
-            f"median spread {hi - lo:.2f} dB below delta_db {cfg.delta_db:g}")
-    threshold = (hi + lo) / 2.0
-    bits = "".join(["1" if m > threshold else "0" for m in med])
-    for k in range(n - 1):
-        jump = abs(med[k + 1] - med[k])
-        if bits[k] != bits[k + 1] and jump < cfg.delta_db:
-            raise UndecodableWindow(
-                f"bit flip at slot {k} rides a {jump:.2f} dB step, below delta_db")
-    return TxPattern(bits)
+    idx = _slot_index(t_s, [0], [len(t_s)], np.array([t0], dtype=np.float64), n, slot_s)
+    return _bits(*_SlotGrid(idx).medians(samples.rssi_dbm), cfg.delta_db)
 
 
 def quantize_interval(raw_s: float, tu_s: float,
@@ -198,20 +285,27 @@ def _in_order(beacons: Iterable[Beacon]) -> list[Beacon]:
     for b in bs:
         if not math.isfinite(b.t_s):
             raise ValueError(f"beacon {b.seq_no} t_s must be finite, got {b.t_s!r}")
-    bs.sort(key=lambda b: (b.t_s, b.seq_no))
+    bs.sort(key=attrgetter("t_s", "seq_no"))
     return bs
 
 
-def _window_close(beacons: Sequence[Beacon], j: int, span_s: float) -> float:
-    """Where beacon j's window closes: span_s (n slots) after the beacon, or
-    at the next beacon if that comes first."""
-    end = beacons[j].t_s + span_s
-    return min(end, beacons[j + 1].t_s) if j + 1 < len(beacons) else end
+def _read_windows(bs: Sequence[Beacon], samples: Samples, n: int,
+                  slot_s: float) -> tuple[_SlotGrid, list[int], list[float]]:
+    """The slot grid of the windows bs (in order, at least one) open on
+    samples, with every slot's heard count and median from one pass. The
+    grid samples carry is used if it was built for these windows; otherwise
+    one is built from samples.t_s."""
+    starts = tuple([b.t_s for b in bs])
+    grid = samples._grid
+    if grid is None or grid.key != (n, slot_s, starts):
+        grid = _slot_grid(samples.t_s, starts, n, slot_s)
+    return (grid, *grid.medians(samples.rssi_dbm))
 
 
-def _read_triplet(beacons: Sequence[Beacon], j: int,
-                  window: Samples, cfg: SensorConfig, slot_s: float) -> Triplet:
-    """Read triplet j from the slot window its beacon opened.
+def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
+                  cfg: SensorConfig) -> Triplet:
+    """Read triplet j from the slot window its beacon opened; read is
+    _read_windows' result.
 
     The bits come from the level shape; the time unit is the gap between
     beacons 0 and 1, so the second interval is 1 by definition and later
@@ -219,11 +313,12 @@ def _read_triplet(beacons: Sequence[Beacon], j: int,
     time leave window 0 empty and undecodable. Raises UndecodableWindow or
     QuantizationFailure carrying j.
     """
+    grid, counts, med = read
+    if grid.empty[j]:
+        raise UndecodableWindow("no samples in window", index=j)
+    n = cfg.n
+    bits = _bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db, j)
     b = beacons[j]
-    try:
-        bits = decode_slots(window, cfg.n, cfg, slot_s, t0=b.t_s)
-    except UndecodableWindow as e:
-        raise UndecodableWindow(e.detail, index=j) from None
     if j == 0:
         return Triplet(bits, b.channel, None)
     if j == 1:
@@ -252,10 +347,10 @@ def extract_triplets(beacons: Sequence[Beacon], samples: Samples, cfg: SensorCon
     bs = _in_order(beacons)
     if not bs:
         raise ValueError("need at least one beacon")
-    out = []
-    for j, b in enumerate(bs):
-        window = samples.between(b.t_s, _window_close(bs, j, cfg.n * slot_s))
-        out.append(_read_triplet(bs, j, window, cfg, slot_s))
+    if slot_s <= 0:
+        raise ValueError("need n >= 1 and slot_s > 0")
+    read = _read_windows(bs, samples, cfg.n, slot_s)
+    out = [_read_triplet(bs, j, read, cfg) for j in range(len(bs))]
     if len(out) < 2:
         raise QuantizationFailure("need two beacons to measure the time unit", index=1)
     return tuple(out)
@@ -359,18 +454,19 @@ class SensorSession:
         node, matcher = self.node, self._matcher
         deadline = self.t_start + self.watchdog_s
         span = self.cfg.n * self.slot_cfg.slot_s
+        # Every window's slot medians in one pass; the walk reads them in turn.
+        read = _read_windows(bs, samples, self.cfg.n, self.slot_cfg.slot_s) if bs else None
         for j, b in enumerate(bs):
             if deadline <= b.t_s:
                 return self._end(TIMED_OUT, deadline, triplets)
             if node.heard(b.nonce):
                 return self._end(REJECTED, b.t_s, triplets, RejectReason("replay"))
             deadline = b.t_s + self.watchdog_s
-            end = _window_close(bs, j, span)
+            end = read[0].closes[j]
             if deadline < b.t_s + span and deadline <= end:
                 return self._end(TIMED_OUT, deadline, triplets)
             try:
-                trip = _read_triplet(bs, j, samples.between(b.t_s, end), self.cfg,
-                                     self.slot_cfg.slot_s)
+                trip = _read_triplet(bs, j, read, self.cfg)
             except ExtractionError as e:
                 return self._end(REJECTED, end, triplets, e.reason())
             triplets.append(trip)

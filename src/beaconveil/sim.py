@@ -11,6 +11,13 @@ does not build those generators one by one: it hashes the block's seeds
 together and sets one kept PCG64 to each trial's starting state in turn,
 which gives the same streams.
 
+Everything about an observation except its draws follows from the heard
+beacons' grid ticks and the session's start: the window ticks, their range
+and path loss, and where each slot's samples sit. A config compiles that
+layout once per distinct (start, ticks) and keeps it (ScenarioConfig.
+_layouts), so a trial draws its phase and normals, looks up its levels, and
+reads every slot median of its session in one pass.
+
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
 timestamps are quantized to the nearest tick. The timing error is therefore
@@ -41,7 +48,7 @@ from .emitter import (_MAX_BOUND, Beacon, EmissionTimeline, Mutation,
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
-                     SensorSession, _watchdog_s, apply_app_stage)
+                     SensorSession, _slot_grid, _watchdog_s, apply_app_stage)
 
 LIGHT_SPEED_M_S = 3.0e8
 
@@ -133,10 +140,12 @@ T = TypeVar("T")
 
 class _Store(tuple):
     """A config's credential store: its patterns, plus the forms compiled
-    from them (id index, matcher trie, dump text, and the store's half of
-    validation, once per (band, max_tu, slot_cfg)). Every config that
-    `replace` makes from a config shares its store, so each form is built
-    once. Only the patterns pickle; each process compiles its own forms."""
+    from them (id index, matcher trie, dump text, the store's half of
+    validation, once per (band, max_tu, slot_cfg), and the report digest's
+    sha256 state after the dump text, once per text before it). Every
+    config that `replace` makes from a config shares its store, so each
+    form is built once. Only the patterns pickle; each process compiles its
+    own forms."""
 
     def __init__(self, patterns=()):
         # tuple.__new__ has taken the patterns; this adds the kept forms.
@@ -168,10 +177,12 @@ class ScenarioConfig:
 
     Forms derived from a config are built on first use and kept with it:
     the sensor config with its watchdog filled in, the actor's compiled
-    timelines, first compiled by validate_scenario, and for BruteForce the
-    candidates its trials have drawn, compiled on first draw. The store
-    keeps its own forms (see _Store), the costly half of validation among
-    them. None of them travel in a pickle; each worker builds its own.
+    timelines, first compiled by validate_scenario, for BruteForce the
+    candidates its trials have drawn, compiled on first draw, and the grid
+    layouts of the observations its trials have made (see observe_emission).
+    The store keeps its own forms (see _Store), the costly half of
+    validation and the report digest's hash state among them. None of them
+    travel in a pickle; each worker builds its own.
     """
 
     store: tuple[SecretPattern, ...]
@@ -224,6 +235,14 @@ class ScenarioConfig:
         # BruteForce's compiled candidates by index, compiled when a trial
         # first draws one and emptied at _CANDIDATE_CAP entries. Trials may
         # share them: a timeline's arrays are read-only.
+        return {}
+
+    @cached_property
+    def _layouts(self) -> dict:
+        # observe_emission's grid layouts, keyed on t_start and the heard
+        # beacons' ticks (and at a fixed range the beacons' path loss, keyed
+        # on their count), built when a trial first needs one and emptied at
+        # _LAYOUT_CAP entries. A config's timelines share one slot_s.
         return {}
 
     def _candidate_timeline(self, index: int) -> EmissionTimeline:
@@ -302,6 +321,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.max_tu < 1:
         problems.append(f"max_tu must be >= 1, got {cfg.max_tu}")
+    try:
+        cfg._effective_sensor
+    except (OverflowError, ValueError):
+        # Only an unset watchdog is computed: max(8, max_tu + 2) * tu_s.
+        problems.append("[run] max_tu puts the default watchdog, max(8, max_tu + 2) "
+                        "time units, past float range; lower it or set [sensor] watchdog_s")
     store_problems = cfg.store.compiled(_store_problems, cfg.band, cfg.max_tu,
                                         cfg.slot_cfg)
     problems += store_problems
@@ -372,7 +397,7 @@ def _last_tick(cfg: ScenarioConfig) -> float:
 def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
                      chan: ChannelParams, tx: TxPowerLevels, scfg: SensorConfig,
                      slot_cfg: SlotConfig, rng: np.random.Generator,
-                     t_start: float = 0.0):
+                     t_start: float = 0.0, *, layouts: Optional[dict] = None):
     """Place one emission on the sensor's sampling grid.
 
     Returns (beacons, samples): beacon frames that cleared the noise floor,
@@ -381,56 +406,92 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     those windows carry no information and are not materialized. The
     trajectory is anchored at t_start.
 
-    One radio pass: range and path loss are evaluated once, over the
-    emitted beacons and every tick of every window a beacon could open,
-    and the ticks of unheard beacons are dropped after. Windows that do not
-    overlap already come out in tick order; overlapping ones are merged.
-    The draws, in order: the emission phase, then with sigma_db > 0 one
-    normal per emitted beacon and one per kept tick.
+    Range and path loss are evaluated at the emitted beacons, and at every
+    tick of the windows the heard ones open; windows that overlap are
+    merged. All of the latter depends only on the heard beacons' grid ticks
+    and t_start, so it is compiled once into a layout (_grid_layout) that
+    the samples carry to the reader. layouts, if given, keeps those by
+    (t_start, ticks) for every observation of one config, which shares one
+    trajectory, channel, f_s, n and slot_s, and at a fixed range (one
+    waypoint) the beacons' path loss by beacon count; it is emptied at
+    _LAYOUT_CAP entries. The draws, in order: the emission phase, then with
+    sigma_db > 0 one normal per emitted beacon and one per kept tick.
     """
     f = scfg.f_s
     phase = t_start + rng.uniform(0.0, 1.0 / f)  # emission start on the sensor clock
     sigma = chan.sigma_db
     emitted = timeline.beacons
     t_true = phase + timeline.beacon_times
-    # Each beacon's grid tick (half to even, as round() does) and the ticks
-    # of the window it would open, one row per beacon.
-    m = np.rint(t_true * f).astype(np.int64)
-    win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
-    ticks = m[:, None] + np.arange(win_ticks, dtype=np.int64)
-    t_ticks = ticks / f
-    pl = path_loss(distance_at(traj, np.concatenate((t_true, t_ticks.ravel()))
-                               - t_start), chan)
-    rssi = tx.high_dbm - pl[:len(emitted)]
+    # Each beacon's grid tick, half to even as round() does.
+    ms = np.rint(t_true * f).astype(np.int64).tolist()
+    # At a fixed range every observation's beacons lose the same; layouts
+    # keeps that loss too, by beacon count.
+    fixed = len(traj.waypoints) == 1 and layouts is not None
+    pl = layouts.get(len(emitted)) if fixed else None
+    if pl is None:
+        pl = path_loss(distance_at(traj, t_true - t_start), chan)
+        if fixed:
+            pl.flags.writeable = False
+            _keep(layouts, len(emitted), pl)
+    rssi = tx.high_dbm - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=len(emitted))
     # A frame lost under the noise floor opens no window.
     rows = [k for k, h in enumerate((rssi >= chan.noise_floor_dbm).tolist()) if h]
-    ms = m.tolist()
     beacons = [Beacon(ms[k] / f, emitted[k].channel, emitted[k].seq_no,
                       emitted[k].nonce) for k in rows]
     if not rows:
         return beacons, Samples()
-    pl = pl[len(emitted):].reshape(ticks.shape)
-    if len(rows) < len(emitted):
-        ticks, t_ticks, pl = ticks[rows], t_ticks[rows], pl[rows]
-    t_ticks, pl = t_ticks.ravel(), pl.ravel()
-    # Rows of windows that do not overlap are already in strict tick order.
-    if any(ms[b] - ms[a] < win_ticks for a, b in zip(rows, rows[1:])):
-        _, first = np.unique(ticks, return_index=True)
-        t_ticks, pl = t_ticks[first], pl[first]
+    key = (t_start, *[ms[k] for k in rows])
+    layout = layouts.get(key) if layouts is not None else None
+    if layout is None:
+        layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
+        if layouts is not None:
+            _keep(layouts, key, layout)
+    t_ticks, pl, grid = layout
     local = t_ticks - phase
     rssi = timeline.levels_at(local) - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=rssi.shape)
     absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
-    return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi))
+    return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
+
+
+def _keep(memo: dict, key, value) -> None:
+    if len(memo) >= _LAYOUT_CAP:
+        memo.clear()
+    memo[key] = value
+
+
+def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
+                 scfg: SensorConfig, slot_cfg: SlotConfig):
+    """(tick times, path loss at them, slot grid) of the windows that beacons
+    heard on the grid ticks key[1:] (sorted) open, the trajectory anchored
+    at key[0]: everything about an observation but its draws. Each window
+    materializes ceil(n * slot_s * f_s) ticks from its beacon's; windows
+    that share a tick are merged. The arrays are read-only, so
+    observations share them."""
+    t_start, heard = key[0], key[1:]
+    f = scfg.f_s
+    win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
+    ticks = np.add.outer(np.array(heard, dtype=np.int64), np.arange(win_ticks))
+    # Rows of windows that do not overlap are already in strict tick order.
+    if any(b - a < win_ticks for a, b in zip(heard, heard[1:])):
+        ticks = np.unique(ticks)
+    t_ticks = ticks.ravel() / f
+    pl = path_loss(distance_at(traj, t_ticks - t_start), chan)
+    grid = _slot_grid(t_ticks, tuple([m / f for m in heard]), scfg.n, slot_cfg.slot_s)
+    for a in (t_ticks, pl, grid.idx):
+        a.flags.writeable = False
+    return t_ticks, pl, grid
 
 
 # How many trials' generator seeds _trial_generators hashes in one pass, and
-# how many compiled candidates a config keeps before it starts over.
+# how many compiled candidates and grid layouts a config keeps before it
+# starts over.
 _SEED_CHUNK = 256
 _CANDIDATE_CAP = 4096
+_LAYOUT_CAP = 4096
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -558,7 +619,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     for t_start in starts:
         beacons, samples = observe_emission(
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
-            t_start=t_start)
+            t_start=t_start, layouts=cfg._layouts)
         result = SensorSession(matcher, eff, slot, node=node,
                                t_start=t_start).run(beacons, samples)
         if result.verdict == ACCEPTED and eff.app_secret is not None:

@@ -131,6 +131,20 @@ class TestExitCodes:
         assert named in err and "internal error" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("max_tu", [10**400, 10**308], ids=["10^400", "10^308"])
+    def test_default_watchdog_past_float_range_is_user_error(self, fig3a, tmp_path,
+                                                             capsys, max_tu):
+        # Such a config used to validate, then fail its run with exit 2.
+        text = fig3a.read_text()
+        assert "max_tu = 16" in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace("max_tu = 16", f"max_tu = {max_tu}"))
+        assert main(["validate", str(bad)]) == 1
+        assert main(["run", str(bad), "--trials", "2", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "[run] max_tu" in err and "internal error" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_is_runtime_error(self, fig3a, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

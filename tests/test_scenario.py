@@ -213,6 +213,35 @@ class TestDigest:
         assert config_sha256(cfg) != config_sha256(dataclasses.replace(cfg, seed=8))
         assert config_sha256(cfg) != config_sha256(dataclasses.replace(cfg, trials=2))
 
+    def test_kept_hash_state_gives_the_dump_digest(self):
+        # Configs that `replace` makes share one store and so the hash states
+        # it keeps; each must still hash its own text, before and after the
+        # [store] lines, in any order of calls.
+        base = build_desk_multi(3)
+        rows = [base,
+                dataclasses.replace(base, seed=9),
+                dataclasses.replace(base, trials=4, max_tu=3),
+                dataclasses.replace(base, actor=BruteForce(2, 3)),
+                dataclasses.replace(base, band=BandPlan("wide", 5, 2412.0, 5.0)),
+                dataclasses.replace(base, sensor_cfg=SensorConfig(f_s=16.0, n=2,
+                                                                   delta_db=2.0)),
+                dataclasses.replace(base, trajectory=build_flyover(1).trajectory),
+                base]
+        for cfg in rows + rows[::-1]:
+            assert cfg.store is base.store
+            want = hashlib.sha256(dump_scenario(cfg).encode("utf-8")).hexdigest()
+            assert config_sha256(cfg) == want
+
+    def test_kept_hash_state_refuses_what_dump_refuses(self):
+        cfg = build_fig3("a")
+        config_sha256(cfg)
+        bad = dataclasses.replace(cfg, sensor_cfg=dataclasses.replace(
+            cfg.sensor_cfg, app_secret=" padded"))
+        for _ in range(2):
+            for fn in (dump_scenario, config_sha256):
+                with pytest.raises(ValueError, match=r"^\[sensor\] app_secret"):
+                    fn(bad)
+
 
 def _bench_workloads():
     # The benchmark's scenario generator; it uses the standard library only.

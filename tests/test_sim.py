@@ -11,23 +11,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import beaconveil.sim
-from beaconveil import (ACCEPTED, REJECTED, BandPlan, Beacon, BruteForce,
-                        ChannelParams, ConfigError, FlipTxBit, Legit, Mitm,
-                        Mutant, Proto, Replay, Samples, SecretPattern,
-                        SensorConfig, SlotConfig, SlotFitError, Trajectory,
-                        Triplet, TxPattern, TxPowerLevels, WrongChannel,
+from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, AuthResult, BandPlan,
+                        Beacon, BruteForce, ChannelParams, ConfigError,
+                        EmissionTimeline, FlipTxBit, Legit, Mitm, Mutant,
+                        Proto, RejectReason, Replay, Samples, SecretPattern,
+                        SensorConfig, SensorNode, SensorSession, SlotConfig,
+                        SlotFitError, Trajectory, Triplet, TxPattern,
+                        TxPowerLevels, UndecodableWindow, WrongChannel,
                         WrongInterval, authenticate, build_fig3,
                         build_flyover, build_proto, candidate_from_index,
                         compile_schedule, compute_metrics, distance_at,
                         dump_scenario, eavesdrop, extract_triplets,
-                        loads_scenario, new_matcher,
+                        loads_scenario, match_step, new_matcher,
                         observe_emission, parse_pattern, path_loss,
-                        pattern_space_size, random_candidate,
-                        render_report_json, render_trials_csv, run_scenario,
-                        run_trial, sweep, validate_scenario, wilson)
+                        pattern_space_size, quantize_interval,
+                        random_candidate, render_report_json,
+                        render_trials_csv, run_scenario, run_trial, sweep,
+                        validate_scenario, wilson)
+from beaconveil.sensor import ExtractionError
 from beaconveil.sim import _trial_generators
 
 from scenario_builders import build_desk, build_desk_multi
+from test_sensor import median_decode
 
 
 def verdicts(report):
@@ -545,6 +550,23 @@ class TestValidation:
         cfg = dataclasses.replace(build_desk(Legit("desk"), 1), max_tu=0)
         assert "max_tu must be >= 1, got 0" in validate_scenario(cfg)
 
+    @pytest.mark.parametrize("max_tu", [10**400, 10**308], ids=["10^400", "10^308"])
+    def test_default_watchdog_past_float_range(self, max_tu):
+        # The unset watchdog, max(8, max_tu + 2) * tu_s, overflows a float at
+        # 10^400 and comes out infinite at 10^308; either used to validate
+        # clean and then fail the run.
+        cfg = dataclasses.replace(build_fig3("a"), max_tu=max_tu)
+        problems = validate_scenario(cfg)
+        assert len(problems) == 1
+        assert "[run] max_tu" in problems[0] and "watchdog" in problems[0]
+        with pytest.raises(ConfigError, match="default watchdog"):
+            run_scenario(cfg)
+        # A set watchdog leaves nothing to compute.
+        timed = dataclasses.replace(cfg, sensor_cfg=dataclasses.replace(
+            cfg.sensor_cfg, watchdog_s=72.0))
+        assert validate_scenario(timed) == []
+        assert run_scenario(timed).metrics.frr == 0.0
+
     # numpy draws a brute-force digit below a bound of at most 2^63, and a
     # sensor tick is an exact float64 below 2^53. A config just inside a
     # bound runs; one at the next value is refused before any trial.
@@ -614,7 +636,10 @@ class TestValidation:
     def test_interval_too_long_for_a_float_does_not_compile(self):
         desk = build_desk(Legit("long"), 1)
         long = parse_pattern(f"01@1:- 10@2:1 01@1:{10**400}", "long")
-        cfg = dataclasses.replace(desk, store=desk.store + (long,), max_tu=10**400)
+        # A set watchdog: the default one at this max_tu is a problem of its own.
+        cfg = dataclasses.replace(desk, store=desk.store + (long,), max_tu=10**400,
+                                  sensor_cfg=dataclasses.replace(desk.sensor_cfg,
+                                                                 watchdog_s=10.0))
         assert validate_scenario(cfg) == [
             "legit emission does not compile: int too large to convert to float"]
 
@@ -978,7 +1003,8 @@ def emissions(draw):
     p = draw(valid_patterns() | raw_candidates())
     tu_s = draw(st.floats(0.2, 5.0))
     slot_s = draw(st.floats(0.1, 1.0)) * tu_s / p.bit_count
-    guard_s = draw(st.just(0.0) | st.floats(0.0, 1.0)) * (tu_s - p.bit_count * slot_s)
+    # n * (x * tu_s / n) can round above tu_s; the guard stays >= 0.
+    guard_s = draw(st.just(0.0) | st.floats(0.0, 1.0)) * max(0.0, tu_s - p.bit_count * slot_s)
     times = draw(st.lists(st.floats(0.0, 120.0), min_size=1, max_size=6, unique=True))
     return {"pattern": p, "slot": (slot_s, tu_s, guard_s),
             "f_s": draw(st.floats(2.0, 8.0)) / slot_s,
@@ -1044,3 +1070,174 @@ class TestObserveEmissionDifferential:
         assert len(beacons) == 3
         assert len(samples) == 3 * 6 - 1
         assert (np.diff(samples.t_s) > 0).all()
+
+
+def median_walk(beacons, samples, store, cfg, slot_cfg, node, t_start):
+    """SensorSession.run as it read windows before the slot grid: each
+    window cut from the samples by Samples.between and read by the frozen
+    statistics.median decoder of TestDecodeDifferential."""
+    slot_s, span = slot_cfg.slot_s, cfg.n * slot_cfg.slot_s
+    bs = sorted(beacons, key=lambda b: (b.t_s, b.seq_no))
+    triplets = []
+
+    def end(verdict, t, reason=RejectReason("timeout"), pattern_id=None):
+        return AuthResult(verdict, pattern_id, reason, verdict == ACCEPTED, None,
+                          tuple(triplets), t - t_start, t)
+
+    if node.locked_at(t_start):
+        return end(REJECTED, t_start, RejectReason("lockout"))
+    matcher = new_matcher(store)
+    deadline = t_start + cfg.watchdog_s
+    for j, b in enumerate(bs):
+        if deadline <= b.t_s:
+            return end(TIMED_OUT, deadline)
+        if node.heard(b.nonce):
+            return end(REJECTED, b.t_s, RejectReason("replay"))
+        deadline = b.t_s + cfg.watchdog_s
+        close = b.t_s + span if j + 1 == len(bs) else min(b.t_s + span, bs[j + 1].t_s)
+        if deadline < b.t_s + span and deadline <= close:
+            return end(TIMED_OUT, deadline)
+        try:
+            bits = median_decode(samples.between(b.t_s, close), cfg.n, cfg, slot_s,
+                                 t0=b.t_s)
+        except UndecodableWindow:
+            return end(REJECTED, close, RejectReason("undecodable", j))
+        interval = None if j == 0 else 1
+        if j >= 2:
+            interval = quantize_interval(b.t_s - bs[j - 1].t_s, bs[1].t_s - bs[0].t_s,
+                                         cfg.eps_tu)
+            if interval is None:
+                return end(REJECTED, close, RejectReason("quantization", j))
+        triplets.append(Triplet(bits, b.channel, interval))
+        matcher = match_step(matcher, triplets[-1])
+        if matcher.terminal:
+            return end(matcher.status, close, matcher.reason, matcher.accepted_id)
+    return end(TIMED_OUT, deadline)
+
+
+@st.composite
+def layout_specs(draw):
+    """An emission as emissions() draws it, read by a sensor with its own
+    delta_db, eps_tu and watchdog under a noise floor that may lose beacons
+    and samples; beacon `tie` (if any) moved to less than half a tick
+    after the one before it, so both round onto one tick; and a second
+    observation of the same timeline, as Replay puts it on air."""
+    spec = draw(emissions())
+    n = spec["pattern"].bit_count
+    slot_s, tu_s = spec["slot"][:2]
+    f_s = spec["f_s"]
+    while f_s * slot_s < 2:  # a session needs two ticks a slot; 2 / slot_s can round under
+        f_s = math.nextafter(f_s, math.inf)
+    return {**spec, "f_s": f_s,
+            "floor": draw(st.sampled_from([-90.0, -90.0, -75.0, -60.0])),
+            "delta_db": draw(st.sampled_from([0.5, 2.0, 3.0])),
+            "eps_tu": draw(st.sampled_from([0.0, 0.1, 0.3])),
+            "watchdog_tu": draw(st.sampled_from([0.3, 2.0] + [MAX_TU + 2] * 4)),
+            "tie": draw(st.none() | st.integers(1, spec["pattern"].length - 1)),
+            "replay_after": draw(st.floats(0.0, 3.0)) * tu_s,
+            "n": n}
+
+
+def observe_spec(spec, layouts):
+    """(store, sensor config, slot config, [(t_start, beacons, samples)]) for
+    a layout_specs spec; the observations share one layouts memo."""
+    p = spec["pattern"]
+    slot_cfg = SlotConfig(*spec["slot"])
+    tl = compile_schedule(p, slot_cfg, TxPowerLevels())
+    if spec["tie"] is not None:
+        k = spec["tie"]
+        moved = dataclasses.replace(tl.beacons[k], t_s=tl.beacons[k - 1].t_s
+                                    + 0.4 / spec["f_s"])
+        tl = EmissionTimeline(tl.beacons[:k] + (moved,) + tl.beacons[k + 1:],
+                              tl.starts, tl.levels, tl.duration_s)
+    cfg = SensorConfig(f_s=spec["f_s"], n=spec["n"], delta_db=spec["delta_db"],
+                       eps_tu=spec["eps_tu"],
+                       watchdog_s=spec["watchdog_tu"] * slot_cfg.tu_s)
+    chan = ChannelParams(sigma_db=spec["sigma_db"], noise_floor_dbm=spec["floor"])
+    traj = Trajectory(tuple(spec["waypoints"]))
+    rng = np.random.default_rng(spec["seed"])
+    observed = []
+    t_start = spec["t_start"]
+    # Less than a tick later, the same ticks recur on a trajectory anchored
+    # elsewhere; a layout is kept per start as well as per ticks.
+    for t in (t_start, t_start + 0.3 / spec["f_s"],
+              t_start + tl.duration_s + spec["replay_after"]):
+        args = (tl, traj, chan, TxPowerLevels(), cfg, slot_cfg)
+        state = rng.bit_generator.state
+        beacons, samples = observe_emission(*args, rng, t_start=t, layouts=layouts)
+        # The memo moves nothing: the same draws without it give the same bytes.
+        alone = np.random.default_rng()
+        alone.bit_generator.state = state
+        ref_beacons, ref_samples = observe_emission(*args, alone, t_start=t)
+        assert beacons == ref_beacons
+        assert samples.t_s.tobytes() == ref_samples.t_s.tobytes()
+        assert samples.rssi_dbm.tobytes() == ref_samples.rssi_dbm.tobytes()
+        observed.append((t, beacons, samples))
+    return [p], cfg, slot_cfg, observed
+
+
+class TestCompiledLayoutDifferential:
+    """A session reads the samples observe_emission returns through the slot
+    grid they carry. It must read them as a session given a plain copy,
+    which builds its grid from the sample times, and as the walk with the
+    frozen statistics.median decoder reads them; so must extract_triplets."""
+
+    @given(spec=layout_specs())
+    @example(spec={**OVERLAPPING, "floor": -90.0, "delta_db": 3.0, "eps_tu": 0.1,
+                   "watchdog_tu": MAX_TU + 2, "tie": None, "replay_after": 0.0, "n": 2})
+    @example(spec={**OVERLAPPING, "floor": -90.0, "delta_db": 3.0, "eps_tu": 0.1,
+                   "watchdog_tu": MAX_TU + 2, "tie": 1, "replay_after": 0.0, "n": 2})
+    @example(spec={**OVERLAPPING, "sigma_db": 4.0, "t_start": 37.3, "floor": -75.0,
+                   "waypoints": [(0.0, 2.0), (30.0, 45.0), (60.0, 3.0)],
+                   "delta_db": 2.0, "eps_tu": 0.1, "watchdog_tu": MAX_TU + 2, "tie": None,
+                   "replay_after": 1.1, "n": 2})
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_plain_and_median_readers_agree(self, spec):
+        store, cfg, slot_cfg, observed = observe_spec(spec, {})
+        nodes = [SensorNode() for _ in range(3)]
+        for t_start, beacons, samples in observed:
+            plain = Samples(samples.t_s.copy(), samples.rssi_dbm.copy())
+            if beacons:
+                starts = tuple(sorted(b.t_s for b in beacons))
+                assert samples._grid.key == (cfg.n, slot_cfg.slot_s, starts)
+            assert plain._grid is None
+            runs = [SensorSession(new_matcher(store), cfg, slot_cfg, node=nodes[0],
+                                  t_start=t_start).run(beacons, samples),
+                    SensorSession(new_matcher(store), cfg, slot_cfg, node=nodes[1],
+                                  t_start=t_start).run(beacons, plain),
+                    median_walk(beacons, samples, store, cfg, slot_cfg, nodes[2],
+                                t_start)]
+            assert runs[0] == runs[1] == runs[2]
+
+            def extract(s):
+                try:
+                    return extract_triplets(beacons, s, cfg, slot_cfg.slot_s)
+                except (ExtractionError, ValueError) as e:
+                    return type(e), str(e)
+
+            assert extract(samples) == extract(plain)
+            # Other windows than the grid was built for: a beacon missed.
+            fewer = beacons[1:]
+            assert (SensorSession(new_matcher(store), cfg, slot_cfg,
+                                  t_start=t_start).run(fewer, samples)
+                    == SensorSession(new_matcher(store), cfg, slot_cfg,
+                                     t_start=t_start).run(fewer, plain))
+
+
+class TestLayoutMemo:
+    @pytest.mark.parametrize("cfg", [build_desk(BruteForce(2, 2), 500),
+                                     dataclasses.replace(build_desk(Replay("desk"), 300),
+                                                         channel=ChannelParams(sigma_db=3.0)),
+                                     build_flyover(300)],
+                             ids=["bruteforce", "replay", "flyover"])
+    def test_emptied_at_its_cap_and_kept_out_of_the_pickle(self, monkeypatch, cfg):
+        fresh = pickle.dumps(cfg)
+        kept = report_bytes(cfg)
+        assert len(cfg._layouts) >= 2
+        assert pickle.dumps(cfg) == fresh
+        assert "_layouts" not in vars(pickle.loads(fresh))
+        # At a cap of one, every new layout empties the memo first.
+        monkeypatch.setattr(beaconveil.sim, "_LAYOUT_CAP", 1)
+        capped = dataclasses.replace(cfg)
+        assert report_bytes(capped) == kept
+        assert len(capped._layouts) == 1
