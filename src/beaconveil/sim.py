@@ -18,6 +18,13 @@ layout once per distinct (start, ticks) and keeps it (ScenarioConfig.
 _layouts), so a trial draws its phase and normals, looks up its levels, and
 reads every slot median of its session in one pass.
 
+Without shadowing (sigma_db = 0) an observation takes only a few distinct
+values, and a trial that scores one session on a fresh node (every actor
+but Replay) gets a verdict that is a pure function of it. The config keeps
+each such verdict, app stage included, by the observation it was read from
+(ScenarioConfig._sessions), so a trial still draws and observes its emission
+but runs the session only for an observation no earlier trial made.
+
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
 timestamps are quantized to the nearest tick. The timing error is therefore
@@ -178,8 +185,10 @@ class ScenarioConfig:
     Forms derived from a config are built on first use and kept with it:
     the sensor config with its watchdog filled in, the actor's compiled
     timelines, first compiled by validate_scenario, for BruteForce the
-    candidates its trials have drawn, compiled on first draw, and the grid
-    layouts of the observations its trials have made (see observe_emission).
+    candidates its trials have drawn, compiled on first draw, the grid
+    layouts of the observations its trials have made (see observe_emission),
+    and without shadowing the verdicts of the single sessions its trials have
+    scored, by observation (see run_trial).
     The store keeps its own forms (see _Store), the costly half of
     validation and the report digest's hash state among them. None of them
     travel in a pickle; each worker builds its own.
@@ -243,6 +252,13 @@ class ScenarioConfig:
         # beacons' ticks (and at a fixed range the beacons' path loss, keyed
         # on their count), built when a trial first needs one and emptied at
         # _LAYOUT_CAP entries. A config's timelines share one slot_s.
+        return {}
+
+    @cached_property
+    def _sessions(self) -> dict:
+        # run_trial's noiseless verdicts by observation (see there), built
+        # when a trial first makes one and emptied at _SESSION_CAP entries.
+        # Trials may share them: an AuthResult is immutable.
         return {}
 
     def _candidate_timeline(self, index: int) -> EmissionTimeline:
@@ -432,7 +448,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
         pl = path_loss(distance_at(traj, t_true - t_start), chan)
         if fixed:
             pl.flags.writeable = False
-            _keep(layouts, len(emitted), pl)
+            _keep(layouts, len(emitted), pl, _LAYOUT_CAP)
     rssi = tx.high_dbm - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=len(emitted))
@@ -447,7 +463,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     if layout is None:
         layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
         if layouts is not None:
-            _keep(layouts, key, layout)
+            _keep(layouts, key, layout, _LAYOUT_CAP)
     t_ticks, pl, grid = layout
     local = t_ticks - phase
     rssi = timeline.levels_at(local) - pl
@@ -457,8 +473,8 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
 
 
-def _keep(memo: dict, key, value) -> None:
-    if len(memo) >= _LAYOUT_CAP:
+def _keep(memo: dict, key, value, cap: int) -> None:
+    if len(memo) >= cap:
         memo.clear()
     memo[key] = value
 
@@ -487,11 +503,12 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
 
 
 # How many trials' generator seeds _trial_generators hashes in one pass, and
-# how many compiled candidates and grid layouts a config keeps before it
-# starts over.
+# how many compiled candidates, grid layouts and noiseless verdicts a config
+# keeps before it starts over.
 _SEED_CHUNK = 256
 _CANDIDATE_CAP = 4096
 _LAYOUT_CAP = 4096
+_SESSION_CAP = 4096
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -594,40 +611,76 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     trial's sessions (two for Replay, one otherwise) run on one fresh
     SensorNode, so lockout_s acts only between a Replay trial's two
     sessions, never across trials: a brute-force FAR is a per-attempt rate.
+
+    A trial that scores one session (every actor but Replay) with no
+    shadowing (not sigma_db > 0) still draws and observes its emission, but
+    takes its verdict from the config's memo (_sessions) if an earlier
+    trial made the same observation, and otherwise scores the session and
+    keeps the verdict there. The memo's key holds the timeline, the slot
+    grid, the rssi bytes and each heard beacon's (t_s, seq_no), and nothing
+    else the verdict reads varies within a config (see the comment at the
+    key).
     """
     if rng is None:
         rng = next(_trial_generators(cfg.seed, trial_index, trial_index + 1))
     eff = cfg._effective_sensor
-    node = SensorNode()
     a = cfg.actor
-    # Mutant and BruteForce emit a credential of their own making, which need
-    # not be valid, and they do not know the app secret.
-    guessing = isinstance(a, (Mutant, BruteForce))
     if isinstance(a, BruteForce):
         k = _candidate_index(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu)
         slot, tl = cfg.slot_cfg, cfg._candidate_timeline(k)
     else:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
-    message = "" if guessing else eff.app_secret
-    extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
     starts = [0.0]
     if isinstance(a, Replay):
         # The recorded copy goes on air after the original, on a grid tick,
         # to the same sensor node; that second session is the one scored.
         starts.append(math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s)
-    matcher = cfg.store.compiled(new_matcher)
+    memo = None if len(starts) > 1 or cfg.channel.sigma_db > 0 else cfg._sessions
+    node = SensorNode()
     for t_start in starts:
         beacons, samples = observe_emission(
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
             t_start=t_start, layouts=cfg._layouts)
-        result = SensorSession(matcher, eff, slot, node=node,
-                               t_start=t_start).run(beacons, samples)
-        if result.verdict == ACCEPTED and eff.app_secret is not None:
-            d = distance_at(cfg.trajectory, result.duration_s)
-            result = apply_app_stage(result, message,
-                                     2.0 * d / LIGHT_SPEED_M_S + extra, eff)
-        node.note_result(result, eff.lockout_s)
+        if memo is None:
+            result = _scored_session(cfg, slot, beacons, samples, node, t_start)
+        else:
+            # The key fixes all that the session and its app stage read on a
+            # fresh node at t_start = 0. The timeline fixes each heard
+            # beacon's channel and nonce by its seq_no, and the slot layout.
+            # The grid is its layout's own, one per (t_start, ticks), so it
+            # fixes the sample times and each slot's samples; the beacon
+            # times would too below 2^52 ticks, where t_s = m / f_s is one
+            # to one in the tick m, but validation allows up to 2^53. With
+            # no beacon heard the grid is None. The rssi is what was drawn
+            # on those times. The matcher, the sensor config
+            # and the app stage's inputs are the config's. The key holds the
+            # timeline and the grid, so neither's identity is reused.
+            key = (tl, samples._grid, samples.rssi_dbm.tobytes(),
+                   tuple([(b.t_s, b.seq_no) for b in beacons]))
+            result = memo.get(key)
+            if result is None:
+                result = _scored_session(cfg, slot, beacons, samples, node, t_start)
+                _keep(memo, key, result, _SESSION_CAP)
     return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
+
+
+def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: list[Beacon],
+                    samples: Samples, node: SensorNode, t_start: float) -> AuthResult:
+    """The verdict of one session on node, after the app stage, noted on
+    node. Mutant and BruteForce emit a credential of their own making, which
+    need not be valid, and they do not know the app secret; Mitm's relay
+    adds its delay to the app-layer round trip."""
+    eff = cfg._effective_sensor
+    a = cfg.actor
+    result = SensorSession(cfg.store.compiled(new_matcher), eff, slot, node=node,
+                           t_start=t_start).run(beacons, samples)
+    if result.verdict == ACCEPTED and eff.app_secret is not None:
+        message = "" if isinstance(a, (Mutant, BruteForce)) else eff.app_secret
+        extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
+        d = distance_at(cfg.trajectory, result.duration_s)
+        result = apply_app_stage(result, message, 2.0 * d / LIGHT_SPEED_M_S + extra, eff)
+    node.note_result(result, eff.lockout_s)
+    return result
 
 
 Z95 = 1.959963984540054

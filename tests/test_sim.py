@@ -1225,19 +1225,79 @@ class TestCompiledLayoutDifferential:
 
 
 class TestLayoutMemo:
-    @pytest.mark.parametrize("cfg", [build_desk(BruteForce(2, 2), 500),
-                                     dataclasses.replace(build_desk(Replay("desk"), 300),
-                                                         channel=ChannelParams(sigma_db=3.0)),
-                                     build_flyover(300)],
-                             ids=["bruteforce", "replay", "flyover"])
-    def test_emptied_at_its_cap_and_kept_out_of_the_pickle(self, monkeypatch, cfg):
+    @pytest.mark.parametrize("cfg, memoised", [
+        (build_desk(BruteForce(2, 2), 500), True),
+        (dataclasses.replace(build_desk(Replay("desk"), 300),
+                             channel=ChannelParams(sigma_db=3.0)), False),
+        (build_flyover(300), False),
+        (dataclasses.replace(build_proto(), trials=300), True),
+    ], ids=["bruteforce", "replay", "flyover", "proto"])
+    def test_emptied_at_its_cap_and_kept_out_of_the_pickle(self, monkeypatch, cfg,
+                                                           memoised):
         fresh = pickle.dumps(cfg)
         kept = report_bytes(cfg)
         assert len(cfg._layouts) >= 2
+        assert (len(cfg._sessions) >= 2) == memoised
         assert pickle.dumps(cfg) == fresh
-        assert "_layouts" not in vars(pickle.loads(fresh))
-        # At a cap of one, every new layout empties the memo first.
+        assert not {"_layouts", "_sessions"} & set(vars(pickle.loads(pickle.dumps(cfg))))
+        # At a cap of one, every new entry empties its memo first.
+        monkeypatch.setattr(beaconveil.sim, "_SESSION_CAP", 1)
+        capped = dataclasses.replace(cfg)
+        assert report_bytes(capped) == kept
+        assert len(capped._sessions) == memoised
         monkeypatch.setattr(beaconveil.sim, "_LAYOUT_CAP", 1)
         capped = dataclasses.replace(cfg)
         assert report_bytes(capped) == kept
         assert len(capped._layouts) == 1
+
+
+def _noiseless(cfg):
+    return dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, sigma_db=0.0))
+
+
+class TestSessionMemo:
+    """Without shadowing, a trial that scores one session takes its verdict
+    from the config's memo when an earlier trial made the same observation.
+    Every trial must equal the same trial on a config whose memo is empty."""
+
+    @pytest.mark.parametrize("cfg", [
+        dataclasses.replace(build_fig3("a"), trials=120),
+        dataclasses.replace(build_fig3("b"), trials=120),
+        dataclasses.replace(build_fig3("a"), actor=Mitm("fig3", 0.05), trials=120),
+        dataclasses.replace(build_proto(), trials=120),
+        build_desk(BruteForce(2, 2), 600),
+        build_desk_multi(400),
+        _noiseless(build_flyover(120)),
+        # 2.1 ticks a slot: with its beacons on the same ticks, a trial's
+        # phase puts a sample on one side of a slot boundary or the other,
+        # and delta_db = 4 turns the median that moves into a reject.
+        dataclasses.replace(build_desk(Legit("desk"), 200, f_s=7.0, delta_db=4.0),
+                            slot_cfg=SlotConfig(slot_s=0.3, tu_s=1.0, guard_s=0.05)),
+        # A time unit off the tick grid: by its phase, a trial hears the
+        # second beacon a tick early or late, and reads the same rssi either
+        # way, since that beacon's window opens on the idle low level.
+        dataclasses.replace(build_desk(Legit("desk"), 200, f_s=10.0),
+                            store=(parse_pattern("10@1:- 01@2:1", "desk"),),
+                            slot_cfg=SlotConfig(slot_s=0.25, tu_s=1.03, guard_s=0.05)),
+    ], ids=["legit", "mutant", "mitm", "proto", "bruteforce", "desk-multi",
+            "flyover-noiseless", "desk-slot-boundary", "desk-tick-off-grid"])
+    def test_every_trial_equals_a_trial_on_an_empty_memo(self, cfg):
+        report = run_scenario(cfg)
+        # Trials did share verdicts, so the memo was read, not only filled.
+        assert 1 <= len(cfg._sessions) < cfg.trials
+        for i, trial in enumerate(report.trials):
+            fresh = dataclasses.replace(cfg)
+            assert run_trial(fresh, i) == trial, i
+            assert len(fresh._sessions) == 1
+
+    @pytest.mark.parametrize("cfg, buckets", [
+        (build_flyover(60), None),
+        (dataclasses.replace(build_desk(BruteForce(2, 2), 200),
+                             channel=ChannelParams(sigma_db=3.0)), None),
+        (build_desk(Replay("desk"), 120), {"replay"}),
+    ], ids=["flyover", "bruteforce-noisy", "replay-noiseless"])
+    def test_not_kept_under_shadowing_or_for_replay(self, cfg, buckets):
+        report = run_scenario(cfg)
+        assert cfg._sessions == {}
+        if buckets is not None:
+            assert {t.result.bucket for t in report.trials} == buckets
