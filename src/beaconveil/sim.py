@@ -18,12 +18,19 @@ layout once per distinct (start, ticks) and keeps it (ScenarioConfig.
 _layouts), so a trial draws its phase and normals, looks up its levels, and
 reads every slot median of its session in one pass.
 
-Without shadowing (sigma_db = 0) an observation takes only a few distinct
-values, and a trial that scores one session on a fresh node (every actor
-but Replay) gets a verdict that is a pure function of it. The config keeps
-each such verdict, app stage included, by the observation it was read from
-(ScenarioConfig._sessions), so a trial still draws and observes its emission
-but runs the session only for an observation no earlier trial made.
+Without shadowing (sigma_db = 0) at a fixed range an observation takes
+only a few distinct values: it is a step function of the phase, constant
+on the few cells between the phases where a beacon's tick rounds the other
+way or a tick crosses a power step. The config keeps each timeline's cells
+with its layouts, built the second time the timeline is observed, and the
+observation of each cell a trial has landed in; a trial still draws its
+phase, and one that lands in a kept cell, more than a float-error guard
+from its edges, gets that observation back instead of placing its
+emission again. A trial that scores one session on a fresh node (every
+actor but Replay) gets a verdict that is a pure function of its
+observation. The config keeps each such verdict, app stage included, by
+the observation it was read from (ScenarioConfig._sessions), so a trial
+runs the session only for an observation no earlier trial made.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -186,9 +194,10 @@ class ScenarioConfig:
     the sensor config with its watchdog filled in, the actor's compiled
     timelines, first compiled by validate_scenario, for BruteForce the
     candidates its trials have drawn, compiled on first draw, the grid
-    layouts of the observations its trials have made (see observe_emission),
-    and without shadowing the verdicts of the single sessions its trials have
-    scored, by observation (see run_trial).
+    layouts of the observations its trials have made, with, noiseless at a
+    fixed range, each timeline's phase cells and the observations kept for
+    them (see observe_emission), and without shadowing the verdicts of the
+    single sessions its trials have scored, by observation (see run_trial).
     The store keeps its own forms (see _Store), the costly half of
     validation and the report digest's hash state among them. None of them
     travel in a pickle; each worker builds its own.
@@ -250,8 +259,10 @@ class ScenarioConfig:
     def _layouts(self) -> dict:
         # observe_emission's grid layouts, keyed on t_start and the heard
         # beacons' ticks (and at a fixed range the beacons' path loss, keyed
-        # on their count), built when a trial first needs one and emptied at
-        # _LAYOUT_CAP entries. A config's timelines share one slot_s.
+        # on their count, and noiseless there each timeline's phase cells,
+        # keyed on the timeline, then t_start), built when a trial first
+        # needs one and emptied at _LAYOUT_CAP entries. A config's
+        # timelines share one slot_s.
         return {}
 
     @cached_property
@@ -432,9 +443,42 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     waypoint) the beacons' path loss by beacon count; it is emptied at
     _LAYOUT_CAP entries. The draws, in order: the emission phase, then with
     sigma_db > 0 one normal per emitted beacon and one per kept tick.
+
+    Without shadowing (not sigma_db > 0) at a fixed range, the phase is the
+    only draw, and the observation is a step function of it. layouts then
+    also keeps, per timeline and t_start, the phase cells it is constant on
+    (_PhaseCells), built from the second time that timeline is observed,
+    and the observation of each cell a trial has landed in. A phase in a
+    cell with a kept observation gets it back, the samples shared and
+    read-only, the beacon list its own; a phase within the guard of a
+    cell's edge is placed in full and kept nowhere. Either way the draws
+    and the bytes are those of the full placement.
     """
     f = scfg.f_s
-    phase = t_start + rng.uniform(0.0, 1.0 / f)  # emission start on the sensor clock
+    drawn = rng.uniform(0.0, 1.0 / f)
+    phase = t_start + drawn  # emission start on the sensor clock
+    cells = None
+    if layouts is not None and not chan.sigma_db > 0 and len(traj.waypoints) == 1:
+        cells = _kept_cells(layouts, timeline, t_start, scfg, slot_cfg)
+    cell = cells.find(drawn * f) if cells else None
+    if cell is not None and cells.kept[cell] is not None:
+        beacons, samples = cells.kept[cell]
+        return list(beacons), samples
+    beacons, samples = _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start,
+                              phase, layouts)
+    if cell is not None:
+        samples.rssi_dbm.flags.writeable = False
+        cells.kept[cell] = (tuple(beacons), samples)
+    return beacons, samples
+
+
+def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
+           tx: TxPowerLevels, scfg: SensorConfig, slot_cfg: SlotConfig,
+           rng: np.random.Generator, t_start: float, phase: float,
+           layouts: Optional[dict]):
+    """observe_emission's placement of an emission started at phase: every
+    beacon and window tick, with its normals drawn from rng."""
+    f = scfg.f_s
     sigma = chan.sigma_db
     emitted = timeline.beacons
     t_true = phase + timeline.beacon_times
@@ -471,6 +515,100 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
         rssi += rng.normal(0.0, sigma, size=rssi.shape)
     absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
     return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
+
+
+class _PhaseCells:
+    """The phase cells of one timeline observed from t_start, noiseless at a
+    fixed range, and the observation kept for each cell a trial landed in.
+
+    Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
+    and no normals, which beacons are heard does not depend on u, and what
+    _place returns follows from a few integers: each heard beacon's tick
+    rint((t_start + t_b) * f_s + u), and for each of the window ticks m
+    they open, the power step that m / f_s - phase falls in, and whether it
+    falls before 0 or past duration_s. In exact arithmetic the first
+    changes only at u = frac(0.5 - (t_b + t_start) * f_s), and the second
+    only at u = frac(-(e + t_start) * f_s) for a step start e, 0 or
+    duration_s. These breakpoints, with 0 and 1, are the edges. Between two
+    edges the integers, and so the ticks, the layout, the levels, the NaNs,
+    the beacons and the samples' bytes, are the same.
+
+    The guard covers the float error. Let eps = 2^-53 and let T, the last
+    tick, bound every magnitude involved in tick units: (t_start +
+    duration_s) * f_s, plus a window's ticks, plus 2 (see _phase_cells).
+    Each rounding errs by at most eps times its result, at most eps * T:
+    - a beacon's tick is rint of (t_start + drawn + t_b) * f_s after three
+      roundings (phase, phase + t_b, times f_s), so it moves (rint itself
+      is exact) within 3 eps * T of its exact breakpoint;
+    - a window tick's step compares m / f_s - phase with e after three
+      roundings (m / f_s, phase, the difference), so it moves within
+      3 eps * T of its exact breakpoint;
+    - an edge is frac of a value rounded three times (t + t_start, times
+      f_s, 0.5 less it), within 3 eps * T; x - floor(x) is exact by
+      Sterbenz's lemma except for x in (-1, 0), where it errs by eps;
+    - the trial's u = drawn * f_s errs by eps.
+    So every float breakpoint, in the trial's u, lies within 6 eps * T +
+    3 eps < 8 eps * T of an edge (T >= 2). Each of those integers is
+    monotone in the phase (float +, *, rint and the comparisons are), so it
+    is the same at all u in a cell that lie more than the guard, 32 eps * T
+    = 2^-48 * T, from both of its edges. find gives no cell for any other
+    u: that trial is placed in full and its observation is not kept. A
+    cell no wider than twice the guard, between two edges that are one in
+    exact arithmetic, is never found.
+    """
+
+    __slots__ = ("edges", "guard", "kept")
+
+    def __init__(self, edges: list[float], guard: float):
+        self.edges, self.guard = edges, guard
+        self.kept: list = [None] * max(0, len(edges) - 1)
+
+    def find(self, u: float) -> Optional[int]:
+        """The index of the cell u lies in, more than the guard from both of
+        its edges, or None."""
+        edges, guard = self.edges, self.guard
+        i = bisect_right(edges, u)
+        if 0 < i < len(edges) and edges[i - 1] + guard < u < edges[i] - guard:
+            return i - 1
+        return None
+
+
+def _phase_cells(timeline: EmissionTimeline, t_start: float, scfg: SensorConfig,
+                 slot_cfg: SlotConfig) -> _PhaseCells:
+    """The timeline's phase cells from t_start (see _PhaseCells), computed
+    in one numpy pass. Where the guard is not small next to the narrowest
+    cell wider than twice the guard, under 1/1024 of it (ticks near 2^53,
+    or a guard_s of float-noise size), there are none."""
+    f = scfg.f_s
+    steps = np.append(timeline.starts, (0.0, timeline.duration_s))
+    x = np.concatenate((0.5 - (timeline.beacon_times + t_start) * f,
+                        -(steps + t_start) * f))
+    edges = np.unique(np.concatenate((x - np.floor(x), (0.0, 1.0))))
+    last = ((t_start + timeline.duration_s) * f
+            + math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9) + 2)
+    guard = 2.0 ** -48 * last
+    widths = np.diff(edges)
+    widths = widths[widths > 2 * guard]  # a narrower cell is never found
+    small = widths.size and widths.min() > 1024 * guard
+    return _PhaseCells(edges.tolist() if small else [], guard)
+
+
+def _kept_cells(layouts: dict, timeline: EmissionTimeline, t_start: float,
+                scfg: SensorConfig, slot_cfg: SlotConfig) -> Optional[_PhaseCells]:
+    """The timeline's phase cells from t_start, kept in layouts by timeline
+    and then by start. The first time the timeline is observed, layouts
+    only notes it and this returns None: most of a large brute-force
+    space's candidates are drawn once, and they then cost no cells."""
+    by_start = layouts.get(timeline)
+    if by_start is None:
+        _keep(layouts, timeline, False, _LAYOUT_CAP)
+        return None
+    if by_start is False:
+        by_start = layouts[timeline] = {}
+    cells = by_start.get(t_start)
+    if cells is None:
+        cells = by_start[t_start] = _phase_cells(timeline, t_start, scfg, slot_cfg)
+    return cells
 
 
 def _keep(memo: dict, key, value, cap: int) -> None:
@@ -805,6 +943,13 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         if axis == "n" and not 2 <= iv <= MAX_BITS:
             # Refused before the store is redrawn: the draw is linear in n.
             raise ValueError(f"n must be in [2, {MAX_BITS}]")
+        if axis == "L" and (iv - 1) * cfg.slot_cfg.tu_s * cfg.sensor_cfg.f_s >= _MAX_TICK:
+            # Refused before the redraw too, as validation would refuse the
+            # row: every emission has L triplets, so it lasts (L - 1) * tu_s
+            # at least.
+            raise ValueError("every L-triplet emission ends at or past sensor tick 2^53 "
+                             "(f_s times its end time), where float64 no longer holds "
+                             "every tick")
         if cfg.seed < 0:  # the redraw below is seeded from it
             raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         store = []

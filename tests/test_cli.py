@@ -262,7 +262,7 @@ class TestSweep:
         ("distance", "-5"), ("sigma_db", "-1"), ("eps_tu", "0.7"),
         ("n", "1"), ("L", "1"), ("n", "9"), ("distance", "5,-5"),
         ("distance", "nan"), ("sigma_db", "inf"), ("n", "inf"), ("L", "inf"),
-        ("n", "2.5"), ("L", "2.5")])
+        ("n", "2.5"), ("L", "2.5"), ("L", "1e16")])
     def test_bad_axis_value_is_user_error(self, tmp_path, capsys, axis, values):
         # every row is checked before any runs, and each bad one is named
         path = tmp_path / "fig3b.scn"

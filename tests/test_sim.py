@@ -3,8 +3,11 @@
 import dataclasses
 import math
 import pickle
+import re
 import time
+from collections import Counter
 from concurrent.futures import Future
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -897,6 +900,29 @@ class TestSweep:
                                               r"seed must be >= 0, got -1$"):
             sweep(cfg, axis, [3])
 
+    def test_L_past_tick_2_53_refused_before_the_store_is_drawn(self, monkeypatch):
+        # 2^50 ticks a time unit and intervals of 1 TU: an L-triplet emission
+        # ends past tick (L - 1) * 2^50, so L = 9 reaches 2^53 and L = 8 is
+        # one that validation accepts.
+        cfg = dataclasses.replace(
+            build_desk(Legit("desk"), 1, f_s=16.0), max_tu=1,
+            slot_cfg=SlotConfig(slot_s=0.25, tu_s=2.0 ** 46, guard_s=0.05))
+        assert validate_scenario(beaconveil.sim._apply_axis(cfg, "L", 8)) == []
+        drawn = []
+
+        def no_draw(*args, **kwargs):
+            drawn.append(args)
+            raise AssertionError("store drawn for an L that cannot be valid")
+
+        monkeypatch.setattr(beaconveil.sim, "random_pattern", no_draw)
+        started = time.perf_counter()
+        for v in (9, 1e16):
+            message = (rf"^invalid sweep: L = {re.escape(str(v))}: every L-triplet "
+                       r"emission ends at or past sensor tick 2\^53 \(f_s times")
+            with pytest.raises(ConfigError, match=message):
+                sweep(cfg, "L", [v])
+        assert drawn == [] and time.perf_counter() - started < 1.0
+
     def test_empty_values(self):
         assert sweep(build_desk(Legit("desk"), 1), "distance", []) == []
 
@@ -1222,6 +1248,185 @@ class TestCompiledLayoutDifferential:
                                   t_start=t_start).run(fewer, samples)
                     == SensorSession(new_matcher(store), cfg, slot_cfg,
                                      t_start=t_start).run(fewer, plain))
+
+
+@st.composite
+def cell_specs(draw):
+    """A noiseless emission at one range: a pattern, a sampling rate, a time
+    unit on the tick grid (a whole number of ticks) or off it, a slot and
+    guard that fit, a noise floor that keeps every sample, drops the low
+    level's or drops every beacon, and whether a Replay's second session,
+    which starts later on a tick, is observed too."""
+    p = draw(valid_patterns() | raw_candidates())
+    f_s = draw(st.floats(1.0, 50.0))
+    tu_s = (draw(st.integers(1, 60)) / f_s if draw(st.booleans())
+            else draw(st.floats(0.2, 5.0)))
+    slot_s = draw(st.floats(0.1, 1.0)) * tu_s / p.bit_count
+    guard_s = draw(st.just(0.0) | st.floats(0.0, 1.0)) * max(0.0, tu_s - p.bit_count * slot_s)
+    distance = draw(st.floats(0.5, 60.0))
+    high = TxPowerLevels().high_dbm - path_loss(distance, ChannelParams())
+    # The levels are 6 dB apart: 3 dB under the high level drops the low.
+    floor = high - draw(st.sampled_from([30.0, 30.0, 3.0, -1.0]))
+    return {"pattern": p, "slot": (slot_s, tu_s, guard_s), "f_s": f_s,
+            "distance": distance, "floor": floor, "replay": draw(st.booleans()),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+class ForcedPhase:
+    """A generator that draws as default_rng(seed) does, but whose uniform
+    draw returns phase instead while phase is set."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.phase = None
+
+    def uniform(self, lo, hi):
+        drawn = self.rng.uniform(lo, hi)
+        return drawn if self.phase is None else self.phase
+
+
+def probe_phases(cells, f_s):
+    """Emission phases in [0, 1 / f_s] around every cell edge: the edge's
+    phase, np.nextafter it on both sides, and 2^k float steps either way
+    for k up to 17, past every edge's float error and its guard."""
+    out = []
+    for edge in cells.edges:
+        at = edge / f_s
+        near = [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)]
+        step = np.spacing(at)
+        near += [at + sign * 2.0 ** k * step for k in range(2, 18, 3) for sign in (-1, 1)]
+        out += [float(p) for p in near if 0.0 <= p <= 1.0 / f_s]
+    return out
+
+
+class TestPhaseCellDifferential:
+    """Noiseless at one range, observe_emission returns the observation kept
+    for the phase cell a trial lands in. It must equal, bit for bit and
+    draw for draw, what the full placement without layouts gives, at
+    random phases and at phases on both sides of every cell edge."""
+
+    @given(spec=cell_specs())
+    @example(spec={"pattern": parse_pattern("01@1:- 10@2:1", "p"),
+                   "slot": (0.25, 1.0, 0.0), "f_s": 16.0, "distance": 5.0,
+                   "floor": -90.0, "replay": True, "seed": 20})
+    @example(spec={**OVERLAPPING, "distance": 5.0, "floor": -90.0, "replay": True})
+    # 3.2 ticks a window: by the phase, the last window's last tick falls
+    # before or past the end of the emission, 0.03 s after that window.
+    @example(spec={"pattern": parse_pattern("01@1:- 10@2:1", "p"),
+                   "slot": (0.25, 1.0, 0.03), "f_s": 6.4, "distance": 5.0,
+                   "floor": -90.0, "replay": False, "seed": 1})
+    @settings(max_examples=50, deadline=None)
+    def test_kept_cells_match_the_full_placement(self, spec):
+        p = spec["pattern"]
+        slot_cfg = SlotConfig(*spec["slot"])
+        f_s = spec["f_s"]
+        tl = compile_schedule(p, slot_cfg, TxPowerLevels())
+        args = (tl, Trajectory(((0.0, spec["distance"]),)),
+                ChannelParams(noise_floor_dbm=spec["floor"]), TxPowerLevels(),
+                SensorConfig(f_s=f_s, n=p.bit_count), slot_cfg)
+        starts = [0.0]
+        if spec["replay"]:
+            starts.append(math.ceil((tl.duration_s + slot_cfg.tu_s) * f_s) / f_s)
+        layouts = {}
+        got_rng, want_rng = ForcedPhase(spec["seed"]), ForcedPhase(spec["seed"])
+
+        def observe(t_start, phase=None):
+            got_rng.phase = want_rng.phase = phase
+            beacons, samples = observe_emission(*args, got_rng, t_start=t_start,
+                                                layouts=layouts)
+            ref_beacons, ref_samples = observe_emission(*args, want_rng, t_start=t_start)
+            assert beacons == ref_beacons
+            for got, want in ((samples.t_s, ref_samples.t_s),
+                              (samples.rssi_dbm, ref_samples.rssi_dbm)):
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+            assert got_rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
+            # Each call gets its own beacon list; kept samples are read-only.
+            assert id(beacons) not in lists
+            if id(samples) in seen:
+                assert not samples.rssi_dbm.flags.writeable
+            lists.add(id(beacons))
+            seen.add(id(samples))
+            returned.append((beacons, samples))  # keeps the ids unique
+
+        lists, seen, returned = set(), set(), []
+        for t_start in starts:
+            for _ in range(10):
+                observe(t_start)
+            cells = layouts[tl][t_start]
+            assert isinstance(cells, beaconveil.sim._PhaseCells)
+            for phase in probe_phases(cells, f_s):
+                observe(t_start, phase)
+            for _ in range(10):
+                observe(t_start)
+            # A cell narrower than 1024 guards leaves the timeline none.
+            if cells.edges:
+                # Kept observations were handed out again, not only filled.
+                assert len(seen) < len(returned)
+
+
+def exact_buckets(cfg, slot_cfg, timeline):
+    """{bucket: probability over the phase} of one noiseless session of
+    timeline, exact: the width of each phase cell, as a fraction of the
+    tick, summed by the bucket of one full placement at its midpoint."""
+    eff = cfg._effective_sensor
+    cells = beaconveil.sim._phase_cells(timeline, 0.0, eff, slot_cfg)
+    assert cells.edges
+    out = Counter()
+    for lo, hi in zip(cells.edges, cells.edges[1:]):
+        rng = ForcedPhase(0)
+        rng.phase = (lo + hi) / 2.0 / eff.f_s
+        beacons, samples = observe_emission(timeline, cfg.trajectory, cfg.channel,
+                                            cfg.tx_levels, eff, slot_cfg, rng)
+        result = beaconveil.sim._scored_session(cfg, slot_cfg, beacons, samples,
+                                                SensorNode(), 0.0)
+        out[result.bucket] += Fraction(hi) - Fraction(lo)
+    assert sum(out.values()) == 1
+    return out
+
+
+class TestNoiselessOracle:
+    """Without noise at one range, a trial's outcome is a function of its
+    phase cell, so the phase cells give the exact outcome distribution."""
+
+    def test_desk_bruteforce_far_is_one_in_64(self):
+        cfg = build_desk(BruteForce(2, 2), 1)
+        space = pattern_space_size(2, 2, cfg.band.channel_count, cfg.max_tu)
+        assert space == 64
+        accepted = [exact_buckets(cfg, cfg.slot_cfg, cfg._candidate_timeline(k))[ACCEPTED]
+                    for k in range(space)]
+        assert sum(accepted) / space == Fraction(1, 64)
+
+    @pytest.mark.parametrize("case", "abcd")
+    def test_fig3_outcomes_are_the_runs(self, case):
+        cfg = dataclasses.replace(build_fig3(case), trials=200)
+        (slot_cfg, timeline), = cfg._timelines
+        ran = Counter(t.result.bucket for t in run_scenario(cfg).trials)
+        assert exact_buckets(cfg, slot_cfg, timeline) == {
+            bucket: Fraction(count, cfg.trials) for bucket, count in ran.items()}
+
+
+class TestPhaseCellMemo:
+    def test_desk_places_once_per_first_sighting_and_cell(self, monkeypatch):
+        # Each of the 64 candidates is placed in full when first drawn,
+        # which builds nothing, and then once in each of its 3 phase cells.
+        calls = Counter()
+
+        def counted(name):
+            wrapped = getattr(beaconveil.sim, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+            monkeypatch.setattr(beaconveil.sim, name, call)
+
+        counted("observe_emission")
+        counted("_place")
+        cfg = build_desk(BruteForce(2, 2), 4000)
+        run_scenario(cfg)
+        assert calls == {"observe_emission": 4000, "_place": 64 + 64 * 3}
+        cells = [c for v in cfg._layouts.values() if isinstance(v, dict) for c in v.values()]
+        assert len(cells) == 64 and all(None not in c.kept for c in cells)
 
 
 class TestLayoutMemo:
