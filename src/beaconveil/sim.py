@@ -28,9 +28,9 @@ phase, and one that lands in a kept cell, more than a float-error guard
 from its edges, gets that observation back instead of placing its
 emission again. A trial that scores one session on a fresh node (every
 actor but Replay) gets a verdict that is a pure function of its
-observation. The config keeps each such verdict, app stage included, by
-the observation it was read from (ScenarioConfig._sessions), so a trial
-runs the session only for an observation no earlier trial made.
+observation, so the config keeps each such verdict, app stage included,
+with the kept observation it was read from (ScenarioConfig._sessions): a
+trial runs the session only for a cell no earlier trial landed in.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -196,11 +196,12 @@ class ScenarioConfig:
     candidates its trials have drawn, compiled on first draw, the grid
     layouts of the observations its trials have made, with, noiseless at a
     fixed range, each timeline's phase cells and the observations kept for
-    them (see observe_emission), and without shadowing the verdicts of the
-    single sessions its trials have scored, by observation (see run_trial).
-    The store keeps its own forms (see _Store), the costly half of
-    validation and the report digest's hash state among them. None of them
-    travel in a pickle; each worker builds its own.
+    them (see observe_emission), and the verdicts of the single sessions
+    its trials have scored on those kept observations (see run_trial).
+    Each of these three memos is emptied at _MEMO_CAP entries. The store
+    keeps its own forms (see _Store), the costly half of validation and the
+    report digest's hash state among them. None of them travel in a
+    pickle; each worker builds its own.
     """
 
     store: tuple[SecretPattern, ...]
@@ -251,8 +252,8 @@ class ScenarioConfig:
     @cached_property
     def _candidates(self) -> dict[int, EmissionTimeline]:
         # BruteForce's compiled candidates by index, compiled when a trial
-        # first draws one and emptied at _CANDIDATE_CAP entries. Trials may
-        # share them: a timeline's arrays are read-only.
+        # first draws one. Trials may share them: a timeline's arrays are
+        # read-only.
         return {}
 
     @cached_property
@@ -261,27 +262,24 @@ class ScenarioConfig:
         # beacons' ticks (and at a fixed range the beacons' path loss, keyed
         # on their count, and noiseless there each timeline's phase cells,
         # keyed on the timeline, then t_start), built when a trial first
-        # needs one and emptied at _LAYOUT_CAP entries. A config's
-        # timelines share one slot_s.
+        # needs one. A config's timelines share one slot_s.
         return {}
 
     @cached_property
     def _sessions(self) -> dict:
-        # run_trial's noiseless verdicts by observation (see there), built
-        # when a trial first makes one and emptied at _SESSION_CAP entries.
-        # Trials may share them: an AuthResult is immutable.
+        # run_trial's verdicts by the kept observation they were read from
+        # (see there), built when a trial first scores one. Trials may share
+        # them: an AuthResult is immutable.
         return {}
 
     def _candidate_timeline(self, index: int) -> EmissionTimeline:
-        memo = self._candidates
-        tl = memo.get(index)
+        tl = self._candidates.get(index)
         if tl is None:
-            if len(memo) >= _CANDIDATE_CAP:
-                memo.clear()
             a = self.actor
             p = candidate_from_index(index, a.n, a.L, self.band.channel_count,
                                      self.max_tu)
-            tl = memo[index] = compile_schedule(p, self.slot_cfg, self.tx_levels)
+            tl = compile_schedule(p, self.slot_cfg, self.tx_levels)
+            _keep(self._candidates, index, tl)
         return tl
 
     def pattern(self, pattern_id: str) -> SecretPattern:
@@ -441,7 +439,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     (t_start, ticks) for every observation of one config, which shares one
     trajectory, channel, f_s, n and slot_s, and at a fixed range (one
     waypoint) the beacons' path loss by beacon count; it is emptied at
-    _LAYOUT_CAP entries. The draws, in order: the emission phase, then with
+    _MEMO_CAP entries. The draws, in order: the emission phase, then with
     sigma_db > 0 one normal per emitted beacon and one per kept tick.
 
     Without shadowing (not sigma_db > 0) at a fixed range, the phase is the
@@ -452,7 +450,8 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     cell with a kept observation gets it back, the samples shared and
     read-only, the beacon list its own; a phase within the guard of a
     cell's edge is placed in full and kept nowhere. Either way the draws
-    and the bytes are those of the full placement.
+    and the bytes are those of the full placement. A kept observation's
+    rssi array is read-only, and only a kept one's.
     """
     f = scfg.f_s
     drawn = rng.uniform(0.0, 1.0 / f)
@@ -492,7 +491,7 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
         pl = path_loss(distance_at(traj, t_true - t_start), chan)
         if fixed:
             pl.flags.writeable = False
-            _keep(layouts, len(emitted), pl, _LAYOUT_CAP)
+            _keep(layouts, len(emitted), pl)
     rssi = tx.high_dbm - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=len(emitted))
@@ -507,7 +506,7 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     if layout is None:
         layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
         if layouts is not None:
-            _keep(layouts, key, layout, _LAYOUT_CAP)
+            _keep(layouts, key, layout)
     t_ticks, pl, grid = layout
     local = t_ticks - phase
     rssi = timeline.levels_at(local) - pl
@@ -576,9 +575,9 @@ class _PhaseCells:
 def _phase_cells(timeline: EmissionTimeline, t_start: float, scfg: SensorConfig,
                  slot_cfg: SlotConfig) -> _PhaseCells:
     """The timeline's phase cells from t_start (see _PhaseCells), computed
-    in one numpy pass. Where the guard is not small next to the narrowest
-    cell wider than twice the guard, under 1/1024 of it (ticks near 2^53,
-    or a guard_s of float-noise size), there are none."""
+    in one numpy pass. A cell no wider than twice the guard (ticks near
+    2^53, or a guard_s of float-noise size) is never found, so its trials
+    are placed in full."""
     f = scfg.f_s
     steps = np.append(timeline.starts, (0.0, timeline.duration_s))
     x = np.concatenate((0.5 - (timeline.beacon_times + t_start) * f,
@@ -586,11 +585,7 @@ def _phase_cells(timeline: EmissionTimeline, t_start: float, scfg: SensorConfig,
     edges = np.unique(np.concatenate((x - np.floor(x), (0.0, 1.0))))
     last = ((t_start + timeline.duration_s) * f
             + math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9) + 2)
-    guard = 2.0 ** -48 * last
-    widths = np.diff(edges)
-    widths = widths[widths > 2 * guard]  # a narrower cell is never found
-    small = widths.size and widths.min() > 1024 * guard
-    return _PhaseCells(edges.tolist() if small else [], guard)
+    return _PhaseCells(edges.tolist(), 2.0 ** -48 * last)
 
 
 def _kept_cells(layouts: dict, timeline: EmissionTimeline, t_start: float,
@@ -601,7 +596,7 @@ def _kept_cells(layouts: dict, timeline: EmissionTimeline, t_start: float,
     space's candidates are drawn once, and they then cost no cells."""
     by_start = layouts.get(timeline)
     if by_start is None:
-        _keep(layouts, timeline, False, _LAYOUT_CAP)
+        _keep(layouts, timeline, False)
         return None
     if by_start is False:
         by_start = layouts[timeline] = {}
@@ -611,8 +606,8 @@ def _kept_cells(layouts: dict, timeline: EmissionTimeline, t_start: float,
     return cells
 
 
-def _keep(memo: dict, key, value, cap: int) -> None:
-    if len(memo) >= cap:
+def _keep(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_CAP:
         memo.clear()
     memo[key] = value
 
@@ -641,12 +636,10 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
 
 
 # How many trials' generator seeds _trial_generators hashes in one pass, and
-# how many compiled candidates, grid layouts and noiseless verdicts a config
-# keeps before it starts over.
+# how many entries each of a config's memos (_candidates, _layouts,
+# _sessions) keeps before it starts over.
 _SEED_CHUNK = 256
-_CANDIDATE_CAP = 4096
-_LAYOUT_CAP = 4096
-_SESSION_CAP = 4096
+_MEMO_CAP = 4096
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -750,14 +743,15 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     SensorNode, so lockout_s acts only between a Replay trial's two
     sessions, never across trials: a brute-force FAR is a per-attempt rate.
 
-    A trial that scores one session (every actor but Replay) with no
-    shadowing (not sigma_db > 0) still draws and observes its emission, but
-    takes its verdict from the config's memo (_sessions) if an earlier
-    trial made the same observation, and otherwise scores the session and
-    keeps the verdict there. The memo's key holds the timeline, the slot
-    grid, the rssi bytes and each heard beacon's (t_s, seq_no), and nothing
-    else the verdict reads varies within a config (see the comment at the
-    key).
+    A trial that scores one session (every actor but Replay) and gets a
+    kept observation back (noiseless at a fixed range, in a phase cell; see
+    observe_emission) still draws and observes its emission, but keys its
+    verdict in the config's memo (_sessions) on that observation's Samples.
+    There is one such object per timeline, start and cell, and the cell
+    fixes the beacons too; the rest the session reads on a fresh node at
+    t_start = 0 is the config's. So a trial scores the session only if no
+    earlier trial landed in its cell. Any other observation is scored
+    afresh and kept nowhere.
     """
     if rng is None:
         rng = next(_trial_generators(cfg.seed, trial_index, trial_index + 1))
@@ -773,32 +767,18 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
         # The recorded copy goes on air after the original, on a grid tick,
         # to the same sensor node; that second session is the one scored.
         starts.append(math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s)
-    memo = None if len(starts) > 1 or cfg.channel.sigma_db > 0 else cfg._sessions
     node = SensorNode()
     for t_start in starts:
         beacons, samples = observe_emission(
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
             t_start=t_start, layouts=cfg._layouts)
-        if memo is None:
+        # Samples hash and compare by identity.
+        kept = len(starts) == 1 and not samples.rssi_dbm.flags.writeable
+        result = cfg._sessions.get(samples) if kept else None
+        if result is None:
             result = _scored_session(cfg, slot, beacons, samples, node, t_start)
-        else:
-            # The key fixes all that the session and its app stage read on a
-            # fresh node at t_start = 0. The timeline fixes each heard
-            # beacon's channel and nonce by its seq_no, and the slot layout.
-            # The grid is its layout's own, one per (t_start, ticks), so it
-            # fixes the sample times and each slot's samples; the beacon
-            # times would too below 2^52 ticks, where t_s = m / f_s is one
-            # to one in the tick m, but validation allows up to 2^53. With
-            # no beacon heard the grid is None. The rssi is what was drawn
-            # on those times. The matcher, the sensor config
-            # and the app stage's inputs are the config's. The key holds the
-            # timeline and the grid, so neither's identity is reused.
-            key = (tl, samples._grid, samples.rssi_dbm.tobytes(),
-                   tuple([(b.t_s, b.seq_no) for b in beacons]))
-            result = memo.get(key)
-            if result is None:
-                result = _scored_session(cfg, slot, beacons, samples, node, t_start)
-                _keep(memo, key, result, _SESSION_CAP)
+            if kept:
+                _keep(cfg._sessions, samples, result)
     return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
 
 

@@ -135,6 +135,22 @@ class TestTrialGenerators:
             next(_trial_generators(-1, 0, 1))
 
 
+MEMOS = ("_candidates", "_layouts", "_sessions")
+
+
+def assert_memos_within(cfg, cap):
+    """Every memo of cfg holds at most cap entries, and none pickles."""
+    assert all(len(getattr(cfg, name)) <= cap for name in MEMOS)
+    assert not set(MEMOS) & set(vars(pickle.loads(pickle.dumps(cfg))))
+
+
+def kept_samples(cfg):
+    """The observations kept in cfg's phase cells, by id."""
+    return {id(kept[1]) for by_start in cfg._layouts.values()
+            if isinstance(by_start, dict)
+            for cells in by_start.values() for kept in cells.kept if kept}
+
+
 class TestBlockState:
     """The candidate memo and the seeding chunks carry state from trial to
     trial within a block; no trial's outcome may depend on it."""
@@ -159,10 +175,15 @@ class TestBlockState:
         cfg = build_desk(BruteForce(2, 2), 500)
         kept = report_bytes(cfg)
         assert len(cfg._candidates) > 2
-        monkeypatch.setattr(beaconveil.sim, "_CANDIDATE_CAP", 2)
-        fresh = dataclasses.replace(cfg)
-        assert report_bytes(fresh) == kept
-        assert 1 <= len(fresh._candidates) <= 2
+        # At a cap of 1 or 2 a timeline's first-sighting mark is gone by its
+        # second sighting, so no cell forms; at 100 only _sessions fills up.
+        for cap in (1, 2, 100):
+            monkeypatch.setattr(beaconveil.sim, "_MEMO_CAP", cap)
+            fresh = dataclasses.replace(cfg)
+            assert report_bytes(fresh) == kept
+            assert_memos_within(fresh, cap)
+            assert 1 <= len(fresh._candidates)
+        assert len(fresh._sessions) < len(kept_samples(fresh))
 
 
 class TestActors:
@@ -1315,6 +1336,11 @@ class TestPhaseCellDifferential:
     @example(spec={"pattern": parse_pattern("01@1:- 10@2:1", "p"),
                    "slot": (0.25, 1.0, 0.03), "f_s": 6.4, "distance": 5.0,
                    "floor": -90.0, "replay": False, "seed": 1})
+    # A guard_s of float-noise size makes one cell 5e-13 wide; the other
+    # cells still serve.
+    @example(spec={"pattern": candidate_from_index(0, 1, 2, 1, 1),
+                   "slot": (0.5, 1.0, 5e-13), "f_s": 1.0, "distance": 5.0,
+                   "floor": -90.0, "replay": False, "seed": 0})
     @settings(max_examples=50, deadline=None)
     def test_kept_cells_match_the_full_placement(self, spec):
         p = spec["pattern"]
@@ -1355,12 +1381,15 @@ class TestPhaseCellDifferential:
                 observe(t_start)
             cells = layouts[tl][t_start]
             assert isinstance(cells, beaconveil.sim._PhaseCells)
+            # Every timeline gets its cells, 0 and 1 among the edges.
+            assert cells.edges[:1] == [0.0] and cells.edges[-1:] == [1.0]
             for phase in probe_phases(cells, f_s):
                 observe(t_start, phase)
             for _ in range(10):
                 observe(t_start)
-            # A cell narrower than 1024 guards leaves the timeline none.
-            if cells.edges:
+            # A cell no wider than two guards is never found.
+            edges = cells.edges
+            if any(hi - lo > 2 * cells.guard for lo, hi in zip(edges, edges[1:])):
                 # Kept observations were handed out again, not only filled.
                 assert len(seen) < len(returned)
 
@@ -1422,9 +1451,13 @@ class TestPhaseCellMemo:
 
         counted("observe_emission")
         counted("_place")
+        counted("_scored_session")
         cfg = build_desk(BruteForce(2, 2), 4000)
         run_scenario(cfg)
-        assert calls == {"observe_emission": 4000, "_place": 64 + 64 * 3}
+        # A first sighting keeps no observation, so it scores its session
+        # too; the first trial in each cell keeps its verdict for the rest.
+        assert calls == {"observe_emission": 4000, "_place": 64 + 64 * 3,
+                         "_scored_session": 64 + 64 * 3}
         cells = [c for v in cfg._layouts.values() if isinstance(v, dict) for c in v.values()]
         assert len(cells) == 64 and all(None not in c.kept for c in cells)
 
@@ -1444,16 +1477,14 @@ class TestLayoutMemo:
         assert len(cfg._layouts) >= 2
         assert (len(cfg._sessions) >= 2) == memoised
         assert pickle.dumps(cfg) == fresh
-        assert not {"_layouts", "_sessions"} & set(vars(pickle.loads(pickle.dumps(cfg))))
-        # At a cap of one, every new entry empties its memo first.
-        monkeypatch.setattr(beaconveil.sim, "_SESSION_CAP", 1)
-        capped = dataclasses.replace(cfg)
-        assert report_bytes(capped) == kept
-        assert len(capped._sessions) == memoised
-        monkeypatch.setattr(beaconveil.sim, "_LAYOUT_CAP", 1)
-        capped = dataclasses.replace(cfg)
-        assert report_bytes(capped) == kept
-        assert len(capped._layouts) == 1
+        assert_memos_within(cfg, beaconveil.sim._MEMO_CAP)
+        # At a cap of one or two, a new entry often empties its memo first.
+        for cap in (1, 2):
+            monkeypatch.setattr(beaconveil.sim, "_MEMO_CAP", cap)
+            capped = dataclasses.replace(cfg)
+            assert report_bytes(capped) == kept
+            assert_memos_within(capped, cap)
+            assert len(capped._layouts) >= 1
 
 
 def _noiseless(cfg):
@@ -1461,9 +1492,10 @@ def _noiseless(cfg):
 
 
 class TestSessionMemo:
-    """Without shadowing, a trial that scores one session takes its verdict
-    from the config's memo when an earlier trial made the same observation.
-    Every trial must equal the same trial on a config whose memo is empty."""
+    """A trial that scores one session on an observation kept for its phase
+    cell takes its verdict from the config's memo when an earlier trial
+    landed in that cell. Every trial must equal the same trial on a config
+    whose memo is empty."""
 
     @pytest.mark.parametrize("cfg", [
         dataclasses.replace(build_fig3("a"), trials=120),
@@ -1488,19 +1520,28 @@ class TestSessionMemo:
             "flyover-noiseless", "desk-slot-boundary", "desk-tick-off-grid"])
     def test_every_trial_equals_a_trial_on_an_empty_memo(self, cfg):
         report = run_scenario(cfg)
-        # Trials did share verdicts, so the memo was read, not only filled.
-        assert 1 <= len(cfg._sessions) < cfg.trials
+        # One verdict per kept cell. A moving trajectory has no cells; the
+        # other runs did share verdicts, so the memo was read, not only filled.
+        assert {id(s) for s in cfg._sessions} == kept_samples(cfg)
+        moving = len(cfg.trajectory.waypoints) > 1
+        assert moving or 1 <= len(cfg._sessions) < cfg.trials
         for i, trial in enumerate(report.trials):
             fresh = dataclasses.replace(cfg)
             assert run_trial(fresh, i) == trial, i
-            assert len(fresh._sessions) == 1
+            # A fresh config's first sighting has no cell, so keeps nothing.
+            assert fresh._sessions == {}
 
     @pytest.mark.parametrize("cfg, buckets", [
         (build_flyover(60), None),
+        (_noiseless(build_flyover(60)), None),
         (dataclasses.replace(build_desk(BruteForce(2, 2), 200),
                              channel=ChannelParams(sigma_db=3.0)), None),
         (build_desk(Replay("desk"), 120), {"replay"}),
-    ], ids=["flyover", "bruteforce-noisy", "replay-noiseless"])
+        # Each candidate is all but always drawn once, and a first sighting
+        # gets no cell.
+        (dataclasses.replace(build_fig3("a"), actor=BruteForce(3, 4), trials=2000), None),
+    ], ids=["flyover", "flyover-noiseless", "bruteforce-noisy", "replay-noiseless",
+            "bruteforce-large-space"])
     def test_not_kept_under_shadowing_or_for_replay(self, cfg, buckets):
         report = run_scenario(cfg)
         assert cfg._sessions == {}
