@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -220,35 +221,52 @@ def random_pattern(rng: np.random.Generator, n: int, L: int, band: BandPlan,
 _MAX_BOUND = 1 << 63
 
 
-def _candidate_index(rng: np.random.Generator, n: int, L: int, channels: int,
-                     max_tu: int) -> int:
-    """Draw a uniform raw candidate as its index in candidate_from_index's
-    order. Per triplet, in this order: n bits, the channel, and from the
-    third triplet the interval, all in one rng.integers call over an array
-    of bounds. numpy draws such an array element by element with the
-    bounded-integer routine a one-value call uses (Lemire, 2019), so the
-    digits and the generator's final state are those of one call per digit.
-    A bound above 2^63 raises ValueError, as numpy's int64 draw does."""
+def _candidate_digits(n: int, L: int, channels: int,
+                      max_tu: int) -> tuple[list[int], list[int]]:
+    """The digits of a uniform raw candidate, in draw order, as (bounds,
+    weights): each digit is drawn below its bound, and the candidate's index
+    in candidate_from_index's order is the sum of digit times weight (see
+    _fold). Per triplet: n bits, most significant first, the channel, and
+    from the third triplet the interval. A bound above 2^63 raises
+    ValueError, as numpy's int64 draw does."""
     if n < 1 or L < 2 or channels < 1 or max_tu < 1:
         raise ValueError("need n >= 1, L >= 2, channels >= 1, max_tu >= 1")
     if channels > _MAX_BOUND or (L >= 3 and max_tu > _MAX_BOUND):
         raise ValueError("high is out of bounds for int64")
-    head = [2] * n + [channels]
-    bounds = head * 2 + (head + [max_tu]) * (L - 2)
-    digits = iter(rng.integers(0, np.array(bounds, dtype=np.uint64)).tolist())
-    index, radix = 0, 1
+    bounds: list[int] = []
+    weights: list[int] = []
+    radix = 1
     for i in range(L):
-        bits = 0
-        for _ in range(n):
-            bits = bits << 1 | next(digits)
-        index += bits * radix
+        bounds += [2] * n
+        weights += [radix << (n - 1 - b) for b in range(n)]
         radix <<= n
-        index += next(digits) * radix
+        bounds.append(channels)
+        weights.append(radix)
         radix *= channels
         if i >= 2:
-            index += next(digits) * radix
+            bounds.append(max_tu)
+            weights.append(radix)
             radix *= max_tu
-    return index
+    return bounds, weights
+
+
+def _fold(digits: list[int], weights: list[int]) -> int:
+    """A candidate's index from its drawn digits (see _candidate_digits)."""
+    return sum(map(mul, digits, weights))
+
+
+def _candidate_index(rng: np.random.Generator, n: int, L: int, channels: int,
+                     max_tu: int) -> int:
+    """Draw a uniform raw candidate as its index in candidate_from_index's
+    order: its digits (see _candidate_digits) in one rng.integers call over
+    an array of bounds. numpy draws such an array element by element with
+    the bounded-integer routine a one-value call uses (Lemire, 2019), so the
+    digits and the generator's final state are those of one call per digit.
+    A simulated run draws the same digits for a whole block of trials at
+    once (sim._trial_draws) and folds them here too. A bound above 2^63
+    raises ValueError, as numpy's int64 draw does."""
+    bounds, weights = _candidate_digits(n, L, channels, max_tu)
+    return _fold(rng.integers(0, np.array(bounds, dtype=np.uint64)).tolist(), weights)
 
 
 def random_candidate(rng: np.random.Generator, n: int, L: int, channels: int,

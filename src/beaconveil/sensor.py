@@ -40,7 +40,7 @@ import hmac
 import math
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -499,9 +499,10 @@ def apply_app_stage(result: AuthResult, message: Optional[str],
     elif not hmac.compare_digest((message or "").encode(), cfg.app_secret.encode()):
         kind = "app-secret"
     else:
-        return replace(result, app_ok=True)
-    return replace(result, verdict=REJECTED, pattern_id=None,
-                   reason=RejectReason(kind), app_ok=False)
+        return AuthResult(result.verdict, result.pattern_id, result.reason, result.phy_ok,
+                          True, result.transcript, result.duration_s, result.terminal_t)
+    return AuthResult(REJECTED, None, RejectReason(kind), result.phy_ok, False,
+                      result.transcript, result.duration_s, result.terminal_t)
 
 
 def authenticate(beacons: Iterable[Beacon], samples: Samples,

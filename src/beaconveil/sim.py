@@ -7,9 +7,13 @@ order (a window reads the samples from its beacon up to its end or the next
 beacon). There is no wall clock anywhere; trial i draws all its
 randomness from the stream numpy.random.default_rng([seed, i]) starts, so
 results are independent of run order and worker count. A block of trials
-does not build those generators one by one: it hashes the block's seeds
-together and sets one kept PCG64 to each trial's starting state in turn,
-which gives the same streams.
+does not build those generators one by one. It hashes the block's seeds
+together and makes every trial's first draws, a brute-force candidate's
+digits and the first emission phase, for the whole block at once, with
+numpy's PCG64 and its draws restated over uint64 lane arrays (_Lanes).
+Only a trial that draws again, normals under shadowing or a replay's
+second session, gets a Generator, set to the state its stream is in after
+those first draws; so every trial draws the same stream.
 
 Everything about an observation except its draws follows from the heard
 beacons' grid ticks and the session's start: the window ticks, their range
@@ -57,7 +61,7 @@ from .core import (ACCEPTED, MAX_BITS, BandPlan, DEFAULT_BAND, SecretPattern,
                    Triplet, TxPattern, _check_finite, new_matcher,
                    validate_pattern)
 from .emitter import (_MAX_BOUND, Beacon, EmissionTimeline, Mutation,
-                      SlotConfig, SlotFitError, _candidate_index,
+                      SlotConfig, SlotFitError, _candidate_digits, _fold,
                       candidate_from_index, compile_schedule, mutate,
                       random_pattern)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
@@ -421,8 +425,9 @@ def _last_tick(cfg: ScenarioConfig) -> float:
 
 def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
                      chan: ChannelParams, tx: TxPowerLevels, scfg: SensorConfig,
-                     slot_cfg: SlotConfig, rng: np.random.Generator,
-                     t_start: float = 0.0, *, layouts: Optional[dict] = None):
+                     slot_cfg: SlotConfig, rng: Optional[np.random.Generator],
+                     t_start: float = 0.0, *, layouts: Optional[dict] = None,
+                     drawn: Optional[float] = None):
     """Place one emission on the sensor's sampling grid.
 
     Returns (beacons, samples): beacon frames that cleared the noise floor,
@@ -441,6 +446,9 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     waypoint) the beacons' path loss by beacon count; it is emptied at
     _MEMO_CAP entries. The draws, in order: the emission phase, then with
     sigma_db > 0 one normal per emitted beacon and one per kept tick.
+    drawn, if given, is that phase already drawn from rng's stream (a
+    trial takes it from its block, see run_trial); rng then draws only the
+    normals, and may be None if there are none.
 
     Without shadowing (not sigma_db > 0) at a fixed range, the phase is the
     only draw, and the observation is a step function of it. layouts then
@@ -454,7 +462,8 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     rssi array is read-only, and only a kept one's.
     """
     f = scfg.f_s
-    drawn = rng.uniform(0.0, 1.0 / f)
+    if drawn is None:
+        drawn = rng.uniform(0.0, 1.0 / f)
     phase = t_start + drawn  # emission start on the sensor clock
     cells = None
     if layouts is not None and not chan.sigma_db > 0 and len(traj.waypoints) == 1:
@@ -635,18 +644,21 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
     return t_ticks, pl, grid
 
 
-# How many trials' generator seeds _trial_generators hashes in one pass, and
-# how many entries each of a config's memos (_candidates, _layouts,
-# _sessions) keeps before it starts over.
+# How many trials _trial_draws draws in one pass, and how many entries each
+# of a config's memos (_candidates, _layouts, _sessions) keeps before it
+# starts over.
 _SEED_CHUNK = 256
 _MEMO_CAP = 4096
 
-# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier.
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier as
+# (high, low) 64-bit limbs.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_M32 = (1 << 32) - 1
+_LOW32 = np.uint64(_M32)
+_U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
 
 
 def _words(x: int) -> int:
@@ -654,11 +666,11 @@ def _words(x: int) -> int:
     return max(1, (x.bit_length() + 31) // 32)
 
 
-def _pcg64_seeds(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence([seed, i])) for each i in
-    [lo, hi), where every i splits into as many 32-bit words as lo. The
-    SeedSequence hashing runs once over the range, in uint32 arrays (numpy
-    NEP 19; O'Neill, PCG, 2014)."""
+def _pcg64_seeds(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """PCG64(SeedSequence([seed, i])) for each i in [lo, hi), where every i
+    splits into as many 32-bit words as lo, as uint64 limb arrays: (state
+    high, state low, inc high, inc low). The SeedSequence hashing runs once
+    over the range, in uint32 arrays (numpy NEP 19; O'Neill, PCG, 2014)."""
     u32 = np.uint32
     entropy = [np.full(hi - lo, (seed >> 32 * k) & _M32, dtype=u32)
                for k in range(_words(seed))]
@@ -693,32 +705,155 @@ def _pcg64_seeds(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
     # little-endian into the seed's (high, low) and the stream's (high, low).
     draw = hasher(_INIT_B, _MULT_B)
     out = [draw(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    halves = [(out[2 * k + 1] << np.uint64(32) | out[2 * k]).tolist() for k in range(4)]
-    seeds = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*halves):
-        # pcg_setseq_128_srandom_r: two LCG steps from state 0.
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc))
-    return seeds
+    s_hi, s_lo, q_hi, q_lo = [out[2 * k + 1] << _U32 | out[2 * k] for k in range(4)]
+    # pcg_setseq_128_srandom_r: inc = 2 q + 1; from state 0 one step gives
+    # inc, then the seed is added and the state stepped once more.
+    inc_hi, inc_lo = q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1
+    lo_sum = inc_lo + s_lo
+    hi_sum = inc_hi + s_hi + (lo_sum < inc_lo)
+    return (*_pcg64_step(hi_sum, lo_sum, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _trial_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """For each trial in [lo, hi), one kept Generator whose bit generator is
-    set to the state default_rng([seed, i]) starts in, so it draws the same
-    stream. The seeds are hashed _SEED_CHUNK trials at a time."""
-    if seed < 0 or lo < 0:
+def _mulhi(a: np.ndarray, b) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b of uint64s, from
+    their 32-bit halves."""
+    a1, a0 = a >> _U32, a & _LOW32
+    b1, b0 = b >> _U32, b & _LOW32
+    cross0, cross1 = a1 * b0, a0 * b1
+    mid = (a0 * b0 >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+                inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, state * mult + inc mod 2^128, on (high, low) limbs;
+    uint64 arithmetic wraps mod 2^64."""
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = _mulhi(lo, _MULT_LO) + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+class _Lanes:
+    """The PCG64 streams of a chunk of trials, one lane per trial, drawn
+    together. A lane holds what numpy's PCG64 holds: the 128-bit state and
+    increment as uint64 limbs, and the half-word cache (has_uint32,
+    uinteger). Its draws restate numpy's: the XSL-RR output of the stepped
+    state (O'Neill, PCG, 2014), next_uint32 (the low half of a new word
+    first, its high half cached), Generator.integers' bounded draw and
+    next_double. A draw under a mask steps only the masked lanes, and
+    gives the others a value to ignore."""
+
+    __slots__ = ("hi", "lo", "inc_hi", "inc_lo", "has", "cached")
+
+    def __init__(self, hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+                 inc_lo: np.ndarray):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+        self.has = np.zeros(len(hi), dtype=bool)
+        self.cached = np.zeros(len(hi), dtype=np.uint64)
+
+    def next64(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """numpy's next_uint64 in the masked lanes (None: all of them)."""
+        hi, lo = _pcg64_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+        if mask is not None:
+            hi, lo = np.where(mask, hi, self.hi), np.where(mask, lo, self.lo)
+        self.hi, self.lo = hi, lo
+        x, rot = hi ^ lo, hi >> _U58
+        return (x >> rot) | (x << ((_U64 - rot) & _U63))
+
+    def next32(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """numpy's next_uint32 in the masked lanes (None: all of them): a
+        lane's cached half if it holds one, which stays as uinteger, else
+        the low half of a new word, whose high half it caches."""
+        fresh = ~self.has if mask is None else mask & ~self.has
+        out = self.cached
+        if fresh.any():
+            x = self.next64(fresh)
+            out = np.where(fresh, x & _LOW32, out)
+            self.cached = np.where(fresh, x >> _U32, self.cached)
+        self.has = ~self.has if mask is None else self.has ^ mask
+        return out
+
+    def integers(self, bound: int) -> np.ndarray:
+        """Every lane's Generator.integers(0, bound), 1 <= bound <= 2^63, as
+        numpy's random_bounded_uint64 draws it (Lemire, "Fast Random
+        Integer Generation in an Interval", ACM TOMACS, 2019). Bound 1 draws
+        nothing. Up to 2^32 the draw multiplies next_uint32 by the bound and
+        rejects a low word below 2^32 mod bound; at exactly 2^32 that is the
+        plain half, which is what numpy takes, and nothing rejects. Past
+        2^32 it does the same with next_uint64 and the 128-bit product,
+        leaving the cache alone. Rejected lanes redraw under a mask."""
+        if bound == 1:
+            return np.zeros(len(self.hi), dtype=np.uint64)
+        wide = bound > 1 << 32
+        b = np.uint64(bound)
+        threshold = np.uint64((1 << (64 if wide else 32)) % bound)
+        todo = None  # every lane
+        while True:
+            if wide:
+                x = self.next64(todo)
+                value, leftover = _mulhi(x, b), x * b
+            else:
+                m = self.next32(todo) * b
+                value, leftover = m >> _U32, m & _LOW32
+            out = value if todo is None else np.where(todo, value, out)
+            reject = leftover < threshold
+            todo = reject if todo is None else todo & reject
+            if not todo.any():
+                return out
+
+    def doubles(self) -> np.ndarray:
+        """Every lane's next_double, (x >> 11) * 2^-53; the cache stays."""
+        return (self.next64() >> _U11).astype(np.float64) * 2.0 ** -53
+
+    def states(self) -> list[dict]:
+        """Every lane's bit_generator.state, as numpy's PCG64 gives it."""
+        hi, lo, inc_hi, inc_lo, has, cached = (
+            a.tolist() for a in (self.hi, self.lo, self.inc_hi, self.inc_lo,
+                                 self.has, self.cached))
+        return [{"bit_generator": "PCG64",
+                 "state": {"state": h << 64 | l, "inc": ih << 64 | il},
+                 "has_uint32": int(c), "uinteger": u}
+                for h, l, ih, il, c, u in zip(hi, lo, inc_hi, inc_lo, has, cached)]
+
+
+def _trial_draws(cfg: ScenarioConfig, lo: int, hi: int
+                 ) -> Iterator[tuple[Optional[int], float, Optional[np.random.Generator]]]:
+    """Each trial in [lo, hi)'s first draws from the stream that
+    default_rng([seed, i]) starts, as (candidate, phase, rng).
+
+    The draws are made _SEED_CHUNK trials at a time, as _Lanes. They are
+    a BruteForce trial's candidate digits (emitter._candidate_digits),
+    folded into its index, else None; then the first session's emission
+    phase, as observe_emission's uniform(0, 1 / f_s) draws it. A trial that
+    draws again, normals at sigma_db > 0 or Replay's second session, gets
+    rng, one kept Generator set to the state its stream is in after those
+    draws; any other trial gets None and sets no state.
+    """
+    if cfg.seed < 0 or lo < 0:
         raise ValueError("expected non-negative integer")
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
+    a = cfg.actor
+    bounds, weights = [], []
+    if isinstance(a, BruteForce):
+        bounds, weights = _candidate_digits(a.n, a.L, cfg.band.channel_count, cfg.max_tu)
+    scale = 1.0 / cfg._effective_sensor.f_s
+    rng = None
+    if isinstance(a, Replay) or cfg.channel.sigma_db > 0:
+        rng = np.random.Generator(np.random.PCG64(0))
     start = lo
     while start < hi:
         # A chunk ends early where the trial index takes one more word.
         stop = min(hi, start + _SEED_CHUNK, 1 << 32 * _words(start))
-        for state, inc in _pcg64_seeds(seed, start, stop):
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield rng
+        lanes = _Lanes(*_pcg64_seeds(cfg.seed, start, stop))
+        digits = [lanes.integers(b).tolist() for b in bounds]
+        indices = ([_fold(row, weights) for row in zip(*digits)] if bounds
+                   else [None] * (stop - start))
+        phases = (scale * lanes.doubles()).tolist()
+        if rng is None:
+            yield from zip(indices, phases, [None] * (stop - start))
+        else:
+            for index, phase, state in zip(indices, phases, lanes.states()):
+                rng.bit_generator.state = state
+                yield index, phase, rng
         start = stop
 
 
@@ -731,17 +866,19 @@ class TrialResult:
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int,
-              rng: Optional[np.random.Generator] = None) -> TrialResult:
+              draws: Optional[tuple] = None) -> TrialResult:
     """One fully deterministic trial; randomness from (seed, trial_index).
 
-    rng is the trial's generator as _trial_generators yields it for a
-    block of trials; without it the trial is a block of one. The emission
-    is the config's compiled timeline (Proto's even or odd half); a
-    BruteForce trial draws a candidate's index first and takes its
-    timeline from the config's memo, compiled on the first draw. The
-    trial's sessions (two for Replay, one otherwise) run on one fresh
-    SensorNode, so lockout_s acts only between a Replay trial's two
-    sessions, never across trials: a brute-force FAR is a per-attempt rate.
+    draws is the trial's share of its block's draws, as _trial_draws
+    yields it: a BruteForce trial's candidate index, the first session's
+    phase, and the Generator that makes any later draw, None for a
+    noiseless single-session trial. Without it the trial is a block of
+    one. The emission is the config's compiled timeline (Proto's even or
+    odd half); a BruteForce trial takes its candidate's timeline from the
+    config's memo, compiled on the first draw. The trial's sessions (two
+    for Replay, one otherwise) run on one fresh SensorNode, so lockout_s
+    acts only between a Replay trial's two sessions, never across trials:
+    a brute-force FAR is a per-attempt rate.
 
     A trial that scores one session (every actor but Replay) and gets a
     kept observation back (noiseless at a fixed range, in a phase cell; see
@@ -753,13 +890,13 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     earlier trial landed in its cell. Any other observation is scored
     afresh and kept nowhere.
     """
-    if rng is None:
-        rng = next(_trial_generators(cfg.seed, trial_index, trial_index + 1))
+    if draws is None:
+        draws = next(_trial_draws(cfg, trial_index, trial_index + 1))
+    index, phase, rng = draws
     eff = cfg._effective_sensor
     a = cfg.actor
     if isinstance(a, BruteForce):
-        k = _candidate_index(rng, a.n, a.L, cfg.band.channel_count, cfg.max_tu)
-        slot, tl = cfg.slot_cfg, cfg._candidate_timeline(k)
+        slot, tl = cfg.slot_cfg, cfg._candidate_timeline(index)
     else:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
     starts = [0.0]
@@ -771,7 +908,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     for t_start in starts:
         beacons, samples = observe_emission(
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
-            t_start=t_start, layouts=cfg._layouts)
+            t_start=t_start, layouts=cfg._layouts, drawn=phase)
+        phase = None  # Replay's second session draws its own
         # Samples hash and compare by identity.
         kept = len(starts) == 1 and not samples.rssi_dbm.flags.writeable
         result = cfg._sessions.get(samples) if kept else None
@@ -866,8 +1004,8 @@ class RunReport:
 
 
 def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> list[TrialResult]:
-    return [run_trial(cfg, i, rng) for i, rng
-            in zip(range(lo, hi), _trial_generators(cfg.seed, lo, hi))]
+    return [run_trial(cfg, i, draws) for i, draws
+            in zip(range(lo, hi), _trial_draws(cfg, lo, hi))]
 
 
 def _run_rows(rows: Sequence[ScenarioConfig], workers: int) -> list[RunReport]:

@@ -32,7 +32,8 @@ from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, AuthResult, BandPlan,
                         render_trials_csv, run_scenario, run_trial, sweep,
                         validate_scenario, wilson)
 from beaconveil.sensor import ExtractionError
-from beaconveil.sim import _trial_generators
+from beaconveil.emitter import _candidate_digits
+from beaconveil.sim import _Lanes, _pcg64_seeds, _trial_draws
 
 from scenario_builders import build_desk, build_desk_multi
 from test_sensor import median_decode
@@ -107,8 +108,9 @@ class TestDeterminism:
 
 
 class TestTrialGenerators:
-    """A block's generators against default_rng([seed, i]), the stream the
-    determinism contract names."""
+    """A block's draws against default_rng([seed, i]), the stream the
+    determinism contract names: a noisy trial's phase, and the generator it
+    draws its normals from."""
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**100 + 3])
     @pytest.mark.parametrize("lo, hi", [(0, 300), (2**32 - 5, 2**32 + 3),
@@ -116,9 +118,11 @@ class TestTrialGenerators:
                              ids=["first-chunks", "index-crosses-2^32",
                                   "index-crosses-2^64"])
     def test_matches_default_rng(self, seed, lo, hi):
-        gens = _trial_generators(seed, lo, hi)
-        for i, rng in zip(range(lo, hi), gens, strict=True):
+        cfg = dataclasses.replace(build_flyover(1), seed=seed)
+        draws = _trial_draws(cfg, lo, hi)
+        for i, (index, phase, rng) in zip(range(lo, hi), draws, strict=True):
             ref = np.random.default_rng([seed, i])
+            assert index is None and phase == ref.uniform(0.0, 1.0 / cfg.sensor_cfg.f_s), i
             assert rng.bit_generator.state == ref.bit_generator.state, i
             # An odd count of 32-bit draws leaves half a word buffered,
             # which the next trial's generator must not inherit.
@@ -132,7 +136,80 @@ class TestTrialGenerators:
         with pytest.raises(ValueError):
             np.random.default_rng([-1, 0])
         with pytest.raises(ValueError):
-            next(_trial_generators(-1, 0, 1))
+            next(_trial_draws(dataclasses.replace(build_flyover(1), seed=-1), 0, 1))
+
+
+# Bounds of numpy's bounded draw: none drawn, 32-bit Lemire (2^31 + 1
+# rejects almost half its draws), the plain 32-bit half, and 64-bit Lemire
+# (3 * 2^61 rejects a quarter).
+DRAW_BOUNDS = [1, 2, 14, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**63]
+
+
+def drawn_digits(pattern):
+    """A raw candidate's digits in draw order: per triplet its bits, its
+    channel less one, and from the third triplet its interval less one."""
+    digits = []
+    for i, t in enumerate(pattern.triplets):
+        digits += [int(b) for b in t.tx_pattern.bits]
+        digits.append(t.channel - 1)
+        if i >= 2:
+            digits.append(t.interval_tu - 1)
+    return digits
+
+
+class TestBlockDrawDifferential:
+    """A block's candidate digits, phase and the generator state after
+    them, drawn as PCG64 lane arrays, against default_rng([seed, i]) trial
+    by trial, the half-word cache included."""
+
+    @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 7]) | st.integers(0, 2**70),
+           lo=st.sampled_from([0, 2**32 - 3, 2**64 - 3]) | st.integers(0, 2**66),
+           count=st.integers(1, 300), n=st.integers(1, 3), L=st.integers(2, 4),
+           channels=st.sampled_from(DRAW_BOUNDS), max_tu=st.sampled_from(DRAW_BOUNDS))
+    @example(seed=0, lo=0, count=300, n=1, L=4, channels=2**31 + 1, max_tu=3 * 2**61)
+    @example(seed=2**32, lo=2**32 - 3, count=6, n=2, L=3, channels=2**32, max_tu=2**32 - 1)
+    @example(seed=2**64 + 7, lo=2**64 - 3, count=6, n=3, L=3, channels=2**32 + 1,
+             max_tu=2**63)
+    @example(seed=5, lo=250, count=20, n=2, L=2, channels=14, max_tu=1)
+    @example(seed=9, lo=0, count=1, n=1, L=3, channels=1, max_tu=2**31 + 1)
+    @settings(max_examples=40, deadline=None)
+    def test_digits_phase_and_state_match_default_rng(self, seed, lo, count, n, L,
+                                                      channels, max_tu):
+        cfg = dataclasses.replace(
+            build_desk(BruteForce(n, L), 1), seed=seed, max_tu=max_tu,
+            band=BandPlan("wide", channels, 2412.0, 5.0),
+            channel=ChannelParams(sigma_db=1.5))
+        bounds, _ = _candidate_digits(n, L, channels, max_tu)
+        draws = _trial_draws(cfg, lo, lo + count)
+        for i, (index, phase, rng) in zip(range(lo, lo + count), draws, strict=True):
+            ref = np.random.default_rng([seed, i])
+            digits = [int(ref.integers(0, b)) for b in bounds]
+            pattern = candidate_from_index(index, n, L, channels, max_tu)
+            assert drawn_digits(pattern) == digits, i
+            assert phase == ref.uniform(0.0, 1.0 / cfg.sensor_cfg.f_s), i
+            assert rng.bit_generator.state == ref.bit_generator.state, i
+
+    def test_lanes_that_reject_at_different_draws(self):
+        # Across 256 lanes some reject a 32-bit draw and some do not, so
+        # their caches part; a 64-bit draw then leaves each cache alone.
+        lanes = _Lanes(*_pcg64_seeds(3, 0, 256))
+        first = lanes.integers(2**31 + 1).tolist()
+        assert 0 < lanes.has.sum() < 256
+        wide = lanes.integers(3 * 2**61).tolist()
+        second = lanes.integers(14).tolist()
+        units = lanes.doubles().tolist()
+        for i, state in enumerate(lanes.states()):
+            ref = np.random.default_rng([3, i])
+            assert [int(ref.integers(0, b)) for b in (2**31 + 1, 3 * 2**61, 14)] == [
+                first[i], wide[i], second[i]], i
+            assert units[i] == ref.random(), i
+            assert state == ref.bit_generator.state, i
+
+    def test_noiseless_single_session_trials_get_no_generator(self):
+        desk = build_desk(BruteForce(2, 2), 1)
+        assert {rng for _, _, rng in _trial_draws(desk, 0, 300)} == {None}
+        replay = build_desk(Replay("desk"), 1)
+        assert None not in {rng for _, _, rng in _trial_draws(replay, 0, 300)}
 
 
 MEMOS = ("_candidates", "_layouts", "_sessions")
@@ -1460,6 +1537,56 @@ class TestPhaseCellMemo:
                          "_scored_session": 64 + 64 * 3}
         cells = [c for v in cfg._layouts.values() if isinstance(v, dict) for c in v.values()]
         assert len(cells) == 64 and all(None not in c.kept for c in cells)
+
+
+class TestBlockDrawCounts:
+    """A block draws its trials' candidates and phases together; only a
+    trial that draws again gets a generator, and its state is set once."""
+
+    @staticmethod
+    def count_generator_use(monkeypatch):
+        calls = Counter()
+        base = np.random.PCG64
+
+        # numpy checks that a state names its bit generator's class.
+        class PCG64(base):
+            @property
+            def state(self):
+                return base.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                calls["state"] += 1
+                base.state.__set__(self, value)
+
+        class Generator(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                calls["integers"] += 1
+                return super().integers(*args, **kwargs)
+
+            def uniform(self, *args, **kwargs):
+                calls["uniform"] += 1
+                return super().uniform(*args, **kwargs)
+
+        def default_rng(*args, **kwargs):
+            calls["default_rng"] += 1
+            return Generator(PCG64(np.random.SeedSequence(*args, **kwargs)))
+
+        monkeypatch.setattr(np.random, "PCG64", PCG64)
+        monkeypatch.setattr(np.random, "Generator", Generator)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        return calls
+
+    def test_desk_block_sets_no_generator(self, monkeypatch):
+        calls = self.count_generator_use(monkeypatch)
+        report = run_scenario(build_desk(BruteForce(2, 2), 4000))
+        assert calls == {}
+        assert len(report.trials) == 4000
+
+    def test_noisy_flyover_block_sets_each_trial_once(self, monkeypatch):
+        calls = self.count_generator_use(monkeypatch)
+        run_scenario(build_flyover(600))
+        assert calls == {"state": 600}
 
 
 class TestLayoutMemo:
