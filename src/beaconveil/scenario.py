@@ -13,6 +13,11 @@ silently falling back to a default.
 Reports are written as report.json (config digest, metrics, one record per
 trial) plus trials.csv for external plotting. Identical configs produce
 byte-identical files: no timestamps, sorted keys, fixed float formatting.
+Trials that share an AuthResult object (the simulator's kept verdicts) share
+its text: a record is formatted once per call for each (actor, label, result)
+and a row once for each (actor, result), and every later trial is that text
+with its own trial number spliced in. The bytes are those of one json.dumps
+call over the whole report and one csv.writer row per trial.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import Field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (PatternError, SecretPattern, _parse_pattern, parse_pattern,
                    render_pattern)
@@ -34,7 +40,7 @@ from .emitter import FlipTxBit, SlotConfig, WrongChannel, WrongInterval
 from .radio import ChannelParams, Trajectory
 from .sensor import SensorConfig
 from .sim import (_ACTOR_KIND, ConfigError, Legit, Metrics, Mutant, Proto,
-                  RunReport, ScenarioConfig)
+                  RunReport, ScenarioConfig, TrialResult)
 
 
 # Sections holding one config object each: the keys are its fields.
@@ -247,41 +253,88 @@ def config_sha256(cfg: ScenarioConfig) -> str:
     return h.hexdigest()
 
 
-def report_dict(report: RunReport, cfg: ScenarioConfig) -> dict:
-    trials = []
-    for tr in report.trials:
-        r = tr.result
-        trials.append({
-            "trial": tr.trial,
-            "actor": tr.actor,
-            "label": tr.label,
-            "verdict": r.verdict,
-            "reason": r.reason.code if r.reason is not None else None,
-            "pattern_id": r.pattern_id,
-            "phy_ok": r.phy_ok,
-            "app_ok": r.app_ok,
-            "duration_s": r.duration_s,
-            "transcript": [str(t) for t in r.transcript],
-        })
-    return {"config_sha256": config_sha256(cfg), "seed": cfg.seed,
-            "metrics": report.metrics.to_dict(), "trials": trials}
+# report.json's spellings, as json.dumps writes them by default: a str
+# ASCII-escaped, a float as float.__repr__ or NaN/Infinity/-Infinity.
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_CONST = {None: "null", True: "true", False: "false"}
+# A trials.csv cell holding one of these is left to csv.writer, which quotes
+# or refuses it (quoting '\r' depends on the Python version).
+_CSV_SPECIAL = re.compile('[\x00\r\n",]').search
+
+
+def _json_opt(text: Optional[str]) -> str:
+    return "null" if text is None else _json_str(text)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _code(reason) -> Optional[str]:
+    return None if reason is None else reason.code
+
+
+def _json_record(tr: TrialResult) -> tuple[str, str]:
+    """tr's report.json record, cut where its trial number goes: sorted
+    keys put "trial" between "transcript" and "verdict"."""
+    r = tr.result
+    transcript = ",".join(map(_json_str, map(str, r.transcript)))
+    return (f'{{"actor":{_json_str(tr.actor)},"app_ok":{_JSON_CONST[r.app_ok]},'
+            f'"duration_s":{_json_float(r.duration_s)},"label":{_json_str(tr.label)},'
+            f'"pattern_id":{_json_opt(r.pattern_id)},"phy_ok":{_JSON_CONST[r.phy_ok]},'
+            f'"reason":{_json_opt(_code(r.reason))},"transcript":[{transcript}],"trial":',
+            f',"verdict":{_json_str(r.verdict)}}}')
+
+
+def _csv_row(tr: TrialResult) -> str:
+    """tr's trials.csv row after its trial number."""
+    r = tr.result
+    code = _code(r.reason) or ""
+    if _CSV_SPECIAL(tr.actor + r.verdict + code):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(
+            ["", tr.actor, r.verdict, code, f"{r.duration_s:.6f}"])
+        return buf.getvalue()
+    return f",{tr.actor},{r.verdict},{code},{r.duration_s:.6f}\n"
 
 
 def render_report_json(report: RunReport, cfg: ScenarioConfig) -> str:
-    return json.dumps(report_dict(report, cfg), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    """json.dumps of the report with sorted keys and no spaces: the config
+    digest, metrics and seed, then one record per trial. A record is
+    formatted once per (actor, label, result object) and shared by every
+    trial that shares it, with the trial number spliced in. The report
+    keeps each result alive, so an id names one result for the whole call."""
+    head = json.dumps({"config_sha256": config_sha256(cfg), "seed": cfg.seed,
+                       "metrics": report.metrics.to_dict()},
+                      sort_keys=True, separators=(",", ":"))
+    # "trials" sorts last, so its list goes where head's closing brace was.
+    records = {}
+    out = []
+    for tr in report.trials:
+        key = (tr.actor, tr.label, id(tr.result))
+        cut = records.get(key)
+        if cut is None:
+            cut = records[key] = _json_record(tr)
+        out.append(f"{cut[0]}{tr.trial}{cut[1]}")
+    return f'{head[:-1]},"trials":[{",".join(out)}]}}\n'
 
 
 def render_trials_csv(report: RunReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["trial", "actor", "verdict", "reason", "duration_s"])
+    """One row per trial, as csv.writer writes it. A row is formatted once
+    per (actor, result object), with the trial number spliced in."""
+    rows = {}
+    out = ["trial,actor,verdict,reason,duration_s\n"]
     for tr in report.trials:
-        r = tr.result
-        w.writerow([tr.trial, tr.actor, r.verdict,
-                    r.reason.code if r.reason is not None else "",
-                    f"{r.duration_s:.6f}"])
-    return buf.getvalue()
+        key = (tr.actor, id(tr.result))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _csv_row(tr)
+        out.append(f"{tr.trial}{row}")
+    return "".join(out)
 
 
 def write_report(report: RunReport, cfg: ScenarioConfig, out_dir) -> tuple[Path, Path]:

@@ -4,13 +4,18 @@ Each case records the sha256 of its config's dump and of the bytes the CLI
 would write for it: report.json + trials.csv for a run, sweep.csv for the
 sweep. Every case is recomputed at one worker, and a few at two, so a change
 that moves any trial's outcome, or that makes the outcome depend on the
-worker count, fails here. To re-record at a known-good commit, delete
-tests/golden/corpus.json and run this file.
+worker count, fails here; one case also runs at two workers under the
+forkserver and spawn start methods. Every run's report is also rendered by
+the reference renderers of tests/report_oracle.py. To re-record at a
+known-good commit, delete tests/golden/corpus.json and run this file.
 """
 
+import functools
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +28,7 @@ from beaconveil import (BruteForce, Mitm, Replay, build_fig3, build_flyover,
                         sweep)
 from beaconveil.scenario import render_sweep_csv
 
+import report_oracle
 from scenario_builders import build_desk, build_desk_multi
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,14 +70,19 @@ RUNS = {
 SWEEP = ("sigma_db", [0.0, 3.0])
 
 
+@functools.cache
+def _run(name, workers):
+    cfg = RUNS[name]()
+    return cfg, run_scenario(cfg, workers=workers)
+
+
 def _record(name, workers):
     if name == "sweep":
         cfg = _fig3a(40)
         data = render_sweep_csv(SWEEP[0], sweep(cfg, *SWEEP, workers=workers))
         key = "sweep_sha256"
     else:
-        cfg = RUNS[name]()
-        report = run_scenario(cfg, workers=workers)
+        cfg, report = _run(name, workers)
         data = render_report_json(report, cfg) + render_trials_csv(report)
         key = "report_sha256"
     return {"config_sha256": config_sha256(cfg),
@@ -89,10 +100,42 @@ def corpus():
 
 @pytest.mark.parametrize("name, workers", [
     *((name, 1) for name in [*RUNS, "sweep"]),
-    ("sweep", 2), ("fig3a_replay", 2), ("fig3a_bruteforce", 2)])
+    ("sweep", 2), ("fig3a_replay", 2), ("fig3a_bruteforce", 2),
+    # Verdicts shared within a block, which come back through a worker's pickle.
+    ("desk_bruteforce", 2), ("store_10k", 2)])
 def test_bytes_match_the_corpus(corpus, name, workers):
     got = _record(name, workers)
     want = corpus[name]
     assert got["config_sha256"] == want["config_sha256"], \
         f"case {name} changed; re-record corpus.json at a known-good commit"
     assert got == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_renderers_match_the_oracle(name, workers):
+    cfg, report = _run(name, workers)
+    assert render_report_json(report, cfg) == report_oracle.report_json(report, cfg)
+    assert render_trials_csv(report) == report_oracle.trials_csv(report)
+
+
+_UNDER_START_METHOD = """
+import json, multiprocessing, sys
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    import test_corpus
+    print(json.dumps(test_corpus._record("desk_bruteforce", 2)))
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_bytes_match_the_corpus_under_start_method(corpus, method):
+    # Workers that import the package afresh, as forkserver (the default on
+    # Linux from Python 3.14) and spawn start them, give the same bytes.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _UNDER_START_METHOD, method],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert json.loads(out.stdout) == corpus["desk_bruteforce"]

@@ -1,27 +1,35 @@
 """Config file round-trips, error reporting, and report serialization."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beaconveil import (DEFAULT_BAND, BandPlan, BruteForce, ConfigError,
-                        FlipTxBit, Legit, Mitm, Mutant, PatternError, Proto,
-                        Replay, ScenarioConfig, SensorConfig, WrongChannel,
-                        WrongInterval, build_fig3, build_flyover, build_proto,
-                        config_sha256, dump_scenario, load_scenario,
-                        loads_scenario, parse_pattern, random_pattern,
-                        render_report_json, render_trials_csv, run_scenario,
-                        validate_scenario, write_fixtures, write_report)
+import beaconveil.scenario
+from beaconveil import (ACCEPTED, DEFAULT_BAND, REJECTED, TIMED_OUT,
+                        AuthResult, BandPlan, BruteForce, ConfigError,
+                        FlipTxBit, Legit, Metrics, Mitm, Mutant, PatternError,
+                        Proto, RejectReason, Replay, RunReport, ScenarioConfig,
+                        SensorConfig, TrialResult, Triplet, TxPattern,
+                        WrongChannel, WrongInterval, build_fig3, build_flyover,
+                        build_proto, config_sha256, dump_scenario,
+                        load_scenario, loads_scenario, parse_pattern,
+                        random_pattern, render_report_json, render_trials_csv,
+                        run_scenario, validate_scenario, write_fixtures,
+                        write_report)
 from beaconveil.scenario import render_sweep_csv
-from beaconveil.sim import sweep
+from beaconveil.sim import ADVERSARY, LEGIT, sweep
 
+import report_oracle
 from scenario_builders import build_desk, build_desk_multi
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -403,6 +411,115 @@ class TestReports:
         # legit-only runs have no FAR: empty cells, not zeros
         assert lines[1].split(",")[3] == ""
         assert lines[2].split(",")[4] == "1.0"
+
+
+# Strings that JSON escapes or that CSV quotes (or, before Python 3.11,
+# refuses: NUL), beside arbitrary text.
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r", ",",
+                     "\u00e9", "\u2028", "\U0001f600", 'a,"b\\c\r\n']),
+)
+_DURATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan]),
+    st.floats())
+_TRIPLETS = st.builds(Triplet, st.builds(TxPattern, st.text("01", min_size=1, max_size=4)),
+                      st.integers(0, 20), st.none() | st.integers(0, 20))
+_RESULTS = st.builds(
+    AuthResult,
+    verdict=st.sampled_from([ACCEPTED, REJECTED, TIMED_OUT]) | _TEXT,
+    pattern_id=st.none() | st.just("desk") | _TEXT,
+    reason=st.none() | st.builds(RejectReason, st.just("channel") | _TEXT,
+                                 st.none() | st.integers(0, 9)),
+    phy_ok=st.booleans(), app_ok=st.sampled_from([None, True, False]),
+    transcript=st.lists(_TRIPLETS, max_size=4).map(tuple),
+    duration_s=_DURATIONS, terminal_t=st.just(0.0))
+_REPORT_CFG = build_desk(Legit("desk"), 1)
+_METRICS = Metrics(trials=3, far=None, frr=0.5, far_ci_95=None, frr_ci_95=(0.1, 0.9),
+                   mean_session_s=1.5, per_reason_counts={"timeout": 1, "channel@1": 2})
+
+
+@st.composite
+def _reports(draw):
+    """RunReports whose trials share result objects, across actors and
+    labels, beside separate results that are equal by value."""
+    results = draw(st.lists(_RESULTS, max_size=4))
+    if results:
+        copies = draw(st.lists(st.sampled_from(results), max_size=2))
+        results += [dataclasses.replace(r) for r in copies]
+    trials = draw(st.lists(
+        st.builds(TrialResult, st.integers(0, 10**9),
+                  st.sampled_from(["bruteforce", "legit"]) | _TEXT,
+                  st.sampled_from([LEGIT, ADVERSARY]) | _TEXT,
+                  st.sampled_from(results)),
+        max_size=12) if results else st.just([]))
+    return RunReport(_METRICS, tuple(trials))
+
+
+def _report(*trials) -> RunReport:
+    return RunReport(_METRICS, tuple(TrialResult(i, *t) for i, t in enumerate(trials)))
+
+
+_SHARED = AuthResult(REJECTED, None, RejectReason("channel", 1), True, None,
+                     (Triplet(TxPattern("01"), 1),), 2.5, 2.5)
+_ACCEPTED = AuthResult(ACCEPTED, 'd\u00e9sk"\\\x01', None, True, True, (), -0.0, 0.0)
+
+
+def _rendered(render, *args):
+    # On Python 3.10 csv.writer refuses a NUL; both renderers must refuse it.
+    try:
+        return render(*args)
+    except csv.Error as e:
+        return type(e)
+
+
+class TestRenderDifferential:
+    """The renderers give the bytes of one json.dumps call over the report
+    and of one csv.writer row per trial (tests/report_oracle.py)."""
+
+    @given(report=_reports())
+    @example(report=_report())
+    @example(report=_report(*[("bruteforce", ADVERSARY, _SHARED)] * 5,
+                            ("legit", ADVERSARY, _SHARED), ("bruteforce", LEGIT, _SHARED),
+                            ("legit", LEGIT, _SHARED)))
+    @example(report=_report(("legit", LEGIT, _ACCEPTED),
+                            ("legit", LEGIT, dataclasses.replace(_ACCEPTED)),
+                            ("legit", LEGIT, dataclasses.replace(_ACCEPTED, duration_s=0.0)),
+                            ("legit", LEGIT, _ACCEPTED)))
+    @example(report=_report(*(("legit", LEGIT, dataclasses.replace(
+        _SHARED, duration_s=d, reason=RejectReason("timeout"), app_ok=False))
+        for d in (0.0, -0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle(self, report):
+        assert (_rendered(render_report_json, report, _REPORT_CFG)
+                == _rendered(report_oracle.report_json, report, _REPORT_CFG))
+        assert _rendered(render_trials_csv, report) == _rendered(report_oracle.trials_csv, report)
+
+
+class TestRenderMemo:
+    @pytest.mark.parametrize("build, formats", [
+        (lambda: build_desk(BruteForce(2, 2), 4000), 256),
+        (lambda: build_flyover(1000), 1000)], ids=["desk", "flyover"])
+    def test_formats_once_per_distinct_verdict(self, monkeypatch, build, formats):
+        # The desk's 4000 trials share 256 kept verdicts; the noisy
+        # flyover keeps none, so each of its trials is formatted.
+        calls = Counter()
+
+        def counted(name):
+            wrapped = getattr(beaconveil.scenario, name)
+
+            def call(*args):
+                calls[name] += 1
+                return wrapped(*args)
+            monkeypatch.setattr(beaconveil.scenario, name, call)
+
+        counted("_json_record")
+        counted("_csv_row")
+        cfg = build()
+        report = run_scenario(cfg)
+        render_report_json(report, cfg)
+        render_trials_csv(report)
+        assert calls == {"_json_record": formats, "_csv_row": formats}
 
 
 class TestFixtures:
