@@ -92,6 +92,8 @@ def _print_problems(problems) -> bool:
 
 
 def _load_for_run(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     # Unvalidated: run checks the config, sweep each row it builds from it.
     cfg = load_scenario(args.config)
     cfg = replace(cfg, seed=_resolve_seed(cfg.seed, args.seed))

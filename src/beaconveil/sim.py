@@ -52,7 +52,7 @@ from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -644,10 +644,13 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
     return t_ticks, pl, grid
 
 
-# How many trials _trial_draws draws in one pass, and how many entries each
-# of a config's memos (_candidates, _layouts, _sessions) keeps before it
-# starts over.
-_SEED_CHUNK = 256
+# How many trials _trial_draws draws in one pass. Each seeding or draw pass
+# costs a fixed number of numpy calls whatever its width, so 4096 trials (a
+# desk block is one chunk) spread that cost thin, while a desk chunk's draws
+# peak at about 1 MiB traced.
+_SEED_CHUNK = 4096
+# How many entries each of a config's memos (_candidates, _layouts,
+# _sessions) keeps before it starts over.
 _MEMO_CAP = 4096
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier as
@@ -659,6 +662,9 @@ _MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645
 _M32 = (1 << 32) - 1
 _LOW32 = np.uint64(_M32)
 _U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+_U16 = np.uint32(16)
+# The pool words a source word mixes into, while it stays as it is.
+_OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
 
 
 def _words(x: int) -> int:
@@ -666,46 +672,66 @@ def _words(x: int) -> int:
     return max(1, (x.bit_length() + 31) // 32)
 
 
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) of SeedSequence's first count word hashes from
+    hash constant init, as uint32 columns: the k-th xors with init * mult^k
+    and multiplies by init * mult^(k + 1), whatever word it hashes."""
+    hc = np.array([init * pow(mult, k, 1 << 32) & _M32 for k in range(count + 1)],
+                  dtype=np.uint32)[:, None]
+    return hc[:-1], hc[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    # SeedSequence's word hash, one row per constant pair.
+    v = v ^ xor
+    v *= mult
+    v ^= v >> _U16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    r ^= r >> _U16
+    return r
+
+
 def _pcg64_seeds(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """PCG64(SeedSequence([seed, i])) for each i in [lo, hi), where every i
     splits into as many 32-bit words as lo, as uint64 limb arrays: (state
     high, state low, inc high, inc low). The SeedSequence hashing runs once
-    over the range, in uint32 arrays (numpy NEP 19; O'Neill, PCG, 2014)."""
-    u32 = np.uint32
-    entropy = [np.full(hi - lo, (seed >> 32 * k) & _M32, dtype=u32)
-               for k in range(_words(seed))]
-    entropy += [np.array([(i >> 32 * k) & _M32 for i in range(lo, hi)], dtype=u32)
-                for k in range(_words(lo))]
+    over the range, in uint32 arrays (numpy NEP 19; O'Neill, PCG, 2014).
 
-    def hasher(hc: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-        # SeedSequence's word hash; its multiplier advances on every call.
-        def hash_word(v: np.ndarray) -> np.ndarray:
-            nonlocal hc
-            v = v ^ u32(hc)
-            hc = hc * mult & _M32
-            v = v * u32(hc)
-            return v ^ (v >> u32(16))
-        return hash_word
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> u32(16))
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(hi - lo, dtype=u32)
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
+    It runs in a few row passes, not one per hash, on two facts: the hash
+    multipliers advance once per hash whatever word is hashed, so they are
+    constants (_hash_consts); and while a source word mixes into the other
+    three pool words it does not change, so its three hash-and-mix steps
+    are one (3, N) pass. The four first hashes and generate_state's eight
+    words are one pass each."""
+    n = hi - lo
+    ws, wi = _words(seed), _words(lo)
+    entropy = np.zeros((max(4, ws + wi), n), dtype=np.uint32)
+    for k in range(ws):
+        entropy[k] = (seed >> 32 * k) & _M32
+    # lo's words plus each lane's offset, carried 32 bits at a time.
+    carry = np.arange(n, dtype=np.uint64)
+    for k in range(wi):
+        carry += np.uint64((lo >> 32 * k) & _M32)
+        entropy[ws + k] = carry & _LOW32
+        carry >>= _U32
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
+    pool = _hash(entropy[:4], xor[:4], mult[:4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        k, dst = 4 + 3 * src, _OTHERS[src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mult[k:k + 3]))
+    for w, word in enumerate(entropy[4:]):
+        k = 16 + 4 * w
+        pool = _mix(pool, _hash(word, xor[k:k + 4], mult[k:k + 4]))
     # generate_state(4, uint64): eight words off the cycled pool, paired
     # little-endian into the seed's (high, low) and the stream's (high, low).
-    draw = hasher(_INIT_B, _MULT_B)
-    out = [draw(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    s_hi, s_lo, q_hi, q_lo = [out[2 * k + 1] << _U32 | out[2 * k] for k in range(4)]
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 8)
+    out = _hash(np.concatenate((pool, pool)), xor, mult).astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = out[1::2] << _U32 | out[0::2]
     # pcg_setseq_128_srandom_r: inc = 2 q + 1; from state 0 one step gives
     # inc, then the seed is added and the state stepped once more.
     inc_hi, inc_lo = q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1
@@ -821,8 +847,11 @@ def _trial_draws(cfg: ScenarioConfig, lo: int, hi: int
     """Each trial in [lo, hi)'s first draws from the stream that
     default_rng([seed, i]) starts, as (candidate, phase, rng).
 
-    The draws are made _SEED_CHUNK trials at a time, as _Lanes. They are
-    a BruteForce trial's candidate digits (emitter._candidate_digits),
+    The draws are made _SEED_CHUNK (4096) trials at a time, as _Lanes. A
+    seeding or draw pass costs a fixed number of numpy calls whatever its
+    width, so a wide chunk spreads that cost over more trials (a 4000-trial
+    desk block is one pass), while its arrays stay about 1 MiB. The draws
+    are a BruteForce trial's candidate digits (emitter._candidate_digits),
     folded into its index, else None; then the first session's emission
     phase, as observe_emission's uniform(0, 1 / f_s) draws it. A trial that
     draws again, normals at sigma_db > 0 or Replay's second session, gets

@@ -63,6 +63,17 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "n", "--values", "3"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_user_error(self, fig3a, tmp_path, capsys, command,
+                                             threads):
+        argv = [command[0], str(fig3a), *command[1:], "--trials", "2",
+                "--threads", threads, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_command_is_user_error(self):
         proc = run_cli(["conquer"])
         assert proc.returncode == 1
@@ -451,7 +462,7 @@ class TestFuzzedScenarioText:
                 assert validated == main(["validate", str(orig_path)])
                 assert load_scenario(path) == load_scenario(orig_path)
         assert validated in (0, 1) and ran in (0, 1)
-        bad_flags = seed < 0 or trials < 1
+        bad_flags = seed < 0 or trials < 1 or threads < 1
         assert ran == 1 if bad_flags else validated == 1 or ran == 0
         assert how != "misspell" or validated == 1
 

@@ -212,6 +212,29 @@ class TestBlockDrawDifferential:
         assert None not in {rng for _, _, rng in _trial_draws(replay, 0, 300)}
 
 
+class TestSeedLimbDifferential:
+    """_pcg64_seeds' (state, inc) limbs against numpy's PCG64 seeded by
+    SeedSequence([seed, i]), lane by lane."""
+
+    # Index ranges in which a higher 32-bit word of i carries inside one
+    # chunk: word 1 at 2^33, word 1 at 5 * 2^32, and word 1 at 2^64 + 2^32
+    # where i has three words.
+    CARRIES = [range(2**33 - 3, 2**33 + 4), range(5 * 2**32 - 3, 5 * 2**32 + 4),
+               range(2**64 + 2**32 - 2, 2**64 + 2**32 + 3)]
+
+    # 2^100 + 3 has four words, so with i's words the entropy runs past the
+    # four-word pool (SeedSequence's entropy[4:] mixing).
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**100 + 3])
+    @pytest.mark.parametrize("trials", [range(0, 5), *CARRIES],
+                             ids=["start", "2^33", "5*2^32", "2^64+2^32"])
+    def test_limbs_match_seed_sequence(self, seed, trials):
+        limbs = zip(*(a.tolist() for a in _pcg64_seeds(seed, trials[0], trials[-1] + 1)))
+        for i, (s_hi, s_lo, inc_hi, inc_lo) in zip(trials, limbs, strict=True):
+            ref = np.random.PCG64(np.random.SeedSequence([seed, i])).state["state"]
+            assert (s_hi << 64 | s_lo, inc_hi << 64 | inc_lo) == (
+                ref["state"], ref["inc"]), i
+
+
 MEMOS = ("_candidates", "_layouts", "_sessions")
 
 
@@ -233,16 +256,20 @@ class TestBlockState:
     trial within a block; no trial's outcome may depend on it."""
 
     @pytest.mark.parametrize("cfg", [
-        build_desk(BruteForce(2, 2), 300),
+        build_desk(BruteForce(2, 2), beaconveil.sim._SEED_CHUNK + 2),
         build_desk(Replay("desk"), 300),
         dataclasses.replace(build_proto(), trials=300),
-        build_flyover(300),
+        build_flyover(beaconveil.sim._SEED_CHUNK + 2),
     ], ids=["bruteforce", "replay", "proto", "flyover"])
     def test_trial_alone_equals_trial_in_block(self, cfg):
+        # The trials on both sides of the first seeding chunk's seam, where
+        # the block's cases reach it.
         report = run_scenario(cfg)
-        for i in (0, 255, 256, 257, cfg.trials - 1):
-            fresh = dataclasses.replace(cfg)
-            assert run_trial(fresh, i) == report.trials[i], i
+        chunk = beaconveil.sim._SEED_CHUNK
+        for i in (0, chunk - 1, chunk, chunk + 1, cfg.trials - 1):
+            if i < cfg.trials:
+                fresh = dataclasses.replace(cfg)
+                assert run_trial(fresh, i) == report.trials[i], i
 
     def test_workers_agree_on_an_odd_bruteforce_run(self):
         cfg = build_desk(BruteForce(2, 2), 777)
