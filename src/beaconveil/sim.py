@@ -17,24 +17,14 @@ those first draws; so every trial draws the same stream.
 
 Everything about an observation except its draws follows from the heard
 beacons' grid ticks and the session's start: the window ticks, their range
-and path loss, and where each slot's samples sit. A config compiles that
-layout once per distinct (start, ticks) and keeps it (ScenarioConfig.
-_layouts), so a trial draws its phase and normals, looks up its levels, and
-reads every slot median of its session in one pass.
-
-Without shadowing (sigma_db = 0) at a fixed range an observation takes
-only a few distinct values: it is a step function of the phase, constant
-on the few cells between the phases where a beacon's tick rounds the other
-way or a tick crosses a power step. The config keeps each timeline's cells
-with its layouts, built the second time the timeline is observed, and the
-observation of each cell a trial has landed in; a trial still draws its
-phase, and one that lands in a kept cell, more than a float-error guard
-from its edges, gets that observation back instead of placing its
-emission again. A trial that scores one session on a fresh node (every
-actor but Replay) gets a verdict that is a pure function of its
-observation, so the config keeps each such verdict, app stage included,
-with the kept observation it was read from (ScenarioConfig._sessions): a
-trial runs the session only for a cell no earlier trial landed in.
+and path loss, and where each slot's samples sit. A config's memo (_Memo)
+compiles that layout once per distinct (start, ticks). Without shadowing
+at a fixed range an observation is moreover a step function of the phase,
+constant on a few cells (_PhaseCells). The memo keeps the observation of
+each cell a trial has landed in (_Kept), and with it the verdict of one
+session on a fresh node (every actor but Replay), a pure function of that
+observation. A trial still draws its phase, but places its emission and
+runs its session only in a cell no earlier trial landed in.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -189,6 +179,21 @@ def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
     return {p.pattern_id: p for p in reversed(store)}
 
 
+class _Memo:
+    """What a config's trials build and later trials reuse, in three tables,
+    each emptied at _MEMO_CAP entries (_keep): candidates, BruteForce's
+    compiled timelines by index; layouts, the grid layouts by (t_start,
+    *ticks) and, at a fixed range, the beacons' path loss by beacon count;
+    cells, noiseless at a fixed range, each timeline's phase cells by
+    t_start, {} after its first sighting (see _kept_cells). Every array in
+    them is read-only, so trials share them."""
+
+    __slots__ = ("candidates", "layouts", "cells")
+
+    def __init__(self):
+        self.candidates, self.layouts, self.cells = {}, {}, {}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experiment: a store, an actor, the radio and sensor set-up, and
@@ -196,16 +201,11 @@ class ScenarioConfig:
 
     Forms derived from a config are built on first use and kept with it:
     the sensor config with its watchdog filled in, the actor's compiled
-    timelines, first compiled by validate_scenario, for BruteForce the
-    candidates its trials have drawn, compiled on first draw, the grid
-    layouts of the observations its trials have made, with, noiseless at a
-    fixed range, each timeline's phase cells and the observations kept for
-    them (see observe_emission), and the verdicts of the single sessions
-    its trials have scored on those kept observations (see run_trial).
-    Each of these three memos is emptied at _MEMO_CAP entries. The store
-    keeps its own forms (see _Store), the costly half of validation and the
-    report digest's hash state among them. None of them travel in a
-    pickle; each worker builds its own.
+    timelines (first compiled by validate_scenario), and the memo of what
+    its trials have built (_Memo). The store keeps its own forms (see
+    _Store), the costly half of validation and the report digest's hash
+    state among them. None of them travel in a pickle; each worker builds
+    its own.
     """
 
     store: tuple[SecretPattern, ...]
@@ -236,7 +236,7 @@ class ScenarioConfig:
     def _timelines(self) -> tuple[tuple[SlotConfig, EmissionTimeline], ...]:
         # What the actor emits, as (slot layout, timeline): one for Legit,
         # Replay, Mitm and Mutant, Proto's even and odd half. BruteForce
-        # draws a candidate every trial; _candidates keeps those.
+        # draws a candidate every trial; the memo keeps those.
         a = self.actor
         slot = self.slot_cfg
         if isinstance(a, (Legit, Replay, Mitm)):
@@ -254,36 +254,17 @@ class ScenarioConfig:
         return tuple((s, compile_schedule(p, s, self.tx_levels)) for p, s in emitted)
 
     @cached_property
-    def _candidates(self) -> dict[int, EmissionTimeline]:
-        # BruteForce's compiled candidates by index, compiled when a trial
-        # first draws one. Trials may share them: a timeline's arrays are
-        # read-only.
-        return {}
-
-    @cached_property
-    def _layouts(self) -> dict:
-        # observe_emission's grid layouts, keyed on t_start and the heard
-        # beacons' ticks (and at a fixed range the beacons' path loss, keyed
-        # on their count, and noiseless there each timeline's phase cells,
-        # keyed on the timeline, then t_start), built when a trial first
-        # needs one. A config's timelines share one slot_s.
-        return {}
-
-    @cached_property
-    def _sessions(self) -> dict:
-        # run_trial's verdicts by the kept observation they were read from
-        # (see there), built when a trial first scores one. Trials may share
-        # them: an AuthResult is immutable.
-        return {}
+    def _memo(self) -> _Memo:
+        return _Memo()
 
     def _candidate_timeline(self, index: int) -> EmissionTimeline:
-        tl = self._candidates.get(index)
+        tl = self._memo.candidates.get(index)
         if tl is None:
             a = self.actor
             p = candidate_from_index(index, a.n, a.L, self.band.channel_count,
                                      self.max_tu)
             tl = compile_schedule(p, self.slot_cfg, self.tx_levels)
-            _keep(self._candidates, index, tl)
+            _keep(self._memo.candidates, index, tl)
         return tl
 
     def pattern(self, pattern_id: str) -> SecretPattern:
@@ -426,7 +407,7 @@ def _last_tick(cfg: ScenarioConfig) -> float:
 def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
                      chan: ChannelParams, tx: TxPowerLevels, scfg: SensorConfig,
                      slot_cfg: SlotConfig, rng: Optional[np.random.Generator],
-                     t_start: float = 0.0, *, layouts: Optional[dict] = None,
+                     t_start: float = 0.0, *, memo: Optional[_Memo] = None,
                      drawn: Optional[float] = None):
     """Place one emission on the sensor's sampling grid.
 
@@ -440,50 +421,59 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     tick of the windows the heard ones open; windows that overlap are
     merged. All of the latter depends only on the heard beacons' grid ticks
     and t_start, so it is compiled once into a layout (_grid_layout) that
-    the samples carry to the reader. layouts, if given, keeps those by
-    (t_start, ticks) for every observation of one config, which shares one
-    trajectory, channel, f_s, n and slot_s, and at a fixed range (one
-    waypoint) the beacons' path loss by beacon count; it is emptied at
-    _MEMO_CAP entries. The draws, in order: the emission phase, then with
+    the samples carry to the reader. memo, if given, is one config's
+    (_Memo), whose observations share one trajectory, channel, f_s, n and
+    slot_s; it keeps those layouts, and at a fixed range (one waypoint) the
+    beacons' path loss. The draws, in order: the emission phase, then with
     sigma_db > 0 one normal per emitted beacon and one per kept tick.
     drawn, if given, is that phase already drawn from rng's stream (a
     trial takes it from its block, see run_trial); rng then draws only the
     normals, and may be None if there are none.
 
     Without shadowing (not sigma_db > 0) at a fixed range, the phase is the
-    only draw, and the observation is a step function of it. layouts then
-    also keeps, per timeline and t_start, the phase cells it is constant on
-    (_PhaseCells), built from the second time that timeline is observed,
-    and the observation of each cell a trial has landed in. A phase in a
-    cell with a kept observation gets it back, the samples shared and
-    read-only, the beacon list its own; a phase within the guard of a
+    only draw, and the observation is a step function of it. The memo then
+    also keeps each timeline's phase cells per t_start (_PhaseCells, see
+    _kept_cells) and the observation of each cell a trial has landed in,
+    as a _Kept, which goes to that trial and every later one in the cell,
+    each with a beacon list of its own. A phase within the guard of a
     cell's edge is placed in full and kept nowhere. Either way the draws
-    and the bytes are those of the full placement. A kept observation's
-    rssi array is read-only, and only a kept one's.
+    and the bytes are those of the full placement.
     """
     f = scfg.f_s
     if drawn is None:
         drawn = rng.uniform(0.0, 1.0 / f)
     phase = t_start + drawn  # emission start on the sensor clock
     cells = None
-    if layouts is not None and not chan.sigma_db > 0 and len(traj.waypoints) == 1:
-        cells = _kept_cells(layouts, timeline, t_start, scfg, slot_cfg)
+    if memo is not None and not chan.sigma_db > 0 and len(traj.waypoints) == 1:
+        cells = _kept_cells(memo.cells, timeline, t_start, scfg, slot_cfg)
     cell = cells.find(drawn * f) if cells else None
-    if cell is not None and cells.kept[cell] is not None:
-        beacons, samples = cells.kept[cell]
-        return list(beacons), samples
+    kept = cells.kept[cell] if cell is not None else None
+    if kept is not None:
+        return list(kept.beacons), kept
     beacons, samples = _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start,
-                              phase, layouts)
+                              phase, memo)
     if cell is not None:
-        samples.rssi_dbm.flags.writeable = False
-        cells.kept[cell] = (tuple(beacons), samples)
+        samples = cells.kept[cell] = _Kept(beacons, samples)
     return beacons, samples
+
+
+class _Kept(Samples):
+    """A phase cell's observation: its samples, read-only as every trial in
+    the cell shares them, its beacons, and the verdict of one session on it
+    on a fresh node once a trial has scored one (see run_trial), else None."""
+
+    __slots__ = ("beacons", "verdict")
+
+    def __init__(self, beacons: list[Beacon], samples: Samples):
+        samples.rssi_dbm.flags.writeable = False
+        self.t_s, self.rssi_dbm, self._grid = samples.t_s, samples.rssi_dbm, samples._grid
+        self.beacons, self.verdict = tuple(beacons), None
 
 
 def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
            tx: TxPowerLevels, scfg: SensorConfig, slot_cfg: SlotConfig,
            rng: np.random.Generator, t_start: float, phase: float,
-           layouts: Optional[dict]):
+           memo: Optional[_Memo]):
     """observe_emission's placement of an emission started at phase: every
     beacon and window tick, with its normals drawn from rng."""
     f = scfg.f_s
@@ -492,15 +482,15 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     t_true = phase + timeline.beacon_times
     # Each beacon's grid tick, half to even as round() does.
     ms = np.rint(t_true * f).astype(np.int64).tolist()
-    # At a fixed range every observation's beacons lose the same; layouts
+    # At a fixed range every observation's beacons lose the same; the memo
     # keeps that loss too, by beacon count.
-    fixed = len(traj.waypoints) == 1 and layouts is not None
-    pl = layouts.get(len(emitted)) if fixed else None
+    fixed = len(traj.waypoints) == 1 and memo is not None
+    pl = memo.layouts.get(len(emitted)) if fixed else None
     if pl is None:
         pl = path_loss(distance_at(traj, t_true - t_start), chan)
         if fixed:
             pl.flags.writeable = False
-            _keep(layouts, len(emitted), pl)
+            _keep(memo.layouts, len(emitted), pl)
     rssi = tx.high_dbm - pl
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=len(emitted))
@@ -511,11 +501,11 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     if not rows:
         return beacons, Samples()
     key = (t_start, *[ms[k] for k in rows])
-    layout = layouts.get(key) if layouts is not None else None
+    layout = memo.layouts.get(key) if memo is not None else None
     if layout is None:
         layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
-        if layouts is not None:
-            _keep(layouts, key, layout)
+        if memo is not None:
+            _keep(memo.layouts, key, layout)
     t_ticks, pl, grid = layout
     local = t_ticks - phase
     rssi = timeline.levels_at(local) - pl
@@ -527,7 +517,8 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
 
 class _PhaseCells:
     """The phase cells of one timeline observed from t_start, noiseless at a
-    fixed range, and the observation kept for each cell a trial landed in.
+    fixed range, and the observation kept for each cell a trial landed in
+    (a _Kept, which holds the cell's verdict too).
 
     Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
     and no normals, which beacons are heard does not depend on u, and what
@@ -597,22 +588,19 @@ def _phase_cells(timeline: EmissionTimeline, t_start: float, scfg: SensorConfig,
     return _PhaseCells(edges.tolist(), 2.0 ** -48 * last)
 
 
-def _kept_cells(layouts: dict, timeline: EmissionTimeline, t_start: float,
+def _kept_cells(cells: dict, timeline: EmissionTimeline, t_start: float,
                 scfg: SensorConfig, slot_cfg: SlotConfig) -> Optional[_PhaseCells]:
-    """The timeline's phase cells from t_start, kept in layouts by timeline
-    and then by start. The first time the timeline is observed, layouts
-    only notes it and this returns None: most of a large brute-force
-    space's candidates are drawn once, and they then cost no cells."""
-    by_start = layouts.get(timeline)
+    """The timeline's phase cells from t_start, kept in cells (a memo's
+    table) by timeline and then by start. The first time the timeline is
+    observed, cells only notes it, as {}, and this returns None: most of a
+    large brute-force space's candidates are drawn once, and they then cost
+    no cells."""
+    by_start = cells.get(timeline)
     if by_start is None:
-        _keep(layouts, timeline, False)
-        return None
-    if by_start is False:
-        by_start = layouts[timeline] = {}
-    cells = by_start.get(t_start)
-    if cells is None:
-        cells = by_start[t_start] = _phase_cells(timeline, t_start, scfg, slot_cfg)
-    return cells
+        _keep(cells, timeline, {})
+    elif t_start not in by_start:
+        by_start[t_start] = _phase_cells(timeline, t_start, scfg, slot_cfg)
+    return by_start[t_start] if by_start is not None else None
 
 
 def _keep(memo: dict, key, value) -> None:
@@ -649,8 +637,8 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
 # desk block is one chunk) spread that cost thin, while a desk chunk's draws
 # peak at about 1 MiB traced.
 _SEED_CHUNK = 4096
-# How many entries each of a config's memos (_candidates, _layouts,
-# _sessions) keeps before it starts over.
+# How many entries each table of a config's memo (_Memo) keeps before it
+# starts over.
 _MEMO_CAP = 4096
 
 # numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier as
@@ -831,15 +819,16 @@ class _Lanes:
         """Every lane's next_double, (x >> 11) * 2^-53; the cache stays."""
         return (self.next64() >> _U11).astype(np.float64) * 2.0 ** -53
 
-    def states(self) -> list[dict]:
-        """Every lane's bit_generator.state, as numpy's PCG64 gives it."""
+    def states(self) -> Iterator[dict]:
+        """Every lane's bit_generator.state, as numpy's PCG64 gives it, one
+        lane at a time."""
         hi, lo, inc_hi, inc_lo, has, cached = (
-            a.tolist() for a in (self.hi, self.lo, self.inc_hi, self.inc_lo,
-                                 self.has, self.cached))
-        return [{"bit_generator": "PCG64",
-                 "state": {"state": h << 64 | l, "inc": ih << 64 | il},
-                 "has_uint32": int(c), "uinteger": u}
-                for h, l, ih, il, c, u in zip(hi, lo, inc_hi, inc_lo, has, cached)]
+            self.hi, self.lo, self.inc_hi, self.inc_lo, self.has, self.cached)
+        for k in range(len(hi)):
+            yield {"bit_generator": "PCG64",
+                   "state": {"state": hi.item(k) << 64 | lo.item(k),
+                             "inc": inc_hi.item(k) << 64 | inc_lo.item(k)},
+                   "has_uint32": int(has.item(k)), "uinteger": cached.item(k)}
 
 
 def _trial_draws(cfg: ScenarioConfig, lo: int, hi: int
@@ -910,14 +899,11 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     a brute-force FAR is a per-attempt rate.
 
     A trial that scores one session (every actor but Replay) and gets a
-    kept observation back (noiseless at a fixed range, in a phase cell; see
-    observe_emission) still draws and observes its emission, but keys its
-    verdict in the config's memo (_sessions) on that observation's Samples.
-    There is one such object per timeline, start and cell, and the cell
-    fixes the beacons too; the rest the session reads on a fresh node at
-    t_start = 0 is the config's. So a trial scores the session only if no
-    earlier trial landed in its cell. Any other observation is scored
-    afresh and kept nowhere.
+    _Kept back (see observe_emission) reads its verdict there, or scores
+    the session and leaves its verdict there. The _Kept is its phase
+    cell's, which fixes the beacons and samples, and the rest the session
+    reads on a fresh node at t_start = 0 is the config's. Any other
+    observation is scored afresh and kept nowhere.
     """
     if draws is None:
         draws = next(_trial_draws(cfg, trial_index, trial_index + 1))
@@ -937,15 +923,14 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     for t_start in starts:
         beacons, samples = observe_emission(
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
-            t_start=t_start, layouts=cfg._layouts, drawn=phase)
+            t_start=t_start, memo=cfg._memo, drawn=phase)
         phase = None  # Replay's second session draws its own
-        # Samples hash and compare by identity.
-        kept = len(starts) == 1 and not samples.rssi_dbm.flags.writeable
-        result = cfg._sessions.get(samples) if kept else None
+        kept = len(starts) == 1 and isinstance(samples, _Kept)
+        result = samples.verdict if kept else None
         if result is None:
             result = _scored_session(cfg, slot, beacons, samples, node, t_start)
             if kept:
-                _keep(cfg._sessions, samples, result)
+                samples.verdict = result
     return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
 
 

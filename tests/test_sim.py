@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
@@ -235,20 +236,25 @@ class TestSeedLimbDifferential:
                 ref["state"], ref["inc"]), i
 
 
-MEMOS = ("_candidates", "_layouts", "_sessions")
+MEMOS = ("candidates", "layouts", "cells")
 
 
 def assert_memos_within(cfg, cap):
-    """Every memo of cfg holds at most cap entries, and none pickles."""
-    assert all(len(getattr(cfg, name)) <= cap for name in MEMOS)
-    assert not set(MEMOS) & set(vars(pickle.loads(pickle.dumps(cfg))))
+    """Every table of cfg's memo holds at most cap entries, and the memo
+    does not pickle."""
+    assert all(len(getattr(cfg._memo, name)) <= cap for name in MEMOS)
+    assert "_memo" not in vars(pickle.loads(pickle.dumps(cfg)))
 
 
-def kept_samples(cfg):
-    """The observations kept in cfg's phase cells, by id."""
-    return {id(kept[1]) for by_start in cfg._layouts.values()
-            if isinstance(by_start, dict)
-            for cells in by_start.values() for kept in cells.kept if kept}
+def kept_cells(cfg):
+    """The observations kept in cfg's phase cells."""
+    return [kept for by_start in cfg._memo.cells.values()
+            for cells in by_start.values() for kept in cells.kept if kept is not None]
+
+
+def kept_verdicts(cfg):
+    """The single-session verdicts that cfg's kept observations hold."""
+    return [kept.verdict for kept in kept_cells(cfg) if kept.verdict is not None]
 
 
 class TestBlockState:
@@ -278,16 +284,17 @@ class TestBlockState:
     def test_emptied_memo_gives_the_same_report(self, monkeypatch):
         cfg = build_desk(BruteForce(2, 2), 500)
         kept = report_bytes(cfg)
-        assert len(cfg._candidates) > 2
+        assert len(cfg._memo.candidates) > 2
         # At a cap of 1 or 2 a timeline's first-sighting mark is gone by its
-        # second sighting, so no cell forms; at 100 only _sessions fills up.
-        for cap in (1, 2, 100):
+        # second sighting, so no cell forms; at 40 the cells table of the 64
+        # candidates is emptied with kept verdicts in it.
+        for cap in (1, 2, 40):
             monkeypatch.setattr(beaconveil.sim, "_MEMO_CAP", cap)
             fresh = dataclasses.replace(cfg)
             assert report_bytes(fresh) == kept
             assert_memos_within(fresh, cap)
-            assert 1 <= len(fresh._candidates)
-        assert len(fresh._sessions) < len(kept_samples(fresh))
+            assert 1 <= len(fresh._memo.candidates)
+        assert len(fresh._memo.cells) < 64 and kept_verdicts(fresh)
 
 
 class TestActors:
@@ -1289,9 +1296,9 @@ def layout_specs(draw):
             "n": n}
 
 
-def observe_spec(spec, layouts):
+def observe_spec(spec, memo):
     """(store, sensor config, slot config, [(t_start, beacons, samples)]) for
-    a layout_specs spec; the observations share one layouts memo."""
+    a layout_specs spec; the observations share one memo."""
     p = spec["pattern"]
     slot_cfg = SlotConfig(*spec["slot"])
     tl = compile_schedule(p, slot_cfg, TxPowerLevels())
@@ -1315,7 +1322,7 @@ def observe_spec(spec, layouts):
               t_start + tl.duration_s + spec["replay_after"]):
         args = (tl, traj, chan, TxPowerLevels(), cfg, slot_cfg)
         state = rng.bit_generator.state
-        beacons, samples = observe_emission(*args, rng, t_start=t, layouts=layouts)
+        beacons, samples = observe_emission(*args, rng, t_start=t, memo=memo)
         # The memo moves nothing: the same draws without it give the same bytes.
         alone = np.random.default_rng()
         alone.bit_generator.state = state
@@ -1344,7 +1351,7 @@ class TestCompiledLayoutDifferential:
                    "replay_after": 1.1, "n": 2})
     @settings(max_examples=300, deadline=None)
     def test_compiled_plain_and_median_readers_agree(self, spec):
-        store, cfg, slot_cfg, observed = observe_spec(spec, {})
+        store, cfg, slot_cfg, observed = observe_spec(spec, beaconveil.sim._Memo())
         nodes = [SensorNode() for _ in range(3)]
         for t_start, beacons, samples in observed:
             plain = Samples(samples.t_s.copy(), samples.rssi_dbm.copy())
@@ -1427,7 +1434,7 @@ def probe_phases(cells, f_s):
 class TestPhaseCellDifferential:
     """Noiseless at one range, observe_emission returns the observation kept
     for the phase cell a trial lands in. It must equal, bit for bit and
-    draw for draw, what the full placement without layouts gives, at
+    draw for draw, what the full placement without a memo gives, at
     random phases and at phases on both sides of every cell edge."""
 
     @given(spec=cell_specs())
@@ -1457,13 +1464,13 @@ class TestPhaseCellDifferential:
         starts = [0.0]
         if spec["replay"]:
             starts.append(math.ceil((tl.duration_s + slot_cfg.tu_s) * f_s) / f_s)
-        layouts = {}
+        memo = beaconveil.sim._Memo()
         got_rng, want_rng = ForcedPhase(spec["seed"]), ForcedPhase(spec["seed"])
 
         def observe(t_start, phase=None):
             got_rng.phase = want_rng.phase = phase
             beacons, samples = observe_emission(*args, got_rng, t_start=t_start,
-                                                layouts=layouts)
+                                                memo=memo)
             ref_beacons, ref_samples = observe_emission(*args, want_rng, t_start=t_start)
             assert beacons == ref_beacons
             for got, want in ((samples.t_s, ref_samples.t_s),
@@ -1483,7 +1490,7 @@ class TestPhaseCellDifferential:
         for t_start in starts:
             for _ in range(10):
                 observe(t_start)
-            cells = layouts[tl][t_start]
+            cells = memo.cells[tl][t_start]
             assert isinstance(cells, beaconveil.sim._PhaseCells)
             # Every timeline gets its cells, 0 and 1 among the edges.
             assert cells.edges[:1] == [0.0] and cells.edges[-1:] == [1.0]
@@ -1562,7 +1569,7 @@ class TestPhaseCellMemo:
         # too; the first trial in each cell keeps its verdict for the rest.
         assert calls == {"observe_emission": 4000, "_place": 64 + 64 * 3,
                          "_scored_session": 64 + 64 * 3}
-        cells = [c for v in cfg._layouts.values() if isinstance(v, dict) for c in v.values()]
+        cells = [c for v in cfg._memo.cells.values() for c in v.values()]
         assert len(cells) == 64 and all(None not in c.kept for c in cells)
 
 
@@ -1615,6 +1622,21 @@ class TestBlockDrawCounts:
         run_scenario(build_flyover(600))
         assert calls == {"state": 600}
 
+    def test_noisy_chunk_builds_its_states_as_its_trials_take_them(self):
+        # A chunk's state dicts are made one at a time, so a noisy chunk
+        # holds little more than its lane arrays. A first draw may import
+        # numpy.random, which is not the chunk's.
+        cfg = build_flyover(beaconveil.sim._SEED_CHUNK)
+        next(_trial_draws(cfg, 0, 1))
+        tracemalloc.start()
+        try:
+            for _ in _trial_draws(cfg, 0, cfg.trials):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestLayoutMemo:
     @pytest.mark.parametrize("cfg, memoised", [
@@ -1628,8 +1650,8 @@ class TestLayoutMemo:
                                                            memoised):
         fresh = pickle.dumps(cfg)
         kept = report_bytes(cfg)
-        assert len(cfg._layouts) >= 2
-        assert (len(cfg._sessions) >= 2) == memoised
+        assert len(cfg._memo.layouts) >= 2
+        assert (len(kept_verdicts(cfg)) >= 2) == memoised
         assert pickle.dumps(cfg) == fresh
         assert_memos_within(cfg, beaconveil.sim._MEMO_CAP)
         # At a cap of one or two, a new entry often empties its memo first.
@@ -1638,7 +1660,24 @@ class TestLayoutMemo:
             capped = dataclasses.replace(cfg)
             assert report_bytes(capped) == kept
             assert_memos_within(capped, cap)
-            assert len(capped._layouts) >= 1
+            assert len(capped._memo.layouts) >= 1
+
+    @pytest.mark.parametrize("trials", [8000, 16000])
+    def test_first_sightings_leave_the_layouts_alone(self, monkeypatch, trials):
+        # A noiseless fig3a brute force draws nearly every candidate once,
+        # and their first-sighting marks fill the cells table past its cap.
+        # The 512 grid layouts (two phase ticks times 16 x 16 intervals)
+        # are built once each all the same.
+        builds = Counter()
+        grid_layout = beaconveil.sim._grid_layout
+
+        def counted(key, *args):
+            builds[key] += 1
+            return grid_layout(key, *args)
+        monkeypatch.setattr(beaconveil.sim, "_grid_layout", counted)
+        run_scenario(dataclasses.replace(build_fig3("a"), actor=BruteForce(3, 4),
+                                         trials=trials))
+        assert len(builds) == 512 and set(builds.values()) == {1}
 
 
 def _noiseless(cfg):
@@ -1676,14 +1715,14 @@ class TestSessionMemo:
         report = run_scenario(cfg)
         # One verdict per kept cell. A moving trajectory has no cells; the
         # other runs did share verdicts, so the memo was read, not only filled.
-        assert {id(s) for s in cfg._sessions} == kept_samples(cfg)
+        assert all(kept.verdict is not None for kept in kept_cells(cfg))
         moving = len(cfg.trajectory.waypoints) > 1
-        assert moving or 1 <= len(cfg._sessions) < cfg.trials
+        assert moving or 1 <= len(kept_verdicts(cfg)) < cfg.trials
         for i, trial in enumerate(report.trials):
             fresh = dataclasses.replace(cfg)
             assert run_trial(fresh, i) == trial, i
             # A fresh config's first sighting has no cell, so keeps nothing.
-            assert fresh._sessions == {}
+            assert kept_cells(fresh) == []
 
     @pytest.mark.parametrize("cfg, buckets", [
         (build_flyover(60), None),
@@ -1698,6 +1737,6 @@ class TestSessionMemo:
             "bruteforce-large-space"])
     def test_not_kept_under_shadowing_or_for_replay(self, cfg, buckets):
         report = run_scenario(cfg)
-        assert cfg._sessions == {}
+        assert kept_verdicts(cfg) == []
         if buckets is not None:
             assert {t.result.bucket for t in report.trials} == buckets
