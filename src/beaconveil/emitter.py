@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -221,85 +220,79 @@ def random_pattern(rng: np.random.Generator, n: int, L: int, band: BandPlan,
 _MAX_BOUND = 1 << 63
 
 
-def _candidate_digits(n: int, L: int, channels: int,
-                      max_tu: int) -> tuple[list[int], list[int]]:
-    """The digits of a uniform raw candidate, in draw order, as (bounds,
-    weights): each digit is drawn below its bound, and the candidate's index
-    in candidate_from_index's order is the sum of digit times weight (see
-    _fold). Per triplet: n bits, most significant first, the channel, and
-    from the third triplet the interval. A bound above 2^63 raises
-    ValueError, as numpy's int64 draw does."""
+def _candidate_digits(n: int, L: int, channels: int, max_tu: int) -> list[int]:
+    """The bounds of a uniform raw candidate's digits, in draw order: each
+    digit is drawn below its bound. Per triplet: n bits, most significant
+    first, the channel less one, and from the third triplet the interval
+    less one. A candidate's digits in this order are its row, which
+    _raw_candidate builds. A bound above 2^63 raises ValueError, as numpy's
+    int64 draw does."""
     if n < 1 or L < 2 or channels < 1 or max_tu < 1:
         raise ValueError("need n >= 1, L >= 2, channels >= 1, max_tu >= 1")
     if channels > _MAX_BOUND or (L >= 3 and max_tu > _MAX_BOUND):
         raise ValueError("high is out of bounds for int64")
-    bounds: list[int] = []
-    weights: list[int] = []
-    radix = 1
+    triplet = [2] * n + [channels]
+    return triplet * 2 + (triplet + [max_tu]) * (L - 2)
+
+
+def _raw_candidate(row: Sequence[int], n: int, L: int,
+                   pattern_id: str = "cand") -> SecretPattern:
+    """The raw candidate whose digits, in _candidate_digits' order, are
+    row."""
+    triplets = []
+    k = 0
     for i in range(L):
-        bounds += [2] * n
-        weights += [radix << (n - 1 - b) for b in range(n)]
-        radix <<= n
-        bounds.append(channels)
-        weights.append(radix)
-        radix *= channels
+        bits = "".join(map(str, row[k:k + n]))
+        channel = 1 + row[k + n]
+        k += n + 1
+        interval: Optional[int] = None if i == 0 else 1
         if i >= 2:
-            bounds.append(max_tu)
-            weights.append(radix)
-            radix *= max_tu
-    return bounds, weights
-
-
-def _fold(digits: list[int], weights: list[int]) -> int:
-    """A candidate's index from its drawn digits (see _candidate_digits)."""
-    return sum(map(mul, digits, weights))
-
-
-def _candidate_index(rng: np.random.Generator, n: int, L: int, channels: int,
-                     max_tu: int) -> int:
-    """Draw a uniform raw candidate as its index in candidate_from_index's
-    order: its digits (see _candidate_digits) in one rng.integers call over
-    an array of bounds. numpy draws such an array element by element with
-    the bounded-integer routine a one-value call uses (Lemire, 2019), so the
-    digits and the generator's final state are those of one call per digit.
-    A simulated run draws the same digits for a whole block of trials at
-    once (sim._trial_draws) and folds them here too. A bound above 2^63
-    raises ValueError, as numpy's int64 draw does."""
-    bounds, weights = _candidate_digits(n, L, channels, max_tu)
-    return _fold(rng.integers(0, np.array(bounds, dtype=np.uint64)).tolist(), weights)
+            interval = 1 + row[k]
+            k += 1
+        triplets.append(Triplet(TxPattern(bits), channel, interval))
+    return SecretPattern(pattern_id, tuple(triplets))
 
 
 def random_candidate(rng: np.random.Generator, n: int, L: int, channels: int,
                      max_tu: int) -> SecretPattern:
     """Uniform draw over the *raw* candidate space counted by
     pattern_space_size: every bit string (all-equal included), every channel,
-    every interval. This is the brute-force adversary's sample space. The
-    candidate is candidate_from_index's, so its id is "cand<index>"; nothing
-    reads it."""
-    return candidate_from_index(_candidate_index(rng, n, L, channels, max_tu),
-                                n, L, channels, max_tu)
+    every interval. This is the brute-force adversary's sample space.
+
+    The digits (see _candidate_digits) are drawn in one rng.integers call
+    over an array of bounds. numpy draws such an array element by element
+    with the bounded-integer routine a one-value call uses (Lemire, 2019),
+    so the digits and the generator's final state are those of one call per
+    digit; a simulated run draws the same digits for a whole block of
+    trials at once (sim._trial_draws). A bound above 2^63 raises ValueError,
+    as numpy's int64 draw does. The candidate's id is "cand"; nothing reads
+    it."""
+    bounds = _candidate_digits(n, L, channels, max_tu)
+    return _raw_candidate(rng.integers(0, np.array(bounds, dtype=np.uint64)).tolist(),
+                          n, L)
 
 
 def candidate_from_index(index: int, n: int, L: int, channels: int,
                          max_tu: int) -> SecretPattern:
-    """Bijection from [0, pattern_space_size) onto raw candidates.
+    """Bijection from [0, pattern_space_size) onto raw candidates, with id
+    "cand<index>".
 
     Digits are consumed least-significant-first as, per triplet: bits value,
     then channel, then (from the third triplet) interval.
     """
-    triplets = []
+    row = []
     rem = index
     for i in range(L):
         rem, bits_val = divmod(rem, 1 << n)
+        row += [bits_val >> b & 1 for b in reversed(range(n))]
         rem, ch = divmod(rem, channels)
-        interval: Optional[int] = None if i == 0 else 1
+        row.append(ch)
         if i >= 2:
             rem, tu = divmod(rem, max_tu)
-            interval = 1 + tu
-        triplets.append(Triplet(TxPattern(format(bits_val, f"0{n}b")), 1 + ch, interval))
+            row.append(tu)
     if rem:
         raise ValueError("index outside the candidate space")
-    return SecretPattern(f"cand{index}", tuple(triplets))
+    return _raw_candidate(row, n, L, f"cand{index}")
 
 
 def iter_candidates(n: int, L: int, channels: int, max_tu: int) -> Iterator[SecretPattern]:

@@ -51,9 +51,8 @@ from .core import (ACCEPTED, MAX_BITS, BandPlan, DEFAULT_BAND, SecretPattern,
                    Triplet, TxPattern, _check_finite, new_matcher,
                    validate_pattern)
 from .emitter import (_MAX_BOUND, Beacon, EmissionTimeline, Mutation,
-                      SlotConfig, SlotFitError, _candidate_digits, _fold,
-                      candidate_from_index, compile_schedule, mutate,
-                      random_pattern)
+                      SlotConfig, SlotFitError, _candidate_digits,
+                      _raw_candidate, compile_schedule, mutate, random_pattern)
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
@@ -182,11 +181,11 @@ def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
 class _Memo:
     """What a config's trials build and later trials reuse, in three tables,
     each emptied at _MEMO_CAP entries (_keep): candidates, BruteForce's
-    compiled timelines by index; layouts, the grid layouts by (t_start,
-    *ticks) and, at a fixed range, the beacons' path loss by beacon count;
-    cells, noiseless at a fixed range, each timeline's phase cells by
-    t_start, {} after its first sighting (see _kept_cells). Every array in
-    them is read-only, so trials share them."""
+    compiled timelines by digit row (see _trial_draws); layouts, the grid
+    layouts by (t_start, *ticks) and, at a fixed range, the beacons' path
+    loss by beacon count; cells, noiseless at a fixed range, each
+    timeline's phase cells by t_start, {} after its first sighting (see
+    _kept_cells). Every array in them is read-only, so trials share them."""
 
     __slots__ = ("candidates", "layouts", "cells")
 
@@ -257,14 +256,12 @@ class ScenarioConfig:
     def _memo(self) -> _Memo:
         return _Memo()
 
-    def _candidate_timeline(self, index: int) -> EmissionTimeline:
-        tl = self._memo.candidates.get(index)
+    def _candidate_timeline(self, row: tuple[int, ...]) -> EmissionTimeline:
+        tl = self._memo.candidates.get(row)
         if tl is None:
-            a = self.actor
-            p = candidate_from_index(index, a.n, a.L, self.band.channel_count,
-                                     self.max_tu)
+            p = _raw_candidate(row, self.actor.n, self.actor.L)
             tl = compile_schedule(p, self.slot_cfg, self.tx_levels)
-            _keep(self._memo.candidates, index, tl)
+            _keep(self._memo.candidates, row, tl)
         return tl
 
     def pattern(self, pattern_id: str) -> SecretPattern:
@@ -351,9 +348,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     a = cfg.actor
     if isinstance(a, BruteForce):
         # A raw candidate's second interval is always 1 TU, so whether its
-        # burst fits depends on n alone.
+        # burst fits depends on n alone: check the all-zero two-triplet one.
         try:
-            cfg.slot_cfg.check_fit(candidate_from_index(0, a.n, 2, 1, 1))
+            cfg.slot_cfg.check_fit(_raw_candidate([0] * (2 * a.n + 2), a.n, 2))
         except SlotFitError as e:
             problems.append(f"bruteforce burst does not fit: {e}")
         # numpy draws a digit below a bound of at most 2^63.
@@ -832,27 +829,29 @@ class _Lanes:
 
 
 def _trial_draws(cfg: ScenarioConfig, lo: int, hi: int
-                 ) -> Iterator[tuple[Optional[int], float, Optional[np.random.Generator]]]:
+                 ) -> Iterator[tuple[Optional[tuple[int, ...]], float,
+                                     Optional[np.random.Generator]]]:
     """Each trial in [lo, hi)'s first draws from the stream that
-    default_rng([seed, i]) starts, as (candidate, phase, rng).
+    default_rng([seed, i]) starts, as (row, phase, rng).
 
     The draws are made _SEED_CHUNK (4096) trials at a time, as _Lanes. A
     seeding or draw pass costs a fixed number of numpy calls whatever its
     width, so a wide chunk spreads that cost over more trials (a 4000-trial
     desk block is one pass), while its arrays stay about 1 MiB. The draws
-    are a BruteForce trial's candidate digits (emitter._candidate_digits),
-    folded into its index, else None; then the first session's emission
-    phase, as observe_emission's uniform(0, 1 / f_s) draws it. A trial that
-    draws again, normals at sigma_db > 0 or Replay's second session, gets
-    rng, one kept Generator set to the state its stream is in after those
-    draws; any other trial gets None and sets no state.
+    are a BruteForce trial's candidate digits (emitter._candidate_digits)
+    as its row, a tuple in draw order made as the trial is taken, else
+    None; then the first session's emission phase, as observe_emission's
+    uniform(0, 1 / f_s) draws it. A trial that draws again, normals at
+    sigma_db > 0 or Replay's second session, gets rng, one kept Generator
+    set to the state its stream is in after those draws; any other trial
+    gets None and sets no state.
     """
     if cfg.seed < 0 or lo < 0:
         raise ValueError("expected non-negative integer")
     a = cfg.actor
-    bounds, weights = [], []
+    bounds = []
     if isinstance(a, BruteForce):
-        bounds, weights = _candidate_digits(a.n, a.L, cfg.band.channel_count, cfg.max_tu)
+        bounds = _candidate_digits(a.n, a.L, cfg.band.channel_count, cfg.max_tu)
     scale = 1.0 / cfg._effective_sensor.f_s
     rng = None
     if isinstance(a, Replay) or cfg.channel.sigma_db > 0:
@@ -863,15 +862,14 @@ def _trial_draws(cfg: ScenarioConfig, lo: int, hi: int
         stop = min(hi, start + _SEED_CHUNK, 1 << 32 * _words(start))
         lanes = _Lanes(*_pcg64_seeds(cfg.seed, start, stop))
         digits = [lanes.integers(b).tolist() for b in bounds]
-        indices = ([_fold(row, weights) for row in zip(*digits)] if bounds
-                   else [None] * (stop - start))
+        rows = zip(*digits) if bounds else [None] * (stop - start)
         phases = (scale * lanes.doubles()).tolist()
         if rng is None:
-            yield from zip(indices, phases, [None] * (stop - start))
+            yield from zip(rows, phases, [None] * (stop - start))
         else:
-            for index, phase, state in zip(indices, phases, lanes.states()):
+            for row, phase, state in zip(rows, phases, lanes.states()):
                 rng.bit_generator.state = state
-                yield index, phase, rng
+                yield row, phase, rng
         start = stop
 
 
@@ -888,15 +886,16 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     """One fully deterministic trial; randomness from (seed, trial_index).
 
     draws is the trial's share of its block's draws, as _trial_draws
-    yields it: a BruteForce trial's candidate index, the first session's
-    phase, and the Generator that makes any later draw, None for a
-    noiseless single-session trial. Without it the trial is a block of
+    yields it: a BruteForce trial's candidate digits (its row), the first
+    session's phase, and the Generator that makes any later draw, None for
+    a noiseless single-session trial. Without it the trial is a block of
     one. The emission is the config's compiled timeline (Proto's even or
     odd half); a BruteForce trial takes its candidate's timeline from the
-    config's memo, compiled on the first draw. The trial's sessions (two
-    for Replay, one otherwise) run on one fresh SensorNode, so lockout_s
-    acts only between a Replay trial's two sessions, never across trials:
-    a brute-force FAR is a per-attempt rate.
+    config's memo by row, built and compiled on the row's first draw. The
+    trial's sessions (two for Replay, one otherwise) run on one fresh
+    SensorNode, so lockout_s acts only between a Replay trial's two
+    sessions, never across trials: a brute-force FAR is a per-attempt
+    rate.
 
     A trial that scores one session (every actor but Replay) and gets a
     _Kept back (see observe_emission) reads its verdict there, or scores
@@ -907,11 +906,11 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     """
     if draws is None:
         draws = next(_trial_draws(cfg, trial_index, trial_index + 1))
-    index, phase, rng = draws
+    row, phase, rng = draws
     eff = cfg._effective_sensor
     a = cfg.actor
     if isinstance(a, BruteForce):
-        slot, tl = cfg.slot_cfg, cfg._candidate_timeline(index)
+        slot, tl = cfg.slot_cfg, cfg._candidate_timeline(row)
     else:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
     starts = [0.0]

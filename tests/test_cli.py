@@ -440,6 +440,9 @@ class TestFuzzedScenarioText:
            trials=st.integers(-2, 3), threads=st.integers(-1, 2))
     @example(case=(with_actor(FIXTURE_TEXTS[0], ["kind = bruteforce", "n = 9", "L = 2"]),
                    "actor"), seed=7, trials=2, threads=1)
+    # A candidate space past the 4300 digits str(int) converts.
+    @example(case=(with_actor(FIXTURE_TEXTS[0], ["kind = bruteforce", "n = 3", "L = 2000"]),
+                   "actor"), seed=7, trials=3, threads=1)
     @example(case=(with_actor(FIXTURE_TEXTS[4], ["kind = proto", "pattern_a = pi1",
                                                  "pattern_b = pi2", "tu_b_s = 0.5"]),
                    "actor"), seed=11, trials=2, threads=1)

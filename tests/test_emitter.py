@@ -1,5 +1,7 @@
 """Schedule compiler, mutations, candidate samplers, and the golden timeline."""
 
+import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from beaconveil import (DEFAULT_BAND, BandPlan, FlipTxBit, PatternError,
                         iter_candidates, mutate, parse_pattern,
                         pattern_space_size, random_candidate, random_pattern,
                         render_pattern, validate_pattern)
-from beaconveil.emitter import _candidate_index
+from beaconveil.emitter import _candidate_digits, _raw_candidate
 
 GOLDEN = Path(__file__).parent / "golden" / "fig3_timeline.txt"
 FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
@@ -225,10 +227,11 @@ class TestSamplers:
     @example(seed=3, n=3, L=4, channels=2**32 + 1, max_tu=2**32 + 1)
     @example(seed=4, n=3, L=4, channels=2**63, max_tu=2**63)
     @example(seed=5, n=1, L=5, channels=3, max_tu=2**32 + 1)
+    @example(seed=0, n=3, L=2000, channels=14, max_tu=16)  # index past 4300 digits
     @settings(max_examples=200, deadline=None)
     def test_candidate_index_draws_as_random_candidate(self, seed, n, L, channels,
                                                        max_tu):
-        # The reference is the per-triplet draw the index replaced: n bits,
+        # The reference is one draw per digit, triplet by triplet: n bits,
         # the channel, then from the third triplet the interval.
         ref = np.random.default_rng(seed)
         triplets = []
@@ -238,12 +241,10 @@ class TestSamplers:
             interval = None if i == 0 else (1 if i == 1 else 1 + int(ref.integers(0, max_tu)))
             triplets.append(Triplet(TxPattern(bits), channel, interval))
         rng = np.random.default_rng(seed)
-        index = _candidate_index(rng, n, L, channels, max_tu)
-        assert candidate_from_index(index, n, L, channels, max_tu).triplets == tuple(triplets)
+        drawn = random_candidate(rng, n, L, channels, max_tu)
+        assert drawn.triplets == tuple(triplets)
         assert rng.bit_generator.state == ref.bit_generator.state
-        again = random_candidate(np.random.default_rng(seed), n, L, channels, max_tu)
-        assert again.triplets == tuple(triplets)
-        assert again.pattern_id == f"cand{index}"
+        assert drawn.pattern_id == "cand"
 
     @pytest.mark.parametrize("L, channels, max_tu", [
         (2, 2**63 + 1, 1), (2, 2**70, 1), (3, 1, 2**63 + 1), (3, 1, 2**70)])
@@ -252,12 +253,13 @@ class TestSamplers:
         # array of bounds would fail with OverflowError past 2^64 instead.
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="high is out of bounds for int64"):
-            _candidate_index(rng, 2, L, channels, max_tu)
+            random_candidate(rng, 2, L, channels, max_tu)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_candidate_index_max_tu_past_2_63_unused_at_two_triplets(self):
-        index = _candidate_index(np.random.default_rng(0), 2, 2, 2**63, 2**70)
-        assert 0 <= index < pattern_space_size(2, 2, 2**63, 2**70)
+        p = random_candidate(np.random.default_rng(0), 2, 2, 2**63, 2**70)
+        assert [t.interval_tu for t in p.triplets] == [None, 1]
+        assert all(len(t.tx_pattern) == 2 and 1 <= t.channel <= 2**63 for t in p.triplets)
 
     def test_candidate_index_bijection(self):
         space = pattern_space_size(2, 2, 2, 2)
@@ -275,6 +277,15 @@ class TestSamplers:
                    for i in range(space)]
         assert indexed == listed
         assert len(set(listed)) == space == 8 * 8 * 3
+
+    @pytest.mark.parametrize("n, L, channels, max_tu", [(2, 2, 2, 2), (1, 3, 2, 3)])
+    def test_every_digit_row_builds_one_candidate(self, n, L, channels, max_tu):
+        bounds = _candidate_digits(n, L, channels, max_tu)
+        built = Counter(_raw_candidate(row, n, L).triplets
+                        for row in itertools.product(*map(range, bounds)))
+        listed = Counter(p.triplets for p in iter_candidates(n, L, channels, max_tu))
+        assert built == listed
+        assert set(built.values()) == {1}
 
     def test_candidate_index_bounds(self):
         with pytest.raises(ValueError):

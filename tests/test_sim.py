@@ -1,6 +1,7 @@
 """Engine behavior: determinism, actors, metrics, sweeps."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -146,18 +147,6 @@ class TestTrialGenerators:
 DRAW_BOUNDS = [1, 2, 14, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**63]
 
 
-def drawn_digits(pattern):
-    """A raw candidate's digits in draw order: per triplet its bits, its
-    channel less one, and from the third triplet its interval less one."""
-    digits = []
-    for i, t in enumerate(pattern.triplets):
-        digits += [int(b) for b in t.tx_pattern.bits]
-        digits.append(t.channel - 1)
-        if i >= 2:
-            digits.append(t.interval_tu - 1)
-    return digits
-
-
 class TestBlockDrawDifferential:
     """A block's candidate digits, phase and the generator state after
     them, drawn as PCG64 lane arrays, against default_rng([seed, i]) trial
@@ -180,13 +169,11 @@ class TestBlockDrawDifferential:
             build_desk(BruteForce(n, L), 1), seed=seed, max_tu=max_tu,
             band=BandPlan("wide", channels, 2412.0, 5.0),
             channel=ChannelParams(sigma_db=1.5))
-        bounds, _ = _candidate_digits(n, L, channels, max_tu)
+        bounds = _candidate_digits(n, L, channels, max_tu)
         draws = _trial_draws(cfg, lo, lo + count)
-        for i, (index, phase, rng) in zip(range(lo, lo + count), draws, strict=True):
+        for i, (row, phase, rng) in zip(range(lo, lo + count), draws, strict=True):
             ref = np.random.default_rng([seed, i])
-            digits = [int(ref.integers(0, b)) for b in bounds]
-            pattern = candidate_from_index(index, n, L, channels, max_tu)
-            assert drawn_digits(pattern) == digits, i
+            assert list(row) == [int(ref.integers(0, b)) for b in bounds], i
             assert phase == ref.uniform(0.0, 1.0 / cfg.sensor_cfg.f_s), i
             assert rng.bit_generator.state == ref.bit_generator.state, i
 
@@ -496,7 +483,7 @@ class TestValidation:
         # than MAX_BITS bits, so a larger n is refused at construction,
         # from Python or from a file, without one.
         built = []
-        monkeypatch.setattr(beaconveil.sim, "candidate_from_index",
+        monkeypatch.setattr(beaconveil.sim, "_raw_candidate",
                             lambda *args: built.append(args))
         with pytest.raises(ValueError, match=r"MAX_BITS \(64\), got 1000000"):
             BruteForce(10**6, 2)
@@ -1525,6 +1512,13 @@ def exact_buckets(cfg, slot_cfg, timeline):
     return out
 
 
+def desk_rows(cfg):
+    """Every digit row of the desk brute force's 64 raw candidates."""
+    a = cfg.actor
+    bounds = _candidate_digits(a.n, a.L, cfg.band.channel_count, cfg.max_tu)
+    return itertools.product(*map(range, bounds))
+
+
 class TestNoiselessOracle:
     """Without noise at one range, a trial's outcome is a function of its
     phase cell, so the phase cells give the exact outcome distribution."""
@@ -1533,9 +1527,24 @@ class TestNoiselessOracle:
         cfg = build_desk(BruteForce(2, 2), 1)
         space = pattern_space_size(2, 2, cfg.band.channel_count, cfg.max_tu)
         assert space == 64
-        accepted = [exact_buckets(cfg, cfg.slot_cfg, cfg._candidate_timeline(k))[ACCEPTED]
-                    for k in range(space)]
+        accepted = [exact_buckets(cfg, cfg.slot_cfg, cfg._candidate_timeline(row))[ACCEPTED]
+                    for row in desk_rows(cfg)]
+        assert len(accepted) == space
         assert sum(accepted) / space == Fraction(1, 64)
+
+    def test_desk_multi_outcomes_are_the_runs(self):
+        # The run draws its candidates and phases at random, so its rates
+        # are checked against the exact ones (accepted: 3/16) with a z = 4
+        # Wilson interval per bucket.
+        cfg = build_desk_multi(2000)
+        exact = Counter()
+        for row in desk_rows(cfg):
+            exact.update(exact_buckets(cfg, cfg.slot_cfg, cfg._candidate_timeline(row)))
+        ran = Counter(t.result.bucket for t in run_scenario(cfg).trials)
+        assert set(ran) <= set(exact)
+        for bucket, weight in exact.items():
+            lo, hi = wilson(ran[bucket] / cfg.trials, cfg.trials, z=4.0)
+            assert lo <= weight / 64 <= hi, bucket
 
     @pytest.mark.parametrize("case", "abcd")
     def test_fig3_outcomes_are_the_runs(self, case):
