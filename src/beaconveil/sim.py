@@ -1016,32 +1016,64 @@ class RunReport:
     trials: tuple[TrialResult, ...]
 
 
+class _Block(list):
+    """A block's TrialResults, in trial order. It pickles as its first trial
+    index, the config's actor and label, and each trial's AuthResult, so
+    pickle's memo sends each of the block's few distinct verdicts once; the
+    receiving side rebuilds the TrialResults (_unpack_block)."""
+
+    def __reduce__(self):
+        first = self[0]
+        return _unpack_block, (first.trial, first.actor, first.label,
+                               [t.result for t in self])
+
+
+def _unpack_block(lo: int, actor: str, label: str,
+                  results: list[AuthResult]) -> list[TrialResult]:
+    return [TrialResult(i, actor, label, r) for i, r in enumerate(results, lo)]
+
+
 def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> list[TrialResult]:
-    return [run_trial(cfg, i, draws) for i, draws
-            in zip(range(lo, hi), _trial_draws(cfg, lo, hi))]
+    return _Block(run_trial(cfg, i, draws) for i, draws
+                  in zip(range(lo, hi), _trial_draws(cfg, lo, hi)))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says, else the
+    machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_rows(rows: Sequence[ScenarioConfig], workers: int) -> list[RunReport]:
     """Every trial of every row, as one RunReport per row.
 
-    workers > 1 cuts each row into blocks of ceil(trials / workers) trials
-    and runs the blocks of all the rows on one pool of at most one process
-    per CPU. A row's blocks come back in block order, which is trial order,
-    so its outcome is identical for any worker count.
+    workers > 1, capped at the CPUs this process may use, cuts each row
+    into blocks of ceil(trials / workers) trials. The calling process
+    counts as one of the workers: a pool of workers - 1 processes runs
+    every block but each row's first, which the calling process runs
+    meanwhile. A row's blocks are merged in block order, which is trial
+    order, so its outcome is identical for any worker count.
     """
     # The pool starts all its processes on the first submit.
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _usable_cpus())
     if workers <= 1 or sum(cfg.trials for cfg in rows) < 2 * workers:
         results = [_run_block(cfg, 0, cfg.trials) for cfg in rows]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for cfg in rows:
-                block = math.ceil(cfg.trials / workers)
-                futures.append([pool.submit(_run_block, cfg, lo,
-                                            min(lo + block, cfg.trials))
-                                for lo in range(0, cfg.trials, block)])
-            results = [[t for fut in row for t in fut.result()] for row in futures]
+        blocks = [math.ceil(cfg.trials / workers) for cfg in rows]
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [[pool.submit(_run_block, cfg, lo, min(lo + block, cfg.trials))
+                        for lo in range(block, cfg.trials, block)]
+                       for cfg, block in zip(rows, blocks)]
+            try:
+                firsts = [_run_block(cfg, 0, block)
+                          for cfg, block in zip(rows, blocks)]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            results = [[*first, *(t for fut in row for t in fut.result())]
+                       for first, row in zip(firsts, futures)]
     return [RunReport(compute_metrics(r), tuple(r)) for r in results]
 
 

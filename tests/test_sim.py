@@ -41,6 +41,47 @@ from scenario_builders import build_desk, build_desk_multi
 from test_sensor import median_decode
 
 
+class InlinePool:
+    """A fake ProcessPoolExecutor: it runs each submitted block inline, and
+    records the size it was asked for, each submitted function and (lo,
+    hi), and each shutdown's cancel_futures, in the lists inline_pool
+    gives each of its copies."""
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, cfg, lo, hi):
+        self.submitted.append((fn, cfg, lo, hi))
+        fut = Future()
+        fut.set_result(fn(cfg, lo, hi))
+        return fut
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancels.append(cancel_futures)
+
+
+def inline_pool(monkeypatch):
+    """Put a fresh InlinePool class in the engine's place; returns it."""
+    pool = type("InlinePool", (InlinePool,), {"sizes": [], "submitted": [], "cancels": []})
+    monkeypatch.setattr(beaconveil.sim, "ProcessPoolExecutor", pool)
+    return pool
+
+
+def usable_cpus(monkeypatch, usable, machine=None):
+    """Make the process see usable CPUs of its own, on a machine of
+    machine (default: usable) CPUs."""
+    monkeypatch.setattr(beaconveil.sim.os, "cpu_count",
+                        lambda: usable if machine is None else machine)
+    monkeypatch.setattr(beaconveil.sim.os, "sched_getaffinity",
+                        lambda pid: set(range(usable)), raising=False)
+
+
 def verdicts(report):
     return [(t.trial, t.result.verdict, t.result.duration_s) for t in report.trials]
 
@@ -73,40 +114,121 @@ class TestDeterminism:
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # A pool forks all its processes on the first submit, so --threads
-        # beyond the core count must not reach it. The fake pool runs each
-        # block inline and records the size it was asked for.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(beaconveil.sim, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: 2)
+        # beyond the CPUs this process may use must not reach it, and the
+        # calling process, which runs a block too, counts as one of them.
+        pool = inline_pool(monkeypatch)
         cfg = build_desk(BruteForce(2, 2), 40)
         serial = run_scenario(cfg)
-        capped = run_scenario(cfg, workers=4096)
-        assert sizes == [2]
-        assert capped == serial
-        monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: None)
-        assert run_scenario(cfg, workers=4096) == serial
-        assert sizes == [2]
+        for machine, usable in [(2, 2), (None, 2), (2, 1), (8, 3)]:
+            pool.sizes.clear()
+            usable_cpus(monkeypatch, usable, machine)
+            assert run_scenario(cfg, workers=4096) == serial
+            # With the calling process, one process per usable CPU.
+            assert pool.sizes == ([] if usable == 1 else [usable - 1])
+        # Where the platform cannot say, the machine's count is all there is.
+        monkeypatch.delattr(beaconveil.sim.os, "sched_getaffinity", raising=False)
+        for machine, usable in [(None, 1), (2, 2)]:
+            pool.sizes.clear()
+            monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: machine)
+            assert run_scenario(cfg, workers=4096) == serial
+            assert pool.sizes == ([] if usable == 1 else [usable - 1])
 
     def test_seed_changes_outcome_stream(self):
         cfg = build_desk(BruteForce(2, 2), 64, seed=1)
         other = dataclasses.replace(cfg, seed=2)
         assert verdicts(run_scenario(cfg)) != verdicts(run_scenario(other))
+
+
+class TestBlockFanOut:
+    """How _run_rows shares a run's blocks between the calling process and
+    a pool of workers - 1 processes, and what a worker's block ships."""
+
+    def calls_to_run_block(self, monkeypatch):
+        # Every block run, by the pool or the calling process: the pool
+        # must submit _run_block as the module names it, so it gets this.
+        calls = []
+        real = beaconveil.sim._run_block
+
+        def recording(cfg, lo, hi):
+            calls.append((cfg, lo, hi))
+            return real(cfg, lo, hi)
+
+        monkeypatch.setattr(beaconveil.sim, "_run_block", recording)
+        return calls, recording
+
+    @pytest.mark.parametrize("workers, firsts, rest", [
+        (2, [(0, 20)], [(20, 40)]),
+        (3, [(0, 14)], [(14, 28), (28, 40)]),
+    ])
+    def test_parent_runs_first_block(self, monkeypatch, workers, firsts, rest):
+        cfg = build_desk(BruteForce(2, 2), 40)
+        serial = run_scenario(cfg)
+        pool = inline_pool(monkeypatch)
+        usable_cpus(monkeypatch, 4)
+        calls, recording = self.calls_to_run_block(monkeypatch)
+        assert run_scenario(cfg, workers=workers) == serial
+        assert pool.sizes == [workers - 1]
+        assert all(fn is recording for fn, *_ in pool.submitted)
+        assert [(lo, hi) for _, _, lo, hi in pool.submitted] == rest
+        # The inline pool runs each block as it is submitted, so the
+        # calling process's own blocks are the calls after those.
+        assert [(lo, hi) for _, lo, hi in calls[len(rest):]] == firsts
+
+    def test_parent_runs_each_rows_first_block(self, monkeypatch):
+        cfg = build_desk(BruteForce(2, 2), 30)
+        values = [5.0, 20.0, 45.0]
+        serial = sweep(cfg, "distance", values)
+        pool = inline_pool(monkeypatch)
+        usable_cpus(monkeypatch, 4)
+        calls, _ = self.calls_to_run_block(monkeypatch)
+        assert sweep(cfg, "distance", values, workers=4) == serial
+        assert pool.sizes == [3]
+
+        def blocks(runs):
+            return [(c.trajectory.waypoints[0][1], lo, hi) for c, lo, hi in runs]
+
+        rest = [(v, lo, min(lo + 8, 30)) for v in values for lo in (8, 16, 24)]
+        assert blocks(run[1:] for run in pool.submitted) == rest
+        assert blocks(calls[len(rest):]) == [(v, 0, 8) for v in values]
+
+    def test_parent_block_raising_cancels_the_queued_blocks(self, monkeypatch):
+        pool = inline_pool(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        real = beaconveil.sim._run_block
+
+        def failing_first(cfg, lo, hi):
+            if lo == 0:
+                raise RuntimeError("first block")
+            return real(cfg, lo, hi)
+
+        monkeypatch.setattr(beaconveil.sim, "_run_block", failing_first)
+        with pytest.raises(RuntimeError, match="first block"):
+            run_scenario(build_desk(BruteForce(2, 2), 40), workers=2)
+        assert pool.cancels == [True]
+
+    def test_block_ships_its_distinct_verdicts_once(self):
+        cfg = build_desk(BruteForce(2, 2), 4000)
+        block = beaconveil.sim._run_block(cfg, 2000, 4000)
+        data = pickle.dumps(block)
+        # Pickled whole, as 2000 TrialResults, it takes about 81 KB.
+        assert len(data) <= 40_000
+        back = pickle.loads(data)
+        assert back == block
+        assert [t.trial for t in back] == list(range(2000, 4000))
+        assert len({id(t.result) for t in block}) == 256
+        assert len({id(t.result) for t in back}) == 256
+
+    def test_real_pool_matches_serial(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        # Rows of fewer trials than workers: blocks of one trial each.
+        rows = [dataclasses.replace(build_desk(BruteForce(2, 2), 2),
+                                    trajectory=Trajectory(((0.0, d),)))
+                for d in (5.0, 20.0, 45.0)]
+        run_rows = beaconveil.sim._run_rows
+        assert run_rows(rows, 3) == run_rows(rows, 1)
+        # A row whose last block is short: 3, 3 and 1 trials.
+        cfg = build_flyover(7)
+        assert run_scenario(cfg, workers=3) == run_scenario(cfg)
 
 
 class TestTrialGenerators:
@@ -961,32 +1083,13 @@ class TestSweep:
         assert sorted(checked) == sorted(p.pattern_id for p in cfg.store)
 
     def test_rows_run_on_one_pool(self, monkeypatch):
-        # The fake pool of test_workers_capped_at_cpu_count: it runs each
-        # block inline and records the size it was asked for.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
         cfg = build_desk(BruteForce(2, 2), 30)
         values = [5.0, 20.0, 45.0]
         serial = sweep(cfg, "distance", values)
-        monkeypatch.setattr(beaconveil.sim, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(beaconveil.sim.os, "cpu_count", lambda: 2)
+        pool = inline_pool(monkeypatch)
+        usable_cpus(monkeypatch, 2)
         assert sweep(cfg, "distance", values, workers=4096) == serial
-        assert sizes == [2]
+        assert pool.sizes == [1]  # with the calling process, one per CPU
 
     def test_each_row_validated_once(self, monkeypatch):
         calls = []
