@@ -292,7 +292,11 @@ def candidate_from_index(index: int, n: int, L: int, channels: int,
             row.append(tu)
     if rem:
         raise ValueError("index outside the candidate space")
-    return _raw_candidate(row, n, L, f"cand{index}")
+    # Decimal prints every digit; str() of an int over 4300 digits raises.
+    # It is imported here: the module costs about 0.4 MiB resident, and a
+    # simulated run never names a candidate by its index.
+    from decimal import Decimal
+    return _raw_candidate(row, n, L, f"cand{Decimal(index)}")
 
 
 def iter_candidates(n: int, L: int, channels: int, max_tu: int) -> Iterator[SecretPattern]:

@@ -20,11 +20,15 @@ beacons' grid ticks and the session's start: the window ticks, their range
 and path loss, and where each slot's samples sit. A config's memo (_Memo)
 compiles that layout once per distinct (start, ticks). Without shadowing
 at a fixed range an observation is moreover a step function of the phase,
-constant on a few cells (_PhaseCells). The memo keeps the observation of
-each cell a trial has landed in (_Kept), and with it the verdict of one
-session on a fresh node (every actor but Replay), a pure function of that
-observation. A trial still draws its phase, but places its emission and
-runs its session only in a cell no earlier trial landed in.
+constant on a few cells (_PhaseCells), and the cells and their samples
+depend on the emission's on-air shape alone, not on its beacons' channels.
+The memo keeps the placement of each cell a trial of a shape has landed
+in, and for each timeline that landed there its observation (_Kept) and
+with it the verdict of one session on a fresh node (every actor but
+Replay), a pure function of that observation. A trial still draws its
+phase, but places its emission only in a cell no earlier trial of its
+shape landed in, and runs its session only in one no earlier trial of its
+timeline did.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -179,18 +183,20 @@ def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
 
 
 class _Memo:
-    """What a config's trials build and later trials reuse, in three tables,
+    """What a config's trials build and later trials reuse, in four tables,
     each emptied at _MEMO_CAP entries (_keep): candidates, BruteForce's
     compiled timelines by digit row (see _trial_draws); layouts, the grid
     layouts by (t_start, *ticks) and, at a fixed range, the beacons' path
-    loss by beacon count; cells, noiseless at a fixed range, each
-    timeline's phase cells by t_start, {} after its first sighting (see
-    _kept_cells). Every array in them is read-only, so trials share them."""
+    loss by beacon count; and, noiseless at a fixed range, cells, the phase
+    cells of each on-air shape (_shape_key) by t_start, only its key's hash
+    after its first sighting, and timelines, each timeline's entry in cells
+    and the observations kept for it in those cells (see _kept_cells).
+    Every array in them is read-only, so trials share them."""
 
-    __slots__ = ("candidates", "layouts", "cells")
+    __slots__ = ("candidates", "layouts", "cells", "timelines")
 
     def __init__(self):
-        self.candidates, self.layouts, self.cells = {}, {}, {}
+        self.candidates, self.layouts, self.cells, self.timelines = {}, {}, {}, {}
 
 
 @dataclass(frozen=True)
@@ -429,50 +435,67 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
 
     Without shadowing (not sigma_db > 0) at a fixed range, the phase is the
     only draw, and the observation is a step function of it. The memo then
-    also keeps each timeline's phase cells per t_start (_PhaseCells, see
-    _kept_cells) and the observation of each cell a trial has landed in,
-    as a _Kept, which goes to that trial and every later one in the cell,
-    each with a beacon list of its own. A phase within the guard of a
-    cell's edge is placed in full and kept nowhere. Either way the draws
-    and the bytes are those of the full placement.
+    also keeps the phase cells of each on-air shape per t_start
+    (_PhaseCells, see _kept_cells): timelines that differ only in their
+    beacons' channels share them. A cell a trial of the shape has landed in
+    keeps its placement, and each timeline that lands there gets its
+    observation as a _Kept, which goes to that trial and every later one of
+    the timeline in the cell, each with a beacon list of its own. A phase
+    within the guard of a cell's edge is placed in full and kept nowhere.
+    Either way the draws and the bytes are those of the full placement.
     """
     f = scfg.f_s
     if drawn is None:
         drawn = rng.uniform(0.0, 1.0 / f)
     phase = t_start + drawn  # emission start on the sensor clock
-    cells = None
+    found = cell = None
     if memo is not None and not chan.sigma_db > 0 and len(traj.waypoints) == 1:
-        cells = _kept_cells(memo.cells, timeline, t_start, scfg, slot_cfg)
-    cell = cells.find(drawn * f) if cells else None
-    kept = cells.kept[cell] if cell is not None else None
-    if kept is not None:
-        return list(kept.beacons), kept
-    beacons, samples = _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start,
-                              phase, memo)
-    if cell is not None:
-        samples = cells.kept[cell] = _Kept(beacons, samples)
-    return beacons, samples
+        found = _kept_cells(memo, timeline, t_start, scfg, slot_cfg)
+    if found is not None:
+        cells, own = found
+        cell = cells.find(drawn * f)
+    if cell is None:
+        return _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start, phase,
+                      memo)[1:]
+    kept = own[cell]
+    if kept is None:
+        placed = cells.placed[cell]
+        if placed is None:
+            placed = cells.placed[cell] = _place(timeline, traj, chan, tx, scfg, slot_cfg,
+                                                 rng, t_start, phase, memo)
+            placed[2].rssi_dbm.flags.writeable = False
+        kept = own[cell] = _Kept(timeline, *placed)
+    return list(kept.beacons), kept
 
 
 class _Kept(Samples):
-    """A phase cell's observation: its samples, read-only as every trial in
-    the cell shares them, its beacons, and the verdict of one session on it
-    on a fresh node once a trial has scored one (see run_trial), else None."""
+    """A phase cell's observation of one timeline: the samples placed for
+    its shape, read-only as every trial of the shape in the cell shares
+    them, the heard beacons with this timeline's channels, and the verdict
+    of one session on it on a fresh node once a trial has scored one (see
+    run_trial), else None."""
 
     __slots__ = ("beacons", "verdict")
 
-    def __init__(self, beacons: list[Beacon], samples: Samples):
-        samples.rssi_dbm.flags.writeable = False
+    def __init__(self, timeline: EmissionTimeline, rows: list[int],
+                 beacons: list[Beacon], samples: Samples):
+        # The placement's beacons are the heard rows of a timeline of this
+        # shape, which may put them on other channels.
+        emitted = timeline.beacons
         self.t_s, self.rssi_dbm, self._grid = samples.t_s, samples.rssi_dbm, samples._grid
-        self.beacons, self.verdict = tuple(beacons), None
+        self.beacons = tuple([b if b.channel == emitted[k].channel
+                              else Beacon(b.t_s, emitted[k].channel, b.seq_no, b.nonce)
+                              for k, b in zip(rows, beacons)])
+        self.verdict = None
 
 
 def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
            tx: TxPowerLevels, scfg: SensorConfig, slot_cfg: SlotConfig,
            rng: np.random.Generator, t_start: float, phase: float,
-           memo: Optional[_Memo]):
+           memo: Optional[_Memo]) -> tuple[list[int], list[Beacon], Samples]:
     """observe_emission's placement of an emission started at phase: every
-    beacon and window tick, with its normals drawn from rng."""
+    beacon and window tick, with its normals drawn from rng, as the rows
+    of timeline.beacons that were heard, their beacons and the samples."""
     f = scfg.f_s
     sigma = chan.sigma_db
     emitted = timeline.beacons
@@ -496,7 +519,7 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     beacons = [Beacon(ms[k] / f, emitted[k].channel, emitted[k].seq_no,
                       emitted[k].nonce) for k in rows]
     if not rows:
-        return beacons, Samples()
+        return rows, beacons, Samples()
     key = (t_start, *[ms[k] for k in rows])
     layout = memo.layouts.get(key) if memo is not None else None
     if layout is None:
@@ -509,13 +532,15 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=rssi.shape)
     absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
-    return beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
+    return rows, beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
 
 
 class _PhaseCells:
-    """The phase cells of one timeline observed from t_start, noiseless at a
-    fixed range, and the observation kept for each cell a trial landed in
-    (a _Kept, which holds the cell's verdict too).
+    """The phase cells of one on-air shape (_shape_key) observed from
+    t_start, noiseless at a fixed range, and the placement kept for each
+    cell a trial of the shape landed in, as _place returns it (heard rows,
+    beacons, read-only samples). Each timeline keeps its own observations
+    of the cells (see _kept_cells).
 
     Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
     and no normals, which beacons are heard does not depend on u, and what
@@ -553,11 +578,11 @@ class _PhaseCells:
     exact arithmetic, is never found.
     """
 
-    __slots__ = ("edges", "guard", "kept")
+    __slots__ = ("edges", "guard", "placed")
 
     def __init__(self, edges: list[float], guard: float):
         self.edges, self.guard = edges, guard
-        self.kept: list = [None] * max(0, len(edges) - 1)
+        self.placed: list = [None] * max(0, len(edges) - 1)
 
     def find(self, u: float) -> Optional[int]:
         """The index of the cell u lies in, more than the guard from both of
@@ -579,25 +604,66 @@ def _phase_cells(timeline: EmissionTimeline, t_start: float, scfg: SensorConfig,
     steps = np.append(timeline.starts, (0.0, timeline.duration_s))
     x = np.concatenate((0.5 - (timeline.beacon_times + t_start) * f,
                         -(steps + t_start) * f))
-    edges = np.unique(np.concatenate((x - np.floor(x), (0.0, 1.0))))
+    edges = _distinct(np.concatenate((x - np.floor(x), (0.0, 1.0))))
     last = ((t_start + timeline.duration_s) * f
             + math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9) + 2)
     return _PhaseCells(edges.tolist(), 2.0 ** -48 * last)
 
 
-def _kept_cells(cells: dict, timeline: EmissionTimeline, t_start: float,
-                scfg: SensorConfig, slot_cfg: SlotConfig) -> Optional[_PhaseCells]:
-    """The timeline's phase cells from t_start, kept in cells (a memo's
-    table) by timeline and then by start. The first time the timeline is
-    observed, cells only notes it, as {}, and this returns None: most of a
-    large brute-force space's candidates are drawn once, and they then cost
-    no cells."""
-    by_start = cells.get(timeline)
-    if by_start is None:
-        _keep(cells, timeline, {})
-    elif t_start not in by_start:
-        by_start[t_start] = _phase_cells(timeline, t_start, scfg, slot_cfg)
-    return by_start[t_start] if by_start is not None else None
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """a's distinct values, flattened and sorted, as np.unique gives them
+    for values without NaN. numpy 2's np.unique imports numpy.ma on its
+    first call, over 1 MiB resident, which a run that merely builds phase
+    cells should not pay."""
+    a = np.sort(a, axis=None)
+    return a[np.append(True, a[1:] != a[:-1])]
+
+
+def _shape_key(timeline: EmissionTimeline) -> tuple:
+    """The timeline's on-air shape: everything _place and _phase_cells read
+    of it but its beacons' channels. Timelines with one shape put the same
+    power on the air at the same times, in beacons that differ at most in
+    channel, so they share their phase cells and placements."""
+    return (timeline.beacon_times.tobytes(), timeline.starts.tobytes(),
+            timeline.levels.tobytes(), timeline.duration_s,
+            *[(b.seq_no, b.nonce) for b in timeline.beacons])
+
+
+def _kept_cells(memo: _Memo, timeline: EmissionTimeline, t_start: float,
+                scfg: SensorConfig, slot_cfg: SlotConfig
+                ) -> Optional[tuple[_PhaseCells, list]]:
+    """The phase cells of the timeline's shape from t_start, and the list
+    of the timeline's own observations in them, a _Kept or None per cell.
+    The cells are kept in memo.cells by shape key and then by start, and
+    each timeline's record in memo.timelines holds its shape's entry and
+    its lists by start, so a kept timeline's key is computed once. The
+    first time a shape is observed, cells notes only its key's hash, and
+    this returns None and keeps nothing for the timeline: most of a large
+    brute-force space's shapes are drawn once, and they then cost no cells
+    and no key. Two shapes whose keys share a hash merely get their cells
+    one sighting early."""
+    seen = memo.timelines.get(timeline)
+    if seen is None:
+        key = _shape_key(timeline)
+        shape = memo.cells.get(key)
+        if shape is None:
+            mark = hash(key)
+            if mark not in memo.cells:
+                _keep(memo.cells, mark, None)
+                return None
+            del memo.cells[mark]
+            shape = {}
+            _keep(memo.cells, key, shape)
+        seen = shape, {}
+        _keep(memo.timelines, timeline, seen)
+    shape, by_start = seen
+    kept = by_start.get(t_start)
+    if kept is None:
+        cells = shape.get(t_start)
+        if cells is None:
+            cells = shape[t_start] = _phase_cells(timeline, t_start, scfg, slot_cfg)
+        kept = by_start[t_start] = cells, [None] * len(cells.placed)
+    return kept
 
 
 def _keep(memo: dict, key, value) -> None:
@@ -620,7 +686,7 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
     ticks = np.add.outer(np.array(heard, dtype=np.int64), np.arange(win_ticks))
     # Rows of windows that do not overlap are already in strict tick order.
     if any(b - a < win_ticks for a, b in zip(heard, heard[1:])):
-        ticks = np.unique(ticks)
+        ticks = _distinct(ticks)
     t_ticks = ticks.ravel() / f
     pl = path_loss(distance_at(traj, t_ticks - t_start), chan)
     grid = _slot_grid(t_ticks, tuple([m / f for m in heard]), scfg.n, slot_cfg.slot_s)
@@ -899,9 +965,9 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
 
     A trial that scores one session (every actor but Replay) and gets a
     _Kept back (see observe_emission) reads its verdict there, or scores
-    the session and leaves its verdict there. The _Kept is its phase
-    cell's, which fixes the beacons and samples, and the rest the session
-    reads on a fresh node at t_start = 0 is the config's. Any other
+    the session and leaves its verdict there. The _Kept is its timeline's
+    in its phase cell, which fixes the beacons and samples, and the rest
+    the session reads on a fresh node at t_start = 0 is the config's. Any other
     observation is scored afresh and kept nowhere.
     """
     if draws is None:

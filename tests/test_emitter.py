@@ -293,6 +293,20 @@ class TestSamplers:
         with pytest.raises(ValueError):
             candidate_from_index(64, 2, 2, 2, 2)
 
+    def test_candidate_index_past_4300_digits(self):
+        # The n = 3, L = 2000 space of a 14-channel band runs past the 4300
+        # digits str(int) converts; the id still spells out every digit.
+        space = pattern_space_size(3, 2000, 14, 16)
+        index = 10**5000 + 7
+        assert index < space
+        p = candidate_from_index(index, 3, 2000, 14, 16)
+        assert p.pattern_id == "cand1" + "0" * 4999 + "7"
+        assert p.length == 2000 and p.triplets[0].tx_pattern.bits == "111"
+        last = candidate_from_index(space - 1, 3, 2000, 14, 16)
+        assert {(t.tx_pattern.bits, t.channel) for t in last.triplets} == {("111", 14)}
+        assert {t.interval_tu for t in last.triplets[2:]} == {16}
+        assert candidate_from_index(63, 2, 2, 2, 2).pattern_id == "cand63"
+
     def test_ids(self):
         rng = np.random.default_rng(0)
         assert random_pattern(rng, 2, 2, DEFAULT_BAND, 16, pattern_id="me").pattern_id == "me"

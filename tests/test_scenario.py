@@ -498,11 +498,13 @@ class TestRenderDifferential:
 
 class TestRenderMemo:
     @pytest.mark.parametrize("build, formats", [
-        (lambda: build_desk(BruteForce(2, 2), 4000), 256),
+        (lambda: build_desk(BruteForce(2, 2), 4000), 16 + 64 * 3),
         (lambda: build_flyover(1000), 1000)], ids=["desk", "flyover"])
     def test_formats_once_per_distinct_verdict(self, monkeypatch, build, formats):
-        # The desk's 4000 trials share 256 kept verdicts; the noisy
-        # flyover keeps none, so each of its trials is formatted.
+        # The desk's 4000 trials share 208 verdicts: one for each of its 16
+        # shapes' first sightings, and one kept for each of its 64
+        # candidates in each of its 3 phase cells. The noisy flyover keeps
+        # none, so each of its trials is formatted.
         calls = Counter()
 
         def counted(name):

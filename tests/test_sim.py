@@ -215,8 +215,10 @@ class TestBlockFanOut:
         back = pickle.loads(data)
         assert back == block
         assert [t.trial for t in back] == list(range(2000, 4000))
-        assert len({id(t.result) for t in block}) == 256
-        assert len({id(t.result) for t in back}) == 256
+        # One verdict for each of the 16 shapes' first sightings, and one for
+        # each of the 64 candidates in each of its 3 phase cells.
+        assert len({id(t.result) for t in block}) == 16 + 64 * 3
+        assert len({id(t.result) for t in back}) == 16 + 64 * 3
 
     def test_real_pool_matches_serial(self, monkeypatch):
         usable_cpus(monkeypatch, 3)
@@ -345,7 +347,7 @@ class TestSeedLimbDifferential:
                 ref["state"], ref["inc"]), i
 
 
-MEMOS = ("candidates", "layouts", "cells")
+MEMOS = ("candidates", "layouts", "cells", "timelines")
 
 
 def assert_memos_within(cfg, cap):
@@ -356,9 +358,10 @@ def assert_memos_within(cfg, cap):
 
 
 def kept_cells(cfg):
-    """The observations kept in cfg's phase cells."""
-    return [kept for by_start in cfg._memo.cells.values()
-            for cells in by_start.values() for kept in cells.kept if kept is not None]
+    """The observations kept in cfg's memo, one for each timeline and phase
+    cell a trial of that timeline landed in."""
+    return [kept for _, by_start in cfg._memo.timelines.values()
+            for _, own in by_start.values() for kept in own if kept is not None]
 
 
 def kept_verdicts(cfg):
@@ -394,16 +397,16 @@ class TestBlockState:
         cfg = build_desk(BruteForce(2, 2), 500)
         kept = report_bytes(cfg)
         assert len(cfg._memo.candidates) > 2
-        # At a cap of 1 or 2 a timeline's first-sighting mark is gone by its
-        # second sighting, so no cell forms; at 40 the cells table of the 64
-        # candidates is emptied with kept verdicts in it.
+        # At a cap of 1 or 2 a shape's first-sighting mark is gone by its
+        # second sighting, so no cell forms; at 40 the timelines table of the
+        # 64 candidates is emptied with kept verdicts in it.
         for cap in (1, 2, 40):
             monkeypatch.setattr(beaconveil.sim, "_MEMO_CAP", cap)
             fresh = dataclasses.replace(cfg)
             assert report_bytes(fresh) == kept
             assert_memos_within(fresh, cap)
             assert 1 <= len(fresh._memo.candidates)
-        assert len(fresh._memo.cells) < 64 and kept_verdicts(fresh)
+        assert len(fresh._memo.timelines) < 64 and kept_verdicts(fresh)
 
 
 class TestActors:
@@ -1580,7 +1583,7 @@ class TestPhaseCellDifferential:
         for t_start in starts:
             for _ in range(10):
                 observe(t_start)
-            cells = memo.cells[tl][t_start]
+            cells = memo.cells[beaconveil.sim._shape_key(tl)][t_start]
             assert isinstance(cells, beaconveil.sim._PhaseCells)
             # Every timeline gets its cells, 0 and 1 among the edges.
             assert cells.edges[:1] == [0.0] and cells.edges[-1:] == [1.0]
@@ -1593,6 +1596,85 @@ class TestPhaseCellDifferential:
             if any(hi - lo > 2 * cells.guard for lo, hi in zip(edges, edges[1:])):
                 # Kept observations were handed out again, not only filled.
                 assert len(seen) < len(returned)
+
+
+def fig3_bruteforce(trials):
+    """fig3a under a BruteForce(3, 2): on its 14 channels, 196 candidates
+    share each of the 64 shapes, in rows whose digits 3 and 7 are the
+    channels."""
+    return dataclasses.replace(build_fig3("a"), actor=BruteForce(3, 2), trials=trials)
+
+
+class TestSharedShapeDifferential:
+    """Timelines that differ only in their beacons' channels put one shape
+    on the air, and share its phase cells and placements; each keeps its
+    own beacons and verdict. Every trial must equal the same trial run
+    alone on a fresh config."""
+
+    def test_block_trials_equal_trials_alone(self):
+        cfg = fig3_bruteforce(1200)
+        report = run_scenario(cfg)
+        # Most trials draw a shape that an earlier trial drew on other
+        # channels, and the memo holds shapes kept for several candidates.
+        first = {}
+        later = sum(first.setdefault(row[:3] + row[4:7], row) != row
+                    for row, _, _ in _trial_draws(cfg, 0, cfg.trials))
+        assert later > cfg.trials // 2
+        sharing = Counter(id(shape) for shape, _ in cfg._memo.timelines.values())
+        assert max(sharing.values()) >= 2
+        for i, trial in enumerate(report.trials):
+            assert run_trial(dataclasses.replace(cfg), i) == trial, i
+
+    # At 5 Hz every fig3a edge is 0 or half a tick; at 7.3 Hz the beacons
+    # and power steps fall off the tick grid, each at its own edge.
+    @pytest.mark.parametrize("f_s", [5.0, 7.3])
+    def test_guard_edge_phases_on_every_channel(self, f_s):
+        cfg = fig3_bruteforce(1)
+        cfg = dataclasses.replace(cfg, sensor_cfg=dataclasses.replace(cfg.sensor_cfg, f_s=f_s))
+        eff, slot_cfg = cfg._effective_sensor, cfg.slot_cfg
+        rows = [(0, 1, 1, c0, 1, 0, 1, c1) for c0, c1 in ((0, 0), (5, 13), (13, 2))]
+        shape = {beaconveil.sim._shape_key(cfg._candidate_timeline(r)) for r in rows}
+        assert len(shape) == 1
+        cells = beaconveil.sim._phase_cells(cfg._candidate_timeline(rows[0]), 0.0, eff,
+                                            slot_cfg)
+        args = (cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot_cfg, None)
+        shared = dataclasses.replace(cfg)
+        for k, phase in enumerate(probe_phases(cells, eff.f_s)):
+            # Each phase comes first to another candidate, so a cell is
+            # placed for one channel pair and kept for the others.
+            for j in range(len(rows)):
+                row = rows[(k + j) % len(rows)]
+                tl = shared._candidate_timeline(row)
+                beacons, samples = observe_emission(tl, *args, memo=shared._memo,
+                                                    drawn=phase)
+                ref_beacons, ref_samples = observe_emission(tl, *args, drawn=phase)
+                assert beacons == ref_beacons
+                assert [b.channel for b in beacons] == [
+                    1 + row[3 if b.seq_no == 0 else 7] for b in beacons]
+                assert samples.t_s.tobytes() == ref_samples.t_s.tobytes()
+                assert samples.rssi_dbm.tobytes() == ref_samples.rssi_dbm.tobytes()
+                draws = (row, phase, None)
+                assert (run_trial(shared, 0, draws)
+                        == run_trial(dataclasses.replace(cfg), 0, draws)), (row, phase)
+        placed = [p for p in shared._memo.cells[shape.pop()][0.0].placed if p is not None]
+        assert len(shared._memo.timelines) == len(rows)
+        assert 1 <= len(placed) < len(kept_verdicts(shared))
+
+    def test_proto_halves_on_other_channels(self):
+        # Both halves on one time unit, their credentials on other channels.
+        cfg = dataclasses.replace(
+            build_proto(), trials=200, actor=Proto("pi1", "pi2", 1.0),
+            store=(parse_pattern("110@6:- 110@6:1", "pi1"),
+                   parse_pattern("110@2:- 110@9:1", "pi2")))
+        assert validate_scenario(cfg) == []
+        (_, a), (_, b) = cfg._timelines
+        assert beaconveil.sim._shape_key(a) == beaconveil.sim._shape_key(b)
+        report = run_scenario(cfg)
+        assert len(cfg._memo.timelines) == 2
+        assert len([v for v in cfg._memo.cells.values() if v is not None]) == 1
+        assert [t.result.pattern_id for t in report.trials] == ["pi1", "pi2"] * 100
+        for i, trial in enumerate(report.trials):
+            assert run_trial(dataclasses.replace(cfg), i) == trial, i
 
 
 def exact_buckets(cfg, slot_cfg, timeline):
@@ -1660,7 +1742,8 @@ class TestNoiselessOracle:
 
 class TestPhaseCellMemo:
     def test_desk_places_once_per_first_sighting_and_cell(self, monkeypatch):
-        # Each of the 64 candidates is placed in full when first drawn,
+        # The 64 candidates put 16 shapes on the air: pairs of channels on
+        # one power profile. Each shape is placed in full when first drawn,
         # which builds nothing, and then once in each of its 3 phase cells.
         calls = Counter()
 
@@ -1674,15 +1757,18 @@ class TestPhaseCellMemo:
 
         counted("observe_emission")
         counted("_place")
+        counted("_phase_cells")
         counted("_scored_session")
         cfg = build_desk(BruteForce(2, 2), 4000)
         run_scenario(cfg)
         # A first sighting keeps no observation, so it scores its session
-        # too; the first trial in each cell keeps its verdict for the rest.
-        assert calls == {"observe_emission": 4000, "_place": 64 + 64 * 3,
-                         "_scored_session": 64 + 64 * 3}
+        # too; the first trial of each candidate in each cell keeps its
+        # verdict for the rest.
+        assert calls == {"observe_emission": 4000, "_place": 16 + 16 * 3,
+                         "_phase_cells": 16, "_scored_session": 16 + 64 * 3}
         cells = [c for v in cfg._memo.cells.values() for c in v.values()]
-        assert len(cells) == 64 and all(None not in c.kept for c in cells)
+        assert len(cells) == 16 and all(None not in c.placed for c in cells)
+        assert len(cfg._memo.timelines) == 64 and len(kept_verdicts(cfg)) == 64 * 3
 
 
 class TestBlockDrawCounts:
@@ -1836,19 +1922,21 @@ class TestSessionMemo:
             # A fresh config's first sighting has no cell, so keeps nothing.
             assert kept_cells(fresh) == []
 
-    @pytest.mark.parametrize("cfg, buckets", [
-        (build_flyover(60), None),
-        (_noiseless(build_flyover(60)), None),
+    @pytest.mark.parametrize("cfg, buckets, kept", [
+        (build_flyover(60), None, 0),
+        (_noiseless(build_flyover(60)), None, 0),
         (dataclasses.replace(build_desk(BruteForce(2, 2), 200),
-                             channel=ChannelParams(sigma_db=3.0)), None),
-        (build_desk(Replay("desk"), 120), {"replay"}),
-        # Each candidate is all but always drawn once, and a first sighting
-        # gets no cell.
-        (dataclasses.replace(build_fig3("a"), actor=BruteForce(3, 4), trials=2000), None),
+                             channel=ChannelParams(sigma_db=3.0)), None, 0),
+        (build_desk(Replay("desk"), 120), {"replay"}, 0),
+        # Each shape is all but always drawn once, and a first sighting gets
+        # no cell: of 2000 trials, only the 2 whose shape was drawn before,
+        # on other channels, keep a verdict.
+        (dataclasses.replace(build_fig3("a"), actor=BruteForce(3, 4), trials=2000),
+         None, 2),
     ], ids=["flyover", "flyover-noiseless", "bruteforce-noisy", "replay-noiseless",
             "bruteforce-large-space"])
-    def test_not_kept_under_shadowing_or_for_replay(self, cfg, buckets):
+    def test_not_kept_under_shadowing_or_for_replay(self, cfg, buckets, kept):
         report = run_scenario(cfg)
-        assert kept_verdicts(cfg) == []
+        assert len(kept_verdicts(cfg)) == kept
         if buckets is not None:
             assert {t.result.bucket for t in report.trials} == buckets
