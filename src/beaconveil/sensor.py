@@ -216,8 +216,8 @@ def _slot_grid(t_s: np.ndarray, starts: tuple[float, ...], n: int,
 
 
 def _bits(counts: list[int], med: list[float], delta_db: float,
-          index: Optional[int] = None) -> TxPattern:
-    """The power pattern of one window's slot counts and medians.
+          index: Optional[int] = None) -> str:
+    """The bit string of one window's slot counts and medians.
 
     Level shape only, never absolute power: the medians are thresholded at
     their midrange, so adding a constant offset to every sample (a farther
@@ -239,7 +239,7 @@ def _bits(counts: list[int], med: list[float], delta_db: float,
             raise UndecodableWindow(
                 f"bit flip at slot {k} rides a {jump:.2f} dB step, below delta_db",
                 index)
-    return TxPattern(bits)
+    return bits
 
 
 def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
@@ -259,7 +259,7 @@ def decode_slots(samples: Samples, n: int, cfg: SensorConfig,
         raise UndecodableWindow("no samples in window")
     t0 = t_s[0] if t0 is None else t0
     idx = _slot_index(t_s, [0], [len(t_s)], np.array([t0], dtype=np.float64), n, slot_s)
-    return _bits(*_SlotGrid(idx).medians(samples.rssi_dbm), cfg.delta_db)
+    return TxPattern(_bits(*_SlotGrid(idx).medians(samples.rssi_dbm), cfg.delta_db))
 
 
 def quantize_interval(raw_s: float, tu_s: float,
@@ -317,7 +317,7 @@ def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
     if grid.empty[j]:
         raise UndecodableWindow("no samples in window", index=j)
     n = cfg.n
-    bits = _bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db, j)
+    bits = TxPattern(_bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db, j))
     b = beacons[j]
     if j == 0:
         return Triplet(bits, b.channel, None)
@@ -330,6 +330,20 @@ def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
         raise QuantizationFailure(
             f"interval {raw:.3f} s off the {tu_s:.3f} s time-unit grid", index=j)
     return Triplet(bits, b.channel, k)
+
+
+def _window_bits(read: tuple, j: int, cfg: SensorConfig) -> Optional[str]:
+    """What window j of read (_read_windows' result) decodes to by _bits's
+    rule, which _read_triplet reads it with: its bit string, or None where
+    it is empty or undecodable."""
+    grid, counts, med = read
+    if grid.empty[j]:
+        return None
+    n = cfg.n
+    try:
+        return _bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db)
+    except UndecodableWindow:
+        return None
 
 
 def extract_triplets(beacons: Sequence[Beacon], samples: Samples, cfg: SensorConfig,
@@ -448,14 +462,22 @@ class SensorSession:
         that is NaN or infinite raises ValueError.
         """
         bs = _in_order(beacons)
+        # Every window's slot medians in one pass; the walk reads them in turn.
+        read = None
+        if bs and not self.node.locked_at(self.t_start):
+            read = _read_windows(bs, samples, self.cfg.n, self.slot_cfg.slot_s)
+        return self._walk(bs, read)
+
+    def _walk(self, bs: list[Beacon], read: Optional[tuple]) -> AuthResult:
+        """run's walk over the beacons bs, in (t_s, seq_no) order, whose
+        windows read (_read_windows' result, None without a beacon or on a
+        locked node) gives."""
         triplets: list[Triplet] = []
         if self.node.locked_at(self.t_start):
             return self._end(REJECTED, self.t_start, triplets, RejectReason("lockout"))
         node, matcher = self.node, self._matcher
         deadline = self.t_start + self.watchdog_s
         span = self.cfg.n * self.slot_cfg.slot_s
-        # Every window's slot medians in one pass; the walk reads them in turn.
-        read = _read_windows(bs, samples, self.cfg.n, self.slot_cfg.slot_s) if bs else None
         for j, b in enumerate(bs):
             if deadline <= b.t_s:
                 return self._end(TIMED_OUT, deadline, triplets)

@@ -18,17 +18,23 @@ those first draws; so every trial draws the same stream.
 Everything about an observation except its draws follows from the heard
 beacons' grid ticks and the session's start: the window ticks, their range
 and path loss, and where each slot's samples sit. A config's memo (_Memo)
-compiles that layout once per distinct (start, ticks). Without shadowing
-at a fixed range an observation is moreover a step function of the phase,
-constant on a few cells (_PhaseCells), and the cells and their samples
-depend on the emission's on-air shape alone, not on its beacons' channels.
-The memo keeps the placement of each cell a trial of a shape has landed
+compiles that layout once per distinct (start, ticks). The phase, too,
+acts through a few cells (_PhaseCells) that depend on the emission's
+on-air shape alone, not on its beacons' channels, the noise or the
+trajectory: within one, the beacons' ticks, the power each window tick
+would see without noise and which ticks fall outside the emission are
+fixed, and the memo keeps them for each set of heard beacons. Without
+shadowing at a fixed range the whole observation is fixed in a cell. The
+memo then keeps the placement of each cell a trial of a shape has landed
 in, and for each timeline that landed there its observation (_Kept) and
 with it the verdict of one session on a fresh node (every actor but
-Replay), a pure function of that observation. A trial still draws its
-phase, but places its emission only in a cell no earlier trial of its
-shape landed in, and runs its session only in one no earlier trial of its
-timeline did.
+Replay), a pure function of that observation. Any other such verdict is a
+pure function of what the session reads: its beacons, and what each
+window up to the one its verdict falls in decodes to. The memo keeps it by
+that read (_read_verdict).
+A trial still draws its phase and its normals, and observes its emission,
+but runs its session only on a read, or in a cell, that no earlier trial
+of its timeline had.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -60,7 +66,8 @@ from .emitter import (_MAX_BOUND, Beacon, EmissionTimeline, Mutation,
 from .radio import (ChannelParams, Trajectory, TxPowerLevels, distance_at,
                     path_loss)
 from .sensor import (AuthResult, Samples, SensorConfig, SensorNode,
-                     SensorSession, _slot_grid, _watchdog_s, apply_app_stage)
+                     SensorSession, _in_order, _read_windows, _slot_grid,
+                     _watchdog_s, _window_bits, apply_app_stage)
 
 LIGHT_SPEED_M_S = 3.0e8
 
@@ -183,20 +190,24 @@ def _index_by_id(store: _Store) -> dict[str, SecretPattern]:
 
 
 class _Memo:
-    """What a config's trials build and later trials reuse, in four tables,
+    """What a config's trials build and later trials reuse, in five tables,
     each emptied at _MEMO_CAP entries (_keep): candidates, BruteForce's
     compiled timelines by digit row (see _trial_draws); layouts, the grid
     layouts by (t_start, *ticks) and, at a fixed range, the beacons' path
-    loss by beacon count; and, noiseless at a fixed range, cells, the phase
-    cells of each on-air shape (_shape_key) by t_start, only its key's hash
-    after its first sighting, and timelines, each timeline's entry in cells
-    and the observations kept for it in those cells (see _kept_cells).
-    Every array in them is read-only, so trials share them."""
+    loss by beacon count; cells, the phase cells of each on-air shape
+    (_shape_key) by t_start, only its key's hash after its first sighting;
+    timelines, each timeline's entry in cells and the observations kept
+    for it in those cells (see _kept_cells); and verdicts, the
+    single-session verdicts of observations that no cell keeps, by
+    timeline, start, beacons and the bits of the windows read (see
+    _read_verdict). Every array in them is read-only, so trials share
+    them."""
 
-    __slots__ = ("candidates", "layouts", "cells", "timelines")
+    __slots__ = ("candidates", "layouts", "cells", "timelines", "verdicts")
 
     def __init__(self):
         self.candidates, self.layouts, self.cells, self.timelines = {}, {}, {}, {}
+        self.verdicts = {}
 
 
 @dataclass(frozen=True)
@@ -433,15 +444,19 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     trial takes it from its block, see run_trial); rng then draws only the
     normals, and may be None if there are none.
 
-    Without shadowing (not sigma_db > 0) at a fixed range, the phase is the
-    only draw, and the observation is a step function of it. The memo then
-    also keeps the phase cells of each on-air shape per t_start
+    The memo also keeps the phase cells of each on-air shape per t_start
     (_PhaseCells, see _kept_cells): timelines that differ only in their
-    beacons' channels share them. A cell a trial of the shape has landed in
-    keeps its placement, and each timeline that lands there gets its
-    observation as a _Kept, which goes to that trial and every later one of
-    the timeline in the cell, each with a beacon list of its own. A phase
-    within the guard of a cell's edge is placed in full and kept nowhere.
+    beacons' channels share them. Under shadowing or along a moving
+    trajectory, a cell keeps what it fixes for each set of heard beacons a
+    trial of the shape landed there with: the window ticks' power without
+    noise, and which ticks fall outside the emission; a later such trial
+    adds only its normals. Without shadowing (not sigma_db > 0) at a fixed
+    range, the phase is the only draw, and the whole observation is a step
+    function of it. A cell a trial of the shape has landed in then keeps
+    its placement, and each timeline that lands there gets its observation
+    as a _Kept, which goes to that trial and every later one of the
+    timeline in the cell, each with a beacon list of its own. A phase
+    within the guard of a cell's edge is placed in full and keeps nothing.
     Either way the draws and the bytes are those of the full placement.
     """
     f = scfg.f_s
@@ -449,7 +464,7 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
         drawn = rng.uniform(0.0, 1.0 / f)
     phase = t_start + drawn  # emission start on the sensor clock
     found = cell = None
-    if memo is not None and not chan.sigma_db > 0 and len(traj.waypoints) == 1:
+    if memo is not None:
         found = _kept_cells(memo, timeline, t_start, scfg, slot_cfg)
     if found is not None:
         cells, own = found
@@ -457,6 +472,12 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     if cell is None:
         return _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start, phase,
                       memo)[1:]
+    if chan.sigma_db > 0 or len(traj.waypoints) > 1:
+        fixes = cells.placed[cell]
+        if fixes is None:
+            fixes = cells.placed[cell] = {}
+        return _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start, phase,
+                      memo, fixes)[1:]
     kept = own[cell]
     if kept is None:
         placed = cells.placed[cell]
@@ -492,10 +513,14 @@ class _Kept(Samples):
 def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
            tx: TxPowerLevels, scfg: SensorConfig, slot_cfg: SlotConfig,
            rng: np.random.Generator, t_start: float, phase: float,
-           memo: Optional[_Memo]) -> tuple[list[int], list[Beacon], Samples]:
+           memo: Optional[_Memo], fixes: Optional[dict] = None
+           ) -> tuple[list[int], list[Beacon], Samples]:
     """observe_emission's placement of an emission started at phase: every
     beacon and window tick, with its normals drawn from rng, as the rows
-    of timeline.beacons that were heard, their beacons and the samples."""
+    of timeline.beacons that were heard, their beacons and the samples.
+    fixes, if given, is the phase cell's table of what it fixes, by layout
+    key: the window ticks, their slot grid, their noiseless power and
+    which of them fall outside the emission."""
     f = scfg.f_s
     sigma = chan.sigma_db
     emitted = timeline.beacons
@@ -521,26 +546,36 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     if not rows:
         return rows, beacons, Samples()
     key = (t_start, *[ms[k] for k in rows])
-    layout = memo.layouts.get(key) if memo is not None else None
-    if layout is None:
-        layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
-        if memo is not None:
-            _keep(memo.layouts, key, layout)
-    t_ticks, pl, grid = layout
-    local = t_ticks - phase
-    rssi = timeline.levels_at(local) - pl
+    held = fixes.get(key) if fixes is not None else None
+    if held is None:
+        layout = memo.layouts.get(key) if memo is not None else None
+        if layout is None:
+            layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
+            if memo is not None:
+                _keep(memo.layouts, key, layout)
+        t_ticks, pl, grid = layout
+        local = t_ticks - phase
+        # The noiseless power, and the ticks outside the emission.
+        mean = timeline.levels_at(local) - pl
+        outside = (local < 0.0) | (local > timeline.duration_s)
+        held = t_ticks, grid, mean, outside
+        if fixes is not None:
+            mean.flags.writeable = outside.flags.writeable = False
+            _keep(fixes, key, held)
+    t_ticks, grid, rssi, absent = held
     if sigma > 0:
-        rssi += rng.normal(0.0, sigma, size=rssi.shape)
-    absent = (local < 0.0) | (local > timeline.duration_s) | (rssi < chan.noise_floor_dbm)
+        rssi = rssi + rng.normal(0.0, sigma, size=rssi.shape)
+    absent = absent | (rssi < chan.noise_floor_dbm)
     return rows, beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
 
 
 class _PhaseCells:
     """The phase cells of one on-air shape (_shape_key) observed from
-    t_start, noiseless at a fixed range, and the placement kept for each
-    cell a trial of the shape landed in, as _place returns it (heard rows,
-    beacons, read-only samples). Each timeline keeps its own observations
-    of the cells (see _kept_cells).
+    t_start, and what is kept for each cell a trial of the shape landed
+    in: noiseless at a fixed range its placement, as _place returns it
+    (heard rows, beacons, read-only samples), each timeline keeping its
+    own observations of the cells (see _kept_cells); otherwise _place's
+    table of what the cell fixes, by layout key.
 
     Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
     and no normals, which beacons are heard does not depend on u, and what
@@ -552,7 +587,11 @@ class _PhaseCells:
     only at u = frac(-(e + t_start) * f_s) for a step start e, 0 or
     duration_s. These breakpoints, with 0 and 1, are the edges. Between two
     edges the integers, and so the ticks, the layout, the levels, the NaNs,
-    the beacons and the samples' bytes, are the same.
+    the beacons and the samples' bytes, are the same. Under normals or
+    along a moving trajectory, which beacons are heard varies within a
+    cell, and so does the power; the integers do not, so for each set of
+    heard beacons the ticks, the layout, the levels and the ticks outside
+    the emission are the same.
 
     The guard covers the float error. Let eps = 2^-53 and let T, the last
     tick, bound every magnitude involved in tick units: (t_start +
@@ -967,8 +1006,13 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     _Kept back (see observe_emission) reads its verdict there, or scores
     the session and leaves its verdict there. The _Kept is its timeline's
     in its phase cell, which fixes the beacons and samples, and the rest
-    the session reads on a fresh node at t_start = 0 is the config's. Any other
-    observation is scored afresh and kept nowhere.
+    the session reads on a fresh node at t_start = 0 is the config's. On
+    any other observation (shadowed, moving, or at a guard-edge phase) it
+    takes the verdict kept for what its session reads, its beacons and
+    what each window up to the one its verdict falls in decodes to, once
+    its timeline has a record in the memo (see _read_verdict); it scores
+    the session only on a read no earlier trial of the timeline made.
+    Replay's sessions are scored afresh and kept nowhere.
     """
     if draws is None:
         draws = next(_trial_draws(cfg, trial_index, trial_index + 1))
@@ -990,25 +1034,63 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
             tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
             t_start=t_start, memo=cfg._memo, drawn=phase)
         phase = None  # Replay's second session draws its own
-        kept = len(starts) == 1 and isinstance(samples, _Kept)
-        result = samples.verdict if kept else None
-        if result is None:
+        if len(starts) > 1:
             result = _scored_session(cfg, slot, beacons, samples, node, t_start)
-            if kept:
-                samples.verdict = result
+        elif isinstance(samples, _Kept):
+            result = samples.verdict
+            if result is None:
+                result = samples.verdict = _scored_session(cfg, slot, beacons, samples,
+                                                           node, t_start)
+        else:
+            result = _read_verdict(cfg, slot, tl, beacons, samples, node, t_start)
     return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
 
 
+def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimeline,
+                  beacons: list[Beacon], samples: Samples, node: SensorNode,
+                  t_start: float) -> AuthResult:
+    """The verdict of the one session of a trial on a fresh node, on an
+    observation of timeline that no phase cell keeps. Once the timeline
+    has a record in the memo, the verdict is kept there by what the session
+    read: its beacons, and what each window up to the one its verdict fell
+    in decodes to (sensor._window_bits). The walk reads nothing of a later
+    window, and the rest it reads is the config's. So a trial decodes its
+    windows in turn until the read so far finds a kept verdict. A trial
+    that heard no beacon scores its session, which only times out."""
+    memo = cfg._memo
+    if not beacons or timeline not in memo.timelines:
+        return _scored_session(cfg, slot, beacons, samples, node, t_start)
+    eff = cfg._effective_sensor
+    bs = _in_order(beacons)
+    read = _read_windows(bs, samples, eff.n, slot.slot_s)
+    # The beacons as plain tuples, which every prefix's key hashes again.
+    key = (timeline, t_start, tuple([(b.t_s, b.channel, b.seq_no, b.nonce) for b in bs]))
+    keys = []
+    for j in range(len(bs)):
+        key += (_window_bits(read, j, eff),)
+        result = memo.verdicts.get(key)
+        if result is not None:
+            return result
+        keys.append(key)
+    result = _scored_session(cfg, slot, bs, samples, node, t_start, read)
+    # The walk read the windows of its transcript, and at most one more.
+    _keep(memo.verdicts, keys[min(len(result.transcript), len(bs) - 1)], result)
+    return result
+
+
 def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: list[Beacon],
-                    samples: Samples, node: SensorNode, t_start: float) -> AuthResult:
+                    samples: Samples, node: SensorNode, t_start: float,
+                    read: Optional[tuple] = None) -> AuthResult:
     """The verdict of one session on node, after the app stage, noted on
-    node. Mutant and BruteForce emit a credential of their own making, which
-    need not be valid, and they do not know the app secret; Mitm's relay
-    adds its delay to the app-layer round trip."""
+    node. read, if given, is _read_windows' result for beacons, already in
+    walk order. Mutant and BruteForce emit a credential of their own
+    making, which need not be valid, and they do not know the app secret;
+    Mitm's relay adds its delay to the app-layer round trip."""
     eff = cfg._effective_sensor
     a = cfg.actor
-    result = SensorSession(cfg.store.compiled(new_matcher), eff, slot, node=node,
-                           t_start=t_start).run(beacons, samples)
+    session = SensorSession(cfg.store.compiled(new_matcher), eff, slot, node=node,
+                            t_start=t_start)
+    result = session.run(beacons, samples) if read is None else session._walk(beacons, read)
     if result.verdict == ACCEPTED and eff.app_secret is not None:
         message = "" if isinstance(a, (Mutant, BruteForce)) else eff.app_secret
         extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0

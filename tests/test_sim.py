@@ -220,6 +220,17 @@ class TestBlockFanOut:
         assert len({id(t.result) for t in block}) == 16 + 64 * 3
         assert len({id(t.result) for t in back}) == 16 + 64 * 3
 
+    def test_flyover_block_ships_its_few_verdicts_once(self):
+        cfg = build_flyover(1000)
+        block = beaconveil.sim._run_block(cfg, 500, 1000)
+        data = pickle.dumps(block)
+        # Each of the 500 trials' verdicts was its own object before the
+        # memo kept them by read: about 100 KB.
+        assert len(data) <= 8_000
+        back = pickle.loads(data)
+        assert back == block
+        assert [t.trial for t in back] == list(range(500, 1000))
+
     def test_real_pool_matches_serial(self, monkeypatch):
         usable_cpus(monkeypatch, 3)
         # Rows of fewer trials than workers: blocks of one trial each.
@@ -347,7 +358,7 @@ class TestSeedLimbDifferential:
                 ref["state"], ref["inc"]), i
 
 
-MEMOS = ("candidates", "layouts", "cells", "timelines")
+MEMOS = ("candidates", "layouts", "cells", "timelines", "verdicts")
 
 
 def assert_memos_within(cfg, cap):
@@ -1940,3 +1951,96 @@ class TestSessionMemo:
         assert len(kept_verdicts(cfg)) == kept
         if buckets is not None:
             assert {t.result.bucket for t in report.trials} == buckets
+
+
+def _shadowed(cfg, sigma_db):
+    return dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel,
+                                                                sigma_db=sigma_db))
+
+
+def _fig3_at(distance, sigma_db, trials):
+    """fig3a's legitimate emitter at one range under shadowing."""
+    return _shadowed(dataclasses.replace(build_fig3("a"), trials=trials,
+                                         trajectory=Trajectory(((0.0, distance),))),
+                     sigma_db)
+
+
+class TestReadVerdictDifferential:
+    """A trial that scores one session on an observation no phase cell
+    keeps (shadowed, moving, or at a guard-edge phase) takes its verdict
+    from the config's memo, by its beacons and what each window up to the
+    one the verdict fell in decodes to, once its timeline has a record
+    there. Every trial must equal the same trial run alone on a fresh
+    config, and the report must not change when the memo is emptied at
+    any cap."""
+
+    @pytest.mark.parametrize("cfg", [
+        build_flyover(200),
+        _shadowed(dataclasses.replace(build_fig3("a"), actor=Mitm("fig3", 0.2),
+                                      trials=150), 2.0),
+        _shadowed(dataclasses.replace(build_proto(), trials=150), 2.0),
+        _shadowed(dataclasses.replace(build_fig3("b"), trials=150), 2.0),
+        _shadowed(build_desk(BruteForce(2, 2), 400), 3.0),
+        _noiseless(build_flyover(150)),
+        # Beacons lost under the floor and windows that do not decode.
+        _fig3_at(40.0, 6.0, 300),
+    ], ids=["flyover", "mitm", "proto", "mutant", "bruteforce", "flyover-noiseless",
+            "lost-and-undecodable"])
+    def test_every_trial_equals_a_trial_alone(self, monkeypatch, cfg):
+        kept = report_bytes(cfg)
+        # Run again on the memo the first run filled.
+        report = run_scenario(cfg)
+        # The runs share verdicts: the memo was read, not only filled.
+        assert 1 <= len(cfg._memo.verdicts)
+        assert len({id(t.result) for t in report.trials}) < cfg.trials
+        for i, trial in enumerate(report.trials):
+            assert run_trial(dataclasses.replace(cfg), i) == trial, i
+        for cap in (1, 2):
+            monkeypatch.setattr(beaconveil.sim, "_MEMO_CAP", cap)
+            capped = dataclasses.replace(cfg)
+            assert report_bytes(capped) == kept
+            assert_memos_within(capped, cap)
+
+    def test_lost_beacons_and_undecodable_windows_are_read(self, monkeypatch):
+        heard = Counter()
+        observe = beaconveil.sim.observe_emission
+
+        def counted(timeline, *args, **kwargs):
+            beacons, samples = observe(timeline, *args, **kwargs)
+            heard[len(beacons) < len(timeline.beacons)] += 1
+            return beacons, samples
+        monkeypatch.setattr(beaconveil.sim, "observe_emission", counted)
+        cfg = _fig3_at(40.0, 6.0, 300)
+        buckets = Counter(t.result.bucket for t in run_scenario(cfg).trials)
+        assert heard[True] and heard[False]
+        assert buckets["timeout"] and buckets["undecodable@0"]
+        # Reads that end on an undecodable window are kept too.
+        assert any(key[-1] is None for key in cfg._memo.verdicts)
+
+    def test_guard_edge_phases_are_read(self):
+        # A phase within the guard of a cell's edge is placed in full, and
+        # its verdict is kept by its read once its timeline has a record.
+        cfg = dataclasses.replace(build_fig3("a"), trials=1)
+        eff, (slot_cfg, tl) = cfg._effective_sensor, cfg._timelines[0]
+        cells = beaconveil.sim._phase_cells(tl, 0.0, eff, slot_cfg)
+        shared = dataclasses.replace(cfg)
+        edges = [u / eff.f_s for u in cells.edges[1:-1]]
+        assert edges
+        for k, phase in enumerate([edges[0] / 2] + edges * 2):
+            assert (run_trial(shared, k, (None, phase, None))
+                    == run_trial(dataclasses.replace(cfg), k, (None, phase, None)))
+        assert len(shared._memo.verdicts) == len(edges)
+
+    def test_flyover_scores_a_few_sessions(self, monkeypatch):
+        # 1000 trials, 4 distinct verdicts: the first sighting, which has
+        # no record, then one session per distinct read.
+        calls = Counter()
+        scored = beaconveil.sim._scored_session
+
+        def counted(*args):
+            calls["_scored_session"] += 1
+            return scored(*args)
+        monkeypatch.setattr(beaconveil.sim, "_scored_session", counted)
+        report = run_scenario(build_flyover(1000))
+        assert calls["_scored_session"] <= 8
+        assert len({id(t.result) for t in report.trials}) == calls["_scored_session"]
