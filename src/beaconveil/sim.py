@@ -23,18 +23,19 @@ acts through a few cells (_PhaseCells) that depend on the emission's
 on-air shape alone, not on its beacons' channels, the noise or the
 trajectory: within one, the beacons' ticks, the power each window tick
 would see without noise and which ticks fall outside the emission are
-fixed, and the memo keeps them for each set of heard beacons. Without
-shadowing at a fixed range the whole observation is fixed in a cell. The
-memo then keeps the placement of each cell a trial of a shape has landed
-in, and for each timeline that landed there its observation (_Kept) and
-with it the verdict of one session on a fresh node (every actor but
-Replay), a pure function of that observation. Any other such verdict is a
-pure function of what the session reads: its beacons, and what each
-window up to the one its verdict falls in decodes to. The memo keeps it by
-that read (_read_verdict).
+fixed. The memo keeps the ticks with the cell, the rest for each set of
+heard beacons, and each timeline's heard beacons in walk order with their
+read key. Without shadowing at a fixed range the whole observation is
+fixed in a cell. The memo then keeps the placement of each cell a trial of
+a shape has landed in, and for each timeline that landed there its
+observation (_Kept) and with it the verdict of one session on a fresh node
+(every actor but Replay), a pure function of that observation. Any other
+such verdict is a pure function of what the session reads: its beacons,
+and what each window up to the one its verdict falls in decodes to. The
+memo keeps it by that read (_read_verdict).
 A trial still draws its phase and its normals, and observes its emission,
-but runs its session only on a read, or in a cell, that no earlier trial
-of its timeline had.
+but builds a beacon, a node or a session only on a read, or in a cell,
+that no earlier trial of its timeline had.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -196,12 +197,11 @@ class _Memo:
     layouts by (t_start, *ticks) and, at a fixed range, the beacons' path
     loss by beacon count; cells, the phase cells of each on-air shape
     (_shape_key) by t_start, only its key's hash after its first sighting;
-    timelines, each timeline's entry in cells and the observations kept
-    for it in those cells (see _kept_cells); and verdicts, the
-    single-session verdicts of observations that no cell keeps, by
-    timeline, start, beacons and the bits of the windows read (see
-    _read_verdict). Every array in them is read-only, so trials share
-    them."""
+    timelines, each timeline's entry in cells and what is kept for it in
+    those cells (see _kept_cells); and verdicts, the single-session
+    verdicts of observations that no cell keeps whole, by timeline, start,
+    beacons and the bits of the windows read (see _read_verdict). Every
+    array in them is read-only, so trials share them."""
 
     __slots__ = ("candidates", "layouts", "cells", "timelines", "verdicts")
 
@@ -272,6 +272,11 @@ class ScenarioConfig:
     @cached_property
     def _memo(self) -> _Memo:
         return _Memo()
+
+    @cached_property
+    def _tags(self) -> tuple[str, str]:
+        # The actor's kind and label, which each of its TrialResults carries.
+        return actor_kind(self.actor), actor_label(self.actor)
 
     def _candidate_timeline(self, row: tuple[int, ...]) -> EmissionTimeline:
         tl = self._memo.candidates.get(row)
@@ -447,15 +452,16 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     The memo also keeps the phase cells of each on-air shape per t_start
     (_PhaseCells, see _kept_cells): timelines that differ only in their
     beacons' channels share them. Under shadowing or along a moving
-    trajectory, a cell keeps what it fixes for each set of heard beacons a
-    trial of the shape landed there with: the window ticks' power without
-    noise, and which ticks fall outside the emission; a later such trial
-    adds only its normals. Without shadowing (not sigma_db > 0) at a fixed
-    range, the phase is the only draw, and the whole observation is a step
-    function of it. A cell a trial of the shape has landed in then keeps
-    its placement, and each timeline that lands there gets its observation
-    as a _Kept, which goes to that trial and every later one of the
-    timeline in the cell, each with a beacon list of its own. A phase
+    trajectory, a cell keeps the emitted beacons' ticks, and for each set of
+    heard beacons the window ticks' power without noise, which ticks fall
+    outside the emission, and each timeline's heard beacons in walk order
+    with their read key, which its samples carry (_Heard); a later such
+    trial adds only its normals. Without shadowing (not sigma_db > 0) at a
+    fixed range, the phase is the only draw, and the whole observation is a
+    step function of it. A cell a trial of the shape has landed in then
+    keeps its placement, and each timeline that lands there gets its
+    observation as a _Kept, which goes to that trial and every later one of
+    the timeline in the cell, each with a beacon list of its own. A phase
     within the guard of a cell's edge is placed in full and keeps nothing.
     Either way the draws and the bytes are those of the full placement.
     """
@@ -473,11 +479,13 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
         return _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start, phase,
                       memo)[1:]
     if chan.sigma_db > 0 or len(traj.waypoints) > 1:
-        fixes = cells.placed[cell]
-        if fixes is None:
-            fixes = cells.placed[cell] = {}
-        return _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start, phase,
-                      memo, fixes)[1:]
+        if cells.placed[cell] is None:
+            cells.placed[cell] = _ticks(timeline, phase, f), {}
+        if own[cell] is None:
+            own[cell] = {}
+        _, beacons, samples = _place(timeline, traj, chan, tx, scfg, slot_cfg, rng,
+                                     t_start, phase, memo, (*cells.placed[cell], own[cell]))
+        return list(beacons), samples
     kept = own[cell]
     if kept is None:
         placed = cells.placed[cell]
@@ -513,26 +521,27 @@ class _Kept(Samples):
 def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
            tx: TxPowerLevels, scfg: SensorConfig, slot_cfg: SlotConfig,
            rng: np.random.Generator, t_start: float, phase: float,
-           memo: Optional[_Memo], fixes: Optional[dict] = None
-           ) -> tuple[list[int], list[Beacon], Samples]:
+           memo: Optional[_Memo], cell: Optional[tuple] = None
+           ) -> tuple[list[int], Sequence[Beacon], Samples]:
     """observe_emission's placement of an emission started at phase: every
     beacon and window tick, with its normals drawn from rng, as the rows
     of timeline.beacons that were heard, their beacons and the samples.
-    fixes, if given, is the phase cell's table of what it fixes, by layout
-    key: the window ticks, their slot grid, their noiseless power and
-    which of them fall outside the emission."""
+    cell, if given, is what a phase cell keeps under shadowing or along a
+    moving trajectory: the emitted beacons' ticks; the shape's table, by
+    layout key, of the window ticks, slot grid, noiseless power and
+    outside-emission mask; and the timeline's table, by heard mask, of its
+    rows, beacons, that fix, walk order and read key. Samples then come
+    as _Heard."""
     f = scfg.f_s
     sigma = chan.sigma_db
     emitted = timeline.beacons
-    t_true = phase + timeline.beacon_times
-    # Each beacon's grid tick, half to even as round() does.
-    ms = np.rint(t_true * f).astype(np.int64).tolist()
+    ms, fixes, records = cell or (_ticks(timeline, phase, f), None, None)
     # At a fixed range every observation's beacons lose the same; the memo
     # keeps that loss too, by beacon count.
     fixed = len(traj.waypoints) == 1 and memo is not None
     pl = memo.layouts.get(len(emitted)) if fixed else None
     if pl is None:
-        pl = path_loss(distance_at(traj, t_true - t_start), chan)
+        pl = path_loss(distance_at(traj, phase + timeline.beacon_times - t_start), chan)
         if fixed:
             pl.flags.writeable = False
             _keep(memo.layouts, len(emitted), pl)
@@ -540,33 +549,63 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     if sigma > 0:
         rssi += rng.normal(0.0, sigma, size=len(emitted))
     # A frame lost under the noise floor opens no window.
-    rows = [k for k, h in enumerate((rssi >= chan.noise_floor_dbm).tolist()) if h]
-    beacons = [Beacon(ms[k] / f, emitted[k].channel, emitted[k].seq_no,
-                      emitted[k].nonce) for k in rows]
-    if not rows:
-        return rows, beacons, Samples()
-    key = (t_start, *[ms[k] for k in rows])
-    held = fixes.get(key) if fixes is not None else None
-    if held is None:
-        layout = memo.layouts.get(key) if memo is not None else None
-        if layout is None:
-            layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
-            if memo is not None:
-                _keep(memo.layouts, key, layout)
-        t_ticks, pl, grid = layout
-        local = t_ticks - phase
-        # The noiseless power, and the ticks outside the emission.
-        mean = timeline.levels_at(local) - pl
-        outside = (local < 0.0) | (local > timeline.duration_s)
-        held = t_ticks, grid, mean, outside
-        if fixes is not None:
-            mean.flags.writeable = outside.flags.writeable = False
-            _keep(fixes, key, held)
-    t_ticks, grid, rssi, absent = held
+    heard = rssi >= chan.noise_floor_dbm
+    got = records.get(heard.tobytes()) if records is not None else None
+    if got is None:
+        rows = [k for k, h in enumerate(heard.tolist()) if h]
+        beacons = [Beacon(ms[k] / f, emitted[k].channel, emitted[k].seq_no,
+                          emitted[k].nonce) for k in rows]
+        if not rows:
+            return rows, beacons, Samples()
+        key = (t_start, *[ms[k] for k in rows])
+        held = fixes.get(key) if fixes is not None else None
+        if held is None:
+            layout = memo.layouts.get(key) if memo is not None else None
+            if layout is None:
+                layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
+                if memo is not None:
+                    _keep(memo.layouts, key, layout)
+            t_ticks, pl, grid = layout
+            local = t_ticks - phase
+            # The noiseless power, and the ticks outside the emission.
+            mean = timeline.levels_at(local) - pl
+            outside = (local < 0.0) | (local > timeline.duration_s)
+            held = t_ticks, grid, mean, outside
+            if fixes is not None:
+                mean.flags.writeable = outside.flags.writeable = False
+                _keep(fixes, key, held)
+        if records is not None:
+            walk = _in_order(beacons)
+            got = rows, tuple(beacons), held, walk, _read_key(timeline, t_start, walk)
+            _keep(records, heard.tobytes(), got)
+    else:
+        rows, beacons, held = got[:3]
+    t_ticks, grid, mean, outside = held
     if sigma > 0:
-        rssi = rssi + rng.normal(0.0, sigma, size=rssi.shape)
-    absent = absent | (rssi < chan.noise_floor_dbm)
-    return rows, beacons, Samples._sorted(t_ticks, np.where(absent, np.nan, rssi), grid)
+        rssi = rng.normal(0.0, sigma, size=mean.shape)
+        rssi += mean
+        absent = rssi < chan.noise_floor_dbm
+        absent |= outside
+        rssi[absent] = np.nan
+    else:
+        rssi = np.where(outside | (mean < chan.noise_floor_dbm), np.nan, mean)
+    if got is None:
+        return rows, beacons, Samples._sorted(t_ticks, rssi, grid)
+    samples = _Heard._sorted(t_ticks, rssi, grid)
+    samples.walk, samples.key = got[3:]
+    return rows, beacons, samples
+
+
+def _ticks(timeline: EmissionTimeline, phase: float, f: float) -> list[int]:
+    # Each emitted beacon's grid tick, half to even as round() does.
+    return np.rint((phase + timeline.beacon_times) * f).astype(np.int64).tolist()
+
+
+class _Heard(Samples):
+    """Samples in a phase cell under shadowing or along a moving trajectory,
+    with the heard beacons in walk order and their read key (_read_key)."""
+
+    __slots__ = ("walk", "key")
 
 
 class _PhaseCells:
@@ -574,8 +613,8 @@ class _PhaseCells:
     t_start, and what is kept for each cell a trial of the shape landed
     in: noiseless at a fixed range its placement, as _place returns it
     (heard rows, beacons, read-only samples), each timeline keeping its
-    own observations of the cells (see _kept_cells); otherwise _place's
-    table of what the cell fixes, by layout key.
+    own observations of the cells (see _kept_cells); otherwise the emitted
+    beacons' ticks and _place's table of what the cell fixes, by layout key.
 
     Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
     and no normals, which beacons are heard does not depend on u, and what
@@ -672,7 +711,8 @@ def _kept_cells(memo: _Memo, timeline: EmissionTimeline, t_start: float,
                 scfg: SensorConfig, slot_cfg: SlotConfig
                 ) -> Optional[tuple[_PhaseCells, list]]:
     """The phase cells of the timeline's shape from t_start, and the list
-    of the timeline's own observations in them, a _Kept or None per cell.
+    of what the timeline keeps in them, None per cell or: noiseless at a
+    fixed range its observation (_Kept), else its heard beacons (_place).
     The cells are kept in memo.cells by shape key and then by start, and
     each timeline's record in memo.timelines holds its shape's entry and
     its lists by start, so a kept timeline's key is computed once. The
@@ -1000,7 +1040,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     trial's sessions (two for Replay, one otherwise) run on one fresh
     SensorNode, so lockout_s acts only between a Replay trial's two
     sessions, never across trials: a brute-force FAR is a per-attempt
-    rate.
+    rate. A single session's node is built only if it is scored; the
+    actor's kind and label are read once per config.
 
     A trial that scores one session (every actor but Replay) and gets a
     _Kept back (see observe_emission) reads its verdict there, or scores
@@ -1011,7 +1052,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     takes the verdict kept for what its session reads, its beacons and
     what each window up to the one its verdict falls in decodes to, once
     its timeline has a record in the memo (see _read_verdict); it scores
-    the session only on a read no earlier trial of the timeline made.
+    the session only on a read no earlier trial of the timeline made. In
+    a cell its beacons come in walk order with their read key (_Heard).
     Replay's sessions are scored afresh and kept nowhere.
     """
     if draws is None:
@@ -1023,48 +1065,50 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
         slot, tl = cfg.slot_cfg, cfg._candidate_timeline(row)
     else:
         slot, tl = cfg._timelines[trial_index % len(cfg._timelines)]
-    starts = [0.0]
+    args = (tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng)
     if isinstance(a, Replay):
         # The recorded copy goes on air after the original, on a grid tick,
         # to the same sensor node; that second session is the one scored.
-        starts.append(math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s)
-    node = SensorNode()
-    for t_start in starts:
-        beacons, samples = observe_emission(
-            tl, cfg.trajectory, cfg.channel, cfg.tx_levels, eff, slot, rng,
-            t_start=t_start, memo=cfg._memo, drawn=phase)
-        phase = None  # Replay's second session draws its own
-        if len(starts) > 1:
+        node = SensorNode()
+        for t_start in (0.0, math.ceil((tl.duration_s + slot.tu_s) * eff.f_s) / eff.f_s):
+            beacons, samples = observe_emission(*args, t_start=t_start, memo=cfg._memo,
+                                                drawn=phase)
+            phase = None  # the second session draws its own
             result = _scored_session(cfg, slot, beacons, samples, node, t_start)
-        elif isinstance(samples, _Kept):
+    else:
+        beacons, samples = observe_emission(*args, memo=cfg._memo, drawn=phase)
+        if isinstance(samples, _Kept):
             result = samples.verdict
             if result is None:
                 result = samples.verdict = _scored_session(cfg, slot, beacons, samples,
-                                                           node, t_start)
+                                                           SensorNode(), 0.0)
         else:
-            result = _read_verdict(cfg, slot, tl, beacons, samples, node, t_start)
-    return TrialResult(trial_index, actor_kind(a), actor_label(a), result)
+            result = _read_verdict(cfg, slot, tl, beacons, samples, 0.0)
+    return TrialResult(trial_index, *cfg._tags, result)
 
 
 def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimeline,
-                  beacons: list[Beacon], samples: Samples, node: SensorNode,
-                  t_start: float) -> AuthResult:
+                  beacons: list[Beacon], samples: Samples, t_start: float) -> AuthResult:
     """The verdict of the one session of a trial on a fresh node, on an
-    observation of timeline that no phase cell keeps. Once the timeline
-    has a record in the memo, the verdict is kept there by what the session
-    read: its beacons, and what each window up to the one its verdict fell
-    in decodes to (sensor._window_bits). The walk reads nothing of a later
-    window, and the rest it reads is the config's. So a trial decodes its
-    windows in turn until the read so far finds a kept verdict. A trial
-    that heard no beacon scores its session, which only times out."""
+    observation of timeline that no phase cell keeps whole. Once the
+    timeline has a record in the memo, the verdict is kept there by what
+    the session read: its beacons, and what each window up to the one its
+    verdict fell in decodes to (sensor._window_bits). The walk reads
+    nothing of a later window, and the rest it reads is the config's. So a
+    trial decodes its windows in turn until the read so far finds a kept
+    verdict; _Heard samples carry the beacons in walk order and their read
+    key. A trial that heard no beacon scores its session, which only times
+    out."""
     memo = cfg._memo
-    if not beacons or timeline not in memo.timelines:
-        return _scored_session(cfg, slot, beacons, samples, node, t_start)
+    if isinstance(samples, _Heard):
+        bs, key = samples.walk, samples.key
+    elif beacons and timeline in memo.timelines:
+        bs = _in_order(beacons)
+        key = _read_key(timeline, t_start, bs)
+    else:
+        return _scored_session(cfg, slot, beacons, samples, SensorNode(), t_start)
     eff = cfg._effective_sensor
-    bs = _in_order(beacons)
     read = _read_windows(bs, samples, eff.n, slot.slot_s)
-    # The beacons as plain tuples, which every prefix's key hashes again.
-    key = (timeline, t_start, tuple([(b.t_s, b.channel, b.seq_no, b.nonce) for b in bs]))
     keys = []
     for j in range(len(bs)):
         key += (_window_bits(read, j, eff),)
@@ -1072,10 +1116,15 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
         if result is not None:
             return result
         keys.append(key)
-    result = _scored_session(cfg, slot, bs, samples, node, t_start, read)
+    result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start, read)
     # The walk read the windows of its transcript, and at most one more.
     _keep(memo.verdicts, keys[min(len(result.transcript), len(bs) - 1)], result)
     return result
+
+
+def _read_key(timeline: EmissionTimeline, t_start: float, bs: list[Beacon]) -> tuple:
+    # A read's key in _Memo.verdicts starts with the beacons as plain tuples.
+    return timeline, t_start, tuple([(b.t_s, b.channel, b.seq_no, b.nonce) for b in bs])
 
 
 def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: list[Beacon],

@@ -370,9 +370,20 @@ def assert_memos_within(cfg, cap):
 
 def kept_cells(cfg):
     """The observations kept in cfg's memo, one for each timeline and phase
-    cell a trial of that timeline landed in."""
+    cell a trial of that timeline landed in without shadowing at a fixed
+    range."""
     return [kept for _, by_start in cfg._memo.timelines.values()
-            for _, own in by_start.values() for kept in own if kept is not None]
+            for _, own in by_start.values() for kept in own
+            if isinstance(kept, beaconveil.sim._Kept)]
+
+
+def kept_heard(cfg):
+    """The heard-beacon records kept in cfg's memo under shadowing or along
+    a moving trajectory, one for each timeline, phase cell and set of heard
+    beacons a trial of that timeline landed there with."""
+    return [got for _, by_start in cfg._memo.timelines.values()
+            for _, own in by_start.values() for heard in own
+            if isinstance(heard, dict) for got in heard.values()]
 
 
 def kept_verdicts(cfg):
@@ -2044,3 +2055,129 @@ class TestReadVerdictDifferential:
         report = run_scenario(build_flyover(1000))
         assert calls["_scored_session"] <= 8
         assert len({id(t.result) for t in report.trials}) == calls["_scored_session"]
+
+
+class NoisyForcedPhase(ForcedPhase):
+    """A ForcedPhase that draws its normals as default_rng(seed) does."""
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
+
+
+def _proto_on_other_channels(trials):
+    """The two-emitter bench with both halves on one time unit, their
+    credentials on other channels: one on-air shape for two timelines."""
+    return dataclasses.replace(
+        build_proto(), trials=trials, actor=Proto("pi1", "pi2", 1.0),
+        store=(parse_pattern("110@6:- 110@6:1", "pi1"),
+               parse_pattern("110@2:- 110@9:1", "pi2")))
+
+
+class TestHeardBeaconsDifferential:
+    """Under shadowing or along a moving trajectory, a trial in a phase cell
+    takes its beacons' ticks from the cell, and its heard beacons, in walk
+    order with their read key, from what its timeline keeps for the cell
+    and the set of beacons it heard. Every observation must equal the full
+    placement without a memo, and every trial the same trial run alone on
+    a fresh config; the report must not change when the memo is emptied
+    at any cap."""
+
+    @given(spec=emissions().filter(lambda s: s["sigma_db"] > 0 or len(s["waypoints"]) > 1))
+    @example(spec={**OVERLAPPING, "sigma_db": 4.0, "t_start": 37.3,
+                   "waypoints": [(0.0, 2.0), (30.0, 45.0), (60.0, 3.0)]})
+    @settings(max_examples=50, deadline=None)
+    def test_kept_heard_beacons_match_the_full_placement(self, spec):
+        slot_cfg = SlotConfig(*spec["slot"])
+        p = spec["pattern"]
+        tl = compile_schedule(p, slot_cfg, TxPowerLevels())
+        scfg = SensorConfig(f_s=spec["f_s"], n=p.bit_count)
+        args = (tl, Trajectory(tuple(spec["waypoints"])),
+                ChannelParams(sigma_db=spec["sigma_db"]), TxPowerLevels(), scfg, slot_cfg)
+        t_start = spec["t_start"]
+        memo = beaconveil.sim._Memo()
+        got_rng, want_rng = NoisyForcedPhase(spec["seed"]), NoisyForcedPhase(spec["seed"])
+        lists, returned = set(), []
+
+        def observe(phase=None):
+            got_rng.phase = want_rng.phase = phase
+            beacons, samples = observe_emission(*args, got_rng, t_start=t_start, memo=memo)
+            ref_beacons, ref_samples = observe_emission(*args, want_rng, t_start=t_start)
+            assert beacons == ref_beacons
+            assert samples.t_s.tobytes() == ref_samples.t_s.tobytes()
+            assert samples.rssi_dbm.tobytes() == ref_samples.rssi_dbm.tobytes()
+            assert got_rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
+            if isinstance(samples, beaconveil.sim._Heard):
+                assert samples.walk == beacons
+                assert samples.key == (tl, t_start, tuple(
+                    (b.t_s, b.channel, b.seq_no, b.nonce) for b in beacons))
+            # Each call gets its own beacon list.
+            assert id(beacons) not in lists
+            lists.add(id(beacons))
+            returned.append(beacons)  # keeps the ids unique
+
+        for _ in range(20):
+            observe()
+        cells = memo.cells[beaconveil.sim._shape_key(tl)][t_start]
+        for phase in probe_phases(cells, scfg.f_s):
+            observe(phase)
+        placed = [c for c in cells.placed if c is not None]
+        assert placed and all(len(ticks) == len(tl.beacons) for ticks, _ in placed)
+
+    @pytest.mark.parametrize("cfg", [
+        build_flyover(300),
+        _noiseless(build_flyover(200)),
+        _shadowed(build_desk(BruteForce(2, 2), 600), 3.0),
+        _shadowed(_proto_on_other_channels(200), 2.0),
+        _fig3_at(40.0, 6.0, 300),
+    ], ids=["flyover", "flyover-noiseless", "bruteforce", "proto-channels",
+            "lost-and-undecodable"])
+    def test_every_trial_equals_a_trial_alone(self, monkeypatch, cfg):
+        kept = report_bytes(cfg)
+        report = run_scenario(cfg)
+        # Heard beacons were kept and handed out again, not only filled.
+        records = kept_heard(cfg)
+        assert 1 <= len(records) < cfg.trials
+        assert all(walk == list(beacons) for _, beacons, _, walk, _ in records)
+        for i, trial in enumerate(report.trials):
+            assert run_trial(dataclasses.replace(cfg), i) == trial, i
+        for cap in (1, 2):
+            monkeypatch.setattr(beaconveil.sim, "_MEMO_CAP", cap)
+            capped = dataclasses.replace(cfg)
+            assert report_bytes(capped) == kept
+            assert_memos_within(capped, cap)
+            assert all(len(heard) <= cap for _, by_start in capped._memo.timelines.values()
+                       for _, own in by_start.values() for heard in own
+                       if isinstance(heard, dict))
+
+    def test_shapes_shared_across_channels_keep_heard_beacons_apart(self):
+        cfg = _shadowed(_proto_on_other_channels(200), 2.0)
+        report = run_scenario(cfg)
+        assert {t.result.pattern_id for t in report.trials} >= {"pi1", "pi2"}
+        # One shape, so one set of cells with its ticks; each half keeps its
+        # own heard beacons, on its own channels.
+        assert len([v for v in cfg._memo.cells.values() if v is not None]) == 1
+        channels = {tuple(b.channel for b in walk) for _, _, _, walk, _ in kept_heard(cfg)}
+        assert {(6, 6), (2, 9)} <= channels
+
+    def test_flyover_builds_few_beacons_nodes_and_sessions(self, monkeypatch):
+        # A fresh 1000-trial flyover builds its beacons, sorts them and
+        # scores a session only for a cell, set of heard beacons or read
+        # that no earlier trial had.
+        calls = Counter()
+
+        def counted(name):
+            wrapped = getattr(beaconveil.sim, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+            monkeypatch.setattr(beaconveil.sim, name, call)
+
+        for name in ("Beacon", "_in_order", "_scored_session", "SensorNode"):
+            counted(name)
+        report = run_scenario(build_flyover(1000))
+        assert len(report.trials) == 1000
+        assert calls["Beacon"] <= 64
+        assert calls["_in_order"] <= 16
+        assert calls["_scored_session"] <= 8
+        assert calls["SensorNode"] == calls["_scored_session"]
