@@ -56,7 +56,9 @@ class Trajectory:
     """Piecewise-linear emitter-to-sensor range over time, clamped outside.
 
     The waypoint times and ranges are also kept as two read-only float64
-    arrays, built once, for distance_at; only the waypoints pickle.
+    arrays, built once, for distance_at; only the waypoints pickle. So is
+    whether a segment is steep: closer in time than its change of range
+    over float64's largest value, so that its slope overflows.
     """
 
     waypoints: tuple[tuple[float, float], ...]
@@ -77,6 +79,8 @@ class Trajectory:
             a = np.array(col, dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_steep", bool(np.any(
+            np.abs(np.diff(self._fp)) / np.finfo(np.float64).max > np.diff(self._xp))))
 
     def __reduce__(self):
         return Trajectory, (self.waypoints,)
@@ -107,6 +111,14 @@ def received_power(tx_dbm: float, d: float, p: ChannelParams,
 def distance_at(traj: Trajectory,
                 t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Range at a time or an array of times, clamped outside the waypoints.
-    Returns a float for a scalar t, else an array."""
-    d = np.interp(t, traj._xp, traj._fp)
+    Returns a float for a scalar t, else an array. np.interp steps along a
+    segment by its slope, which is infinite on a steep one, so a trajectory
+    with one takes each time's fraction of its segment instead."""
+    if traj._steep:
+        xp, fp = traj._xp, traj._fp
+        x = np.clip(t, xp[0], xp[-1])
+        j = np.minimum(np.searchsorted(xp, x, side="right"), len(xp) - 1) - 1
+        d = fp[j] + (x - xp[j]) / (xp[j + 1] - xp[j]) * (fp[j + 1] - fp[j])
+    else:
+        d = np.interp(t, traj._xp, traj._fp)
     return d if d.ndim else float(d)

@@ -28,14 +28,14 @@ heard beacons, and each timeline's heard beacons in walk order with their
 read key. Without shadowing at a fixed range the whole observation is
 fixed in a cell. The memo then keeps the placement of each cell a trial of
 a shape has landed in, and for each timeline that landed there its
-observation (_Kept) and with it the verdict of one session on a fresh node
-(every actor but Replay), a pure function of that observation. Any other
-such verdict is a pure function of what the session reads: its beacons,
-and what each window up to the one its verdict falls in decodes to. The
-memo keeps it by that read (_read_verdict).
-A trial still draws its phase and its normals, and observes its emission,
-but builds a beacon, a node or a session only on a read, or in a cell,
-that no earlier trial of its timeline had.
+observation (_Kept). The verdict of one session on a fresh node (every
+actor but Replay) is a pure function of what the session reads, whatever
+timeline emitted it: its start, its beacons, and what each window up to
+the one its verdict falls in decodes to. The memo keeps one verdict table,
+keyed by the read (_read_verdict); a _Kept holds its entry. A trial still
+draws its phase and its normals, and observes its emission, but builds
+beacons only in a cell no earlier trial of its timeline had, and a node
+and a session only on a read no earlier trial made.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -198,10 +198,10 @@ class _Memo:
     loss by beacon count; cells, the phase cells of each on-air shape
     (_shape_key) by t_start, only its key's hash after its first sighting;
     timelines, each timeline's entry in cells and what is kept for it in
-    those cells (see _kept_cells); and verdicts, the single-session
-    verdicts of observations that no cell keeps whole, by timeline, start,
-    beacons and the bits of the windows read (see _read_verdict). Every
-    array in them is read-only, so trials share them."""
+    those cells (see _kept_cells); and verdicts, one verdict table for
+    every single-session trial, keyed by the read: start, beacons and the
+    bits of the windows read (see _read_verdict). Every array in them is
+    read-only, so trials share them."""
 
     __slots__ = ("candidates", "layouts", "cells", "timelines", "verdicts")
 
@@ -500,9 +500,9 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
 class _Kept(Samples):
     """A phase cell's observation of one timeline: the samples placed for
     its shape, read-only as every trial of the shape in the cell shares
-    them, the heard beacons with this timeline's channels, and the verdict
-    of one session on it on a fresh node once a trial has scored one (see
-    run_trial), else None."""
+    them, the heard beacons with this timeline's channels, and its read's
+    entry in the one verdict table, keyed by the read, once a trial has
+    looked it up (see run_trial), else None."""
 
     __slots__ = ("beacons", "verdict")
 
@@ -576,7 +576,7 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
                 _keep(fixes, key, held)
         if records is not None:
             walk = _in_order(beacons)
-            got = rows, tuple(beacons), held, walk, _read_key(timeline, t_start, walk)
+            got = rows, tuple(beacons), held, walk, _read_key(t_start, walk)
             _keep(records, heard.tobytes(), got)
     else:
         rows, beacons, held = got[:3]
@@ -1043,18 +1043,10 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
     rate. A single session's node is built only if it is scored; the
     actor's kind and label are read once per config.
 
-    A trial that scores one session (every actor but Replay) and gets a
-    _Kept back (see observe_emission) reads its verdict there, or scores
-    the session and leaves its verdict there. The _Kept is its timeline's
-    in its phase cell, which fixes the beacons and samples, and the rest
-    the session reads on a fresh node at t_start = 0 is the config's. On
-    any other observation (shadowed, moving, or at a guard-edge phase) it
-    takes the verdict kept for what its session reads, its beacons and
-    what each window up to the one its verdict falls in decodes to, once
-    its timeline has a record in the memo (see _read_verdict); it scores
-    the session only on a read no earlier trial of the timeline made. In
-    a cell its beacons come in walk order with their read key (_Heard).
-    Replay's sessions are scored afresh and kept nowhere.
+    A trial that scores one session (every actor but Replay) takes its
+    verdict from one verdict table, keyed by the read (see _read_verdict),
+    which a _Kept holds once its timeline's first trial in the cell looked
+    it up. Replay's sessions are scored afresh and kept nowhere.
     """
     if draws is None:
         draws = next(_trial_draws(cfg, trial_index, trial_index + 1))
@@ -1080,8 +1072,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
         if isinstance(samples, _Kept):
             result = samples.verdict
             if result is None:
-                result = samples.verdict = _scored_session(cfg, slot, beacons, samples,
-                                                           SensorNode(), 0.0)
+                result = samples.verdict = _read_verdict(cfg, slot, tl, beacons, samples, 0.0)
         else:
             result = _read_verdict(cfg, slot, tl, beacons, samples, 0.0)
     return TrialResult(trial_index, *cfg._tags, result)
@@ -1090,23 +1081,28 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
 def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimeline,
                   beacons: list[Beacon], samples: Samples, t_start: float) -> AuthResult:
     """The verdict of the one session of a trial on a fresh node, on an
-    observation of timeline that no phase cell keeps whole. Once the
-    timeline has a record in the memo, the verdict is kept there by what
-    the session read: its beacons, and what each window up to the one its
-    verdict fell in decodes to (sensor._window_bits). The walk reads
-    nothing of a later window, and the rest it reads is the config's. So a
+    observation of timeline: once the timeline has a record in the memo,
+    from one verdict table, keyed by the read (_read_key, then what each
+    window up to the one the verdict fell in decodes to, by
+    sensor._window_bits). The walk reads nothing of a later window, so a
     trial decodes its windows in turn until the read so far finds a kept
-    verdict; _Heard samples carry the beacons in walk order and their read
-    key. A trial that heard no beacon scores its session, which only times
-    out."""
+    verdict; _Heard samples carry the walk order and the read key."""
     memo = cfg._memo
     if isinstance(samples, _Heard):
         bs, key = samples.walk, samples.key
-    elif beacons and timeline in memo.timelines:
+    elif timeline in memo.timelines:
         bs = _in_order(beacons)
-        key = _read_key(timeline, t_start, bs)
+        key = _read_key(t_start, bs)
     else:
+        # A first sighting keys nothing: most of a large brute-force space's
+        # candidates are drawn once, and keying their reads cost fig3a's
+        # BruteForce(3, 4) 10-40% more CPU a trial and over 2 MiB more RSS.
         return _scored_session(cfg, slot, beacons, samples, SensorNode(), t_start)
+    if not bs:  # a read of no beacon, keyed by (t_start, ())
+        if key not in memo.verdicts:
+            result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start)
+            _keep(memo.verdicts, key, result)
+        return memo.verdicts[key]
     eff = cfg._effective_sensor
     read = _read_windows(bs, samples, eff.n, slot.slot_s)
     keys = []
@@ -1122,9 +1118,13 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
     return result
 
 
-def _read_key(timeline: EmissionTimeline, t_start: float, bs: list[Beacon]) -> tuple:
-    # A read's key in _Memo.verdicts starts with the beacons as plain tuples.
-    return timeline, t_start, tuple([(b.t_s, b.channel, b.seq_no, b.nonce) for b in bs])
+def _read_key(t_start: float, bs: list[Beacon]) -> tuple:
+    # A read's key in _Memo.verdicts: the start, then the beacons as plain
+    # tuples. Not the timeline: within one config every timeline's slot has
+    # the same slot_s (Proto's halves differ only in tu_s, which the walk
+    # does not read), the watchdog is the config's _effective_sensor's, and
+    # the app stage reads only the config and the verdict.
+    return t_start, tuple([(b.t_s, b.channel, b.seq_no, b.nonce) for b in bs])
 
 
 def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: list[Beacon],

@@ -100,6 +100,17 @@ class TestTrajectory:
         assert distance_at(traj, -1.0) == pytest.approx(10.0)
         assert distance_at(traj, 11.0) == pytest.approx(20.0)
 
+    def test_steep_segment_stays_between_its_ranges(self):
+        # Waypoints a subnormal time apart: the segment's slope overflows,
+        # and np.interp gives -inf inside it.
+        traj = Trajectory(((0.0, 1.0), (2.225073858507e-311, 0.5), (4.0, 2.5)))
+        t = np.array([-1.0, 0.0, 1e-312, 2.225073858507e-311, 2.0, 4.0, 9.0])
+        d = distance_at(traj, t)
+        assert d[0] == d[1] == 1.0 and d[3] == 0.5 and d[5] == d[6] == 2.5
+        assert 0.5 < d[2] < 1.0 and d[4] == pytest.approx(1.5)
+        assert distance_at(traj, 1e-312) == d[2]
+        assert not Trajectory(((0.0, 10.0), (10.0, 20.0)))._steep
+
     def test_rejects_bad_waypoints(self):
         with pytest.raises(ValueError):
             Trajectory(())

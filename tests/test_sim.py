@@ -216,9 +216,10 @@ class TestBlockFanOut:
         assert back == block
         assert [t.trial for t in back] == list(range(2000, 4000))
         # One verdict for each of the 16 shapes' first sightings, and one for
-        # each of the 64 candidates in each of its 3 phase cells.
-        assert len({id(t.result) for t in block}) == 16 + 64 * 3
-        assert len({id(t.result) for t in back}) == 16 + 64 * 3
+        # each of the 56 distinct reads of the 64 candidates in their 3
+        # phase cells.
+        assert len({id(t.result) for t in block}) == 16 + 56
+        assert len({id(t.result) for t in back}) == 16 + 56
 
     def test_flyover_block_ships_its_few_verdicts_once(self):
         cfg = build_flyover(1000)
@@ -1784,10 +1785,10 @@ class TestPhaseCellMemo:
         cfg = build_desk(BruteForce(2, 2), 4000)
         run_scenario(cfg)
         # A first sighting keeps no observation, so it scores its session
-        # too; the first trial of each candidate in each cell keeps its
-        # verdict for the rest.
+        # too; the first trial of each candidate in each cell looks its read
+        # up, and the 64 candidates' 3 cells make only 56 distinct reads.
         assert calls == {"observe_emission": 4000, "_place": 16 + 16 * 3,
-                         "_phase_cells": 16, "_scored_session": 16 + 64 * 3}
+                         "_phase_cells": 16, "_scored_session": 16 + 56}
         cells = [c for v in cfg._memo.cells.values() for c in v.values()]
         assert len(cells) == 16 and all(None not in c.placed for c in cells)
         assert len(cfg._memo.timelines) == 64 and len(kept_verdicts(cfg)) == 64 * 3
@@ -1977,13 +1978,13 @@ def _fig3_at(distance, sigma_db, trials):
 
 
 class TestReadVerdictDifferential:
-    """A trial that scores one session on an observation no phase cell
-    keeps (shadowed, moving, or at a guard-edge phase) takes its verdict
-    from the config's memo, by its beacons and what each window up to the
-    one the verdict fell in decodes to, once its timeline has a record
-    there. Every trial must equal the same trial run alone on a fresh
-    config, and the report must not change when the memo is emptied at
-    any cap."""
+    """A trial that scores one session takes its verdict from the config's
+    one verdict table, keyed by the read: its start, its beacons and what
+    each window up to the one the verdict fell in decodes to, whatever
+    timeline emitted them, once its timeline has a record in the memo. A
+    kept cell holds its entry. Every trial must equal the same trial run
+    alone on a fresh config, and the report must not change when the memo
+    is emptied at any cap."""
 
     @pytest.mark.parametrize("cfg", [
         build_flyover(200),
@@ -1995,8 +1996,13 @@ class TestReadVerdictDifferential:
         _noiseless(build_flyover(150)),
         # Beacons lost under the floor and windows that do not decode.
         _fig3_at(40.0, 6.0, 300),
+        # Kept cells, whose candidates and halves share reads.
+        build_desk(BruteForce(2, 2), 400),
+        build_desk_multi(400),
+        dataclasses.replace(build_proto(), trials=150),
     ], ids=["flyover", "mitm", "proto", "mutant", "bruteforce", "flyover-noiseless",
-            "lost-and-undecodable"])
+            "lost-and-undecodable", "bruteforce-noiseless", "desk-multi",
+            "proto-noiseless"])
     def test_every_trial_equals_a_trial_alone(self, monkeypatch, cfg):
         kept = report_bytes(cfg)
         # Run again on the memo the first run filled.
@@ -2028,6 +2034,30 @@ class TestReadVerdictDifferential:
         # Reads that end on an undecodable window are kept too.
         assert any(key[-1] is None for key in cfg._memo.verdicts)
 
+    def test_timelines_share_a_read_until_their_bits_differ(self):
+        # A row is a candidate's digits: each triplet's bits, then its
+        # channel less one. All four put the same beacons on the air, on
+        # channels 1 and 2; the desk credential is 01@1:- 10@2:1, and a
+        # window of equal bits does not decode.
+        cfg = build_desk(BruteForce(2, 2), 1)
+        rows = {"accepted": (0, 1, 0, 1, 0, 1), "txpower@1": (0, 1, 0, 0, 1, 1),
+                "00": (0, 0, 0, 1, 0, 1), "11": (1, 1, 0, 0, 1, 1)}
+        # Each row twice: its first sighting keeps nothing, its second lands
+        # in a kept cell and looks its read up.
+        draws = [(row, 0.37 / 16.0, None) for row in rows.values() for _ in range(2)]
+        for i, d in enumerate(draws):
+            assert run_trial(cfg, i, d) == run_trial(dataclasses.replace(cfg), i, d), i
+        kept = {}
+        for name, row in rows.items():
+            _, by_start = cfg._memo.timelines[cfg._candidate_timeline(row)]
+            [kept[name]] = [k for k in by_start[0.0][1] if k is not None]
+        assert len({k.beacons for k in kept.values()}) == 1
+        assert kept["accepted"].verdict.bucket == ACCEPTED
+        assert kept["txpower@1"].verdict.bucket == "txpower@1"
+        assert kept["00"].verdict is kept["11"].verdict
+        assert kept["00"].verdict.bucket == "undecodable@0"
+        assert len(cfg._memo.verdicts) == 3
+
     def test_guard_edge_phases_are_read(self):
         # A phase within the guard of a cell's edge is placed in full, and
         # its verdict is kept by its read once its timeline has a record.
@@ -2055,6 +2085,21 @@ class TestReadVerdictDifferential:
         report = run_scenario(build_flyover(1000))
         assert calls["_scored_session"] <= 8
         assert len({id(t.result) for t in report.trials}) == calls["_scored_session"]
+
+    def test_lost_emissions_score_one_session(self, monkeypatch):
+        # At 40 m under 6 dB shadowing, over 200 of 4000 trials hear no
+        # beacon. Their reads are the start alone, so one session is scored
+        # for all of them; it was one each before they were keyed.
+        calls = Counter()
+        scored = beaconveil.sim._scored_session
+
+        def counted(cfg, slot, beacons, *args):
+            calls[bool(beacons)] += 1
+            return scored(cfg, slot, beacons, *args)
+        monkeypatch.setattr(beaconveil.sim, "_scored_session", counted)
+        run_scenario(_fig3_at(40.0, 6.0, 4000))
+        assert calls[False] == 1
+        assert calls[True] + calls[False] <= 232
 
 
 class NoisyForcedPhase(ForcedPhase):
@@ -2108,7 +2153,7 @@ class TestHeardBeaconsDifferential:
             assert got_rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
             if isinstance(samples, beaconveil.sim._Heard):
                 assert samples.walk == beacons
-                assert samples.key == (tl, t_start, tuple(
+                assert samples.key == (t_start, tuple(
                     (b.t_s, b.channel, b.seq_no, b.nonce) for b in beacons))
             # Each call gets its own beacon list.
             assert id(beacons) not in lists
