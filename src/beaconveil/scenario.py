@@ -13,11 +13,11 @@ silently falling back to a default.
 Reports are written as report.json (config digest, metrics, one record per
 trial) plus trials.csv for external plotting. Identical configs produce
 byte-identical files: no timestamps, sorted keys, fixed float formatting.
-Trials that share an AuthResult object (the simulator's kept verdicts) share
-its text: a record is formatted once per call for each (actor, label, result)
-and a row once for each (actor, result), and every later trial is that text
-with its own trial number spliced in. The bytes are those of one json.dumps
-call over the whole report and one csv.writer row per trial.
+The renderers read a report's outcome, its distinct (actor, label, result)
+entries and each trial's entry (sim._Outcome): a record and a row are
+formatted once per call for each entry, and every trial is that text with
+its own trial number spliced in. The bytes are those of one json.dumps call
+over the whole report and one csv.writer row per trial.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .core import (PatternError, SecretPattern, _parse_pattern, parse_pattern,
                    render_pattern)
 from .emitter import FlipTxBit, SlotConfig, WrongChannel, WrongInterval
 from .radio import ChannelParams, Trajectory
-from .sensor import SensorConfig
+from .sensor import AuthResult, SensorConfig
 from .sim import (_ACTOR_KIND, ConfigError, Legit, Metrics, Mutant, Proto,
-                  RunReport, ScenarioConfig, TrialResult)
+                  RunReport, ScenarioConfig)
 
 
 # Sections holding one config object each: the keys are its fields.
@@ -278,63 +278,56 @@ def _code(reason) -> Optional[str]:
     return None if reason is None else reason.code
 
 
-def _json_record(tr: TrialResult) -> tuple[str, str]:
-    """tr's report.json record, cut where its trial number goes: sorted
-    keys put "trial" between "transcript" and "verdict"."""
-    r = tr.result
+def _json_record(actor: str, label: str, r: AuthResult) -> tuple[str, str]:
+    """The report.json record of a trial with this outcome, cut where its
+    trial number goes: sorted keys put "trial" between "transcript" and
+    "verdict"."""
     transcript = ",".join(map(_json_str, map(str, r.transcript)))
-    return (f'{{"actor":{_json_str(tr.actor)},"app_ok":{_JSON_CONST[r.app_ok]},'
-            f'"duration_s":{_json_float(r.duration_s)},"label":{_json_str(tr.label)},'
+    return (f'{{"actor":{_json_str(actor)},"app_ok":{_JSON_CONST[r.app_ok]},'
+            f'"duration_s":{_json_float(r.duration_s)},"label":{_json_str(label)},'
             f'"pattern_id":{_json_opt(r.pattern_id)},"phy_ok":{_JSON_CONST[r.phy_ok]},'
             f'"reason":{_json_opt(_code(r.reason))},"transcript":[{transcript}],"trial":',
             f',"verdict":{_json_str(r.verdict)}}}')
 
 
-def _csv_row(tr: TrialResult) -> str:
-    """tr's trials.csv row after its trial number."""
-    r = tr.result
+def _csv_row(actor: str, r: AuthResult) -> str:
+    """The trials.csv row of a trial with this outcome, after its trial
+    number."""
     code = _code(r.reason) or ""
-    if _CSV_SPECIAL(tr.actor + r.verdict + code):
+    if _CSV_SPECIAL(actor + r.verdict + code):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(
-            ["", tr.actor, r.verdict, code, f"{r.duration_s:.6f}"])
+            ["", actor, r.verdict, code, f"{r.duration_s:.6f}"])
         return buf.getvalue()
-    return f",{tr.actor},{r.verdict},{code},{r.duration_s:.6f}\n"
+    return f",{actor},{r.verdict},{code},{r.duration_s:.6f}\n"
 
 
 def render_report_json(report: RunReport, cfg: ScenarioConfig) -> str:
     """json.dumps of the report with sorted keys and no spaces: the config
     digest, metrics and seed, then one record per trial. A record is
-    formatted once per (actor, label, result object) and shared by every
-    trial that shares it, with the trial number spliced in. The report
-    keeps each result alive, so an id names one result for the whole call."""
+    formatted once per entry of the report's outcome, and each trial gets
+    its entry's with its trial number spliced in."""
     head = json.dumps({"config_sha256": config_sha256(cfg), "seed": cfg.seed,
                        "metrics": report.metrics.to_dict()},
                       sort_keys=True, separators=(",", ":"))
+    entries, index, numbers = report._outcome
+    cuts = [_json_record(*e) for e in entries]
+    heads, tails = [c[0] for c in cuts], [c[1] for c in cuts]
+    out = [f"{heads[e]}{n}{tails[e]}" for n, e in zip(numbers, index.tolist())] or [""]
     # "trials" sorts last, so its list goes where head's closing brace was.
-    records = {}
-    out = []
-    for tr in report.trials:
-        key = (tr.actor, tr.label, id(tr.result))
-        cut = records.get(key)
-        if cut is None:
-            cut = records[key] = _json_record(tr)
-        out.append(f"{cut[0]}{tr.trial}{cut[1]}")
-    return f'{head[:-1]},"trials":[{",".join(out)}]}}\n'
+    # The ends go into the list, so one join copies the records once.
+    out[0] = f'{head[:-1]},"trials":[{out[0]}'
+    out[-1] += "]}\n"
+    return ",".join(out)
 
 
 def render_trials_csv(report: RunReport) -> str:
     """One row per trial, as csv.writer writes it. A row is formatted once
-    per (actor, result object), with the trial number spliced in."""
-    rows = {}
-    out = ["trial,actor,verdict,reason,duration_s\n"]
-    for tr in report.trials:
-        key = (tr.actor, id(tr.result))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = _csv_row(tr)
-        out.append(f"{tr.trial}{row}")
-    return "".join(out)
+    per entry of the report's outcome, with each trial number spliced in."""
+    entries, index, numbers = report._outcome
+    rows = [_csv_row(actor, r) for actor, _, r in entries]
+    return "".join(["trial,actor,verdict,reason,duration_s\n",
+                    *[f"{n}{rows[e]}" for n, e in zip(numbers, index.tolist())]])
 
 
 def write_report(report: RunReport, cfg: ScenarioConfig, out_dir) -> tuple[Path, Path]:

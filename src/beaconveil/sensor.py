@@ -303,9 +303,10 @@ def _read_windows(bs: Sequence[Beacon], samples: Samples, n: int,
 
 
 def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
-                  cfg: SensorConfig) -> Triplet:
+                  cfg: SensorConfig, bits: Optional[str] = None) -> Triplet:
     """Read triplet j from the slot window its beacon opened; read is
-    _read_windows' result.
+    _read_windows' result, and bits, if given, the window's bit string
+    (_window_bits), which is then not decoded again.
 
     The bits come from the level shape; the time unit is the gap between
     beacons 0 and 1, so the second interval is 1 by definition and later
@@ -313,11 +314,7 @@ def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
     time leave window 0 empty and undecodable. Raises UndecodableWindow or
     QuantizationFailure carrying j.
     """
-    grid, counts, med = read
-    if grid.empty[j]:
-        raise UndecodableWindow("no samples in window", index=j)
-    n = cfg.n
-    bits = TxPattern(_bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db, j))
+    bits = TxPattern(_window(read, j, cfg) if bits is None else bits)
     b = beacons[j]
     if j == 0:
         return Triplet(bits, b.channel, None)
@@ -332,16 +329,22 @@ def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
     return Triplet(bits, b.channel, k)
 
 
-def _window_bits(read: tuple, j: int, cfg: SensorConfig) -> Optional[str]:
-    """What window j of read (_read_windows' result) decodes to by _bits's
-    rule, which _read_triplet reads it with: its bit string, or None where
-    it is empty or undecodable."""
+def _window(read: tuple, j: int, cfg: SensorConfig) -> str:
+    """The bit string of window j of read (_read_windows' result) by _bits's
+    rule. Raises UndecodableWindow carrying j where it is empty or does not
+    decode."""
     grid, counts, med = read
     if grid.empty[j]:
-        return None
+        raise UndecodableWindow("no samples in window", index=j)
     n = cfg.n
+    return _bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db, j)
+
+
+def _window_bits(read: tuple, j: int, cfg: SensorConfig) -> Optional[str]:
+    """What window j of read decodes to, as _read_triplet reads it: its bit
+    string, or None where it is empty or undecodable."""
     try:
-        return _bits(counts[j * n:j * n + n], med[j * n:j * n + n], cfg.delta_db)
+        return _window(read, j, cfg)
     except UndecodableWindow:
         return None
 
@@ -468,10 +471,13 @@ class SensorSession:
             read = _read_windows(bs, samples, self.cfg.n, self.slot_cfg.slot_s)
         return self._walk(bs, read)
 
-    def _walk(self, bs: list[Beacon], read: Optional[tuple]) -> AuthResult:
+    def _walk(self, bs: list[Beacon], read: Optional[tuple],
+              bits: Optional[Sequence[Optional[str]]] = None) -> AuthResult:
         """run's walk over the beacons bs, in (t_s, seq_no) order, whose
         windows read (_read_windows' result, None without a beacon or on a
-        locked node) gives."""
+        locked node) gives. bits, if given, is what each window decodes to
+        (_window_bits); a window it holds None for is decoded again, to
+        raise its error."""
         triplets: list[Triplet] = []
         if self.node.locked_at(self.t_start):
             return self._end(REJECTED, self.t_start, triplets, RejectReason("lockout"))
@@ -488,7 +494,8 @@ class SensorSession:
             if deadline < b.t_s + span and deadline <= end:
                 return self._end(TIMED_OUT, deadline, triplets)
             try:
-                trip = _read_triplet(bs, j, read, self.cfg)
+                trip = _read_triplet(bs, j, read, self.cfg,
+                                     None if bits is None else bits[j])
             except ExtractionError as e:
                 return self._end(REJECTED, end, triplets, e.reason())
             triplets.append(trip)

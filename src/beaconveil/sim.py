@@ -50,11 +50,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import (Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar,
+                    Union)
 
 import numpy as np
 
@@ -1098,23 +1098,22 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
         # candidates are drawn once, and keying their reads cost fig3a's
         # BruteForce(3, 4) 10-40% more CPU a trial and over 2 MiB more RSS.
         return _scored_session(cfg, slot, beacons, samples, SensorNode(), t_start)
-    if not bs:  # a read of no beacon, keyed by (t_start, ())
-        if key not in memo.verdicts:
-            result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start)
-            _keep(memo.verdicts, key, result)
+    if not bs and key in memo.verdicts:  # a read of no beacon: (t_start, ())
         return memo.verdicts[key]
     eff = cfg._effective_sensor
-    read = _read_windows(bs, samples, eff.n, slot.slot_s)
-    keys = []
+    read = _read_windows(bs, samples, eff.n, slot.slot_s) if bs else None
     for j in range(len(bs)):
         key += (_window_bits(read, j, eff),)
         result = memo.verdicts.get(key)
         if result is not None:
             return result
-        keys.append(key)
-    result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start, read)
-    # The walk read the windows of its transcript, and at most one more.
-    _keep(memo.verdicts, keys[min(len(result.transcript), len(bs) - 1)], result)
+    result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start, read, key[2:])
+    # The walk read up to the window its verdict fell in: the one a reject
+    # names, else its transcript's last. One that timed out before it read
+    # a window is kept by its first.
+    reason = result.reason
+    last = len(result.transcript) - 1 if reason is None or reason.index is None else reason.index
+    _keep(memo.verdicts, key[:3 + max(0, last)], result)
     return result
 
 
@@ -1129,17 +1128,21 @@ def _read_key(t_start: float, bs: list[Beacon]) -> tuple:
 
 def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: list[Beacon],
                     samples: Samples, node: SensorNode, t_start: float,
-                    read: Optional[tuple] = None) -> AuthResult:
+                    read: Optional[tuple] = None, bits: Optional[tuple] = None
+                    ) -> AuthResult:
     """The verdict of one session on node, after the app stage, noted on
     node. read, if given, is _read_windows' result for beacons, already in
-    walk order. Mutant and BruteForce emit a credential of their own
-    making, which need not be valid, and they do not know the app secret;
-    Mitm's relay adds its delay to the app-layer round trip."""
+    walk order, and bits what each of their windows decodes to
+    (_window_bits), which the walk takes instead of decoding them again.
+    Mutant and BruteForce emit a credential of their own making, which need
+    not be valid, and they do not know the app secret; Mitm's relay adds
+    its delay to the app-layer round trip."""
     eff = cfg._effective_sensor
     a = cfg.actor
     session = SensorSession(cfg.store.compiled(new_matcher), eff, slot, node=node,
                             t_start=t_start)
-    result = session.run(beacons, samples) if read is None else session._walk(beacons, read)
+    result = (session.run(beacons, samples) if read is None
+              else session._walk(beacons, read, bits))
     if result.verdict == ACCEPTED and eff.app_secret is not None:
         message = "" if isinstance(a, (Mutant, BruteForce)) else eff.app_secret
         extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0
@@ -1190,49 +1193,99 @@ class Metrics:
 
 
 def compute_metrics(trials: Sequence[TrialResult]) -> Metrics:
-    n_adv = sum(1 for t in trials if t.label == ADVERSARY)
-    n_leg = len(trials) - n_adv
-    false_accepts = sum(1 for t in trials
-                        if t.label == ADVERSARY and t.result.verdict == ACCEPTED)
-    false_rejects = sum(1 for t in trials
-                        if t.label == LEGIT and t.result.verdict != ACCEPTED)
-    far = false_accepts / n_adv if n_adv else None
-    frr = false_rejects / n_leg if n_leg else None
-    counts = Counter(t.result.bucket for t in trials)
-    mean_s = sum(t.result.duration_s for t in trials) / len(trials) if trials else 0.0
-    return Metrics(
-        trials=len(trials), far=far, frr=frr,
-        far_ci_95=wilson(far, n_adv) if far is not None else None,
-        frr_ci_95=wilson(frr, n_leg) if frr is not None else None,
-        mean_session_s=mean_s, per_reason_counts=dict(counts))
+    """The metrics of trials, counted as a run counts its own (_Outcome)."""
+    return _Outcome.of(trials).metrics()
 
 
-@dataclass(frozen=True)
+def _table(values: list, keys: list) -> tuple[list, np.ndarray]:
+    """values' distinct entries, one per key (equal keys name equal values),
+    in the order of their first sighting, and each value's entry (uint32)."""
+    entries = dict(zip(keys, values))
+    position = dict(zip(entries, range(len(entries))))
+    return list(entries.values()), np.array([position[k] for k in keys], dtype=np.uint32)
+
+
+class _Outcome(NamedTuple):
+    """Trials as a verdict table plus per-trial indices: the distinct
+    (actor, label, AuthResult) entries in the order of their first trial,
+    each trial's entry (uint32) and the trials' numbers, in trial order."""
+
+    entries: list[tuple[str, str, AuthResult]]
+    index: np.ndarray
+    numbers: Sequence[int]
+
+    @classmethod
+    def of(cls, trials: Sequence[TrialResult]) -> _Outcome:
+        """One entry per (actor, label, result object)."""
+        entries, index = _table([(t.actor, t.label, t.result) for t in trials],
+                                [(t.actor, t.label, id(t.result)) for t in trials])
+        return cls(entries, index, [t.trial for t in trials])
+
+    def metrics(self) -> Metrics:
+        """Counted per entry from one np.bincount over the index. The mean
+        session is the built-in sum of the trials' durations in trial
+        order, whose float the report prints."""
+        counts = np.bincount(self.index, minlength=len(self.entries)).tolist()
+        n, n_adv, false_accepts, false_rejects, buckets = len(self.index), 0, 0, 0, {}
+        for (_, label, r), c in zip(self.entries, counts):
+            if label == ADVERSARY:
+                n_adv += c
+                false_accepts += c if r.verdict == ACCEPTED else 0
+            elif label == LEGIT and r.verdict != ACCEPTED:
+                false_rejects += c
+            buckets[r.bucket] = buckets.get(r.bucket, 0) + c
+        n_leg = n - n_adv
+        far = false_accepts / n_adv if n_adv else None
+        frr = false_rejects / n_leg if n_leg else None
+        durations = np.array([r.duration_s for _, _, r in self.entries], dtype=np.float64)
+        return Metrics(
+            trials=n, far=far, frr=frr,
+            far_ci_95=wilson(far, n_adv) if far is not None else None,
+            frr_ci_95=wilson(frr, n_leg) if frr is not None else None,
+            mean_session_s=sum(durations[self.index].tolist()) / n if n else 0.0,
+            per_reason_counts=buckets)
+
+
 class RunReport:
-    metrics: Metrics
-    trials: tuple[TrialResult, ...]
+    """A run's metrics and its trials, TrialResults in trial order. A run
+    makes its report from its outcome (_Outcome, see _run_rows) and builds
+    the trials on first access, which the CLI, sweep and the renderers
+    never make: the renderers read the outcome, which a report made as
+    RunReport(metrics, trials) builds from its trials."""
+
+    def __init__(self, metrics: Metrics, trials: Sequence[TrialResult]):
+        self.metrics, self.trials = metrics, tuple(trials)
+
+    @classmethod
+    def _of(cls, outcome: _Outcome) -> RunReport:
+        report = cls.__new__(cls)
+        report.metrics, report._outcome = outcome.metrics(), outcome
+        return report
+
+    @cached_property
+    def trials(self) -> tuple[TrialResult, ...]:
+        entries, index, numbers = self._outcome
+        return tuple([TrialResult(n, *entries[e]) for n, e in zip(numbers, index.tolist())])
+
+    @cached_property
+    def _outcome(self) -> _Outcome:
+        return _Outcome.of(self.trials)
+
+    def __eq__(self, other):
+        if not isinstance(other, RunReport):
+            return NotImplemented
+        return (self.metrics, self.trials) == (other.metrics, other.trials)
+
+    def __repr__(self) -> str:
+        return f"RunReport(metrics={self.metrics!r}, trials={self.trials!r})"
 
 
-class _Block(list):
-    """A block's TrialResults, in trial order. It pickles as its first trial
-    index, the config's actor and label, and each trial's AuthResult, so
-    pickle's memo sends each of the block's few distinct verdicts once; the
-    receiving side rebuilds the TrialResults (_unpack_block)."""
-
-    def __reduce__(self):
-        first = self[0]
-        return _unpack_block, (first.trial, first.actor, first.label,
-                               [t.result for t in self])
-
-
-def _unpack_block(lo: int, actor: str, label: str,
-                  results: list[AuthResult]) -> list[TrialResult]:
-    return [TrialResult(i, actor, label, r) for i, r in enumerate(results, lo)]
-
-
-def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> list[TrialResult]:
-    return _Block(run_trial(cfg, i, draws) for i, draws
-                  in zip(range(lo, hi), _trial_draws(cfg, lo, hi)))
+def _run_block(cfg: ScenarioConfig, lo: int, hi: int) -> tuple[list[AuthResult], np.ndarray]:
+    """Trials lo to hi - 1 as a verdict table and each trial's entry
+    (_table); a worker's block pickles as that, each distinct verdict once."""
+    results = [run_trial(cfg, i, draws).result
+               for i, draws in zip(range(lo, hi), _trial_draws(cfg, lo, hi))]
+    return _table(results, list(map(id, results)))
 
 
 def _usable_cpus() -> int:
@@ -1244,19 +1297,22 @@ def _usable_cpus() -> int:
 
 
 def _run_rows(rows: Sequence[ScenarioConfig], workers: int) -> list[RunReport]:
-    """Every trial of every row, as one RunReport per row.
+    """Every trial of every row, as one RunReport per row, made from the
+    row's outcome (_Outcome); none builds its trials.
 
     workers > 1, capped at the CPUs this process may use, cuts each row
     into blocks of ceil(trials / workers) trials. The calling process
     counts as one of the workers: a pool of workers - 1 processes runs
     every block but each row's first, which the calling process runs
     meanwhile. A row's blocks are merged in block order, which is trial
-    order, so its outcome is identical for any worker count.
+    order: their tables are concatenated, with the actor's kind and label
+    in each entry, and each block's indices offset by the entries before
+    it. So its trials and metrics are identical for any worker count.
     """
     # The pool starts all its processes on the first submit.
     workers = min(workers, _usable_cpus())
     if workers <= 1 or sum(cfg.trials for cfg in rows) < 2 * workers:
-        results = [_run_block(cfg, 0, cfg.trials) for cfg in rows]
+        results = [[_run_block(cfg, 0, cfg.trials)] for cfg in rows]
     else:
         blocks = [math.ceil(cfg.trials / workers) for cfg in rows]
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
@@ -1269,9 +1325,17 @@ def _run_rows(rows: Sequence[ScenarioConfig], workers: int) -> list[RunReport]:
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-            results = [[*first, *(t for fut in row for t in fut.result())]
+            results = [[first, *(fut.result() for fut in row)]
                        for first, row in zip(firsts, futures)]
-    return [RunReport(compute_metrics(r), tuple(r)) for r in results]
+    reports = []
+    for cfg, row in zip(rows, results):
+        entries, index = [], []
+        for table, part in row:
+            index.append(part + len(entries))
+            entries += [(*cfg._tags, r) for r in table]
+        outcome = _Outcome(entries, np.concatenate(index), range(cfg.trials))
+        reports.append(RunReport._of(outcome))
+    return reports
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> RunReport:

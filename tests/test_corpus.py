@@ -6,26 +6,32 @@ sweep. Every case is recomputed at one worker, and a few at two, so a change
 that moves any trial's outcome, or that makes the outcome depend on the
 worker count, fails here; one case also runs at two workers under the
 forkserver and spawn start methods. Every run's report is also rendered by
-the reference renderers of tests/report_oracle.py. To re-record at a
-known-good commit, delete tests/golden/corpus.json and run this file.
+the reference renderers of tests/report_oracle.py, and its outcome form
+(trials built on first access, metrics, bytes) is checked against its
+trials run alone at one to three workers under each start method. To
+re-record at a known-good commit, delete tests/golden/corpus.json and run
+this file.
 """
 
 import functools
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from beaconveil import (BruteForce, Mitm, Replay, build_fig3, build_flyover,
-                        build_proto, config_sha256, loads_scenario,
-                        render_report_json, render_trials_csv, run_scenario,
-                        sweep)
+import beaconveil.sim
+from beaconveil import (BruteForce, Mitm, Replay, RunReport, build_fig3,
+                        build_flyover, build_proto, compute_metrics,
+                        config_sha256, loads_scenario, render_report_json,
+                        render_trials_csv, run_scenario, run_trial, sweep)
 from beaconveil.scenario import render_sweep_csv
 
 import report_oracle
@@ -139,3 +145,57 @@ def test_bytes_match_the_corpus_under_start_method(corpus, method):
                          env=env, capture_output=True, text=True, check=True,
                          timeout=300)
     assert json.loads(out.stdout) == corpus["desk_bruteforce"]
+
+
+def _shadowed(cfg, sigma_db):
+    return replace(cfg, channel=replace(cfg.channel, sigma_db=sigma_db))
+
+
+# Beside the corpus runs: the benchmark's desk batch, a longer noisy
+# flyover, and Replay and Proto under shadowing.
+OUTCOME_RUNS = {
+    **RUNS,
+    "desk_4000": lambda: build_desk(BruteForce(2, 2), 4000),
+    "flyover_600": lambda: build_flyover(600),
+    "replay_noisy": lambda: _shadowed(build_desk(Replay("desk"), 120), 3.0),
+    "proto_noisy": lambda: _shadowed(replace(build_proto(), trials=150), 2.0),
+}
+
+
+@functools.cache
+def _trials_alone(name):
+    """Each trial of the run, run as a block of one, in trial order."""
+    cfg = OUTCOME_RUNS[name]()
+    return [run_trial(cfg, i) for i in range(cfg.trials)]
+
+
+class TestOutcomeDifferential:
+    """A run's report holds its outcome as a verdict table plus per-trial
+    indices, merged from its blocks. Its trials, built on first access,
+    must equal each trial run alone; its metrics the metrics of those
+    trials; and its rendered bytes the reference renderers' (and so the
+    bytes of a report built from those trials). All the rows run in one
+    _run_rows call, at each worker count and pool start method."""
+
+    @pytest.mark.parametrize("method, workers", [
+        ("fork", 1), ("fork", 2), ("fork", 3), ("forkserver", 2), ("forkserver", 3),
+        ("spawn", 2), ("spawn", 3)])
+    def test_outcome_is_the_trials_run_alone(self, monkeypatch, method, workers):
+        monkeypatch.setattr(beaconveil.sim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(beaconveil.sim, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        rows = [OUTCOME_RUNS[name]() for name in OUTCOME_RUNS]
+        reports = beaconveil.sim._run_rows(rows, workers)
+        for name, cfg, report in zip(OUTCOME_RUNS, rows, reports):
+            data = render_report_json(report, cfg), render_trials_csv(report)
+            # Neither the run nor the renderers built the trials.
+            assert "trials" not in vars(report), name
+            alone = _trials_alone(name)
+            assert list(report.trials) == alone, name
+            assert report.metrics == compute_metrics(alone), name
+            given = RunReport(report.metrics, tuple(alone))
+            assert given == report, name
+            for r in (report, given):
+                assert data == (report_oracle.report_json(r, cfg),
+                                report_oracle.trials_csv(r)), name
+                assert data == (render_report_json(r, cfg), render_trials_csv(r)), name

@@ -498,14 +498,14 @@ class TestRenderDifferential:
 
 class TestRenderMemo:
     @pytest.mark.parametrize("build, formats", [
-        (lambda: build_desk(BruteForce(2, 2), 4000), 16 + 56),
+        (lambda: build_desk(BruteForce(2, 2), 4000), 16 + 32),
         (lambda: build_flyover(1000), 5)], ids=["desk", "flyover"])
     def test_formats_once_per_distinct_verdict(self, monkeypatch, build, formats):
-        # The desk's 4000 trials share 72 verdicts: one for each of its 16
-        # shapes' first sightings, and one kept for each of the 56 distinct
-        # reads its 64 candidates make in its 3 phase cells. The noisy
-        # flyover's 1000 share 5: its first sighting's, and one kept for
-        # each of its 4 distinct reads.
+        # The desk's 4000 trials share 48 verdicts: one for each of its 16
+        # shapes' first sightings, and one kept for each of the 32 distinct
+        # reads its 64 candidates make in its 3 phase cells, each read up to
+        # the window its verdict fell in. The noisy flyover's 1000 share 5:
+        # its first sighting's, and one kept for each of its 4 distinct reads.
         calls = Counter()
 
         def counted(name):

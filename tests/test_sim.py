@@ -206,20 +206,33 @@ class TestBlockFanOut:
             run_scenario(build_desk(BruteForce(2, 2), 40), workers=2)
         assert pool.cancels == [True]
 
+    @staticmethod
+    def assert_block_is_its_trials(cfg, lo, hi, block):
+        """block is trials lo to hi - 1 as a verdict table plus per-trial
+        indices: distinct entries in the order of their first trial, and
+        each trial's verdict, as the trial gets it run in order."""
+        table, index = block
+        assert index.dtype == np.uint32 and len(index) == hi - lo
+        assert list(dict.fromkeys(index.tolist())) == list(range(len(table)))
+        fresh = dataclasses.replace(cfg)
+        assert [table[e] for e in index.tolist()] == [
+            run_trial(fresh, i).result for i in range(lo, hi)]
+
     def test_block_ships_its_distinct_verdicts_once(self):
         cfg = build_desk(BruteForce(2, 2), 4000)
         block = beaconveil.sim._run_block(cfg, 2000, 4000)
         data = pickle.dumps(block)
-        # Pickled whole, as 2000 TrialResults, it takes about 81 KB.
-        assert len(data) <= 40_000
+        # 2000 TrialResults pickle to about 81 KB; the block's verdict table
+        # and uint32 indices to about 13 KB.
+        assert len(data) <= 20_000
         back = pickle.loads(data)
-        assert back == block
-        assert [t.trial for t in back] == list(range(2000, 4000))
+        self.assert_block_is_its_trials(cfg, 2000, 4000, back)
+        assert back[0] == block[0] and back[1].tolist() == block[1].tolist()
         # One verdict for each of the 16 shapes' first sightings, and one for
-        # each of the 56 distinct reads of the 64 candidates in their 3
-        # phase cells.
-        assert len({id(t.result) for t in block}) == 16 + 56
-        assert len({id(t.result) for t in back}) == 16 + 56
+        # each of the 32 distinct reads of the 64 candidates in their 3
+        # phase cells, each read up to the window its verdict fell in.
+        assert len({id(r) for r in block[0]}) == 16 + 32
+        assert len({id(r) for r in back[0]}) == 16 + 32
 
     def test_flyover_block_ships_its_few_verdicts_once(self):
         cfg = build_flyover(1000)
@@ -229,8 +242,8 @@ class TestBlockFanOut:
         # memo kept them by read: about 100 KB.
         assert len(data) <= 8_000
         back = pickle.loads(data)
-        assert back == block
-        assert [t.trial for t in back] == list(range(500, 1000))
+        self.assert_block_is_its_trials(cfg, 500, 1000, back)
+        assert back[0] == block[0] and back[1].tolist() == block[1].tolist()
 
     def test_real_pool_matches_serial(self, monkeypatch):
         usable_cpus(monkeypatch, 3)
@@ -1786,9 +1799,10 @@ class TestPhaseCellMemo:
         run_scenario(cfg)
         # A first sighting keeps no observation, so it scores its session
         # too; the first trial of each candidate in each cell looks its read
-        # up, and the 64 candidates' 3 cells make only 56 distinct reads.
+        # up, and the 64 candidates' 3 cells make only 32 distinct reads,
+        # each read up to the window its verdict fell in.
         assert calls == {"observe_emission": 4000, "_place": 16 + 16 * 3,
-                         "_phase_cells": 16, "_scored_session": 16 + 56}
+                         "_phase_cells": 16, "_scored_session": 16 + 32}
         cells = [c for v in cfg._memo.cells.values() for c in v.values()]
         assert len(cells) == 16 and all(None not in c.placed for c in cells)
         assert len(cfg._memo.timelines) == 64 and len(kept_verdicts(cfg)) == 64 * 3
@@ -2089,7 +2103,9 @@ class TestReadVerdictDifferential:
     def test_lost_emissions_score_one_session(self, monkeypatch):
         # At 40 m under 6 dB shadowing, over 200 of 4000 trials hear no
         # beacon. Their reads are the start alone, so one session is scored
-        # for all of them; it was one each before they were keyed.
+        # for all of them; it was one each before they were keyed. The
+        # other reads are keyed up to the window their verdict fell in, so
+        # 186 sessions are scored in all.
         calls = Counter()
         scored = beaconveil.sim._scored_session
 
@@ -2099,7 +2115,7 @@ class TestReadVerdictDifferential:
         monkeypatch.setattr(beaconveil.sim, "_scored_session", counted)
         run_scenario(_fig3_at(40.0, 6.0, 4000))
         assert calls[False] == 1
-        assert calls[True] + calls[False] <= 232
+        assert calls[True] + calls[False] <= 192
 
 
 class NoisyForcedPhase(ForcedPhase):
