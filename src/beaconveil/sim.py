@@ -27,12 +27,13 @@ fixed. The memo keeps the ticks with the cell, the rest for each set of
 heard beacons, and each timeline's heard beacons in walk order with their
 read key. Without shadowing at a fixed range the whole observation is
 fixed in a cell. The memo then keeps the placement of each cell a trial of
-a shape has landed in, and for each timeline that landed there its
-observation (_Kept). The verdict of one session on a fresh node (every
-actor but Replay) is a pure function of what the session reads, whatever
-timeline emitted it: its start, its beacons, and what each window up to
-the one its verdict falls in decodes to. The memo keeps one verdict table,
-keyed by the read (_read_verdict); a _Kept holds its entry. A trial still
+a shape has landed in, with its windows decoded once for all the shape's
+timelines, and for each timeline that landed there its observation
+(_Kept). The verdict of one session on a fresh node (every actor but
+Replay) is a pure function of what the session reads, whatever timeline
+emitted it: its start, its beacons, and what each window up to the one
+its verdict falls in decodes to. The memo keeps one verdict table, keyed
+by the read (_read_verdict); a _Kept holds its entry. A trial still
 draws its phase and its normals, and observes its emission, but builds
 beacons only in a cell no earlier trial of its timeline had, and a node
 and a session only on a read no earlier trial made.
@@ -490,32 +491,35 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     if kept is None:
         placed = cells.placed[cell]
         if placed is None:
-            placed = cells.placed[cell] = _place(timeline, traj, chan, tx, scfg, slot_cfg,
-                                                 rng, t_start, phase, memo)
+            placed = cells.placed[cell] = [*_place(timeline, traj, chan, tx, scfg, slot_cfg,
+                                                   rng, t_start, phase, memo), None]
             placed[2].rssi_dbm.flags.writeable = False
-        kept = own[cell] = _Kept(timeline, *placed)
+        kept = own[cell] = _Kept(timeline, placed)
     return list(kept.beacons), kept
 
 
 class _Kept(Samples):
     """A phase cell's observation of one timeline: the samples placed for
     its shape, read-only as every trial of the shape in the cell shares
-    them, the heard beacons with this timeline's channels, and its read's
-    entry in the one verdict table, keyed by the read, once a trial has
-    looked it up (see run_trial), else None."""
+    them, the heard beacons with this timeline's channels, the cell's
+    placement [rows, beacons, samples, decoded] and its read's entry in
+    the one verdict table, keyed by the read, once a trial has looked it
+    up (see run_trial), else None. The shape's timelines differ only in
+    channel, so they open the same windows in the same walk order; the
+    cell's first lookup decodes them, as decoded, for all (_read_verdict)."""
 
-    __slots__ = ("beacons", "verdict")
+    __slots__ = ("beacons", "verdict", "placed")
 
-    def __init__(self, timeline: EmissionTimeline, rows: list[int],
-                 beacons: list[Beacon], samples: Samples):
+    def __init__(self, timeline: EmissionTimeline, placed: list):
         # The placement's beacons are the heard rows of a timeline of this
         # shape, which may put them on other channels.
+        rows, beacons, samples, _ = placed
         emitted = timeline.beacons
         self.t_s, self.rssi_dbm, self._grid = samples.t_s, samples.rssi_dbm, samples._grid
         self.beacons = tuple([b if b.channel == emitted[k].channel
                               else Beacon(b.t_s, emitted[k].channel, b.seq_no, b.nonce)
                               for k, b in zip(rows, beacons)])
-        self.verdict = None
+        self.verdict, self.placed = None, placed
 
 
 def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
@@ -612,8 +616,9 @@ class _PhaseCells:
     """The phase cells of one on-air shape (_shape_key) observed from
     t_start, and what is kept for each cell a trial of the shape landed
     in: noiseless at a fixed range its placement, as _place returns it
-    (heard rows, beacons, read-only samples), each timeline keeping its
-    own observations of the cells (see _kept_cells); otherwise the emitted
+    (heard rows, beacons, read-only samples) plus its decoded read, None
+    until its first lookup (see _Kept), each timeline keeping its own
+    observations of the cells (see _kept_cells); otherwise the emitted
     beacons' ticks and _place's table of what the cell fixes, by layout key.
 
     Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
@@ -1018,8 +1023,11 @@ def _trial_draws(cfg: ScenarioConfig, lo: int, hi: int
         start = stop
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
+    """One trial's outcome. A NamedTuple, so it compares as the tuple of its
+    fields (a plain tuple of them included), and _replace makes a copy with
+    a field changed."""
+
     trial: int
     actor: str
     label: str  # legit | adversary, the ground truth for FAR/FRR
@@ -1086,7 +1094,9 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
     window up to the one the verdict fell in decodes to, by
     sensor._window_bits). The walk reads nothing of a later window, so a
     trial decodes its windows in turn until the read so far finds a kept
-    verdict; _Heard samples carry the walk order and the read key."""
+    verdict; _Heard samples carry the walk order and the read key. A _Kept
+    takes the read and bits its cell decoded, all windows at once, on the
+    cell's first lookup, and supplies only its own beacons to the key."""
     memo = cfg._memo
     if isinstance(samples, _Heard):
         bs, key = samples.walk, samples.key
@@ -1101,9 +1111,17 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
     if not bs and key in memo.verdicts:  # a read of no beacon: (t_start, ())
         return memo.verdicts[key]
     eff = cfg._effective_sensor
-    read = _read_windows(bs, samples, eff.n, slot.slot_s) if bs else None
+    placed = samples.placed if isinstance(samples, _Kept) else None
+    if placed is not None and placed[3] is not None:
+        read, bits = placed[3]
+    else:
+        read = _read_windows(bs, samples, eff.n, slot.slot_s) if bs else None
+        bits = None
+        if placed is not None:
+            bits = tuple([_window_bits(read, j, eff) for j in range(len(bs))])
+            placed[3] = read, bits
     for j in range(len(bs)):
-        key += (_window_bits(read, j, eff),)
+        key += (_window_bits(read, j, eff) if bits is None else bits[j],)
         result = memo.verdicts.get(key)
         if result is not None:
             return result

@@ -21,8 +21,8 @@ from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, AuthResult, BandPlan,
                         EmissionTimeline, FlipTxBit, Legit, Mitm, Mutant,
                         Proto, RejectReason, Replay, Samples, SecretPattern,
                         SensorConfig, SensorNode, SensorSession, SlotConfig,
-                        SlotFitError, Trajectory, Triplet, TxPattern,
-                        TxPowerLevels, UndecodableWindow, WrongChannel,
+                        SlotFitError, Trajectory, TrialResult, Triplet,
+                        TxPattern, TxPowerLevels, UndecodableWindow, WrongChannel,
                         WrongInterval, authenticate, build_fig3,
                         build_flyover, build_proto, candidate_from_index,
                         compile_schedule, compute_metrics, distance_at,
@@ -1795,8 +1795,17 @@ class TestPhaseCellMemo:
         counted("_place")
         counted("_phase_cells")
         counted("_scored_session")
+        medians = beaconveil.sensor._SlotGrid.medians
+
+        def counted_medians(grid, rssi):
+            calls["medians"] += 1
+            return medians(grid, rssi)
+        monkeypatch.setattr(beaconveil.sensor._SlotGrid, "medians", counted_medians)
         cfg = build_desk(BruteForce(2, 2), 4000)
         run_scenario(cfg)
+        # Each first sighting's session reads its windows, and each cell
+        # reads its placement once for the 4 candidates of its shape.
+        assert calls.pop("medians") == 16 + 48
         # A first sighting keeps no observation, so it scores its session
         # too; the first trial of each candidate in each cell looks its read
         # up, and the 64 candidates' 3 cells make only 32 distinct reads,
@@ -1806,6 +1815,60 @@ class TestPhaseCellMemo:
         cells = [c for v in cfg._memo.cells.values() for c in v.values()]
         assert len(cells) == 16 and all(None not in c.placed for c in cells)
         assert len(cfg._memo.timelines) == 64 and len(kept_verdicts(cfg)) == 64 * 3
+
+
+class TestKeptReadDifferential:
+    """The timelines of one shape in a phase cell share the cell's read,
+    decoded once for all of them. Every verdict a kept cell holds must
+    equal the session scored afresh on that timeline's own beacons and
+    samples, which decodes its windows itself."""
+
+    @pytest.mark.parametrize("cfg", [build_desk(BruteForce(2, 2), 4000),
+                                     fig3_bruteforce(3000)], ids=["desk", "fig3a"])
+    def test_kept_verdicts_equal_fresh_sessions(self, cfg):
+        run_scenario(cfg)
+        looked_up = [k for k in kept_cells(cfg) if k.verdict is not None]
+        placements = {id(k.placed) for k in looked_up}
+        assert len(placements) < len(looked_up)
+        for kept in looked_up:
+            assert kept.placed[3] is not None
+            samples = Samples(kept.t_s, kept.rssi_dbm)
+            assert samples._grid is None
+            fresh = beaconveil.sim._scored_session(cfg, cfg.slot_cfg, list(kept.beacons),
+                                                   samples, SensorNode(), 0.0)
+            assert fresh == kept.verdict, kept.beacons
+
+
+class TestTrialResult:
+    """A trial's result is a NamedTuple of (trial, actor, label, result)."""
+
+    def trial(self):
+        return run_trial(build_desk(BruteForce(2, 2), 1), 0)
+
+    def test_immutable(self):
+        t = self.trial()
+        with pytest.raises(AttributeError):
+            t.trial = 1
+        with pytest.raises(AttributeError):
+            t.result = None
+
+    def test_hashable_and_pickles(self):
+        t = self.trial()
+        assert hash(t) == hash(self.trial())
+        again = pickle.loads(pickle.dumps(t))
+        assert type(again) is TrialResult and again == t and hash(again) == hash(t)
+
+    def test_equal_by_fields(self):
+        t = self.trial()
+        assert t == TrialResult(t.trial, t.actor, t.label, t.result)
+        assert t == (t.trial, t.actor, t.label, t.result)
+        assert t != t._replace(trial=1)
+        assert t._replace(trial=1) == TrialResult(1, t.actor, t.label, t.result)
+
+    def test_repr(self):
+        t = self.trial()
+        assert repr(t) == (f"TrialResult(trial=0, actor='bruteforce', label='adversary', "
+                           f"result={t.result!r})")
 
 
 class TestBlockDrawCounts:
