@@ -267,11 +267,15 @@ def quantize_interval(raw_s: float, tu_s: float,
     """Snap a raw beacon interval onto the measured time-unit grid.
 
     Returns k = round(raw_s/tu_s) when k >= 1 and the residual stays within
-    eps*tu_s, otherwise None.
+    eps*tu_s, otherwise None; also None when raw_s/tu_s overflows. Raises
+    ValueError naming raw_s or tu_s if it is NaN or infinite.
     """
+    _check_finite(raw_s=raw_s, tu_s=tu_s)
     if tu_s <= 0:
         raise ValueError("tu_s must be > 0")
-    k = round(raw_s / tu_s)
+    ratio = raw_s / tu_s
+    # A ratio past float range is on no grid: k = 0 is refused below.
+    k = round(ratio) if math.isfinite(ratio) else 0
     if k < 1 or abs(raw_s - k * tu_s) > eps * tu_s:
         return None
     return int(k)
@@ -290,23 +294,23 @@ def _in_order(beacons: Iterable[Beacon]) -> list[Beacon]:
 
 
 def _read_windows(bs: Sequence[Beacon], samples: Samples, n: int,
-                  slot_s: float) -> tuple[_SlotGrid, list[int], list[float]]:
+                  slot_s: float) -> tuple[_SlotGrid, list[int], list[float], list]:
     """The slot grid of the windows bs (in order, at least one) open on
-    samples, with every slot's heard count and median from one pass. The
-    grid samples carry is used if it was built for these windows; otherwise
-    one is built from samples.t_s."""
+    samples, with every slot's heard count and median from one pass, and
+    what each window decodes to, None until it is first read (see
+    _window_bits). The grid samples carry is used if it was built for
+    these windows; otherwise one is built from samples.t_s."""
     starts = tuple([b.t_s for b in bs])
     grid = samples._grid
     if grid is None or grid.key != (n, slot_s, starts):
         grid = _slot_grid(samples.t_s, starts, n, slot_s)
-    return (grid, *grid.medians(samples.rssi_dbm))
+    return (grid, *grid.medians(samples.rssi_dbm), [None] * len(bs))
 
 
 def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
-                  cfg: SensorConfig, bits: Optional[str] = None) -> Triplet:
+                  cfg: SensorConfig) -> Triplet:
     """Read triplet j from the slot window its beacon opened; read is
-    _read_windows' result, and bits, if given, the window's bit string
-    (_window_bits), which is then not decoded again.
+    _read_windows' result.
 
     The bits come from the level shape; the time unit is the gap between
     beacons 0 and 1, so the second interval is 1 by definition and later
@@ -314,26 +318,28 @@ def _read_triplet(beacons: Sequence[Beacon], j: int, read: tuple,
     time leave window 0 empty and undecodable. Raises UndecodableWindow or
     QuantizationFailure carrying j.
     """
-    bits = TxPattern(_window(read, j, cfg) if bits is None else bits)
-    b = beacons[j]
+    bits = _window_bits(read, j, cfg)
+    if bits is None:
+        raise UndecodableWindow(read[3][j][0], j)
+    pattern, b = TxPattern(bits), beacons[j]
     if j == 0:
-        return Triplet(bits, b.channel, None)
+        return Triplet(pattern, b.channel, None)
     if j == 1:
-        return Triplet(bits, b.channel, 1)
+        return Triplet(pattern, b.channel, 1)
     tu_s = beacons[1].t_s - beacons[0].t_s
     raw = b.t_s - beacons[j - 1].t_s
     k = quantize_interval(raw, tu_s, cfg.eps_tu)
     if k is None:
         raise QuantizationFailure(
             f"interval {raw:.3f} s off the {tu_s:.3f} s time-unit grid", index=j)
-    return Triplet(bits, b.channel, k)
+    return Triplet(pattern, b.channel, k)
 
 
 def _window(read: tuple, j: int, cfg: SensorConfig) -> str:
     """The bit string of window j of read (_read_windows' result) by _bits's
     rule. Raises UndecodableWindow carrying j where it is empty or does not
     decode."""
-    grid, counts, med = read
+    grid, counts, med, _ = read
     if grid.empty[j]:
         raise UndecodableWindow("no samples in window", index=j)
     n = cfg.n
@@ -341,12 +347,20 @@ def _window(read: tuple, j: int, cfg: SensorConfig) -> str:
 
 
 def _window_bits(read: tuple, j: int, cfg: SensorConfig) -> Optional[str]:
-    """What window j of read decodes to, as _read_triplet reads it: its bit
-    string, or None where it is empty or undecodable."""
-    try:
-        return _window(read, j, cfg)
-    except UndecodableWindow:
-        return None
+    """What window j of read decodes to: its bit string, or None where it
+    is empty or undecodable. The window is decoded (_window) on its first
+    read only: read keeps its bits, or why it did not decode as a 1-tuple,
+    never the exception, whose traceback would pin the frames it passed."""
+    decoded = read[3]
+    got = decoded[j]
+    if got is None:
+        try:
+            got = decoded[j] = _window(read, j, cfg)
+        except UndecodableWindow as e:
+            decoded[j] = (e.detail,)
+            return None
+        return got
+    return got if got.__class__ is str else None
 
 
 def extract_triplets(beacons: Sequence[Beacon], samples: Samples, cfg: SensorConfig,
@@ -471,13 +485,11 @@ class SensorSession:
             read = _read_windows(bs, samples, self.cfg.n, self.slot_cfg.slot_s)
         return self._walk(bs, read)
 
-    def _walk(self, bs: list[Beacon], read: Optional[tuple],
-              bits: Optional[Sequence[Optional[str]]] = None) -> AuthResult:
+    def _walk(self, bs: Sequence[Beacon], read: Optional[tuple]) -> AuthResult:
         """run's walk over the beacons bs, in (t_s, seq_no) order, whose
         windows read (_read_windows' result, None without a beacon or on a
-        locked node) gives. bits, if given, is what each window decodes to
-        (_window_bits); a window it holds None for is decoded again, to
-        raise its error."""
+        locked node) gives. A window read already decoded is not decoded
+        again."""
         triplets: list[Triplet] = []
         if self.node.locked_at(self.t_start):
             return self._end(REJECTED, self.t_start, triplets, RejectReason("lockout"))
@@ -494,8 +506,7 @@ class SensorSession:
             if deadline < b.t_s + span and deadline <= end:
                 return self._end(TIMED_OUT, deadline, triplets)
             try:
-                trip = _read_triplet(bs, j, read, self.cfg,
-                                     None if bits is None else bits[j])
+                trip = _read_triplet(bs, j, read, self.cfg)
             except ExtractionError as e:
                 return self._end(REJECTED, end, triplets, e.reason())
             triplets.append(trip)

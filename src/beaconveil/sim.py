@@ -24,19 +24,20 @@ on-air shape alone, not on its beacons' channels, the noise or the
 trajectory: within one, the beacons' ticks, the power each window tick
 would see without noise and which ticks fall outside the emission are
 fixed. The memo keeps the ticks with the cell, the rest for each set of
-heard beacons, and each timeline's heard beacons in walk order with their
-read key. Without shadowing at a fixed range the whole observation is
+heard beacons, and each timeline's heard beacons with their read key
+(_Kept). Without shadowing at a fixed range the whole observation is
 fixed in a cell. The memo then keeps the placement of each cell a trial of
-a shape has landed in, with its windows decoded once for all the shape's
-timelines, and for each timeline that landed there its observation
-(_Kept). The verdict of one session on a fresh node (every actor but
-Replay) is a pure function of what the session reads, whatever timeline
-emitted it: its start, its beacons, and what each window up to the one
-its verdict falls in decodes to. The memo keeps one verdict table, keyed
-by the read (_read_verdict); a _Kept holds its entry. A trial still
-draws its phase and its normals, and observes its emission, but builds
-beacons only in a cell no earlier trial of its timeline had, and a node
-and a session only on a read no earlier trial made.
+a shape has landed in, with one read of its windows for all the shape's
+timelines (a read decodes each window once), and for each timeline that
+landed there its _Kept. The verdict of one session on a fresh node (every
+actor but Replay) is a pure function of what the session reads, whatever
+timeline emitted it: its start, its beacons, and what each window up to
+the one its verdict falls in decodes to. The memo keeps one verdict
+table, keyed by the read (_read_verdict); a noiseless _Kept holds its
+entry. A trial still draws its phase and its normals, and observes its
+emission, but builds beacons only in a cell no earlier trial of its
+timeline had, and a node and a session only on a read no earlier trial
+made.
 
 Timing model: the sensor samples at ticks k/f_s of its own clock. An
 emission starts at a uniform random phase inside one tick, and beacon
@@ -196,10 +197,10 @@ class _Memo:
     each emptied at _MEMO_CAP entries (_keep): candidates, BruteForce's
     compiled timelines by digit row (see _trial_draws); layouts, the grid
     layouts by (t_start, *ticks) and, at a fixed range, the beacons' path
-    loss by beacon count; cells, the phase cells of each on-air shape
-    (_shape_key) by t_start, only its key's hash after its first sighting;
-    timelines, each timeline's entry in cells and what is kept for it in
-    those cells (see _kept_cells); and verdicts, one verdict table for
+    loss by beacon count; cells, the phase cells by (on-air shape
+    (_shape_key), t_start), only that key's hash after its first sighting;
+    timelines, by (timeline, t_start), its cells and what is kept for it in
+    them (see _kept_cells); and verdicts, one verdict table for
     every single-session trial, keyed by the read: start, beacons and the
     bits of the windows read (see _read_verdict). Every array in them is
     read-only, so trials share them."""
@@ -450,35 +451,34 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
     trial takes it from its block, see run_trial); rng then draws only the
     normals, and may be None if there are none.
 
-    The memo also keeps the phase cells of each on-air shape per t_start
-    (_PhaseCells, see _kept_cells): timelines that differ only in their
-    beacons' channels share them. Under shadowing or along a moving
-    trajectory, a cell keeps the emitted beacons' ticks, and for each set of
-    heard beacons the window ticks' power without noise, which ticks fall
-    outside the emission, and each timeline's heard beacons in walk order
-    with their read key, which its samples carry (_Heard); a later such
-    trial adds only its normals. Without shadowing (not sigma_db > 0) at a
-    fixed range, the phase is the only draw, and the whole observation is a
-    step function of it. A cell a trial of the shape has landed in then
-    keeps its placement, and each timeline that lands there gets its
-    observation as a _Kept, which goes to that trial and every later one of
-    the timeline in the cell, each with a beacon list of its own. A phase
-    within the guard of a cell's edge is placed in full and keeps nothing.
-    Either way the draws and the bytes are those of the full placement.
+    Without memo, a fresh one serves the call. The memo also keeps the
+    phase cells of each on-air shape by t_start (_PhaseCells, see
+    _kept_cells): timelines that differ only in their beacons' channels
+    share them. Under shadowing or along a moving trajectory, a cell keeps
+    the emitted beacons' ticks, and for each set of heard beacons the window
+    ticks' power without noise, which ticks fall outside the emission, and
+    each timeline's heard beacons with their read key, which its samples
+    carry (_Kept); a later such trial adds only its normals. Without
+    shadowing (not sigma_db > 0) at a fixed range, the phase is the only
+    draw, and the whole observation is a step function of it. A cell a
+    trial of the shape has landed in then keeps its placement, and each
+    timeline that lands there its _Kept, which goes to that trial and every
+    later one of the timeline in the cell, each with a beacon list of its
+    own. A phase within the guard of a cell's edge is placed in full and
+    keeps nothing. Either way the draws and the bytes are those of the full
+    placement.
     """
     f = scfg.f_s
     if drawn is None:
         drawn = rng.uniform(0.0, 1.0 / f)
     phase = t_start + drawn  # emission start on the sensor clock
-    found = cell = None
-    if memo is not None:
-        found = _kept_cells(memo, timeline, t_start, scfg, slot_cfg)
-    if found is not None:
-        cells, own = found
-        cell = cells.find(drawn * f)
+    memo = _Memo() if memo is None else memo
+    found = _kept_cells(memo, timeline, t_start, scfg, slot_cfg)
+    cell = None if found is None else found[0].find(drawn * f)
     if cell is None:
         return _place(timeline, traj, chan, tx, scfg, slot_cfg, rng, t_start, phase,
                       memo)[1:]
+    cells, own = found
     if chan.sigma_db > 0 or len(traj.waypoints) > 1:
         if cells.placed[cell] is None:
             cells.placed[cell] = _ticks(timeline, phase, f), {}
@@ -494,23 +494,24 @@ def observe_emission(timeline: EmissionTimeline, traj: Trajectory,
             placed = cells.placed[cell] = [*_place(timeline, traj, chan, tx, scfg, slot_cfg,
                                                    rng, t_start, phase, memo), None]
             placed[2].rssi_dbm.flags.writeable = False
-        kept = own[cell] = _Kept(timeline, placed)
+        kept = own[cell] = _Kept(timeline, placed, t_start)
     return list(kept.beacons), kept
 
 
 class _Kept(Samples):
-    """A phase cell's observation of one timeline: the samples placed for
-    its shape, read-only as every trial of the shape in the cell shares
-    them, the heard beacons with this timeline's channels, the cell's
-    placement [rows, beacons, samples, decoded] and its read's entry in
-    the one verdict table, keyed by the read, once a trial has looked it
-    up (see run_trial), else None. The shape's timelines differ only in
-    channel, so they open the same windows in the same walk order; the
-    cell's first lookup decodes them, as decoded, for all (_read_verdict)."""
+    """A kept observation of one timeline in a phase cell: samples, the
+    heard beacons on the timeline's channels, in walk order (one emission's
+    beacons already are), and their read key (_read_key). Noiseless at a
+    fixed range, placed is the cell's placement [rows, beacons, samples,
+    read], whose read-only samples these are, and whose read, made on the
+    cell's first lookup, serves all the shape's timelines (they differ only
+    in channel); verdict is then the read's entry in the one verdict table
+    once a trial has looked it up (see run_trial), else None. Otherwise the
+    samples are the trial's own, placed is None and verdict unset."""
 
-    __slots__ = ("beacons", "verdict", "placed")
+    __slots__ = ("beacons", "key", "placed", "verdict")
 
-    def __init__(self, timeline: EmissionTimeline, placed: list):
+    def __init__(self, timeline: EmissionTimeline, placed: list, t_start: float):
         # The placement's beacons are the heard rows of a timeline of this
         # shape, which may put them on other channels.
         rows, beacons, samples, _ = placed
@@ -519,14 +520,14 @@ class _Kept(Samples):
         self.beacons = tuple([b if b.channel == emitted[k].channel
                               else Beacon(b.t_s, emitted[k].channel, b.seq_no, b.nonce)
                               for k, b in zip(rows, beacons)])
-        self.verdict, self.placed = None, placed
+        self.key = _read_key(t_start, self.beacons)
+        self.placed, self.verdict = placed, None
 
 
 def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
            tx: TxPowerLevels, scfg: SensorConfig, slot_cfg: SlotConfig,
-           rng: np.random.Generator, t_start: float, phase: float,
-           memo: Optional[_Memo], cell: Optional[tuple] = None
-           ) -> tuple[list[int], Sequence[Beacon], Samples]:
+           rng: np.random.Generator, t_start: float, phase: float, memo: _Memo,
+           cell: Optional[tuple] = None) -> tuple[list[int], Sequence[Beacon], Samples]:
     """observe_emission's placement of an emission started at phase: every
     beacon and window tick, with its normals drawn from rng, as the rows
     of timeline.beacons that were heard, their beacons and the samples.
@@ -534,15 +535,14 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
     moving trajectory: the emitted beacons' ticks; the shape's table, by
     layout key, of the window ticks, slot grid, noiseless power and
     outside-emission mask; and the timeline's table, by heard mask, of its
-    rows, beacons, that fix, walk order and read key. Samples then come
-    as _Heard."""
+    rows, beacons, that fix and read key. Samples then come as _Kept."""
     f = scfg.f_s
     sigma = chan.sigma_db
     emitted = timeline.beacons
     ms, fixes, records = cell or (_ticks(timeline, phase, f), None, None)
     # At a fixed range every observation's beacons lose the same; the memo
     # keeps that loss too, by beacon count.
-    fixed = len(traj.waypoints) == 1 and memo is not None
+    fixed = len(traj.waypoints) == 1
     pl = memo.layouts.get(len(emitted)) if fixed else None
     if pl is None:
         pl = path_loss(distance_at(traj, phase + timeline.beacon_times - t_start), chan)
@@ -564,11 +564,10 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
         key = (t_start, *[ms[k] for k in rows])
         held = fixes.get(key) if fixes is not None else None
         if held is None:
-            layout = memo.layouts.get(key) if memo is not None else None
+            layout = memo.layouts.get(key)
             if layout is None:
                 layout = _grid_layout(key, traj, chan, scfg, slot_cfg)
-                if memo is not None:
-                    _keep(memo.layouts, key, layout)
+                _keep(memo.layouts, key, layout)
             t_ticks, pl, grid = layout
             local = t_ticks - phase
             # The noiseless power, and the ticks outside the emission.
@@ -579,11 +578,10 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
                 mean.flags.writeable = outside.flags.writeable = False
                 _keep(fixes, key, held)
         if records is not None:
-            walk = _in_order(beacons)
-            got = rows, tuple(beacons), held, walk, _read_key(t_start, walk)
+            got = rows, tuple(beacons), held, _read_key(t_start, beacons)
             _keep(records, heard.tobytes(), got)
     else:
-        rows, beacons, held = got[:3]
+        rows, beacons, held, _ = got
     t_ticks, grid, mean, outside = held
     if sigma > 0:
         rssi = rng.normal(0.0, sigma, size=mean.shape)
@@ -595,8 +593,8 @@ def _place(timeline: EmissionTimeline, traj: Trajectory, chan: ChannelParams,
         rssi = np.where(outside | (mean < chan.noise_floor_dbm), np.nan, mean)
     if got is None:
         return rows, beacons, Samples._sorted(t_ticks, rssi, grid)
-    samples = _Heard._sorted(t_ticks, rssi, grid)
-    samples.walk, samples.key = got[3:]
+    samples = _Kept._sorted(t_ticks, rssi, grid)
+    samples.beacons, samples.key, samples.placed = got[1], got[3], None
     return rows, beacons, samples
 
 
@@ -605,21 +603,14 @@ def _ticks(timeline: EmissionTimeline, phase: float, f: float) -> list[int]:
     return np.rint((phase + timeline.beacon_times) * f).astype(np.int64).tolist()
 
 
-class _Heard(Samples):
-    """Samples in a phase cell under shadowing or along a moving trajectory,
-    with the heard beacons in walk order and their read key (_read_key)."""
-
-    __slots__ = ("walk", "key")
-
-
 class _PhaseCells:
     """The phase cells of one on-air shape (_shape_key) observed from
     t_start, and what is kept for each cell a trial of the shape landed
     in: noiseless at a fixed range its placement, as _place returns it
-    (heard rows, beacons, read-only samples) plus its decoded read, None
-    until its first lookup (see _Kept), each timeline keeping its own
-    observations of the cells (see _kept_cells); otherwise the emitted
-    beacons' ticks and _place's table of what the cell fixes, by layout key.
+    (heard rows, beacons, read-only samples) plus its read, None until its
+    first lookup (see _Kept); otherwise the emitted beacons' ticks and
+    _place's table of what the cell fixes, by layout key. Each timeline of
+    the shape keeps its own records in the cells (see _kept_cells).
 
     Write a trial's phase as t_start + u / f_s, u in [0, 1). With one range
     and no normals, which beacons are heard does not depend on u, and what
@@ -688,8 +679,7 @@ def _phase_cells(timeline: EmissionTimeline, t_start: float, scfg: SensorConfig,
     x = np.concatenate((0.5 - (timeline.beacon_times + t_start) * f,
                         -(steps + t_start) * f))
     edges = _distinct(np.concatenate((x - np.floor(x), (0.0, 1.0))))
-    last = ((t_start + timeline.duration_s) * f
-            + math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9) + 2)
+    last = (t_start + timeline.duration_s) * f + _window_ticks(scfg, slot_cfg) + 2
     return _PhaseCells(edges.tolist(), 2.0 ** -48 * last)
 
 
@@ -716,37 +706,29 @@ def _kept_cells(memo: _Memo, timeline: EmissionTimeline, t_start: float,
                 scfg: SensorConfig, slot_cfg: SlotConfig
                 ) -> Optional[tuple[_PhaseCells, list]]:
     """The phase cells of the timeline's shape from t_start, and the list
-    of what the timeline keeps in them, None per cell or: noiseless at a
-    fixed range its observation (_Kept), else its heard beacons (_place).
-    The cells are kept in memo.cells by shape key and then by start, and
-    each timeline's record in memo.timelines holds its shape's entry and
-    its lists by start, so a kept timeline's key is computed once. The
-    first time a shape is observed, cells notes only its key's hash, and
+    of what the timeline keeps in them, None per cell or its record:
+    noiseless at a fixed range its observation (_Kept), else its heard
+    beacons by heard mask (_place). memo.cells keeps the cells by (shape
+    key, t_start), and memo.timelines the pair by (timeline, t_start), so
+    a kept timeline's shape key is computed once per start. The first time
+    a shape is observed from a start, cells notes only that key's hash, and
     this returns None and keeps nothing for the timeline: most of a large
-    brute-force space's shapes are drawn once, and they then cost no cells
-    and no key. Two shapes whose keys share a hash merely get their cells
-    one sighting early."""
-    seen = memo.timelines.get(timeline)
-    if seen is None:
-        key = _shape_key(timeline)
-        shape = memo.cells.get(key)
-        if shape is None:
+    brute-force space's shapes are drawn once, and they then cost no cells.
+    Two keys that share a hash merely get their cells one sighting early."""
+    kept = memo.timelines.get((timeline, t_start))
+    if kept is None:
+        key = _shape_key(timeline), t_start
+        cells = memo.cells.get(key)
+        if cells is None:
             mark = hash(key)
             if mark not in memo.cells:
                 _keep(memo.cells, mark, None)
                 return None
             del memo.cells[mark]
-            shape = {}
-            _keep(memo.cells, key, shape)
-        seen = shape, {}
-        _keep(memo.timelines, timeline, seen)
-    shape, by_start = seen
-    kept = by_start.get(t_start)
-    if kept is None:
-        cells = shape.get(t_start)
-        if cells is None:
-            cells = shape[t_start] = _phase_cells(timeline, t_start, scfg, slot_cfg)
-        kept = by_start[t_start] = cells, [None] * len(cells.placed)
+            cells = _phase_cells(timeline, t_start, scfg, slot_cfg)
+            _keep(memo.cells, key, cells)
+        kept = cells, [None] * len(cells.placed)
+        _keep(memo.timelines, (timeline, t_start), kept)
     return kept
 
 
@@ -766,7 +748,7 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
     observations share them."""
     t_start, heard = key[0], key[1:]
     f = scfg.f_s
-    win_ticks = math.ceil(scfg.n * slot_cfg.slot_s * f - 1e-9)
+    win_ticks = _window_ticks(scfg, slot_cfg)
     ticks = np.add.outer(np.array(heard, dtype=np.int64), np.arange(win_ticks))
     # Rows of windows that do not overlap are already in strict tick order.
     if any(b - a < win_ticks for a, b in zip(heard, heard[1:])):
@@ -777,6 +759,12 @@ def _grid_layout(key: tuple, traj: Trajectory, chan: ChannelParams,
     for a in (t_ticks, pl, grid.idx):
         a.flags.writeable = False
     return t_ticks, pl, grid
+
+
+def _window_ticks(scfg: SensorConfig, slot_cfg: SlotConfig) -> int:
+    """How many grid ticks each window materializes, ceil(n * slot_s * f_s):
+    the grid layout's rule, which _phase_cells' guard bound T must share."""
+    return math.ceil(scfg.n * slot_cfg.slot_s * scfg.f_s - 1e-9)
 
 
 # How many trials _trial_draws draws in one pass. Each seeding or draw pass
@@ -1053,8 +1041,8 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
 
     A trial that scores one session (every actor but Replay) takes its
     verdict from one verdict table, keyed by the read (see _read_verdict),
-    which a _Kept holds once its timeline's first trial in the cell looked
-    it up. Replay's sessions are scored afresh and kept nowhere.
+    which a noiseless _Kept holds once its timeline's first trial in the
+    cell looked it up. Replay's sessions are scored afresh and kept nowhere.
     """
     if draws is None:
         draws = next(_trial_draws(cfg, trial_index, trial_index + 1))
@@ -1077,7 +1065,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int,
             result = _scored_session(cfg, slot, beacons, samples, node, t_start)
     else:
         beacons, samples = observe_emission(*args, memo=cfg._memo, drawn=phase)
-        if isinstance(samples, _Kept):
+        if isinstance(samples, _Kept) and samples.placed is not None:
             result = samples.verdict
             if result is None:
                 result = samples.verdict = _read_verdict(cfg, slot, tl, beacons, samples, 0.0)
@@ -1094,13 +1082,14 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
     window up to the one the verdict fell in decodes to, by
     sensor._window_bits). The walk reads nothing of a later window, so a
     trial decodes its windows in turn until the read so far finds a kept
-    verdict; _Heard samples carry the walk order and the read key. A _Kept
-    takes the read and bits its cell decoded, all windows at once, on the
-    cell's first lookup, and supplies only its own beacons to the key."""
+    verdict; a miss walks that read, which decodes no window again. A
+    _Kept carries its beacons in walk order and its read key, and a
+    noiseless one takes the read its cell made on its first lookup."""
     memo = cfg._memo
-    if isinstance(samples, _Heard):
-        bs, key = samples.walk, samples.key
-    elif timeline in memo.timelines:
+    placed = None
+    if isinstance(samples, _Kept):
+        bs, key, placed = samples.beacons, samples.key, samples.placed
+    elif (timeline, t_start) in memo.timelines:
         bs = _in_order(beacons)
         key = _read_key(t_start, bs)
     else:
@@ -1111,21 +1100,17 @@ def _read_verdict(cfg: ScenarioConfig, slot: SlotConfig, timeline: EmissionTimel
     if not bs and key in memo.verdicts:  # a read of no beacon: (t_start, ())
         return memo.verdicts[key]
     eff = cfg._effective_sensor
-    placed = samples.placed if isinstance(samples, _Kept) else None
-    if placed is not None and placed[3] is not None:
-        read, bits = placed[3]
-    else:
-        read = _read_windows(bs, samples, eff.n, slot.slot_s) if bs else None
-        bits = None
+    read = None if placed is None else placed[3]
+    if read is None and bs:
+        read = _read_windows(bs, samples, eff.n, slot.slot_s)
         if placed is not None:
-            bits = tuple([_window_bits(read, j, eff) for j in range(len(bs))])
-            placed[3] = read, bits
+            placed[3] = read
     for j in range(len(bs)):
-        key += (_window_bits(read, j, eff) if bits is None else bits[j],)
+        key += (_window_bits(read, j, eff),)
         result = memo.verdicts.get(key)
         if result is not None:
             return result
-    result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start, read, key[2:])
+    result = _scored_session(cfg, slot, bs, samples, SensorNode(), t_start, read)
     # The walk read up to the window its verdict fell in: the one a reject
     # names, else its transcript's last. One that timed out before it read
     # a window is kept by its first.
@@ -1144,23 +1129,21 @@ def _read_key(t_start: float, bs: list[Beacon]) -> tuple:
     return t_start, tuple([(b.t_s, b.channel, b.seq_no, b.nonce) for b in bs])
 
 
-def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: list[Beacon],
+def _scored_session(cfg: ScenarioConfig, slot: SlotConfig, beacons: Sequence[Beacon],
                     samples: Samples, node: SensorNode, t_start: float,
-                    read: Optional[tuple] = None, bits: Optional[tuple] = None
-                    ) -> AuthResult:
+                    read: Optional[tuple] = None) -> AuthResult:
     """The verdict of one session on node, after the app stage, noted on
     node. read, if given, is _read_windows' result for beacons, already in
-    walk order, and bits what each of their windows decodes to
-    (_window_bits), which the walk takes instead of decoding them again.
-    Mutant and BruteForce emit a credential of their own making, which need
-    not be valid, and they do not know the app secret; Mitm's relay adds
-    its delay to the app-layer round trip."""
+    walk order, which the walk takes instead of reading the windows again,
+    with the windows it has decoded. Mutant and BruteForce emit a
+    credential of their own making, which need not be valid, and they do
+    not know the app secret; Mitm's relay adds its delay to the app-layer
+    round trip."""
     eff = cfg._effective_sensor
     a = cfg.actor
     session = SensorSession(cfg.store.compiled(new_matcher), eff, slot, node=node,
                             t_start=t_start)
-    result = (session.run(beacons, samples) if read is None
-              else session._walk(beacons, read, bits))
+    result = session.run(beacons, samples) if read is None else session._walk(beacons, read)
     if result.verdict == ACCEPTED and eff.app_secret is not None:
         message = "" if isinstance(a, (Mutant, BruteForce)) else eff.app_secret
         extra = a.extra_delay_s if isinstance(a, Mitm) else 0.0

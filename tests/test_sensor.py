@@ -17,6 +17,7 @@ from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, Beacon,
                         authenticate, compile_schedule, decode_slots,
                         extract_triplets, match_step, new_matcher,
                         parse_pattern, quantize_interval)
+from beaconveil.sensor import _read_triplet, _read_windows
 
 CFG = SensorConfig(f_s=5.0, n=3, delta_db=3.0)
 FIG3 = parse_pattern("010@1:- 101@6:1 010@6:2 101@11:2", "fig3")
@@ -236,6 +237,18 @@ class TestQuantizeInterval:
         with pytest.raises(ValueError):
             quantize_interval(1.0, 0.0)
 
+    def test_ratio_past_float_range_is_none(self):
+        # Both finite, but raw_s / tu_s overflows to inf.
+        assert quantize_interval(5.0, 1e-320) is None
+        assert quantize_interval(1e308, 1e-300) is None
+
+    @pytest.mark.parametrize("raw, tu, name", [
+        (math.nan, 1.0, "raw_s"), (math.inf, 1.0, "raw_s"), (-math.inf, 1.0, "raw_s"),
+        (1.0, math.nan, "tu_s"), (1.0, math.inf, "tu_s"), (math.nan, math.nan, "raw_s")])
+    def test_non_finite_input_is_named(self, raw, tu, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            quantize_interval(raw, tu)
+
     @given(k=st.integers(1, 16), tu=st.floats(0.1, 20.0),
            frac=st.floats(-0.09, 0.09))
     @settings(max_examples=200, deadline=None)
@@ -312,6 +325,21 @@ class TestExtractTriplets:
         with pytest.raises(UndecodableWindow) as ei:
             extract_triplets(beacons, flat, CFG)
         assert ei.value.reason() == RejectReason("undecodable", 2)
+
+    def test_read_keeps_each_window_decoded_and_no_exception(self):
+        # A read decodes window 2 once; a second reader gets the same error
+        # from what the read kept, which holds no exception object.
+        beacons, samples = clean_observation(FIG3, SlotConfig(), CFG)
+        flat = with_rssi(samples, (12.0 <= samples.t_s) & (samples.t_s < 13.8), -50.0)
+        read = _read_windows(beacons, flat, CFG.n, SlotConfig().slot_s)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(UndecodableWindow) as ei:
+                _read_triplet(beacons, 2, read, CFG)
+            errors.append((str(ei.value), ei.value.detail, ei.value.index))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith("triplet 2: median spread")
+        assert not any(isinstance(got, BaseException) for got in read[3])
 
     def test_first_unreadable_triplet_wins_as_in_a_session(self):
         # beacon 2 comes 1.7 s late (an off-grid interval) and window 3 is

@@ -33,7 +33,7 @@ from beaconveil import (ACCEPTED, REJECTED, TIMED_OUT, AuthResult, BandPlan,
                         random_candidate, render_report_json,
                         render_trials_csv, run_scenario, run_trial, sweep,
                         validate_scenario, wilson)
-from beaconveil.sensor import ExtractionError
+from beaconveil.sensor import ExtractionError, _in_order
 from beaconveil.emitter import _candidate_digits
 from beaconveil.sim import _Lanes, _pcg64_seeds, _trial_draws
 
@@ -386,8 +386,7 @@ def kept_cells(cfg):
     """The observations kept in cfg's memo, one for each timeline and phase
     cell a trial of that timeline landed in without shadowing at a fixed
     range."""
-    return [kept for _, by_start in cfg._memo.timelines.values()
-            for _, own in by_start.values() for kept in own
+    return [kept for _, own in cfg._memo.timelines.values() for kept in own
             if isinstance(kept, beaconveil.sim._Kept)]
 
 
@@ -395,8 +394,7 @@ def kept_heard(cfg):
     """The heard-beacon records kept in cfg's memo under shadowing or along
     a moving trajectory, one for each timeline, phase cell and set of heard
     beacons a trial of that timeline landed there with."""
-    return [got for _, by_start in cfg._memo.timelines.values()
-            for _, own in by_start.values() for heard in own
+    return [got for _, own in cfg._memo.timelines.values() for heard in own
             if isinstance(heard, dict) for got in heard.values()]
 
 
@@ -1619,7 +1617,7 @@ class TestPhaseCellDifferential:
         for t_start in starts:
             for _ in range(10):
                 observe(t_start)
-            cells = memo.cells[beaconveil.sim._shape_key(tl)][t_start]
+            cells = memo.cells[beaconveil.sim._shape_key(tl), t_start]
             assert isinstance(cells, beaconveil.sim._PhaseCells)
             # Every timeline gets its cells, 0 and 1 among the edges.
             assert cells.edges[:1] == [0.0] and cells.edges[-1:] == [1.0]
@@ -1692,7 +1690,7 @@ class TestSharedShapeDifferential:
                 draws = (row, phase, None)
                 assert (run_trial(shared, 0, draws)
                         == run_trial(dataclasses.replace(cfg), 0, draws)), (row, phase)
-        placed = [p for p in shared._memo.cells[shape.pop()][0.0].placed if p is not None]
+        placed = [p for p in shared._memo.cells[shape.pop(), 0.0].placed if p is not None]
         assert len(shared._memo.timelines) == len(rows)
         assert 1 <= len(placed) < len(kept_verdicts(shared))
 
@@ -1812,7 +1810,7 @@ class TestPhaseCellMemo:
         # each read up to the window its verdict fell in.
         assert calls == {"observe_emission": 4000, "_place": 16 + 16 * 3,
                          "_phase_cells": 16, "_scored_session": 16 + 32}
-        cells = [c for v in cfg._memo.cells.values() for c in v.values()]
+        cells = list(cfg._memo.cells.values())
         assert len(cells) == 16 and all(None not in c.placed for c in cells)
         assert len(cfg._memo.timelines) == 64 and len(kept_verdicts(cfg)) == 64 * 3
 
@@ -2126,8 +2124,8 @@ class TestReadVerdictDifferential:
             assert run_trial(cfg, i, d) == run_trial(dataclasses.replace(cfg), i, d), i
         kept = {}
         for name, row in rows.items():
-            _, by_start = cfg._memo.timelines[cfg._candidate_timeline(row)]
-            [kept[name]] = [k for k in by_start[0.0][1] if k is not None]
+            _, own = cfg._memo.timelines[cfg._candidate_timeline(row), 0.0]
+            [kept[name]] = [k for k in own if k is not None]
         assert len({k.beacons for k in kept.values()}) == 1
         assert kept["accepted"].verdict.bucket == ACCEPTED
         assert kept["txpower@1"].verdict.bucket == "txpower@1"
@@ -2181,6 +2179,27 @@ class TestReadVerdictDifferential:
         assert calls[True] + calls[False] <= 192
 
 
+class TestDecodeOnce:
+    """A read decodes each of its windows at most once, whoever reads it:
+    the channel variants of a shape that share a kept cell's read, the
+    lookup of a read's verdict, and the walk a miss scores."""
+
+    @pytest.mark.parametrize("cfg", [fig3_bruteforce(4000), _fig3_at(40.0, 6.0, 4000)],
+                             ids=["fig3a-bruteforce", "lost-and-undecodable"])
+    def test_no_window_of_a_read_is_decoded_twice(self, monkeypatch, cfg):
+        decodes, reads = Counter(), []
+        window = beaconveil.sensor._window
+
+        def counted(read, j, eff):
+            reads.append(read)  # keeps each read's id its own
+            decodes[id(read), j] += 1
+            return window(read, j, eff)
+        monkeypatch.setattr(beaconveil.sensor, "_window", counted)
+        buckets = Counter(t.result.bucket for t in run_scenario(cfg).trials)
+        assert any(b.startswith("undecodable") for b in buckets), buckets
+        assert decodes and max(decodes.values()) == 1
+
+
 class NoisyForcedPhase(ForcedPhase):
     """A ForcedPhase that draws its normals as default_rng(seed) does."""
 
@@ -2230,8 +2249,8 @@ class TestHeardBeaconsDifferential:
             assert samples.t_s.tobytes() == ref_samples.t_s.tobytes()
             assert samples.rssi_dbm.tobytes() == ref_samples.rssi_dbm.tobytes()
             assert got_rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
-            if isinstance(samples, beaconveil.sim._Heard):
-                assert samples.walk == beacons
+            if isinstance(samples, beaconveil.sim._Kept):
+                assert list(samples.beacons) == beacons
                 assert samples.key == (t_start, tuple(
                     (b.t_s, b.channel, b.seq_no, b.nonce) for b in beacons))
             # Each call gets its own beacon list.
@@ -2241,7 +2260,7 @@ class TestHeardBeaconsDifferential:
 
         for _ in range(20):
             observe()
-        cells = memo.cells[beaconveil.sim._shape_key(tl)][t_start]
+        cells = memo.cells[beaconveil.sim._shape_key(tl), t_start]
         for phase in probe_phases(cells, scfg.f_s):
             observe(phase)
         placed = [c for c in cells.placed if c is not None]
@@ -2261,7 +2280,8 @@ class TestHeardBeaconsDifferential:
         # Heard beacons were kept and handed out again, not only filled.
         records = kept_heard(cfg)
         assert 1 <= len(records) < cfg.trials
-        assert all(walk == list(beacons) for _, beacons, _, walk, _ in records)
+        # One emission's heard beacons are already in walk order.
+        assert all(list(beacons) == _in_order(beacons) for _, beacons, _, _ in records)
         for i, trial in enumerate(report.trials):
             assert run_trial(dataclasses.replace(cfg), i) == trial, i
         for cap in (1, 2):
@@ -2269,9 +2289,8 @@ class TestHeardBeaconsDifferential:
             capped = dataclasses.replace(cfg)
             assert report_bytes(capped) == kept
             assert_memos_within(capped, cap)
-            assert all(len(heard) <= cap for _, by_start in capped._memo.timelines.values()
-                       for _, own in by_start.values() for heard in own
-                       if isinstance(heard, dict))
+            assert all(len(heard) <= cap for _, own in capped._memo.timelines.values()
+                       for heard in own if isinstance(heard, dict))
 
     def test_shapes_shared_across_channels_keep_heard_beacons_apart(self):
         cfg = _shadowed(_proto_on_other_channels(200), 2.0)
@@ -2280,7 +2299,7 @@ class TestHeardBeaconsDifferential:
         # One shape, so one set of cells with its ticks; each half keeps its
         # own heard beacons, on its own channels.
         assert len([v for v in cfg._memo.cells.values() if v is not None]) == 1
-        channels = {tuple(b.channel for b in walk) for _, _, _, walk, _ in kept_heard(cfg)}
+        channels = {tuple(b.channel for b in beacons) for _, beacons, _, _ in kept_heard(cfg)}
         assert {(6, 6), (2, 9)} <= channels
 
     def test_flyover_builds_few_beacons_nodes_and_sessions(self, monkeypatch):
